@@ -66,14 +66,14 @@ func main() {
 		graphF     = flag.String("graph", "", ".osnb binary snapshot (alternative to -dataset/-edges)")
 		graphsDir  = flag.String("graphs", "", "directory of .osnb snapshots: every snapshot is served under its basename, and PUT /graphs/{name} resolves here")
 		storeDir   = flag.String("store", "", "persistent trajectory store directory (.osnt files); empty = memory-only cache")
-		cacheBytes = flag.Int64("cache-bytes", 0, "byte budget across all cached trajectories (0 = unlimited); over it, the globally LRU trajectory is persisted and evicted")
+		cacheBytes = flag.Int64("cache-bytes", 256<<20, "byte budget across all cached trajectories (0 = unlimited); over it, the globally LRU trajectory is persisted and evicted")
 		addr       = flag.String("addr", ":8080", "listen address")
 		budget     = flag.Float64("budget", 0.05, "default trajectory API budget as a fraction of |V| (applied per graph at startup)")
 		walkers    = flag.Int("walkers", 1, "default concurrent walkers per trajectory recording")
 		burnin     = flag.Int("burnin", 0, "walk burn-in steps (0 = measure mixing time per graph at load)")
 		seed       = flag.Int64("seed", 1, "default trajectory seed")
 		window     = flag.Duration("window", 25*time.Millisecond, "batching window: queries arriving within it share one recording")
-		ttl        = flag.Duration("ttl", 10*time.Minute, "cached trajectory lifetime (0 = keep until eviction)")
+		ttl        = flag.Duration("ttl", 10*time.Minute, "freshness bound on trajectories recorded through -source-url, counted from the recording across reloads and restarts (0 = never expire); no effect on in-memory graphs")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		compactSeg = flag.Int("compact-segments", 0, "compact a graph's .osnd delta log into its .osnb once it exceeds this many segments (0 = default 8)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables profiling")

@@ -267,19 +267,7 @@ type assortTask struct{ variant string }
 // Kind implements EstimationTask.
 func (assortTask) Kind() string { return "assortativity" }
 
-// Estimate implements EstimationTask as a single-visitor replay.
-func (a assortTask) Estimate(t *Trajectory) (any, error) {
-	v, err := a.NewVisitor(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := RunVisitors(t, []TrajectoryVisitor{v}); err != nil {
-		return nil, err
-	}
-	return v.(*assortVisitor).Result()
-}
-
-// NewVisitor implements StreamingTask, so assortativity joins fused passes.
+// NewVisitor implements EstimationTask.
 func (a assortTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
 	return newAssortVisitor(t, a.variant)
 }

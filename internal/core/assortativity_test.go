@@ -97,8 +97,9 @@ func TestLabelAssortativityMatchesExact(t *testing.T) {
 	}
 }
 
-// TestAssortativityFusedMatchesSolo: the visitor path (fused replay) is
-// bit-identical to the standalone Estimate — the StreamingTask contract.
+// TestAssortativityFusedMatchesSolo: assortativity replayed alone is
+// bit-identical to the same task sharing one pass with other kinds — the
+// fused-driver contract.
 func TestAssortativityFusedMatchesSolo(t *testing.T) {
 	g := taskGraph(t)
 	traj := assortTraj(t, g, 3)
@@ -108,15 +109,15 @@ func TestAssortativityFusedMatchesSolo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo, err := task.Estimate(traj)
+		solo, err := RunTask(traj, "assortativity", TaskParams{Variant: variant})
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, errs := RunTasksFused(traj, []EstimationTask{task})
-		if errs[0] != nil {
-			t.Fatal(errs[0])
+		outs, errs := RunTasksFused(traj, []EstimationTask{censusTask{top: 3}, task, pairsTask{pairs: []graph.LabelPair{{T1: 1, T2: 2}}}})
+		if errs[1] != nil {
+			t.Fatal(errs[1])
 		}
-		a, b := solo.(AssortativityResult), outs[0].(AssortativityResult)
+		a, b := solo.(AssortativityResult), outs[1].(AssortativityResult)
 		if math.Float64bits(a.Coefficient) != math.Float64bits(b.Coefficient) || a.Used != b.Used {
 			t.Errorf("%s: fused %+v != solo %+v", variant, b, a)
 		}

@@ -71,14 +71,7 @@ func CensusFromTrajectory(t *Trajectory, top int) (CensusResult, error) {
 	if t == nil || t.Samples() == 0 {
 		return res, fmt.Errorf("core: census replay needs a recorded trajectory")
 	}
-	v, err := newCensusVisitor(t, top)
-	if err != nil {
-		return res, err
-	}
-	if err := RunVisitors(t, []TrajectoryVisitor{v}); err != nil {
-		return res, err
-	}
-	out, err := v.Result()
+	out, err := replayOne(t, censusTask{top: top})
 	if err != nil {
 		return res, err
 	}

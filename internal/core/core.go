@@ -64,8 +64,8 @@ type Options struct {
 	// ThinGap, when positive, retains only every ThinGap-th sample for the
 	// Horvitz–Thompson estimator, the independence heuristic of [11] with
 	// r = 2.5%·k. The paper's reported HT accuracy is only achievable using
-	// every sample (see EXPERIMENTS.md), so the default 0 means "use all";
-	// the ablation bench sweeps this knob.
+	// every sample, so the default 0 means "use all"; the HT-thinning study
+	// of `reproduce -ablations` (experiment.AblationReport) sweeps this knob.
 	ThinGap int
 	// Rng drives all random choices. Required.
 	Rng *rand.Rand
@@ -91,8 +91,9 @@ type Options struct {
 	// interval alongside. Requires Seed for the per-walker RNG streams.
 	Walkers int
 	// Seed roots the per-walker RNG streams when Walkers >= 2: walker i
-	// draws from stats.Derive(Seed, "walker/i"), so multi-walker results
-	// are reproducible regardless of goroutine scheduling (given
+	// draws from stats.Derive(Seed, "walker/i"), made distinct across the
+	// fleet (see walk.FleetRun.Rng), so multi-walker results are
+	// reproducible regardless of goroutine scheduling (given
 	// FailureRate == 0; see osn.Config.FailureRng).
 	Seed int64
 	// Ctx cancels a run in flight: every sampling loop and burn-in checks

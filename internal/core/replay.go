@@ -7,13 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the fused replay pass: one iteration over the trajectory's
-// step columns that feeds every registered query's streaming aggregators
-// simultaneously. N queries over one trajectory used to cost N full replays,
-// each re-walking the steps and re-resolving labels through an interface;
-// now they cost one column sweep, with label membership answered by the
-// precomputed mask columns (labelcols.go). Bit-identity with the per-query
-// replays is structural: each aggregator still receives exactly its own
+// This file is the replay driver: one iteration over the trajectory's step
+// columns that feeds every query's streaming aggregators simultaneously. It
+// is the only walker-major replay loop — a single task is a pass of one
+// (RunTask, EstimateManyPairs, CensusFromTrajectory and the per-package
+// FromTrajectory helpers all replay through it). N queries over one
+// trajectory cost one column sweep, with label membership answered by the
+// precomputed mask columns (labelcols.go). Bit-identity with one-task
+// passes is structural: each aggregator still receives exactly its own
 // sample sequence in walker-major step order — fusing only interleaves
 // *different* accumulators, never reorders any one accumulator's inputs.
 
@@ -28,83 +29,35 @@ type TrajectoryVisitor interface {
 	Result() (any, error)
 }
 
-// StreamingTask is an EstimationTask that can join a fused replay pass.
-// NewVisitor builds the task's streaming aggregator over t; the task's
-// Estimate and a fused pass containing its visitor must produce identical
-// results (the bit-identity sweep in replay_identity_test.go pins this for
-// every registered kind).
-type StreamingTask interface {
-	EstimationTask
-	NewVisitor(t *Trajectory) (TrajectoryVisitor, error)
-}
-
-// RunVisitors drives one walker-major pass over t, aborting on the first
-// visitor error — the single-task path (EstimateManyPairs, census and the
-// per-kind Estimate methods) where one error fails the whole call.
-func RunVisitors(t *Trajectory, vs []TrajectoryVisitor) error {
-	W := t.NumWalkers()
-	for w := 0; w < W; w++ {
-		lo, hi := t.WalkerSpan(w)
-		for _, v := range vs {
-			if err := v.BeginWalker(w, hi-lo); err != nil {
-				return err
-			}
-		}
-		for i := lo; i < hi; i++ {
-			for _, v := range vs {
-				if err := v.VisitStep(i); err != nil {
-					return err
-				}
-			}
-		}
-		for _, v := range vs {
-			if err := v.EndWalker(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// RunTasksFused replays every task over t in ONE pass over the step columns.
-// Streaming tasks register visitors against the shared sweep; tasks that
-// cannot stream fall back to their own Estimate. Errors are isolated per
-// task (errs[i] mirrors tasks[i]); a failed visitor drops out of the pass
-// without disturbing the others.
+// RunTasksFused replays every task over t in ONE pass over the step columns:
+// each task's visitor joins the shared sweep. Errors are isolated per task
+// (errs[i] mirrors tasks[i]); a failed visitor drops out of the pass without
+// disturbing the others.
 func RunTasksFused(t *Trajectory, tasks []EstimationTask) (outs []any, errs []error) {
 	outs = make([]any, len(tasks))
 	errs = make([]error, len(tasks))
-	if t == nil || t.Samples() == 0 {
-		// Let each kind produce its own "needs a recorded trajectory" error.
-		for i, task := range tasks {
-			if task == nil {
-				errs[i] = fmt.Errorf("core: nil estimation task")
-				continue
-			}
-			outs[i], errs[i] = task.Estimate(t)
-		}
-		return outs, errs
-	}
 	type slot struct {
 		idx int
 		v   TrajectoryVisitor
 	}
 	active := make([]slot, 0, len(tasks))
 	for idx, task := range tasks {
-		if task == nil {
+		switch {
+		case task == nil:
 			errs[idx] = fmt.Errorf("core: nil estimation task")
-			continue
-		}
-		if st, ok := task.(StreamingTask); ok {
-			v, err := st.NewVisitor(t)
+		case t == nil || t.Samples() == 0:
+			errs[idx] = fmt.Errorf("core: %s replay needs a recorded trajectory", task.Kind())
+		default:
+			v, err := task.NewVisitor(t)
 			if err != nil {
 				errs[idx] = err
 				continue
 			}
 			active = append(active, slot{idx: idx, v: v})
-			continue
 		}
-		outs[idx], errs[idx] = task.Estimate(t)
+	}
+	if len(active) == 0 {
+		return outs, errs
 	}
 	drop := func(k int, err error) {
 		errs[active[k].idx] = err
@@ -154,7 +107,7 @@ type pairReplayState struct {
 }
 
 // pairsVisitor replays every queried label pair's NS and NE estimators in
-// one pass — the fused form of EstimateManyPairs.
+// one pass — the pairs task's visitor, behind EstimateManyPairs.
 type pairsVisitor struct {
 	t        *Trajectory
 	lc       *labelCols
@@ -277,8 +230,8 @@ func (v *pairsVisitor) EndWalker(w int) error {
 	return nil
 }
 
-// estimates assembles the finished per-pair results.
-func (v *pairsVisitor) estimates() ([]PairEstimates, error) {
+// Result assembles the finished per-pair results ([]PairEstimates).
+func (v *pairsVisitor) Result() (any, error) {
 	out := make([]PairEstimates, 0, len(v.ps))
 	for k := range v.ps {
 		p := &v.ps[k]
@@ -293,10 +246,8 @@ func (v *pairsVisitor) estimates() ([]PairEstimates, error) {
 	return out, nil
 }
 
-func (v *pairsVisitor) Result() (any, error) { return v.estimates() }
-
-// censusVisitor replays the all-pairs census in one pass — the fused form
-// of CensusFromTrajectory.
+// censusVisitor replays the all-pairs census in one pass — the census
+// task's visitor, behind CensusFromTrajectory.
 type censusVisitor struct {
 	t        *Trajectory
 	top      int
@@ -368,16 +319,12 @@ func (v *censusVisitor) Result() (any, error) {
 	return res, nil
 }
 
-// censusHitsMasked is censusHits over mask columns: the set bits of the two
-// endpoint masks enumerate exactly the label sets censusHits reads through
-// the LabelReader, so the credited pair set — and the hit counts — are
+// censusHitsMaskedN is censusHits over mask columns, crediting one step's
+// label pairs n times — the combo replay: n steps sharing the same endpoint
+// masks credit the same pairs. The set bits of the two endpoint masks
+// enumerate exactly the label sets censusHits reads through the
+// LabelReader, so the credited pair set — and the hit counts — are
 // identical.
-func censusHitsMasked(lc *labelCols, pm, nm uint64, hits map[graph.LabelPair]int, seen map[graph.LabelPair]struct{}) {
-	censusHitsMaskedN(lc, pm, nm, 1, hits, seen)
-}
-
-// censusHitsMaskedN credits one step's label pairs n times — the combo
-// replay: n steps sharing the same endpoint masks credit the same pairs.
 func censusHitsMaskedN(lc *labelCols, pm, nm uint64, n int, hits map[graph.LabelPair]int, seen map[graph.LabelPair]struct{}) {
 	clear(seen)
 	for a := pm; a != 0; a &= a - 1 {
@@ -394,12 +341,12 @@ func censusHitsMaskedN(lc *labelCols, pm, nm uint64, n int, hits map[graph.Label
 	}
 }
 
-// NewVisitor lets the pairs task join a fused pass.
+// NewVisitor implements EstimationTask.
 func (pt pairsTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
 	return newPairsVisitor(t, pt.pairs)
 }
 
-// NewVisitor lets the census task join a fused pass.
+// NewVisitor implements EstimationTask.
 func (ct censusTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
 	return newCensusVisitor(t, ct.top)
 }

@@ -50,9 +50,10 @@ type TaskParams struct {
 type EstimationTask interface {
 	// Kind returns the registry key the task was built for.
 	Kind() string
-	// Estimate replays t and returns the kind's result type (documented on
-	// the registering package).
-	Estimate(t *Trajectory) (any, error)
+	// NewVisitor builds the task's streaming aggregator over t. The fused
+	// driver (RunTasksFused) feeds it t's steps and returns its Result, the
+	// kind's result type (documented on the registering package).
+	NewVisitor(t *Trajectory) (TrajectoryVisitor, error)
 }
 
 // TaskSpec is one registry row: a kind name plus its task constructor.
@@ -114,7 +115,13 @@ func RunTask(t *Trajectory, kind string, p TaskParams) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return task.Estimate(t)
+	return replayOne(t, task)
+}
+
+// replayOne replays a single task through the fused driver.
+func replayOne(t *Trajectory, task EstimationTask) (any, error) {
+	outs, errs := RunTasksFused(t, []EstimationTask{task})
+	return outs[0], errs[0]
 }
 
 // pairsTask is the label-pair workload — the paper's estimators for P pairs
@@ -123,18 +130,10 @@ type pairsTask struct{ pairs []graph.LabelPair }
 
 func (pairsTask) Kind() string { return "pairs" }
 
-func (pt pairsTask) Estimate(t *Trajectory) (any, error) {
-	return EstimateManyPairs(t, pt.pairs)
-}
-
 // censusTask is the discover-all-pairs workload. Result type: CensusResult.
 type censusTask struct{ top int }
 
 func (censusTask) Kind() string { return "census" }
-
-func (ct censusTask) Estimate(t *Trajectory) (any, error) {
-	return CensusFromTrajectory(t, ct.top)
-}
 
 func init() {
 	RegisterTask(TaskSpec{

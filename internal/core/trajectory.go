@@ -565,14 +565,11 @@ func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates,
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("core: EstimateManyPairs needs at least one label pair")
 	}
-	v, err := newPairsVisitor(t, pairs)
+	out, err := replayOne(t, pairsTask{pairs: pairs})
 	if err != nil {
 		return nil, err
 	}
-	if err := RunVisitors(t, []TrajectoryVisitor{v}); err != nil {
-		return nil, err
-	}
-	return v.estimates()
+	return out.([]PairEstimates), nil
 }
 
 // ReplayTargetDegree recomputes T(u) for a recorded step from the step's

@@ -126,6 +126,7 @@ func runFrequencySweepShared(cfg FrequencySweepConfig, algs []Algorithm) ([]Freq
 	if workers > cfg.Reps {
 		workers = cfg.Reps
 	}
+	seeds := repSeeds(cfg.Seed, "freqshared", cfg.Reps)
 	work := make(chan int)
 	errs := make(chan error, workers)
 	var failed atomic.Bool
@@ -138,7 +139,7 @@ func runFrequencySweepShared(cfg FrequencySweepConfig, algs []Algorithm) ([]Freq
 				if failed.Load() {
 					continue
 				}
-				if err := runSharedRep(cfg, algs, k, rep, estimates); err != nil {
+				if err := runSharedRep(cfg, algs, k, rep, seeds[rep], estimates); err != nil {
 					failed.Store(true)
 					select {
 					case errs <- err:
@@ -177,10 +178,10 @@ func runFrequencySweepShared(cfg FrequencySweepConfig, algs []Algorithm) ([]Freq
 
 // runSharedRep records one repetition's trajectory and replays it for every
 // pair, writing into estimates[pi][alg][rep]. Each repetition's randomness
-// derives from (Seed, rep), so results are reproducible and independent of
-// worker scheduling; per-rep rows are disjoint, so no locking is needed.
-func runSharedRep(cfg FrequencySweepConfig, algs []Algorithm, k, rep int, estimates []map[Algorithm][]float64) error {
-	seed := stats.Derive(cfg.Seed, fmt.Sprintf("freqshared/%d", rep))
+// derives from its own seed (drawn per rep from cfg.Seed), so results are
+// reproducible and independent of worker scheduling; per-rep rows are
+// disjoint, so no locking is needed.
+func runSharedRep(cfg FrequencySweepConfig, algs []Algorithm, k, rep int, seed int64, estimates []map[Algorithm][]float64) error {
 	s, err := osn.NewSession(cfg.Graph, osn.Config{})
 	if err != nil {
 		return err

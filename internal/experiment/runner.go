@@ -68,6 +68,21 @@ type SweepResult struct {
 // cellKey identifies one (fraction index, repetition) unit of work.
 type cellKey struct{ fi, rep int }
 
+// repSeeds draws n repetition seeds from one seed sequence rooted at
+// (seed, name); a sequence's outputs are pairwise distinct, so no two
+// repetitions share a walk. Numbered stats.Derive tags would not do: Derive
+// mixes a tag's bytes almost linearly, so tags differing only in trailing
+// digits collide ("sweep/fi/rep" gave 164 distinct seeds over the paper's
+// 10×200 cells).
+func repSeeds(seed int64, name string, n int) []int64 {
+	seq := stats.NewSeedSequence(stats.Derive(seed, name))
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = seq.Next()
+	}
+	return seeds
+}
+
 // RunSweep executes the sweep. Repetitions run in parallel; randomness is
 // derived per (fraction, repetition) so results do not depend on
 // interleaving.
@@ -141,6 +156,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		res.Estimates[a] = grid
 	}
 
+	seeds := repSeeds(cfg.Seed, "sweep", len(ks)*cfg.Reps) // cell (fi, rep) at fi*Reps+rep
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -159,7 +175,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 				if failed.Load() {
 					continue // drain remaining work after a failure
 				}
-				seed := stats.Derive(cfg.Seed, fmt.Sprintf("sweep/%d/%d", c.fi, c.rep))
+				seed := seeds[c.fi*cfg.Reps+c.rep]
 				rng := stats.NewSeedSequence(seed).NextRand()
 				p := params
 				p.Seed = seed // roots per-walker streams inside each estimate

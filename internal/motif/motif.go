@@ -144,19 +144,25 @@ func LabeledTriangles(s *osn.Session, pair graph.LabelPair, k int, opts Options)
 // pool in walker order; serial replays are bit-identical to the historical
 // sampling loop.
 func WedgesFromTrajectory(t *core.Trajectory, pair *graph.LabelPair) (Result, error) {
-	var res Result
 	if t == nil || t.Samples() == 0 {
-		return res, fmt.Errorf("motif: wedge replay needs a recorded trajectory")
+		return Result{}, fmt.Errorf("motif: wedge replay needs a recorded trajectory")
 	}
-	v := newWedgeVisitor(t, pair)
-	if err := core.RunVisitors(t, []core.TrajectoryVisitor{v}); err != nil {
-		return res, err
+	return replayShape(t, ShapeWedges, pair)
+}
+
+// replayShape replays one shape for one pair (nil: the unlabeled count)
+// through the fused driver, as a one-row motif task.
+func replayShape(t *core.Trajectory, shape string, pair *graph.LabelPair) (Result, error) {
+	task := motifTask{shape: shape}
+	if pair != nil {
+		task.pairs = []graph.LabelPair{*pair}
 	}
-	out, err := v.Result()
-	if err != nil {
-		return res, err
+	outs, errs := core.RunTasksFused(t, []core.EstimationTask{task})
+	if errs[0] != nil {
+		return Result{}, errs[0]
 	}
-	return out.(Result), nil
+	r := outs[0].(TaskResult)
+	return Result{Estimate: r.Rows[0].Estimate, Samples: r.Samples, APICalls: r.APICalls, Walkers: r.Walkers, CI: r.Rows[0].CI}, nil
 }
 
 // wedgeVisitor streams the wedge estimator over a trajectory's step columns.
@@ -233,22 +239,10 @@ func (v *wedgeVisitor) Result() (any, error) {
 // per-walker start states (recorded since the task-registry refactor) to
 // know both endpoints of each walker's first edge.
 func TrianglesFromTrajectory(t *core.Trajectory, pair *graph.LabelPair) (Result, error) {
-	var res Result
 	if t == nil || t.Samples() == 0 {
-		return res, fmt.Errorf("motif: triangle replay needs a recorded trajectory")
+		return Result{}, fmt.Errorf("motif: triangle replay needs a recorded trajectory")
 	}
-	v, err := newTriangleVisitor(t, pair)
-	if err != nil {
-		return res, err
-	}
-	if err := core.RunVisitors(t, []core.TrajectoryVisitor{v}); err != nil {
-		return res, err
-	}
-	out, err := v.Result()
-	if err != nil {
-		return res, err
-	}
-	return out.(Result), nil
+	return replayShape(t, ShapeTriangles, pair)
 }
 
 // triangleVisitor streams the triangle estimator over a trajectory's step

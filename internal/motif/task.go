@@ -38,41 +38,10 @@ type motifTask struct {
 
 func (motifTask) Kind() string { return "motif" }
 
-func (mt motifTask) Estimate(t *core.Trajectory) (any, error) {
-	replay := WedgesFromTrajectory
-	if mt.shape == ShapeTriangles {
-		replay = TrianglesFromTrajectory
-	}
-	res := TaskResult{Shape: mt.shape}
-	run := func(pair *graph.LabelPair) error {
-		r, err := replay(t, pair)
-		if err != nil {
-			return err
-		}
-		res.Rows = append(res.Rows, TaskRow{Pair: pair, Estimate: r.Estimate, CI: r.CI})
-		res.Samples = r.Samples
-		res.APICalls = r.APICalls
-		res.Walkers = r.Walkers
-		return nil
-	}
-	if len(mt.pairs) == 0 {
-		if err := run(nil); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	for i := range mt.pairs {
-		if err := run(&mt.pairs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// NewVisitor lets the motif task join a fused replay pass
-// (core.RunTasksFused): all queried pairs stream over ONE column sweep
-// instead of one full replay per pair, with each pair's accumulator fed the
-// identical sample sequence Estimate would feed it.
+// NewVisitor implements core.EstimationTask: all queried pairs stream over
+// ONE column sweep, each pair's accumulator fed the identical sample
+// sequence a one-pair replay (WedgesFromTrajectory/TrianglesFromTrajectory)
+// would feed it.
 func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, error) {
 	pairs := make([]*graph.LabelPair, 0, len(mt.pairs)+1)
 	if len(mt.pairs) == 0 {

@@ -68,57 +68,77 @@ func GlobalClustering(s *osn.Session, k int, opts Options) (ClusteringResult, er
 // the triangle and wedge estimators and forms their ratio — the clustering
 // coefficient rides along on any recording at zero additional API cost.
 func GlobalClusteringFromTrajectory(t *core.Trajectory) (ClusteringResult, error) {
-	var res ClusteringResult
 	if t == nil || t.Samples() == 0 {
-		return res, fmt.Errorf("motif: clustering replay needs a recorded trajectory")
+		return ClusteringResult{}, fmt.Errorf("motif: clustering replay needs a recorded trajectory")
 	}
-	if !t.HasStarts() {
-		return res, fmt.Errorf("motif: trajectory lacks per-walker start states; re-record it")
+	outs, errs := core.RunTasksFused(t, []core.EstimationTask{clusteringTask{}})
+	if errs[0] != nil {
+		return ClusteringResult{}, errs[0]
 	}
-	numEdges := float64(t.NumEdges)
-	triHH := &estimate.HansenHurwitz{}
-	wedgeHH := &estimate.HansenHurwitz{}
-	W := t.NumWalkers()
-	perCoeff := make([]float64, 0, W)
-	// The per-step common-neighbor counts are a precomputed trajectory
-	// column (the credit is count/3), shared with the triangle estimator.
-	common := t.EdgeCommonNeighbors()
-	for wi := 0; wi < W; wi++ {
-		wtri := &estimate.HansenHurwitz{}
-		wwedge := &estimate.HansenHurwitz{}
-		lo, hi := t.WalkerSpan(wi)
-		for i := lo; i < hi; i++ {
-			res.Samples++
-			triTerm := float64(common[i]) / 3 * numEdges
-			if err := triHH.Add(triTerm, 1); err != nil {
-				return res, err
-			}
-			if err := wtri.Add(triTerm, 1); err != nil {
-				return res, err
-			}
-			d := float64(t.StepDegree(i))
-			wedges := d * (d - 1) / 2
-			wedgeTerm := wedges * 2 * numEdges / d
-			if err := wedgeHH.Add(wedgeTerm, 1); err != nil {
-				return res, err
-			}
-			if err := wwedge.Add(wedgeTerm, 1); err != nil {
-				return res, err
-			}
-		}
-		if hi > lo && wwedge.Estimate() > 0 {
-			perCoeff = append(perCoeff, 3*wtri.Estimate()/wwedge.Estimate())
-		}
+	return outs[0].(ClusteringResult), nil
+}
+
+// clusteringTask replays the clustering coefficient through the fused
+// driver. It is not a registered kind: GlobalClusteringFromTrajectory is
+// its only caller.
+type clusteringTask struct{}
+
+func (clusteringTask) Kind() string { return "clustering" }
+
+// NewVisitor implements core.EstimationTask.
+func (clusteringTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, error) {
+	tri, err := newTriangleVisitor(t, nil)
+	if err != nil {
+		return nil, err
 	}
-	res.Triangles = triHH.Estimate()
-	res.Wedges = wedgeHH.Estimate()
+	return &clusteringVisitor{tri: tri, wedge: newWedgeVisitor(t, nil), perCoeff: make([]float64, 0, t.NumWalkers())}, nil
+}
+
+// clusteringVisitor feeds the unlabeled triangle and wedge estimators from
+// one pass — every transition is a uniform edge sample, every visited node a
+// degree-weighted node sample — and keeps each walker's coefficient for the
+// between-walker interval.
+type clusteringVisitor struct {
+	tri      *triangleVisitor
+	wedge    *wedgeVisitor
+	perCoeff []float64
+}
+
+func (v *clusteringVisitor) BeginWalker(w, n int) error {
+	if err := v.tri.BeginWalker(w, n); err != nil {
+		return err
+	}
+	return v.wedge.BeginWalker(w, n)
+}
+
+func (v *clusteringVisitor) VisitStep(i int) error {
+	if err := v.tri.VisitStep(i); err != nil {
+		return err
+	}
+	return v.wedge.VisitStep(i)
+}
+
+func (v *clusteringVisitor) EndWalker(w int) error {
+	if v.wedge.wn > 0 && v.wedge.whh.Estimate() > 0 {
+		v.perCoeff = append(v.perCoeff, 3*v.tri.whh.Estimate()/v.wedge.whh.Estimate())
+	}
+	return nil
+}
+
+func (v *clusteringVisitor) Result() (any, error) {
+	t := v.wedge.t
+	res := ClusteringResult{
+		Triangles: v.tri.hh.Estimate(),
+		Wedges:    v.wedge.hh.Estimate(),
+		Samples:   v.wedge.samples,
+		APICalls:  t.APICalls,
+		Walkers:   t.Walkers,
+	}
 	if res.Wedges > 0 {
 		res.Coefficient = 3 * res.Triangles / res.Wedges
 	}
-	res.APICalls = t.APICalls
-	res.Walkers = t.Walkers
 	if t.Walkers > 1 {
-		res.CI = estimate.CIFromEstimates(perCoeff, ciLevel)
+		res.CI = estimate.CIFromEstimates(v.perCoeff, ciLevel)
 	}
 	return res, nil
 }

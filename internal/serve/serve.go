@@ -10,10 +10,11 @@
 // mixed-kind batch of queries at one configuration shares a single
 // recording, so heterogeneous workloads cost the API calls of one walk.
 // Queries arriving within a batching window share a single fleet recording;
-// finished trajectories stay cached with a TTL and a workspace-wide byte
-// budget, so a popular configuration serves any number of questions and
-// clients at the API cost of one walk — the amortization that lets the
-// paper's estimators serve heavy traffic.
+// finished trajectories stay cached under a workspace-wide byte budget, so a
+// popular configuration serves any number of questions and clients at the
+// API cost of one walk — the amortization that lets the paper's estimators
+// serve heavy traffic. Recordings through an upstream source additionally
+// age out after a freshness TTL.
 //
 // Trajectories are the system's most expensive artifact (every step cost a
 // metered API call), so the workspace can persist them: completed
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,17 +123,14 @@ type Config struct {
 	// 0 records immediately (concurrent queries still coalesce while the
 	// recording is in flight).
 	BatchWindow time.Duration
-	// TTL bounds a cached trajectory's age; 0 caches forever (until
-	// Invalidate). Trajectories reloaded from the store get a fresh TTL.
+	// TTL bounds the age of trajectories recorded through SourceFactory: a
+	// query finding one older than TTL re-records it from the upstream
+	// instead of serving or reloading it. Age counts from the recording —
+	// across store reloads and restarts it is the .osnt file's modification
+	// time. 0 never expires. Engines recording the in-memory graph ignore
+	// TTL: graph version plus fingerprint already identify their
+	// trajectories, so re-walking one would buy identical bytes.
 	TTL time.Duration
-	// MaxCached bounds how many trajectories the cache holds at once; 0
-	// means 64. At the cap, expired entries are dropped first, then the
-	// least-recently-used completed one — recordings in flight are never
-	// evicted. The cap bounds both memory (a trajectory retains its whole
-	// sample stream) and the API amplification an adversarial seed sweep
-	// could otherwise drive. A Workspace additionally enforces a byte
-	// budget across all of its engines' caches.
-	MaxCached int
 	// SnapshotPath, when set, is the graph's .osnb snapshot on disk:
 	// ApplyDelta persists each accepted delta as a .osnd segment beside it
 	// before the swap, so a restarted server reloads the mutated graph.
@@ -144,14 +143,16 @@ type Config struct {
 	// session meters, from the graph version the recording snapshots. Nil
 	// means the in-memory osn.GraphSource — the default simulation backend.
 	// Cluster tests inject metered (call-counted, latency-injected, gated)
-	// sources here, and a future HTTP crawler backend plugs in the same way.
+	// sources here, and cmd/serve -source-url plugs in the HTTP crawler
+	// (internal/osn/httpsrc) the same way.
 	SourceFactory func(*graph.Graph) osn.Source
 
 	// now is a test hook for the TTL clock; nil means time.Now.
 	now func() time.Time
 	// onCached, when set by the owning workspace, is invoked (without any
 	// engine lock held) after the cache gains a trajectory, so the
-	// workspace can enforce its byte budget.
+	// workspace can enforce its byte budget. A standalone engine never
+	// evicts.
 	onCached func()
 }
 
@@ -250,12 +251,13 @@ type Answer struct {
 
 // Stats counts engine activity since construction.
 type Stats struct {
-	// Queries is the number of Estimate calls admitted.
+	// Queries is the number of queries answered; a query whose replay
+	// failed (ErrEstimation) is not counted here or below.
 	Queries int64
 	// PairsServed is the total number of result rows returned (pair
 	// estimates, census rows, motif rows; 1 per size answer).
 	PairsServed int64
-	// TasksByKind counts admitted queries per task kind.
+	// TasksByKind counts answered queries per task kind.
 	TasksByKind map[string]int64
 	// Recordings is how many trajectories were recorded.
 	Recordings int64
@@ -308,11 +310,14 @@ func storeKey(k trajKey, graphVersion uint64) store.Key {
 // and split the bill; the recording goroutine freezes it under mu before
 // closing ready.
 type entry struct {
-	ready    chan struct{}
-	traj     *core.Trajectory
-	err      error
-	expires  time.Time
-	hasTTL   bool
+	ready chan struct{}
+	traj  *core.Trajectory
+	err   error
+	// recorded is when the trajectory was recorded, as far as this engine
+	// can tell: the recording's completion, or the .osnt file's
+	// modification time for one that came from disk. Config.TTL counts
+	// from it.
+	recorded time.Time
 	lastUsed time.Time
 	sharers  int
 	frozen   bool
@@ -328,14 +333,6 @@ type entry struct {
 	// staleSteps is how many steps a top-up re-recorded when it produced
 	// this entry's trajectory (0 for fresh recordings and store loads).
 	staleSteps int
-}
-
-// flushItem is a dirty trajectory pulled out of the cache for persistence
-// outside the engine lock.
-type flushItem struct {
-	key  trajKey
-	ent  *entry
-	traj *core.Trajectory
 }
 
 // Engine owns one graph and serves estimate queries over shared
@@ -373,14 +370,11 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Graph.NumNodes() == 0 || cfg.Graph.NumEdges() == 0 {
 		return nil, fmt.Errorf("serve: graph has no edges to sample")
 	}
-	if cfg.Budget < 0 || cfg.Walkers < 0 || cfg.BatchWindow < 0 || cfg.TTL < 0 || cfg.MaxCached < 0 || cfg.CompactSegments < 0 {
-		return nil, fmt.Errorf("serve: negative Budget/Walkers/BatchWindow/TTL/MaxCached/CompactSegments")
+	if cfg.Budget < 0 || cfg.Walkers < 0 || cfg.BatchWindow < 0 || cfg.TTL < 0 || cfg.CompactSegments < 0 {
+		return nil, fmt.Errorf("serve: negative Budget/Walkers/BatchWindow/TTL/CompactSegments")
 	}
 	if cfg.Store != nil && !store.ValidGraphName(cfg.Name) {
 		return nil, fmt.Errorf("serve: a stored engine needs a valid graph name, got %q", cfg.Name)
-	}
-	if cfg.MaxCached == 0 {
-		cfg.MaxCached = 64
 	}
 	if cfg.CompactSegments == 0 {
 		cfg.CompactSegments = 8
@@ -504,15 +498,55 @@ func (e *Engine) CachedTrajectories() int {
 // trajectories in the cache — the engine's weight against the workspace
 // byte budget.
 func (e *Engine) CachedBytes() int64 {
+	total, _ := e.lru()
+	return total
+}
+
+// victim is an engine's least-recently-used completed trajectory — its
+// candidate for the workspace's byte-budget eviction.
+type victim struct {
+	e        *Engine
+	key      trajKey
+	ent      *entry // nil: the engine has nothing evictable
+	lastUsed time.Time
+}
+
+// lru scans the cache once for the engine's weight (see CachedBytes) and
+// its eviction candidate. Recordings in flight are never candidates: their
+// waiters hold them.
+func (e *Engine) lru() (int64, victim) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var total int64
-	for _, ent := range e.cache {
-		if ent.completed() && ent.err == nil {
-			total += ent.bytes
+	v := victim{e: e}
+	for k, ent := range e.cache {
+		if !ent.completed() || ent.err != nil {
+			continue
+		}
+		total += ent.bytes
+		if v.ent == nil || ent.lastUsed.Before(v.lastUsed) {
+			v.key, v.ent, v.lastUsed = k, ent, ent.lastUsed
 		}
 	}
-	return total
+	return total, v
+}
+
+// evict drops v from its engine's cache, unless a concurrent query already
+// replaced or dropped it. A dirty victim is persisted on the way out, so
+// the next request for it reloads from disk instead of re-walking.
+func (v victim) evict() {
+	e := v.e
+	e.mu.Lock()
+	if e.cache[v.key] != v.ent {
+		e.mu.Unlock()
+		return
+	}
+	delete(e.cache, v.key)
+	dirty := v.ent.dirty
+	e.mu.Unlock()
+	if dirty {
+		_ = e.saveItem(v.key, v.ent) // failure is counted in StoreErrors
+	}
 }
 
 // completed reports whether the entry's recording (or load) has finished.
@@ -522,30 +556,6 @@ func (ent *entry) completed() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// Invalidate drops every cached trajectory and deletes the graph's
-// persisted .osnt files, e.g. after the served graph's ground truth is
-// known to have drifted — a stale trajectory must not resurrect from disk.
-// Recordings in flight complete and answer their waiting queries but are
-// not re-cached for later ones.
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	e.cache = make(map[trajKey]*entry)
-	e.mu.Unlock()
-	if e.cfg.Store == nil {
-		return
-	}
-	keys, err := e.cfg.Store.Keys(e.cfg.Name)
-	if err != nil {
-		e.countStoreError()
-		return
-	}
-	for _, k := range keys {
-		if err := e.cfg.Store.Remove(e.cfg.Name, k); err != nil {
-			e.countStoreError()
-		}
 	}
 }
 
@@ -559,32 +569,32 @@ func (e *Engine) Flush() error {
 		return nil
 	}
 	e.mu.Lock()
-	var items []flushItem
+	dirty := make(map[trajKey]*entry)
 	for k, ent := range e.cache {
 		if ent.completed() && ent.err == nil && ent.dirty {
-			items = append(items, flushItem{key: k, ent: ent, traj: ent.traj})
+			dirty[k] = ent
 		}
 	}
 	e.mu.Unlock()
 	var firstErr error
-	for _, it := range items {
-		if err := e.saveItem(it); err != nil && firstErr == nil {
+	for k, ent := range dirty {
+		if err := e.saveItem(k, ent); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// saveItem persists one dirty trajectory and clears its dirty mark. The
-// file is keyed by the graph version the trajectory was recorded on, which
-// may be older than the engine's current graph.
-func (e *Engine) saveItem(it flushItem) error {
-	err := e.cfg.Store.Save(e.cfg.Name, storeKey(it.key, it.traj.GraphVersion), it.traj)
+// saveItem persists one completed dirty trajectory and clears its dirty
+// mark. The file is keyed by the graph version the trajectory was recorded
+// on, which may be older than the engine's current graph.
+func (e *Engine) saveItem(key trajKey, ent *entry) error {
+	err := e.cfg.Store.Save(e.cfg.Name, storeKey(key, ent.traj.GraphVersion), ent.traj)
 	e.mu.Lock()
 	if err != nil {
 		e.stats.StoreErrors++
 	} else {
-		it.ent.dirty = false
+		ent.dirty = false
 		e.stats.StoreSaves++
 	}
 	e.mu.Unlock()
@@ -598,14 +608,15 @@ func (e *Engine) countStoreError() {
 	e.mu.Unlock()
 }
 
-// warmStart loads every persisted trajectory of this graph's CURRENT
-// version into the cache (up to MaxCached), so the first queries after a
-// restart are served with zero API spend. Files of older graph versions are
-// left on disk as top-up sources; files that fail to load — corrupt,
-// truncated, or recorded against a different graph — are skipped and
-// counted in Stats.StoreErrors. It returns how many trajectories were
+// warmStart loads the persisted trajectories of this graph's CURRENT
+// version into the cache until they fill room bytes, so the first queries
+// after a restart are served with zero API spend. Files of older graph
+// versions are left on disk as top-up sources; files past the freshness
+// TTL are left for the next query to re-record; files that fail to load —
+// corrupt, truncated, or recorded against a different graph — are skipped
+// and counted in Stats.StoreErrors. It returns how many trajectories were
 // loaded.
-func (e *Engine) warmStart() int {
+func (e *Engine) warmStart(room int64) int {
 	if e.cfg.Store == nil {
 		return 0
 	}
@@ -617,25 +628,25 @@ func (e *Engine) warmStart() int {
 	version := e.Graph().Version()
 	loaded := 0
 	for _, k := range keys {
+		if room <= 0 {
+			break
+		}
 		if k.GraphVersion != version {
 			continue
 		}
-		e.mu.Lock()
-		full := len(e.cache) >= e.cfg.MaxCached
-		e.mu.Unlock()
-		if full {
-			break
-		}
 		key := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
-		if ent := e.loadEntry(key); ent != nil {
-			e.mu.Lock()
-			if _, exists := e.cache[key]; !exists {
-				e.cache[key] = ent
-				e.stats.StoreLoads++
-				loaded++
-			}
-			e.mu.Unlock()
+		traj, fi := e.loadEntry(key)
+		if traj == nil {
+			continue
 		}
+		e.mu.Lock()
+		if _, exists := e.cache[key]; !exists {
+			e.cache[key] = e.completeLoaded(&entry{ready: make(chan struct{})}, traj, fi.Size(), fi.ModTime())
+			e.stats.StoreLoads++
+			loaded++
+			room -= fi.Size()
+		}
+		e.mu.Unlock()
 	}
 	if loaded > 0 {
 		e.notifyCached()
@@ -644,18 +655,28 @@ func (e *Engine) warmStart() int {
 }
 
 // loadEntry reads the persisted trajectory recorded on the engine's current
-// graph version and wraps it as a completed cache entry, or returns nil
-// (counting the error) if the file is missing, corrupt, or recorded against
-// a different graph state.
-func (e *Engine) loadEntry(key trajKey) *entry {
+// graph version, with its file's metadata. It returns a nil trajectory if
+// the file is missing, past the freshness TTL, corrupt, or recorded against
+// a different graph state (counting the last two as store errors).
+func (e *Engine) loadEntry(key trajKey) (*core.Trajectory, fs.FileInfo) {
 	g := e.Graph()
 	sk := storeKey(key, g.Version())
+	fi, err := e.stat(sk)
+	if err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			e.countStoreError()
+		}
+		return nil, nil
+	}
+	if e.expired(fi.ModTime()) {
+		return nil, nil // the caller re-records from the upstream instead
+	}
 	traj, err := e.cfg.Store.Load(e.cfg.Name, sk)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			e.countStoreError()
 		}
-		return nil
+		return nil, nil
 	}
 	if traj.GraphVersion != g.Version() || traj.GraphFingerprint != g.Fingerprint() {
 		// Hard identity check: the header's delta-log version and content
@@ -663,7 +684,7 @@ func (e *Engine) loadEntry(key trajKey) *entry {
 		// |V|/|E| prior heuristic, which an equal-sized but rewired graph
 		// (exactly what edge churn produces) would slip past.
 		e.countStoreError()
-		return nil
+		return nil, nil
 	}
 	if traj.BurnIn != e.burnIn {
 		// Recorded under a different burn-in (the server's -burnin changed,
@@ -671,30 +692,40 @@ func (e *Engine) loadEntry(key trajKey) *entry {
 		// the trajectory this engine would record, so serving it would be
 		// silently inconsistent with fresh recordings at sibling keys.
 		e.countStoreError()
-		return nil
+		return nil, nil
 	}
 	// Rebind the trajectory to the served graph's labels — the exact source
 	// the recording read (deltas touch edges, never labels) — so replays run
 	// at CSR speed instead of through the file's self-contained label store.
 	traj.BindLabels(g)
-	bytes, err := e.cfg.Store.FileSize(e.cfg.Name, sk)
+	return traj, fi
+}
+
+// stat returns the metadata of the graph's persisted trajectory file at k.
+func (e *Engine) stat(k store.Key) (fs.FileInfo, error) {
+	path, err := e.cfg.Store.Path(e.cfg.Name, k)
 	if err != nil {
-		// Raced with a concurrent replace; fall back to re-deriving the
-		// size (equal by the format's construction).
-		bytes = store.EncodedSize(traj)
+		return nil, err
 	}
-	ent := &entry{
-		ready:     make(chan struct{}),
-		traj:      traj,
-		frozen:    true,
-		fromStore: true,
-		bytes:     bytes,
-		lastUsed:  e.cfg.now(),
-	}
-	if e.cfg.TTL > 0 {
-		ent.expires = e.cfg.now().Add(e.cfg.TTL)
-		ent.hasTTL = true
-	}
+	return os.Stat(path)
+}
+
+// expired reports whether a trajectory recorded at recorded has outlived
+// the freshness TTL. Only recordings through an upstream source age (see
+// Config.TTL).
+func (e *Engine) expired(recorded time.Time) bool {
+	return e.cfg.SourceFactory != nil && e.cfg.TTL > 0 && e.cfg.now().Sub(recorded) > e.cfg.TTL
+}
+
+// completeLoaded completes ent with a verified trajectory that came from
+// disk or a peer rather than from a recording here — the one constructor
+// of such entries (store reload, warm start, import). Its waiters are cache
+// hits and nobody is billed; recorded dates the trajectory for Config.TTL.
+// Callers hold e.mu when ent is already published in the cache.
+func (e *Engine) completeLoaded(ent *entry, traj *core.Trajectory, bytes int64, recorded time.Time) *entry {
+	ent.traj, ent.bytes, ent.recorded = traj, bytes, recorded
+	ent.frozen, ent.fromStore = true, true
+	ent.lastUsed = e.cfg.now()
 	close(ent.ready)
 	return ent
 }
@@ -745,38 +776,21 @@ func (e *Engine) resolveKey(q Query) trajKey {
 	return key
 }
 
-// Estimate answers one query: it resolves the query's task kind through the
-// estimation-task registry, then records a trajectory, joins one in flight,
-// reloads a persisted one, or replays a cached one as the cache dictates,
-// and finally replays the task over it. Parameter validation happens before
-// any API spend.
+// Estimate answers one query — an EstimateBatch of one: it resolves the
+// query's task kind through the estimation-task registry, then records a
+// trajectory, joins one in flight, reloads a persisted one, or replays a
+// cached one as the cache dictates, and finally replays the task over it.
+// Parameter validation happens before any API spend; a replay failure is
+// returned as the call's error (wrapping ErrEstimation).
 func (e *Engine) Estimate(ctx context.Context, q Query) (*Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	kind, task, err := buildTask(q)
+	answers, err := e.EstimateBatch(ctx, []Query{q})
 	if err != nil {
 		return nil, err
 	}
-	key := e.resolveKey(q)
-	ent, hit, err := e.acquire(ctx, q, key)
-	if err != nil {
-		return nil, err
+	if answers[0].Err != nil {
+		return nil, answers[0].Err
 	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-
-	ans, err := e.replay(kind, task, ent, hit)
-	if err != nil {
-		return nil, err
-	}
-	ans.StoreKey = storeKey(key, ans.GraphVersion).Filename()
-	e.countQuery(kind, ans)
-	return ans, nil
+	return answers[0], nil
 }
 
 // EstimateBatch answers several queries against ONE shared trajectory: all
@@ -805,7 +819,10 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 	for i, q := range qs {
 		kind, task, err := buildTask(q)
 		if err != nil {
-			return nil, fmt.Errorf("batch query %d: %w", i, err)
+			if len(qs) > 1 {
+				err = fmt.Errorf("batch query %d: %w", i, err)
+			}
+			return nil, err
 		}
 		kinds[i], tasks[i] = kind, task
 		if e.resolveKey(q) != key {
@@ -830,23 +847,11 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 	outs, errs := core.RunTasksFused(ent.traj, tasks)
 	answers := make([]*Answer, len(qs))
 	for i := range qs {
-		var ans *Answer
+		out := outs[i]
 		if errs[i] != nil {
-			// Replay failures are per-query: the shared trajectory still
-			// answers the rest of the batch.
-			ans = &Answer{
-				Kind:         kinds[i],
-				Err:          fmt.Errorf("%w: kind %q: %v", ErrEstimation, kinds[i], errs[i]),
-				APICalls:     ent.traj.APICalls,
-				CacheHit:     hit || ent.fromStore,
-				Walkers:      ent.traj.Walkers,
-				Samples:      ent.traj.Samples(),
-				GraphVersion: ent.traj.GraphVersion,
-				StaleSteps:   ent.staleSteps,
-			}
-		} else {
-			ans = e.assembleAnswer(kinds[i], outs[i], ent, hit)
+			out = nil
 		}
+		ans := e.assembleAnswer(kinds[i], out, ent, hit)
 		if !ans.CacheHit {
 			// The batch occupied one seat in the co-triggering split; divide
 			// that share across its members (truncated, like the split
@@ -855,19 +860,16 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 		}
 		ans.StoreKey = storeKey(key, ans.GraphVersion).Filename()
 		answers[i] = ans
+		if errs[i] != nil {
+			// Replay failures are per-query: the shared trajectory still
+			// answers the rest of the batch. A failed query is not counted
+			// as served.
+			ans.Err = fmt.Errorf("%w: kind %q: %v", ErrEstimation, kinds[i], errs[i])
+			continue
+		}
 		e.countQuery(kinds[i], ans)
 	}
 	return answers, nil
-}
-
-// replay runs one validated task over an acquired trajectory and assembles
-// the answer envelope.
-func (e *Engine) replay(kind string, task core.EstimationTask, ent *entry, hit bool) (*Answer, error) {
-	out, err := task.Estimate(ent.traj)
-	if err != nil {
-		return nil, fmt.Errorf("%w: kind %q: %v", ErrEstimation, kind, err)
-	}
-	return e.assembleAnswer(kind, out, ent, hit), nil
 }
 
 // assembleAnswer wraps one task's replay result in the answer envelope.
@@ -908,13 +910,8 @@ func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool) *Ans
 
 // countQuery folds one answered query into the stats.
 func (e *Engine) countQuery(kind string, ans *Answer) {
-	rows := 1
-	switch {
-	case ans.Err != nil:
-		rows = 0
-	case ans.Pairs != nil:
-		rows = len(ans.Pairs)
-	default:
+	rows := len(ans.Pairs)
+	if ans.Pairs == nil {
 		rows = resultRows(ans.Result)
 	}
 	e.mu.Lock()
@@ -956,11 +953,11 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 		if ent != nil {
 			select {
 			case <-ent.ready:
-				// A completed recording that failed, or outlived its TTL, is
-				// dropped and this query retries with a fresh one. Only the
-				// queries that actually waited on a failed recording see its
-				// error (through the join and miss paths below).
-				if ent.err != nil || (ent.hasTTL && e.cfg.now().After(ent.expires)) {
+				// A completed recording that failed, or outlived its freshness
+				// TTL, is dropped and this query retries with a fresh one.
+				// Only the queries that actually waited on a failed recording
+				// see its error (through the join and miss paths below).
+				if ent.err != nil || e.expired(ent.recorded) {
 					delete(e.cache, key)
 					e.mu.Unlock()
 					continue
@@ -1008,10 +1005,8 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 			return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.budget)
 		}
 		ent = &entry{ready: make(chan struct{}), sharers: 1}
-		victims := e.evictLocked()
 		e.cache[key] = ent
 		e.mu.Unlock()
-		e.flushVictims(victims)
 
 		if e.reloadFromStore(key, ent) {
 			return ent, true, nil
@@ -1029,18 +1024,24 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 	}
 }
 
-// storeHas reports whether the key's trajectory is persisted for the
-// currently served graph version. Called with e.mu held — it is a single
-// stat, only on the rare miss-with-MaxCost path.
+// storeHas reports whether the key's trajectory is persisted, and still
+// fresh, for the currently served graph version. Called with e.mu held — it
+// is a single stat, only on the rare miss-with-MaxCost path.
 func (e *Engine) storeHas(key trajKey) bool {
-	return e.cfg.Store != nil && e.cfg.Store.Has(e.cfg.Name, storeKey(key, e.Graph().Version()))
+	if e.cfg.Store == nil {
+		return false
+	}
+	fi, err := e.stat(storeKey(key, e.Graph().Version()))
+	return err == nil && fi.Mode().IsRegular() && !e.expired(fi.ModTime())
 }
 
 // loadTopUpSource looks for the newest persisted trajectory at key's
 // configuration recorded on an OLDER graph version — the per-version
 // retention that turns a delta into an incremental top-up instead of a full
 // re-recording. The returned trajectory needs no trust: the top-up validates
-// every recorded response against the current graph before redeeming it.
+// every recorded response against the current graph before redeeming it. A
+// file past the freshness TTL is no source: its responses are what the
+// re-recording must buy again.
 func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
 	if e.cfg.Store == nil {
 		return nil
@@ -1067,6 +1068,9 @@ func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
 	if !found {
 		return nil
 	}
+	if fi, err := e.stat(best); err == nil && e.expired(fi.ModTime()) {
+		return nil
+	}
 	traj, err := e.cfg.Store.Load(e.cfg.Name, best)
 	if err != nil {
 		e.countStoreError()
@@ -1083,114 +1087,16 @@ func (e *Engine) reloadFromStore(key trajKey, ent *entry) bool {
 	if e.cfg.Store == nil {
 		return false
 	}
-	loaded := e.loadEntry(key)
-	if loaded == nil {
+	traj, fi := e.loadEntry(key)
+	if traj == nil {
 		return false
 	}
 	e.mu.Lock()
-	ent.traj = loaded.traj
-	ent.frozen = true
-	ent.fromStore = true
-	ent.bytes = loaded.bytes
-	ent.lastUsed = e.cfg.now()
-	ent.expires, ent.hasTTL = loaded.expires, loaded.hasTTL
 	e.stats.StoreLoads++
+	e.completeLoaded(ent, traj, fi.Size(), fi.ModTime())
 	e.mu.Unlock()
-	close(ent.ready)
 	e.notifyCached()
 	return true
-}
-
-// evictLocked makes room for one more cache entry when the cap is reached:
-// expired entries are swept first, then the least-recently-used completed
-// entry. Recordings in flight are never evicted (their waiters hold them).
-// Dirty victims are returned for persistence — the caller must flush them
-// after releasing e.mu, so an evicted trajectory can later reload from disk
-// instead of being re-walked. Callers hold e.mu.
-func (e *Engine) evictLocked() []flushItem {
-	if len(e.cache) < e.cfg.MaxCached {
-		return nil
-	}
-	now := e.cfg.now()
-	var victims []flushItem
-	var lruKey trajKey
-	var lruEnt *entry
-	for k, ent := range e.cache {
-		if !ent.completed() {
-			continue // in flight
-		}
-		if ent.hasTTL && now.After(ent.expires) {
-			if ent.err == nil && ent.dirty {
-				victims = append(victims, flushItem{key: k, ent: ent, traj: ent.traj})
-			}
-			delete(e.cache, k)
-			continue
-		}
-		if lruEnt == nil || ent.lastUsed.Before(lruEnt.lastUsed) {
-			lruKey, lruEnt = k, ent
-		}
-	}
-	if len(e.cache) >= e.cfg.MaxCached && lruEnt != nil {
-		if lruEnt.err == nil && lruEnt.dirty {
-			victims = append(victims, flushItem{key: lruKey, ent: lruEnt, traj: lruEnt.traj})
-		}
-		delete(e.cache, lruKey)
-	}
-	return victims
-}
-
-// flushVictims persists evicted dirty trajectories (outside the lock).
-func (e *Engine) flushVictims(victims []flushItem) {
-	for _, it := range victims {
-		_ = e.saveItem(it) // failure is counted in StoreErrors
-	}
-}
-
-// oldestCompleted returns the last-used time of the engine's
-// least-recently-used completed trajectory, for the workspace's cross-graph
-// LRU.
-func (e *Engine) oldestCompleted() (time.Time, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var oldest time.Time
-	found := false
-	for _, ent := range e.cache {
-		if !ent.completed() || ent.err != nil {
-			continue
-		}
-		if !found || ent.lastUsed.Before(oldest) {
-			oldest, found = ent.lastUsed, true
-		}
-	}
-	return oldest, found
-}
-
-// evictOldestCompleted drops the engine's least-recently-used completed
-// trajectory, persisting it first if dirty, and returns the bytes freed.
-func (e *Engine) evictOldestCompleted() int64 {
-	e.mu.Lock()
-	var lruKey trajKey
-	var lruEnt *entry
-	for k, ent := range e.cache {
-		if !ent.completed() || ent.err != nil {
-			continue
-		}
-		if lruEnt == nil || ent.lastUsed.Before(lruEnt.lastUsed) {
-			lruKey, lruEnt = k, ent
-		}
-	}
-	if lruEnt == nil {
-		e.mu.Unlock()
-		return 0
-	}
-	delete(e.cache, lruKey)
-	freed := lruEnt.bytes
-	dirty := lruEnt.dirty
-	e.mu.Unlock()
-	if dirty && e.cfg.Store != nil {
-		_ = e.saveItem(flushItem{key: lruKey, ent: lruEnt, traj: lruEnt.traj})
-	}
-	return freed
 }
 
 // record waits out the batching window, runs the fleet recording, publishes
@@ -1270,6 +1176,7 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 	if err == nil {
 		ent.bytes = bytes
 		ent.dirty = persist
+		ent.recorded = ent.lastUsed
 		e.stats.Recordings++
 		if toppedUp {
 			ent.staleSteps = topUp.StaleSteps
@@ -1278,10 +1185,6 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 			e.stats.UpstreamCalls += topUp.ChargedCalls
 		} else {
 			e.stats.UpstreamCalls += traj.APICalls
-		}
-		if e.cfg.TTL > 0 {
-			ent.expires = e.cfg.now().Add(e.cfg.TTL)
-			ent.hasTTL = true
 		}
 	} else {
 		// Failed recordings answer their waiters but are not kept for later
@@ -1296,7 +1199,7 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 		if persist {
 			// Persist eagerly so even an ungraceful death keeps the walk;
 			// failures stay dirty and are retried by Flush at shutdown.
-			if e.saveItem(flushItem{key: key, ent: ent, traj: traj}) == nil {
+			if e.saveItem(key, ent) == nil {
 				// The new version's file supersedes the older ones it was (or
 				// could have been) topped up from; only now is it safe to
 				// retire them.
@@ -1438,20 +1341,10 @@ func (e *Engine) ImportTrajectory(name string, raw []byte) error {
 			persisted = true
 		}
 	}
-	ent := &entry{
-		ready:     make(chan struct{}),
-		traj:      traj,
-		frozen:    true,
-		fromStore: true,
-		bytes:     int64(len(raw)),
-		dirty:     e.cfg.Store != nil && !persisted,
-		lastUsed:  e.cfg.now(),
-	}
-	if e.cfg.TTL > 0 {
-		ent.expires = e.cfg.now().Add(e.cfg.TTL)
-		ent.hasTTL = true
-	}
-	close(ent.ready)
+	// The .osnt image carries no recording time, so an import's age counts
+	// from its arrival — as its store file's modification time will.
+	ent := e.completeLoaded(&entry{ready: make(chan struct{}), dirty: e.cfg.Store != nil && !persisted},
+		traj, int64(len(raw)), e.cfg.now())
 
 	tk := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
 	e.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/osn"
 )
 
 // testGraph builds a small labeled graph shared by the serve tests.
@@ -178,14 +180,27 @@ func TestEngineBudgetRejection(t *testing.T) {
 	}
 }
 
-// TestEngineTTLAndInvalidate: trajectories expire after the TTL and
-// Invalidate drops them immediately.
+// upstream is a SourceFactory over the in-memory graph: recordings through
+// it count as upstream recordings, so Config.TTL applies to them.
+func upstream(g *graph.Graph) osn.Source { return osn.NewGraphSource(g) }
+
+// testClock is a settable TTL clock.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *testClock) Now() time.Time { c.mu.Lock(); defer c.mu.Unlock(); return c.now }
+
+func (c *testClock) Set(t time.Time) { c.mu.Lock(); defer c.mu.Unlock(); c.now = t }
+
+// TestEngineTTLAndInvalidate: trajectories recorded through an upstream
+// source expire after the TTL and are re-recorded; another seed is another
+// trajectory.
 func TestEngineTTLAndInvalidate(t *testing.T) {
 	g := testGraph(t, 5)
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	e := testEngine(t, g, Config{Budget: 200, TTL: time.Minute, now: clock})
+	clock := &testClock{now: time.Unix(1000, 0)}
+	e := testEngine(t, g, Config{Budget: 200, TTL: time.Minute, now: clock.Now, SourceFactory: upstream})
 	pair := []graph.LabelPair{{T1: 1, T2: 2}}
 
 	if _, err := e.Estimate(context.Background(), Query{Pairs: pair}); err != nil {
@@ -195,21 +210,118 @@ func TestEngineTTLAndInvalidate(t *testing.T) {
 	if err != nil || !a.CacheHit {
 		t.Fatalf("within TTL: want cache hit, got %+v err %v", a, err)
 	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
+	clock.Set(clock.Now().Add(2 * time.Minute))
 	a, err = e.Estimate(context.Background(), Query{Pairs: pair})
 	if err != nil || a.CacheHit {
 		t.Fatalf("past TTL: want re-recording, got %+v err %v", a, err)
 	}
-
-	e.Invalidate()
 	a, err = e.Estimate(context.Background(), Query{Pairs: pair})
+	if err != nil || !a.CacheHit {
+		t.Fatalf("the re-recording restarts the TTL: want cache hit, got %+v err %v", a, err)
+	}
+
+	a, err = e.Estimate(context.Background(), Query{Pairs: pair, Seed: 2})
 	if err != nil || a.CacheHit {
-		t.Fatalf("after Invalidate: want re-recording, got %+v err %v", a, err)
+		t.Fatalf("another seed: want a recording, got %+v err %v", a, err)
 	}
 	if st := e.Stats(); st.Recordings != 3 {
 		t.Errorf("recordings = %d, want 3", st.Recordings)
+	}
+}
+
+// TestEngineTTLIgnoredInMemory: an engine recording the in-memory graph
+// never expires its trajectories — graph version plus fingerprint identify
+// them, so a re-walk would buy identical bytes.
+func TestEngineTTLIgnoredInMemory(t *testing.T) {
+	g := testGraph(t, 11)
+	clock := &testClock{now: time.Now()}
+	st := testStore(t)
+	opts := GraphOptions{Budget: 200, TTL: time.Minute}
+	ws := testWorkspace(t, WorkspaceConfig{Store: st, now: clock.Now}, "g", g, opts)
+	pair := []graph.LabelPair{{T1: 1, T2: 2}}
+	if _, err := ws.Estimate(context.Background(), "g", Query{Pairs: pair}); err != nil {
+		t.Fatal(err)
+	}
+	clock.Set(clock.Now().Add(time.Hour))
+	a, err := ws.Estimate(context.Background(), "g", Query{Pairs: pair})
+	if err != nil || !a.CacheHit {
+		t.Fatalf("an hour past TTL: want cache hit, got %+v err %v", a, err)
+	}
+	e, _ := ws.Graph("g")
+	if got := e.Stats().Recordings; got != 1 {
+		t.Errorf("recordings = %d, want 1", got)
+	}
+	// A restart an hour later still warm-starts the file.
+	ws2, err := NewWorkspace(WorkspaceConfig{Store: st, now: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.BurnIn = 100
+	if warmed, err := ws2.AddGraph("g", g, &opts); err != nil || warmed != 1 {
+		t.Errorf("warm start an hour later loaded %d trajectories (err %v), want 1", warmed, err)
+	}
+}
+
+// TestWorkspaceTTLReRecordsStoredTrajectory: with a store, the age of an
+// upstream recording counts from the recording, not from its last reload —
+// a trajectory past its TTL is re-recorded instead of reloaded from its own
+// .osnt, and a restarted workspace does not warm-start an expired file.
+func TestWorkspaceTTLReRecordsStoredTrajectory(t *testing.T) {
+	g := testGraph(t, 12)
+	st := testStore(t)
+	clock := &testClock{now: time.Now()}
+	opts := GraphOptions{BurnIn: 100, Budget: 200, TTL: time.Minute, SourceFactory: upstream}
+	ws := testWorkspace(t, WorkspaceConfig{Store: st, now: clock.Now}, "g", g, opts)
+	ctx := context.Background()
+	pair := []graph.LabelPair{{T1: 1, T2: 2}}
+	if _, err := ws.Estimate(ctx, "g", Query{Pairs: pair}); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := st.Keys("g")
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("recording was not persisted: %v %v", keys, err)
+	}
+	path, err := st.Path("g", keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := fi.ModTime()
+
+	// A restart within the TTL warm-starts the file; one past it does not.
+	warmAt := func(at time.Time) int {
+		t.Helper()
+		c := &testClock{now: at}
+		w, err := NewWorkspace(WorkspaceConfig{Store: st, now: c.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmed, err := w.AddGraph("g", g, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return warmed
+	}
+	if got := warmAt(recorded.Add(30 * time.Second)); got != 1 {
+		t.Errorf("warm start within the TTL loaded %d trajectories, want 1", got)
+	}
+	if got := warmAt(recorded.Add(2 * time.Minute)); got != 0 {
+		t.Errorf("warm start past the TTL loaded %d trajectories, want 0", got)
+	}
+
+	// Past the TTL the running workspace re-records rather than reloading
+	// the expired file.
+	clock.Set(recorded.Add(2 * time.Minute))
+	a, err := ws.Estimate(ctx, "g", Query{Pairs: pair})
+	if err != nil || a.CacheHit {
+		t.Fatalf("past TTL: want re-recording, got %+v err %v", a, err)
+	}
+	e, _ := ws.Graph("g")
+	if s := e.Stats(); s.Recordings != 2 || s.StoreLoads != 0 {
+		t.Errorf("stats = %+v, want 2 recordings and no store load", s)
 	}
 }
 
@@ -261,11 +373,13 @@ func TestEngineBatchesConcurrentQueries(t *testing.T) {
 }
 
 // TestEngineConcurrentMixedLoad hammers the engine from many goroutines
-// with differing configurations and pair sets — the race-detector contract
-// for the serving layer.
+// with differing configurations and pair sets, recording through an
+// upstream source whose short TTL keeps trajectories expiring and
+// re-recording underneath — the race-detector contract for the serving
+// layer.
 func TestEngineConcurrentMixedLoad(t *testing.T) {
 	g := testGraph(t, 7)
-	e := testEngine(t, g, Config{Budget: 150, BatchWindow: 5 * time.Millisecond, TTL: 50 * time.Millisecond})
+	e := testEngine(t, g, Config{Budget: 150, BatchWindow: 5 * time.Millisecond, TTL: 50 * time.Millisecond, SourceFactory: upstream})
 	pairs := [][]graph.LabelPair{
 		{{T1: 1, T2: 2}},
 		{{T1: 1, T2: 1}, {T1: 2, T2: 2}},
@@ -282,7 +396,7 @@ func TestEngineConcurrentMixedLoad(t *testing.T) {
 			for j := 0; j < perG; j++ {
 				q := Query{
 					Pairs:   pairs[(i+j)%len(pairs)],
-					Seed:    int64(1 + (i+j)%3),
+					Seed:    int64(1 + (i*perG+j)%7),
 					Walkers: 1 + (i % 2), // exercise serial and fleet recordings
 				}
 				a, err := e.Estimate(context.Background(), q)
@@ -293,9 +407,6 @@ func TestEngineConcurrentMixedLoad(t *testing.T) {
 				if len(a.Pairs) != len(q.Pairs) {
 					t.Errorf("got %d pair answers, want %d", len(a.Pairs), len(q.Pairs))
 					return
-				}
-				if j%3 == 0 {
-					e.Invalidate()
 				}
 				_ = e.Stats()
 			}
@@ -311,40 +422,51 @@ func TestEngineConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestEngineCacheBounded: the trajectory cache never grows past MaxCached —
-// a client sweeping seeds must not accumulate one recording's memory per
-// seed forever.
+// TestEngineCacheBounded: a client sweeping seeds must not accumulate one
+// recording's memory per seed forever — the workspace byte budget keeps the
+// cache within bounds, keeps the most recent trajectory, and an evicted one
+// comes back from disk instead of being re-walked.
 func TestEngineCacheBounded(t *testing.T) {
 	g := testGraph(t, 9)
-	e := testEngine(t, g, Config{Budget: 150, MaxCached: 3})
+	ctx := context.Background()
 	pair := []graph.LabelPair{{T1: 1, T2: 2}}
+	opts := GraphOptions{Budget: 150}
 
+	// Size the budget from one recording: room for about three.
+	probe := testWorkspace(t, WorkspaceConfig{}, "g", g, opts)
+	if _, err := probe.Estimate(ctx, "g", Query{Pairs: pair, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	budget := 3*probe.CachedBytes() + probe.CachedBytes()/2
+
+	ws := testWorkspace(t, WorkspaceConfig{Store: testStore(t), CacheBytes: budget}, "g", g, opts)
+	e, _ := ws.Graph("g")
 	for seed := int64(1); seed <= 10; seed++ {
-		if _, err := e.Estimate(context.Background(), Query{Pairs: pair, Seed: seed}); err != nil {
+		if _, err := ws.Estimate(ctx, "g", Query{Pairs: pair, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
+		if got := ws.CachedBytes(); got > budget {
+			t.Fatalf("after seed %d the cache holds %d bytes, budget %d", seed, got, budget)
+		}
 	}
-	e.mu.Lock()
-	size := len(e.cache)
-	e.mu.Unlock()
-	if size > 3 {
-		t.Errorf("cache holds %d trajectories, cap 3", size)
+	if n := e.CachedTrajectories(); n < 2 || n > 4 {
+		t.Errorf("cache holds %d trajectories, want about 3", n)
 	}
 	// The most recent seed survived the LRU sweep: querying it is a hit.
-	a, err := e.Estimate(context.Background(), Query{Pairs: pair, Seed: 10})
+	a, err := ws.Estimate(ctx, "g", Query{Pairs: pair, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.CacheHit {
 		t.Error("most recently used trajectory was evicted")
 	}
-	// An evicted seed re-records rather than erroring.
-	a, err = e.Estimate(context.Background(), Query{Pairs: pair, Seed: 1})
+	// An evicted seed reloads from disk rather than re-recording.
+	a, err = ws.Estimate(ctx, "g", Query{Pairs: pair, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.CacheHit {
-		t.Error("seed 1 should have been evicted by seeds 2..10")
+	if s := e.Stats(); !a.CacheHit || s.Recordings != 10 || s.StoreLoads != 1 {
+		t.Errorf("evicted seed 1: cache hit %v, stats %+v; want a store load and no 11th recording", a.CacheHit, s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -38,10 +39,9 @@ type GraphOptions struct {
 	Seed int64
 	// BatchWindow is the query-coalescing window (see Config.BatchWindow).
 	BatchWindow time.Duration
-	// TTL bounds a cached trajectory's age; 0 caches until eviction.
+	// TTL bounds the age of trajectories recorded through SourceFactory
+	// (see Config.TTL); 0 never expires.
 	TTL time.Duration
-	// MaxCached bounds the per-graph trajectory count; 0 means 64.
-	MaxCached int
 	// SnapshotPath is the graph's .osnb snapshot on disk; when set,
 	// ApplyDelta persists accepted deltas as .osnd segments beside it (see
 	// Config.SnapshotPath).
@@ -61,10 +61,11 @@ type WorkspaceConfig struct {
 	// all trajectories in memory only (no warm start, no reload).
 	Store *store.Dir
 	// CacheBytes bounds the total .osnt-encoded size of all cached
-	// trajectories across all graphs; 0 means unlimited. Over the budget,
-	// the globally least-recently-used trajectory is evicted (dirty ones
-	// are persisted first, so they can reload from disk on the next
-	// request).
+	// trajectories across all graphs; 0 means unlimited. It is the cache's
+	// only eviction rule: over the budget, the globally least-recently-used
+	// trajectory is evicted (dirty ones are persisted first, so they can
+	// reload from disk on the next request), and warm start stops loading
+	// once the budget is full.
 	CacheBytes int64
 	// GraphsDir is the directory PUT /graphs/{name} resolves relative
 	// snapshot paths against (<GraphsDir>/<name>.osnb); "" disables the
@@ -185,7 +186,6 @@ func (w *Workspace) AddGraph(name string, g *graph.Graph, opts *GraphOptions) (i
 		Seed:            o.Seed,
 		BatchWindow:     o.BatchWindow,
 		TTL:             o.TTL,
-		MaxCached:       o.MaxCached,
 		SnapshotPath:    o.SnapshotPath,
 		CompactSegments: o.CompactSegments,
 		SourceFactory:   o.SourceFactory,
@@ -204,8 +204,11 @@ func (w *Workspace) AddGraph(name string, g *graph.Graph, opts *GraphOptions) (i
 	// IO and must not block queries against other graphs. The engine is
 	// already routable — early queries simply race the warm start and at
 	// worst reload the same files on miss.
-	warmed := engine.warmStart()
-	return warmed, nil
+	room := int64(math.MaxInt64)
+	if w.cfg.CacheBytes > 0 {
+		room = w.cfg.CacheBytes - w.CachedBytes()
+	}
+	return engine.warmStart(room), nil
 }
 
 // RemoveGraph unloads a graph: its dirty trajectories are flushed to the
@@ -350,14 +353,21 @@ func (w *Workspace) EstimateBatch(ctx context.Context, graphName string, qs []Qu
 	return e.EstimateBatch(ctx, qs)
 }
 
-// List describes every served graph, sorted by name.
-func (w *Workspace) List() []GraphInfo {
+// engines snapshots the served engines, so callers can work on them
+// without holding the workspace lock.
+func (w *Workspace) engines() []*Engine {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	engines := make([]*Engine, 0, len(w.graphs))
 	for _, e := range w.graphs {
 		engines = append(engines, e)
 	}
-	w.mu.Unlock()
+	return engines
+}
+
+// List describes every served graph, sorted by name.
+func (w *Workspace) List() []GraphInfo {
+	engines := w.engines()
 	infos := make([]GraphInfo, 0, len(engines))
 	for _, e := range engines {
 		g := e.Graph()
@@ -379,14 +389,8 @@ func (w *Workspace) List() []GraphInfo {
 // CachedBytes returns the workspace-wide cache weight: the total
 // .osnt-encoded size of every graph's completed trajectories.
 func (w *Workspace) CachedBytes() int64 {
-	w.mu.Lock()
-	engines := make([]*Engine, 0, len(w.graphs))
-	for _, e := range w.graphs {
-		engines = append(engines, e)
-	}
-	w.mu.Unlock()
 	var total int64
-	for _, e := range engines {
+	for _, e := range w.engines() {
 		total += e.CachedBytes()
 	}
 	return total
@@ -396,14 +400,8 @@ func (w *Workspace) CachedBytes() int64 {
 // graceful-shutdown drain. The first error is returned after every graph
 // has been attempted.
 func (w *Workspace) Flush() error {
-	w.mu.Lock()
-	engines := make([]*Engine, 0, len(w.graphs))
-	for _, e := range w.graphs {
-		engines = append(engines, e)
-	}
-	w.mu.Unlock()
 	var firstErr error
-	for _, e := range engines {
+	for _, e := range w.engines() {
 		if err := e.Flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -412,38 +410,29 @@ func (w *Workspace) Flush() error {
 }
 
 // enforceBudget evicts globally least-recently-used trajectories until the
-// workspace is back under its byte budget. Dirty victims are persisted
-// before eviction, so evicted-then-requested trajectories reload from disk
-// instead of re-walking. Engines call it (via Config.onCached) after their
-// caches grow.
+// workspace is back under its byte budget — the cache's one eviction rule.
+// Each step is one scan of every engine's cache, which yields both the
+// total weight and the global victim. Dirty victims are persisted before
+// eviction, so evicted-then-requested trajectories reload from disk instead
+// of re-walking. Engines call it (via Config.onCached) after their caches
+// grow.
 func (w *Workspace) enforceBudget() {
 	if w.cfg.CacheBytes <= 0 {
 		return
 	}
-	// Bound the loop by the cache population, so a livelock is impossible
-	// even if sizes change underfoot.
-	for i := 0; i < 1000; i++ {
-		w.mu.Lock()
-		engines := make([]*Engine, 0, len(w.graphs))
-		for _, e := range w.graphs {
-			engines = append(engines, e)
-		}
-		w.mu.Unlock()
-
+	for {
 		var total int64
-		var lru *Engine
-		var lruTime time.Time
-		for _, e := range engines {
-			total += e.CachedBytes()
-			if t, ok := e.oldestCompleted(); ok && (lru == nil || t.Before(lruTime)) {
-				lru, lruTime = e, t
+		var lru victim
+		for _, e := range w.engines() {
+			bytes, v := e.lru()
+			total += bytes
+			if v.ent != nil && (lru.ent == nil || v.lastUsed.Before(lru.lastUsed)) {
+				lru = v
 			}
 		}
-		if total <= w.cfg.CacheBytes || lru == nil {
+		if total <= w.cfg.CacheBytes || lru.ent == nil {
 			return
 		}
-		if lru.evictOldestCompleted() == 0 {
-			return // raced: nothing evictable
-		}
+		lru.evict()
 	}
 }

@@ -170,12 +170,12 @@ func TestWorkspaceRestartZeroSpend(t *testing.T) {
 }
 
 // TestWorkspaceEvictedTrajectoryReloadsFromDisk: an entry evicted by the
-// per-graph cap is persisted on the way out and reloaded — not re-walked —
+// byte budget is persisted on the way out and reloaded — not re-walked —
 // when requested again.
 func TestWorkspaceEvictedTrajectoryReloadsFromDisk(t *testing.T) {
 	g := testGraph(t, 61)
 	st := testStore(t)
-	ws := testWorkspace(t, WorkspaceConfig{Store: st}, "g", g, GraphOptions{Budget: 300, MaxCached: 1})
+	ws := testWorkspace(t, WorkspaceConfig{Store: st, CacheBytes: 1}, "g", g, GraphOptions{Budget: 300})
 	ctx := context.Background()
 	pair := []graph.LabelPair{{T1: 1, T2: 2}}
 
@@ -345,34 +345,6 @@ func TestEngineFlushRetriesFailedSaves(t *testing.T) {
 	}
 	if stats := e.Stats(); stats.StoreSaves != 1 {
 		t.Errorf("idempotent flush re-saved: %+v", stats)
-	}
-}
-
-// TestEngineInvalidateRemovesPersisted: Invalidate must also delete the
-// graph's .osnt files — a stale trajectory must not resurrect from disk.
-func TestEngineInvalidateRemovesPersisted(t *testing.T) {
-	g := testGraph(t, 66)
-	st := testStore(t)
-	ws := testWorkspace(t, WorkspaceConfig{Store: st}, "g", g, GraphOptions{Budget: 200})
-	ctx := context.Background()
-	pair := []graph.LabelPair{{T1: 1, T2: 2}}
-	if _, err := ws.Estimate(ctx, "g", pairQuery(pair)); err != nil {
-		t.Fatal(err)
-	}
-	if keys, _ := st.Keys("g"); len(keys) != 1 {
-		t.Fatalf("recording was not persisted: %v", keys)
-	}
-	e, _ := ws.Graph("g")
-	e.Invalidate()
-	if keys, _ := st.Keys("g"); len(keys) != 0 {
-		t.Fatalf("Invalidate left persisted trajectories behind: %v", keys)
-	}
-	ans, err := ws.Estimate(ctx, "g", pairQuery(pair))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.CacheHit {
-		t.Error("post-Invalidate query must re-record, not resurrect from disk")
 	}
 }
 

@@ -155,18 +155,11 @@ func FromTrajectory(t *core.Trajectory, thinGap int) (Result, error) {
 	if t == nil || t.Samples() == 0 {
 		return res, fmt.Errorf("sizeest: size replay needs a recorded trajectory")
 	}
-	v, err := newSizeVisitor(t, thinGap)
-	if err != nil {
-		return res, err
+	outs, errs := core.RunTasksFused(t, []core.EstimationTask{sizeTask{gap: thinGap}})
+	if errs[0] != nil {
+		return res, errs[0]
 	}
-	if err := core.RunVisitors(t, []core.TrajectoryVisitor{v}); err != nil {
-		return res, err
-	}
-	out, err := v.Result()
-	if err != nil {
-		return res, err
-	}
-	return out.(Result), nil
+	return outs[0].(Result), nil
 }
 
 // sizeVisitor streams the trajectory's degree column through the
@@ -370,19 +363,14 @@ func EstimateWithPriors(s *osn.Session, k int, opts Options) (nHat, eHat float64
 	return r.Nodes, r.Edges, nil
 }
 
-// sizeTask adapts FromTrajectory to the estimation-task registry.
+// sizeTask is the size estimator in the estimation-task registry.
 // Result type: Result.
 type sizeTask struct{ gap int }
 
 func (sizeTask) Kind() string { return "size" }
 
-func (st sizeTask) Estimate(t *core.Trajectory) (any, error) {
-	return FromTrajectory(t, st.gap)
-}
-
-// NewVisitor lets the size task join a fused replay pass
-// (core.RunTasksFused): its collision counting streams over the shared
-// column sweep instead of re-walking the trajectory privately.
+// NewVisitor implements core.EstimationTask: the collision counting streams
+// over the driver's shared column sweep (core.RunTasksFused).
 func (st sizeTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, error) {
 	return newSizeVisitor(t, st.gap)
 }

@@ -42,9 +42,13 @@ func (s *SeedSequence) NextRand() *rand.Rand {
 	return rand.New(rand.NewSource(s.Next()))
 }
 
-// Derive returns a seed deterministically bound to (root seed, tag). Two
-// different tags always yield different streams, so callers can name their
-// streams ("walk", "labels", ...) instead of depending on call order.
+// Derive returns a seed deterministically bound to (root seed, tag), so
+// callers can name their streams ("walk", "labels", ...) instead of
+// depending on call order. Distinct tags do NOT always yield distinct
+// seeds: each tag byte is XORed into the state, which then only advances by
+// a constant, so tags differing in a few trailing bytes can collide —
+// numbered tags do ("walker/11" and "walker/20" under root seed 1). Draw
+// numbered streams (repetitions, walkers) from one SeedSequence instead.
 func Derive(seed int64, tag string) int64 {
 	state := uint64(seed)
 	for _, b := range []byte(tag) {

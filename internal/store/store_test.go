@@ -78,15 +78,15 @@ func replayAll(t *testing.T, traj *core.Trajectory) map[string]any {
 		if err != nil {
 			t.Fatalf("kind %q: %v", kind, err)
 		}
-		res, err := task.Estimate(traj)
-		if err != nil {
+		outs, errs := core.RunTasksFused(traj, []core.EstimationTask{task})
+		if errs[0] != nil {
 			// A replay failure (e.g. too few collisions for "size") must at
 			// least fail identically for original and loaded trajectories;
 			// record the message.
-			out[kind] = "error: " + err.Error()
+			out[kind] = "error: " + errs[0].Error()
 			continue
 		}
-		out[kind] = res
+		out[kind] = outs[0]
 	}
 	return out
 }

@@ -19,8 +19,9 @@ type FleetRun[N comparable] struct {
 	// collected into slot ID of caller-side slices.
 	ID int
 	// Rng is the walker's private stream, derived as
-	// stats.Derive(seed, "walker/<ID>") so trajectories are reproducible
-	// regardless of scheduling.
+	// stats.Derive(seed, "walker/<ID>") (re-drawn when an earlier walker
+	// already holds that seed) so trajectories are reproducible regardless
+	// of scheduling.
 	Rng *rand.Rand
 	// Meter bills this walker's API calls against its share of the budget.
 	Meter *osn.Meter
@@ -111,11 +112,12 @@ func RunFleet[N comparable](cfg FleetConfig[N]) ([]int64, error) {
 	defer cancel()
 
 	quotas := SplitQuota(cfg.K, walkers)
+	seeds := walkerSeeds(cfg.Seed, walkers)
 	runs := make([]*FleetRun[N], walkers)
 	for i := range runs {
 		r := &FleetRun[N]{
 			ID:    i,
-			Rng:   rand.New(rand.NewSource(stats.Derive(cfg.Seed, fmt.Sprintf("walker/%d", i)))),
+			Rng:   rand.New(rand.NewSource(seeds[i])),
 			Meter: cfg.Session.Meter(0), // unlimited during burn-in
 			Ctx:   ctx,
 		}
@@ -196,6 +198,31 @@ func RunFleet[N comparable](cfg FleetConfig[N]) ([]int64, error) {
 		calls[i] = r.Meter.Calls()
 	}
 	return calls, nil
+}
+
+// walkerSeeds returns the RNG seeds of an n-walker fleet rooted at seed:
+// walker i's seed is stats.Derive(seed, "walker/i") unless an earlier
+// walker already holds that value. Derive's tag mixing lets numbered tags
+// collide (over root seeds 0–1999, no 20-walker fleet repeats a seed but
+// three in four 21-walker fleets and every 32-walker fleet do), and two
+// walkers with one seed would record the same walk, which the
+// between-walker interval then counts as independent. A colliding walker
+// draws instead from a
+// SplitMix sequence rooted at its derived seed until the value is fresh;
+// the sequence's outputs are pairwise distinct, so this ends within n
+// draws. Fleets whose derived seeds were already distinct keep them.
+func walkerSeeds(seed int64, n int) []int64 {
+	seeds := make([]int64, n)
+	held := make(map[int64]bool, n)
+	for i := range seeds {
+		s := stats.Derive(seed, fmt.Sprintf("walker/%d", i))
+		for seq := stats.NewSeedSequence(s); held[s]; {
+			s = seq.Next()
+		}
+		held[s] = true
+		seeds[i] = s
+	}
+	return seeds
 }
 
 // SplitQuota splits k into w near-equal positive shares (the first k%w

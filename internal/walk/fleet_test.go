@@ -3,10 +3,12 @@ package walk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/osn"
+	"repro/internal/stats"
 )
 
 func TestSplitQuota(t *testing.T) {
@@ -206,6 +208,63 @@ func TestRunFleetBarrierResetsAccounting(t *testing.T) {
 	}
 	if total != 9 {
 		t.Errorf("total samples %d, want 9", total)
+	}
+}
+
+// TestRunFleetWalkerSeedsDistinct: numbered walker tags collide under
+// stats.Derive from 21 walkers on. The fleet re-draws only the colliding
+// walkers, so every walker of a 64-walker fleet gets its own seed and its
+// own stream, and a walker whose derived seed was still free keeps it.
+func TestRunFleetWalkerSeedsDistinct(t *testing.T) {
+	g := fleetGraph(t)
+	const W = 64
+	for _, seed := range []int64{0, 1, 7, 2018} {
+		seeds := walkerSeeds(seed, W)
+		held := make(map[int64]bool, W)
+		redrawn := 0
+		for i, s := range seeds {
+			if d := stats.Derive(seed, fmt.Sprintf("walker/%d", i)); s != d {
+				redrawn++
+				if !held[d] {
+					t.Errorf("seed %d walker %d: derived seed was free but re-drawn", seed, i)
+				}
+			}
+			if held[s] {
+				t.Errorf("seed %d walker %d: seed %d already held by an earlier walker", seed, i, s)
+			}
+			held[s] = true
+		}
+		if redrawn == 0 {
+			t.Errorf("seed %d: no walker collided at W=%d — the test no longer exercises the re-draw", seed, W)
+		}
+
+		s, err := osn.NewSession(g, osn.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams := make([][4]int64, W)
+		if _, err := RunFleet(FleetConfig[graph.Node]{
+			Session: s,
+			Seed:    seed,
+			Walkers: W,
+			K:       W,
+			NewWalker: func(r *FleetRun[graph.Node]) (Walker[graph.Node], error) {
+				for k := range streams[r.ID] {
+					streams[r.ID][k] = r.Rng.Int63()
+				}
+				return NewSimple[graph.Node](NodeSpace{S: r.Meter}, graph.Node(r.ID%g.NumNodes()), r.Rng), nil
+			},
+			Sample: func(*FleetRun[graph.Node]) error { return nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		first := make(map[[4]int64]int, W)
+		for i, st := range streams {
+			if j, dup := first[st]; dup {
+				t.Errorf("seed %d: walkers %d and %d draw the same stream", seed, j, i)
+			}
+			first[st] = i
+		}
 	}
 }
 

@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/motif"
 )
 
 // TestFusedReplayBitIdentity is the fused-replay determinism sweep: for
 // every registered task kind, under both a serial and a multi-walker
 // recording, ONE fused pass feeding all aggregators must reproduce the
-// standalone per-task replay bit for bit. The fused pass interleaves every
-// task's VisitStep on each step, so this pins the contract that fusion is
-// pure scheduling: each aggregator still sees exactly its own Add sequence,
-// in the same order, over the same floats.
+// task's solo replay bit for bit. The fused pass interleaves every task's
+// VisitStep on each step, so this pins the contract that fusion is pure
+// scheduling: each aggregator still sees exactly its own Add sequence, in
+// the same order, over the same floats.
 func TestFusedReplayBitIdentity(t *testing.T) {
 	g, err := GenerateStandIn("facebook", 1.0, 2018)
 	if err != nil {
@@ -48,15 +49,57 @@ func TestFusedReplayBitIdentity(t *testing.T) {
 			if fusedErrs[qi] != nil {
 				t.Fatalf("walkers=%d: fused task %d (%s) failed: %v", walkers, qi, task.Kind(), fusedErrs[qi])
 			}
-			// The standalone path: this task alone, via its own Estimate.
-			single, err := task.Estimate(traj)
+			single, err := soloReplay(traj, reqs[qi], task)
 			if err != nil {
-				t.Fatalf("walkers=%d: standalone task %d (%s) failed: %v", walkers, qi, task.Kind(), err)
+				t.Fatalf("walkers=%d: solo task %d (%s) failed: %v", walkers, qi, task.Kind(), err)
 			}
 			if !reflect.DeepEqual(single, fusedOuts[qi]) {
-				t.Errorf("walkers=%d: task %d (%s): fused result differs from standalone replay\nfused:      %#v\nstandalone: %#v",
+				t.Errorf("walkers=%d: task %d (%s): fused result differs from solo replay\nfused: %#v\nsolo:  %#v",
 					walkers, qi, task.Kind(), fusedOuts[qi], single)
 			}
 		}
+	}
+}
+
+// soloReplay replays one request without the other tasks of the batch:
+// label pairs and motif pairs one pair per pass, every other kind as a
+// one-task pass.
+func soloReplay(traj *core.Trajectory, req TaskRequest, task core.EstimationTask) (any, error) {
+	switch req.Kind {
+	case "pairs":
+		var out []core.PairEstimates
+		for _, p := range req.Pairs {
+			pe, err := core.EstimateManyPairs(traj, []LabelPair{p})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pe...)
+		}
+		return out, nil
+	case "motif":
+		replay := motif.WedgesFromTrajectory
+		if req.Motif == MotifTriangles {
+			replay = motif.TrianglesFromTrajectory
+		}
+		rowPairs := []*LabelPair{nil}
+		if len(req.Pairs) > 0 {
+			rowPairs = rowPairs[:0]
+			for i := range req.Pairs {
+				rowPairs = append(rowPairs, &req.Pairs[i])
+			}
+		}
+		res := motif.TaskResult{Shape: req.Motif}
+		for _, p := range rowPairs {
+			r, err := replay(traj, p)
+			if err != nil {
+				return nil, err
+			}
+			res.Rows = append(res.Rows, motif.TaskRow{Pair: p, Estimate: r.Estimate, CI: r.CI})
+			res.Samples, res.APICalls, res.Walkers = r.Samples, r.APICalls, r.Walkers
+		}
+		return res, nil
+	default:
+		outs, errs := core.RunTasksFused(traj, []core.EstimationTask{task})
+		return outs[0], errs[0]
 	}
 }

@@ -412,15 +412,11 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if err != nil {
 		return nil, err
 	}
-	out, err := task.Estimate(traj)
-	if err != nil {
-		return nil, err
+	outs, errs := core.RunTasksFused(traj, []core.EstimationTask{task})
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
-	r, ok := out.(motif.TaskResult)
-	if !ok {
-		return nil, fmt.Errorf("repro: motif task returned unexpected type %T", out)
-	}
-	return motifResult(r, burn), nil
+	return motifResult(outs[0].(motif.TaskResult), burn), nil
 }
 
 // resolveBudget maps EstimateOptions' budget fields onto a sample count and
