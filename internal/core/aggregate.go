@@ -1,20 +1,57 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/estimate"
 	"repro/internal/graph"
 )
 
 // This file holds the estimator-aggregation stage of NeighborSample and
-// NeighborExploration as streaming accumulators: algorithms feed one sample
-// at a time and read the finished result at the end, so a live walk, a
-// per-pair replay and the fused multi-query replay pass all drive the exact
-// same arithmetic in the exact same order. The serial mode mirrors the
-// historical single-walk code operation for operation — the golden serial
-// test pins it — and the parallel mode mirrors the multi-walker merging of
-// engine.go. Walker boundaries are explicit (beginWalker/endWalker) so the
-// per-walker sub-estimates behind the confidence intervals accumulate
-// exactly as the historical per-walker loops did.
+// NeighborExploration as streaming accumulators: the pairs replay feeds one
+// recorded step at a time and reads the finished result at the end, so a
+// standalone estimate, a per-pair replay and the fused multi-query replay
+// pass all drive the exact same arithmetic in the exact same order. The
+// serial mode (one walker) keeps the historical single-walk arithmetic
+// operation for operation — the golden serial test pins it — and the
+// parallel mode merges per-walker streams. Walker boundaries are explicit
+// (beginWalker/endWalker) so the per-walker sub-estimates behind the
+// confidence intervals accumulate walker by walker.
+//
+// The Horvitz–Thompson dedup is precomputed per trajectory (replaycols.go):
+// addStep receives whether the step survives the thinning gap and whether it
+// is the first retained occurrence of its unit, so the HT sums receive the
+// same y/π terms in the same order a dedup map would give them.
+
+// CI is the variance-based confidence interval attached to multi-walker
+// results (alias of estimate.CI).
+type CI = estimate.CI
+
+// ciLevel is the nominal coverage of the reported intervals.
+const ciLevel = 0.95
+
+// retainedCount is the thinning arithmetic: how many of a walker's n samples
+// feed the HT estimator at the given gap.
+func retainedCount(n, gap int) int {
+	if gap > 1 {
+		return n / gap
+	}
+	return n
+}
+
+// retainedTotal sums the retained counts of per-walker sample counts,
+// failing when the thinning gap leaves nothing.
+func retainedTotal(perCounts []int, gap int) (int, error) {
+	retained, total := 0, 0
+	for _, n := range perCounts {
+		retained += retainedCount(n, gap)
+		total += n
+	}
+	if retained == 0 {
+		return 0, fmt.Errorf("core: thinning gap %d leaves no samples out of %d", gap, total)
+	}
+	return retained, nil
+}
 
 // nsAgg streams edge samples into the NeighborSample estimators.
 type nsAgg struct {
@@ -38,53 +75,37 @@ type nsAgg struct {
 	wht   *estimate.HorvitzThompson[graph.Edge]
 	wincl float64
 	wn    int // sample count of the current walker
-	wi    int // sample index within the current walker
 }
 
-// newNSAgg sizes a NeighborSample accumulator for per-walker sample counts
-// known up front (replays know them from the walker extents; live walks pass
-// the lengths of the sample slices they buffered). serial selects the
+// newNSAgg sizes a NeighborSample accumulator for the per-walker sample
+// counts (the walker extents of the replayed trajectory). serial selects the
 // single-walk aggregation; otherwise the multi-walker merging is used with
 // len(perCounts) walkers.
 func newNSAgg(numEdges float64, thinGap int, serial bool, perCounts []int) (*nsAgg, error) {
+	retained, err := retainedTotal(perCounts, thinGap)
+	if err != nil {
+		return nil, err
+	}
 	a := &nsAgg{
 		numEdges: numEdges,
 		thinGap:  thinGap,
 		serial:   serial,
 		walkers:  len(perCounts),
+		incl:     estimate.InclusionProbability(1/numEdges, retained),
 		hh:       &estimate.HansenHurwitz{},
 		ht:       &estimate.HorvitzThompson[graph.Edge]{},
 	}
 	if serial {
-		n := perCounts[0]
-		retained := n
-		if thinGap > 1 {
-			retained = n / thinGap
-			if retained == 0 {
-				return nil, errNoRetained(thinGap, n)
-			}
-		}
-		a.incl = estimate.InclusionProbability(1/numEdges, retained)
-		a.hhTerms = make([]float64, 0, n)
-		return a, nil
+		a.hhTerms = make([]float64, 0, perCounts[0])
+	} else {
+		a.perHH = make([]float64, 0, len(perCounts))
+		a.perHT = make([]float64, 0, len(perCounts))
 	}
-	retained, total := 0, 0
-	for _, n := range perCounts {
-		retained += retainedCount(n, thinGap)
-		total += n
-	}
-	if retained == 0 {
-		return nil, errNoRetained(thinGap, total)
-	}
-	a.incl = estimate.InclusionProbability(1/numEdges, retained)
-	a.perHH = make([]float64, 0, len(perCounts))
-	a.perHT = make([]float64, 0, len(perCounts))
 	return a, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *nsAgg) beginWalker(n int) {
-	a.wi = 0
 	a.wn = n
 	if !a.serial {
 		a.whh = &estimate.HansenHurwitz{}
@@ -93,8 +114,11 @@ func (a *nsAgg) beginWalker(n int) {
 	}
 }
 
-// add streams one retained walk transition.
-func (a *nsAgg) add(e graph.Edge, target bool) error {
+// addStep streams one walk transition: target reports whether the edge
+// carries the pair, retained whether the step survives the thinning gap, and
+// first / firstW whether it is the first retained occurrence of its
+// canonical edge in the pooled / per-walker stream.
+func (a *nsAgg) addStep(target bool, retained, first, firstW bool) error {
 	a.samples++
 	indicator := 0.0
 	if target {
@@ -102,45 +126,6 @@ func (a *nsAgg) add(e graph.Edge, target bool) error {
 		a.targetHits++
 	}
 	// HH term: I(X_i)/π(X_i) with π = 1/|E| (uniform edge sample).
-	term := indicator * a.numEdges
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	if err := a.hh.Add(term, 1); err != nil {
-		return err
-	}
-	if !a.serial {
-		if err := a.whh.Add(term, 1); err != nil {
-			return err
-		}
-	}
-	if a.thinGap <= 1 || a.wi%a.thinGap == 0 {
-		if err := a.ht.Add(e, indicator, a.incl); err != nil {
-			return err
-		}
-		if !a.serial {
-			if err := a.wht.Add(e, indicator, a.wincl); err != nil {
-				return err
-			}
-		}
-	}
-	a.wi++
-	return nil
-}
-
-// addIndexed streams one retained walk transition whose Horvitz–Thompson
-// dedup was precomputed (see replayCols): retained reports whether the step
-// survives the thinning gap, first / firstW whether it is the first retained
-// occurrence of its canonical edge in the pooled / per-walker stream. It
-// accumulates bit-for-bit what add would — the HT sums receive the same
-// y/π terms in the same order, only the dedup map is skipped.
-func (a *nsAgg) addIndexed(target bool, retained, first, firstW bool) error {
-	a.samples++
-	indicator := 0.0
-	if target {
-		indicator = 1
-		a.targetHits++
-	}
 	term := indicator * a.numEdges
 	if a.serial {
 		a.hhTerms = append(a.hhTerms, term)
@@ -196,37 +181,37 @@ func (a *nsAgg) finishInto(res *NeighborSampleResult) {
 type neAgg struct {
 	numEdges float64
 	numNodes float64
-	thinGap  int
 	serial   bool
 	walkers  int
 
-	retained int // pooled HT retained count
-	hh       *estimate.HansenHurwitz
-	ht       *estimate.HorvitzThompson[graph.Node]
-	rw       *estimate.Reweighted
-	hhTerms  []float64
-	perHH    []float64
-	perHT    []float64
-	perRW    []float64
+	hh      *estimate.HansenHurwitz
+	ht      *estimate.HorvitzThompson[graph.Node]
+	rw      *estimate.Reweighted
+	hhTerms []float64
+	perHH   []float64
+	perHT   []float64
+	perRW   []float64
 
 	samples        int
 	targetEdgeMass int64
 
 	// current-walker state
-	whh  *estimate.HansenHurwitz
-	wht  *estimate.HorvitzThompson[graph.Node]
-	wrw  *estimate.Reweighted
-	wret int
-	wn   int
-	wi   int
+	whh *estimate.HansenHurwitz
+	wht *estimate.HorvitzThompson[graph.Node]
+	wrw *estimate.Reweighted
+	wn  int
 }
 
-// newNEAgg sizes a NeighborExploration accumulator; see newNSAgg.
+// newNEAgg sizes a NeighborExploration accumulator; see newNSAgg. The HT
+// inclusion probabilities arrive per step (replayCols), so only the
+// thinning check needs the gap here.
 func newNEAgg(numEdges, numNodes float64, thinGap int, serial bool, perCounts []int) (*neAgg, error) {
+	if _, err := retainedTotal(perCounts, thinGap); err != nil {
+		return nil, err
+	}
 	a := &neAgg{
 		numEdges: numEdges,
 		numNodes: numNodes,
-		thinGap:  thinGap,
 		serial:   serial,
 		walkers:  len(perCounts),
 		hh:       &estimate.HansenHurwitz{},
@@ -234,97 +219,33 @@ func newNEAgg(numEdges, numNodes float64, thinGap int, serial bool, perCounts []
 		rw:       &estimate.Reweighted{},
 	}
 	if serial {
-		n := perCounts[0]
-		retained := n
-		if thinGap > 1 {
-			retained = n / thinGap
-			if retained == 0 {
-				return nil, errNoRetained(thinGap, n)
-			}
-		}
-		a.retained = retained
-		a.hhTerms = make([]float64, 0, n)
-		return a, nil
+		a.hhTerms = make([]float64, 0, perCounts[0])
+	} else {
+		a.perHH = make([]float64, 0, len(perCounts))
+		a.perHT = make([]float64, 0, len(perCounts))
+		a.perRW = make([]float64, 0, len(perCounts))
 	}
-	retained, total := 0, 0
-	for _, n := range perCounts {
-		retained += retainedCount(n, thinGap)
-		total += n
-	}
-	if retained == 0 {
-		return nil, errNoRetained(thinGap, total)
-	}
-	a.retained = retained
-	a.perHH = make([]float64, 0, len(perCounts))
-	a.perHT = make([]float64, 0, len(perCounts))
-	a.perRW = make([]float64, 0, len(perCounts))
 	return a, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *neAgg) beginWalker(n int) {
-	a.wi = 0
 	a.wn = n
 	if !a.serial {
 		a.whh = &estimate.HansenHurwitz{}
 		a.wht = &estimate.HorvitzThompson[graph.Node]{}
 		a.wrw = &estimate.Reweighted{}
-		a.wret = retainedCount(n, a.thinGap)
 	}
 }
 
-// add streams one retained walk position with its exploration outcome.
-func (a *neAgg) add(u graph.Node, t, d int) error {
+// addStep streams one walk position: t = T(u) and d = d(u), the thinning and
+// first-visit flags as for nsAgg.addStep, incl / inclW the step's pooled and
+// per-walker HT inclusion probabilities, and invD = 1/d.
+func (a *neAgg) addStep(t, d int, retained, first, firstW bool, incl, inclW, invD float64) error {
 	a.samples++
 	a.targetEdgeMass += int64(t)
-	// HH (Eq. 11): average of |E|·T(u)/d(u); |E|/d(u) is the
-	// 1/(2·π(u)) factor with π(u) = d(u)/2|E|.
-	term := float64(t) * a.numEdges / float64(d)
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	if err := a.hh.Add(term, 1); err != nil {
-		return err
-	}
-	if !a.serial {
-		if err := a.whh.Add(term, 1); err != nil {
-			return err
-		}
-	}
-	if a.serial {
-		// RW (Eq. 19): ratio of Σ T/d to 2·Σ 1/d, scaled by |V|.
-		if err := a.rw.Add(float64(t), float64(d)); err != nil {
-			return err
-		}
-	} else {
-		if err := a.wrw.Add(float64(t), float64(d)); err != nil {
-			return err
-		}
-	}
-	// HT (Eq. 13): distinct nodes, inclusion 1−(1−d(u)/2|E|)^m.
-	if a.thinGap <= 1 || a.wi%a.thinGap == 0 {
-		incl := estimate.InclusionProbability(float64(d)/(2*a.numEdges), a.retained)
-		if err := a.ht.Add(u, float64(t), incl); err != nil {
-			return err
-		}
-		if !a.serial {
-			winc := estimate.InclusionProbability(float64(d)/(2*a.numEdges), a.wret)
-			if err := a.wht.Add(u, float64(t), winc); err != nil {
-				return err
-			}
-		}
-	}
-	a.wi++
-	return nil
-}
-
-// addIndexed streams one retained walk position using precomputed replay
-// columns: first-visit flags replace the HT dedup maps, incl / inclW are the
-// step's precomputed inclusion probabilities, and invD is 1/d. Bit-identical
-// to add — every accumulator receives the same terms in the same order.
-func (a *neAgg) addIndexed(t, d int, retained, first, firstW bool, incl, inclW, invD float64) error {
-	a.samples++
-	a.targetEdgeMass += int64(t)
+	// HH (Eq. 11): average of |E|·T(u)/d(u); |E|/d(u) is the 1/(2·π(u))
+	// factor with π(u) = d(u)/2|E|.
 	var term float64
 	if t != 0 {
 		// float64(0)*numEdges/d is exactly +0, so the skipped division
@@ -338,15 +259,15 @@ func (a *neAgg) addIndexed(t, d int, retained, first, firstW bool, incl, inclW, 
 	if !a.serial {
 		a.whh.AddUnit(term)
 	}
-	if a.serial {
-		if err := a.rw.AddInv(float64(t), float64(d), invD); err != nil {
-			return err
-		}
-	} else {
-		if err := a.wrw.AddInv(float64(t), float64(d), invD); err != nil {
-			return err
-		}
+	// RW (Eq. 19): ratio of Σ T/d to 2·Σ 1/d, scaled by |V|.
+	rw := a.rw
+	if !a.serial {
+		rw = a.wrw
 	}
+	if err := rw.AddInv(float64(t), float64(d), invD); err != nil {
+		return err
+	}
+	// HT (Eq. 13): distinct nodes, inclusion 1−(1−d(u)/2|E|)^m.
 	if retained {
 		if first {
 			if err := a.ht.AddFirst(float64(t), incl); err != nil {
@@ -377,8 +298,7 @@ func (a *neAgg) endWalker() {
 }
 
 // finishInto writes the finished estimators into res (every field except
-// APICalls and Explorations, which are access-time statistics the caller
-// tracks).
+// APICalls and Explorations, which the pairs replay fills in).
 func (a *neAgg) finishInto(res *NeighborExplorationResult) {
 	res.Samples = a.samples
 	res.TargetEdgeMass = a.targetEdgeMass
@@ -396,91 +316,4 @@ func (a *neAgg) finishInto(res *NeighborExplorationResult) {
 	res.RWCI = estimate.CIFromEstimates(a.perRW, ciLevel)
 	res.HHStdErr = res.HHCI.StdErr
 	res.Walkers = a.walkers
-}
-
-// aggregateNSSerial computes the NeighborSample estimators over one walker's
-// ordered edge samples, filling every field of res except APICalls.
-func aggregateNSSerial(res *NeighborSampleResult, samples []edgeSample, numEdges float64, thinGap int) error {
-	a, err := newNSAgg(numEdges, thinGap, true, []int{len(samples)})
-	if err != nil {
-		return err
-	}
-	a.beginWalker(len(samples))
-	for _, sm := range samples {
-		if err := a.add(sm.e, sm.target); err != nil {
-			return err
-		}
-	}
-	a.endWalker()
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNSParallel pools per-walker edge samples in walker order into the
-// NeighborSample estimators and attaches between-walker confidence intervals,
-// filling every field of res except APICalls.
-func aggregateNSParallel(res *NeighborSampleResult, perSamples [][]edgeSample, numEdges float64, thinGap int) error {
-	counts := make([]int, len(perSamples))
-	for i, samples := range perSamples {
-		counts[i] = len(samples)
-	}
-	a, err := newNSAgg(numEdges, thinGap, false, counts)
-	if err != nil {
-		return err
-	}
-	for _, samples := range perSamples {
-		a.beginWalker(len(samples))
-		for _, sm := range samples {
-			if err := a.add(sm.e, sm.target); err != nil {
-				return err
-			}
-		}
-		a.endWalker()
-	}
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNESerial computes the NeighborExploration estimators over one
-// walker's ordered node samples, filling every field of res except APICalls
-// and Explorations (an access-time statistic the caller tracks).
-func aggregateNESerial(res *NeighborExplorationResult, samples []nodeSample, numEdges, numNodes float64, thinGap int) error {
-	a, err := newNEAgg(numEdges, numNodes, thinGap, true, []int{len(samples)})
-	if err != nil {
-		return err
-	}
-	a.beginWalker(len(samples))
-	for _, sm := range samples {
-		if err := a.add(sm.u, sm.t, sm.d); err != nil {
-			return err
-		}
-	}
-	a.endWalker()
-	a.finishInto(res)
-	return nil
-}
-
-// aggregateNEParallel pools per-walker node samples into the
-// NeighborExploration estimators with between-walker confidence intervals,
-// filling every field of res except APICalls and Explorations.
-func aggregateNEParallel(res *NeighborExplorationResult, perSamples [][]nodeSample, numEdges, numNodes float64, thinGap int) error {
-	counts := make([]int, len(perSamples))
-	for i, samples := range perSamples {
-		counts[i] = len(samples)
-	}
-	a, err := newNEAgg(numEdges, numNodes, thinGap, false, counts)
-	if err != nil {
-		return err
-	}
-	for _, samples := range perSamples {
-		a.beginWalker(len(samples))
-		for _, sm := range samples {
-			if err := a.add(sm.u, sm.t, sm.d); err != nil {
-				return err
-			}
-		}
-		a.endWalker()
-	}
-	a.finishInto(res)
-	return nil
 }

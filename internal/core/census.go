@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/osn"
@@ -94,3 +95,20 @@ func censusHits(labels LabelReader, u, v graph.Node, hits map[graph.LabelPair]in
 		}
 	}
 }
+
+// sortPairEstimates orders a census descending by estimate, breaking ties
+// by pair for determinism.
+func sortPairEstimates(pairs []PairEstimate) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].Estimate != pairs[j].Estimate {
+			return pairs[i].Estimate > pairs[j].Estimate
+		}
+		pi, pj := pairs[i].Pair, pairs[j].Pair
+		if pi.T1 != pj.T1 {
+			return pi.T1 < pj.T1
+		}
+		return pi.T2 < pj.T2
+	})
+}
+
+func errCensusEmpty() error { return fmt.Errorf("core: EstimateCensus drew no samples") }

@@ -2,19 +2,22 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 )
 
 // This file builds the trajectory's dense label-index columns: one uint64
-// bitmask per step endpoint, per start node and per arena entry, over the
-// (at most 64) distinct labels the trajectory's nodes actually carry. Replay
-// hot loops then test label membership with one AND instead of an interface
-// call per node — the generalization of the store's dense label index to
-// every label and every column. The columns are derived data: they cache
-// what the bound LabelReader answers, so results are identical whether a
-// replay runs masked or through the reader, and BindLabels discards them.
+// bitmask per step endpoint, plus each step's neighbor masks grouped into
+// runs, over the (at most 64) distinct labels the trajectory's nodes
+// actually carry. Replay hot loops then test label membership with one AND
+// instead of an interface call per node — the generalization of the store's
+// dense label index to every label and every column. The columns are derived
+// data: they cache what the bound LabelReader answers, so results are
+// identical whether a replay runs masked or through the reader, and
+// BindLabels discards them. Trajectories over more than 64 distinct labels
+// (every benchmark workload's) get no columns and replay through the reader;
+// so do the one-pair replays behind NeighborSample and NeighborExploration,
+// which read each step's labels once and would not recoup the build.
 
 // maskLabelLimit is the column width: trajectories referencing more distinct
 // labels than fit one word fall back to the LabelReader path.
@@ -57,12 +60,10 @@ type labelCols struct {
 	// table is the sorted distinct label set; bit b of every mask stands for
 	// table[b].
 	table []graph.Label
-	// stepPrev, stepNode, start and arena are mask columns index-aligned
-	// with the trajectory's prev/node columns, start column and arena.
+	// stepPrev and stepNode are mask columns index-aligned with the
+	// trajectory's prev and node columns.
 	stepPrev []uint64
 	stepNode []uint64
-	start    []uint64
-	arena    []uint64
 
 	// runVal/runCnt[runOff[i]:runOff[i+1]] are step i's neighbor masks
 	// deduplicated into (mask, multiplicity) runs. Walks concentrate on
@@ -84,24 +85,16 @@ type labelCols struct {
 	comboCnt  []int32
 }
 
-// colsHolder guards one lazy build of the columns. BindLabels swaps in a
-// fresh holder, which is what invalidates a previously built set.
-type colsHolder struct {
-	once sync.Once
-	cols *labelCols
-}
-
 var noLabelCols = &labelCols{}
 
 // labelColumns returns the trajectory's mask columns, building them on first
-// use. Safe for concurrent replays over one trajectory.
+// use. Safe for concurrent replays over one trajectory; BindLabels swaps in a
+// fresh holder, which is what invalidates a previously built set.
 func (t *Trajectory) labelColumns() *labelCols {
-	h := t.colsH
-	if h == nil {
+	if t.colsH == nil {
 		return noLabelCols
 	}
-	h.once.Do(func() { h.cols = buildLabelCols(t) })
-	return h.cols
+	return t.colsH.get(func() *labelCols { return buildLabelCols(t) })
 }
 
 // bit returns the mask bit for label l, or 0 when no referenced node
@@ -221,20 +214,12 @@ func buildLabelCols(t *Trajectory) *labelCols {
 		table:    table,
 		stepPrev: make([]uint64, len(t.prev)),
 		stepNode: make([]uint64, len(t.node)),
-		start:    make([]uint64, len(t.startNode)),
-		arena:    make([]uint64, len(t.arena)),
 	}
 	for i, u := range t.prev {
 		lc.stepPrev[i] = sc.mask(u)
 	}
 	for i, u := range t.node {
 		lc.stepNode[i] = sc.mask(u)
-	}
-	for i, u := range t.startNode {
-		lc.start[i] = sc.mask(u)
-	}
-	for i, u := range t.arena {
-		lc.arena[i] = sc.mask(u)
 	}
 
 	// Pass 3: per-step neighbor-mask runs and endpoint-mask combos. The
@@ -256,10 +241,10 @@ func buildLabelCols(t *Trajectory) *labelCols {
 	var runSlot [runTableSize]int32
 	combos := make(map[[2]uint64]int32)
 	for i := 0; i < S; i++ {
-		am := lc.arena[t.nbrOff[i]:t.nbrOff[i+1]]
 		base := int32(len(lc.runVal))
 		epoch := int32(i) + 1
-		for _, mv := range am {
+		for _, v := range t.arena[t.nbrOff[i]:t.nbrOff[i+1]] {
+			mv := sc.mask(v)
 			if int32(len(lc.runVal))-base >= runTableCap {
 				lc.runVal = append(lc.runVal, mv)
 				lc.runCnt = append(lc.runCnt, 1)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/osn"
 )
@@ -45,13 +43,6 @@ type NeighborExplorationResult struct {
 	RWCI CI
 }
 
-// nodeSample is one retained walk position with its exploration outcome.
-type nodeSample struct {
-	u graph.Node
-	t int
-	d int
-}
-
 // NeighborExploration samples nodes via a single simple random walk; for
 // every sampled node carrying one of the target labels it explores the full
 // neighborhood and records T(u), the number of incident target edges. It
@@ -59,98 +50,10 @@ type nodeSample struct {
 // per step is the stationary π(u) = d(u)/2|E| (Section 4.2).
 //
 // k is the number of samples, or the API-call budget when
-// opts.BudgetDriven is set; exploration is billed per opts.Cost.
+// opts.BudgetDriven is set. The walk is a recording replayed for this one
+// pair; exploration is billed per opts.Cost while recording, at a node's
+// first exploration per walker, so the surcharges count against the budget.
 func NeighborExploration(s *osn.Session, pair graph.LabelPair, k int, opts Options) (NeighborExplorationResult, error) {
-	var res NeighborExplorationResult
-	if err := opts.validate(); err != nil {
-		return res, err
-	}
-	if k <= 0 {
-		return res, fmt.Errorf("core: NeighborExploration needs k > 0, got %d", k)
-	}
-	if opts.Walkers > 1 {
-		return neighborExplorationParallel(s, pair, k, opts)
-	}
-	w, err := newBurnedInWalk(s, opts)
-	if err != nil {
-		return res, err
-	}
-
-	ctx := opts.ctx()
-	samples := make([]nodeSample, 0, k)
-	explored := make(map[graph.Node]bool)
-	maxIters := k
-	if opts.BudgetDriven {
-		maxIters = 50 * k
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if opts.BudgetDriven && s.Calls() >= int64(k) {
-			break
-		}
-		u, err := w.Step()
-		if err != nil {
-			return res, fmt.Errorf("core: NeighborExploration step %d: %w", iter, err)
-		}
-		d, err := s.Degree(u) // crawl-cache hit: the walk already fetched u
-		if err != nil {
-			return res, err
-		}
-		t, explores, err := targetDegree(s, u, pair)
-		if err != nil {
-			return res, err
-		}
-		if explores && !explored[u] {
-			explored[u] = true
-			res.Explorations++
-			// Bill the exploration per the cost model; the budget check at
-			// the top of the loop stops the walk once the surcharges have
-			// consumed the budget.
-			switch opts.Cost {
-			case ExplorePerNode:
-				err = s.ChargeFlat(1)
-			case ExplorePerNeighbor:
-				err = s.ChargeFlat(int64(d))
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: NeighborExploration billing exploration of node %d: %w", u, err)
-			}
-		}
-		samples = append(samples, nodeSample{u: u, t: t, d: d})
-	}
-
-	if err := aggregateNESerial(&res, samples, float64(s.NumEdges()), float64(s.NumNodes()), opts.ThinGap); err != nil {
-		return res, err
-	}
-	res.APICalls = s.Calls()
-	return res, nil
-}
-
-// targetDegree computes T(u) for the pair, exploring the neighborhood only
-// when u carries a target label (Algorithm 2, line 4): when u has neither
-// label no incident edge can be a target edge, so T(u) = 0 without any
-// exploration.
-func targetDegree(s osn.API, u graph.Node, pair graph.LabelPair) (int, bool, error) {
-	hasT1 := s.HasLabel(u, pair.T1)
-	hasT2 := s.HasLabel(u, pair.T2)
-	if !hasT1 && !hasT2 {
-		return 0, false, nil
-	}
-	ns, err := s.Neighbors(u)
-	if err != nil {
-		return 0, false, err
-	}
-	t := 0
-	for _, v := range ns {
-		if hasT1 && s.HasLabel(v, pair.T2) {
-			t++
-			continue
-		}
-		if hasT2 && s.HasLabel(v, pair.T1) {
-			t++
-		}
-	}
-	return t, true, nil
+	pe, err := estimatePair(s, pair, k, opts, billing{cost: opts.Cost, pair: pair}, onlyNE)
+	return pe.NE, err
 }

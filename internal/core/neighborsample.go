@@ -43,12 +43,6 @@ type NeighborSampleResult struct {
 	HTCI CI
 }
 
-// edgeSample is one retained walk transition.
-type edgeSample struct {
-	e      graph.Edge
-	target bool
-}
-
 // NeighborSample samples edges via a single simple random walk and returns
 // the HH and HT estimates of F for the target pair. Each post-burn-in walk
 // step traverses one edge, and that edge is a uniform sample from E
@@ -57,56 +51,15 @@ type edgeSample struct {
 // from either side, so each edge has probability 2·(1/2|E|) = 1/|E|.
 //
 // k is the number of samples, or the API-call budget when
-// opts.BudgetDriven is set (the paper's evaluation axis).
+// opts.BudgetDriven is set (the paper's evaluation axis). The walk is a
+// recording replayed for this one pair. The recording buys each arrived-at
+// node's friend list ahead of the step that leaves it, but NeighborSample's
+// budget checks and APICalls leave out the list bought for a walker's
+// current arrival, so the samples and the bill are those of a walk that
+// fetches a list only to leave a node.
 func NeighborSample(s *osn.Session, pair graph.LabelPair, k int, opts Options) (NeighborSampleResult, error) {
-	var res NeighborSampleResult
-	if err := opts.validate(); err != nil {
-		return res, err
-	}
-	if k <= 0 {
-		return res, fmt.Errorf("core: NeighborSample needs k > 0, got %d", k)
-	}
-	if opts.Walkers > 1 {
-		return neighborSampleParallel(s, pair, k, opts)
-	}
-	w, err := newBurnedInWalk(s, opts)
-	if err != nil {
-		return res, err
-	}
-
-	ctx := opts.ctx()
-	samples := make([]edgeSample, 0, k)
-	prev := w.Current()
-	// In budget-driven mode cache hits are free, so the walk may take more
-	// steps than k; the iteration cap prevents spinning once the whole
-	// graph is cached.
-	maxIters := k
-	if opts.BudgetDriven {
-		maxIters = 50 * k
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if opts.BudgetDriven && s.Calls() >= int64(k) {
-			break
-		}
-		cur, err := w.Step()
-		if err != nil {
-			return res, fmt.Errorf("core: NeighborSample step %d: %w", iter, err)
-		}
-		e := graph.Edge{U: prev, V: cur}.Canonical()
-		prev = cur
-		target := s.HasLabel(e.U, pair.T1) && s.HasLabel(e.V, pair.T2) ||
-			s.HasLabel(e.U, pair.T2) && s.HasLabel(e.V, pair.T1)
-		samples = append(samples, edgeSample{e: e, target: target})
-	}
-
-	if err := aggregateNSSerial(&res, samples, float64(s.NumEdges()), opts.ThinGap); err != nil {
-		return res, err
-	}
-	res.APICalls = s.Calls()
-	return res, nil
+	pe, err := estimatePair(s, pair, k, opts, billing{lookAhead: true}, onlyNS)
+	return pe.NS, err
 }
 
 // NeighborSampleIndependent is the textbook Algorithm 1: k independent

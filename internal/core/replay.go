@@ -97,9 +97,12 @@ func RunTasksFused(t *Trajectory, tasks []EstimationTask) (outs []any, errs []er
 // fused pass.
 type pairReplayState struct {
 	pair   graph.LabelPair
-	m1, m2 uint64
-	ns     *nsAgg
-	ne     *neAgg
+	m1, m2 uint64 // the pair's mask bits (mask path)
+	// tt[i] is T(node_i), or -1 where the node carries neither label
+	// (LabelReader path, when NeighborExploration runs).
+	tt []int32
+	ns *nsAgg // nil when NeighborSample does not run
+	ne *neAgg // nil when NeighborExploration does not run
 	// explorations counts distinct explored nodes per walker, summed over
 	// walkers. Whether a node explores is a per-node label property, so the
 	// walker-local first-occurrence column decides it — no per-pair set.
@@ -107,141 +110,191 @@ type pairReplayState struct {
 }
 
 // pairsVisitor replays every queried label pair's NS and NE estimators in
-// one pass — the pairs task's visitor, behind EstimateManyPairs.
+// one pass — the pairs task's visitor, behind EstimateManyPairs,
+// NeighborSample and NeighborExploration.
 type pairsVisitor struct {
-	t        *Trajectory
-	lc       *labelCols
-	rc       *replayCols
-	useMasks bool
-	ps       []pairReplayState
+	t  *Trajectory
+	lc *labelCols // nil on the LabelReader path
+	ns *nsCols    // nil when NeighborSample does not run
+	ne *neCols    // nil when NeighborExploration does not run
+	lo int        // first global step of the current walker
+	ps []pairReplayState
 }
 
-// newPairsVisitor sizes the per-pair aggregators from the walker extents
-// (every recorded step yields exactly one edge sample and one node sample,
-// so the per-walker sample counts are the walker lengths).
-func newPairsVisitor(t *Trajectory, pairs []graph.LabelPair) (*pairsVisitor, error) {
+// newPairsVisitor builds the column groups the task's estimators read and
+// sizes the per-pair aggregators from the walker extents (every recorded
+// step yields exactly one edge sample and one node sample, so the per-walker
+// sample counts are the walker lengths).
+func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
+	v := &pairsVisitor{t: t, ps: make([]pairReplayState, len(pt.pairs))}
+	if pt.only == bothEstimators {
+		if lc := t.labelColumns(); lc.ok {
+			v.lc = lc
+		}
+	}
+	if pt.only != onlyNE {
+		v.ns = t.nsColumns()
+	}
+	if pt.only != onlyNS {
+		v.ne = t.neColumns()
+	}
 	serial := t.Walkers <= 1
-	W := t.NumWalkers()
-	counts := make([]int, W)
-	for w := 0; w < W; w++ {
+	counts := make([]int, t.NumWalkers())
+	for w := range counts {
 		counts[w] = t.WalkerLen(w)
 	}
-	lc := t.labelColumns()
-	v := &pairsVisitor{t: t, lc: lc, rc: t.replayColumns(), useMasks: lc.ok, ps: make([]pairReplayState, len(pairs))}
-	numEdges := float64(t.NumEdges)
-	numNodes := float64(t.NumNodes)
-	for k, pair := range pairs {
-		ns, err := newNSAgg(numEdges, t.ThinGap, serial, counts)
-		if err != nil {
-			return nil, err
+	numEdges, numNodes := float64(t.NumEdges), float64(t.NumNodes)
+	for k, pair := range pt.pairs {
+		p := &v.ps[k]
+		p.pair = pair
+		var err error
+		if v.ns != nil {
+			if p.ns, err = newNSAgg(numEdges, t.ThinGap, serial, counts); err != nil {
+				return nil, err
+			}
 		}
-		ne, err := newNEAgg(numEdges, numNodes, t.ThinGap, serial, counts)
-		if err != nil {
-			return nil, err
+		if v.ne != nil {
+			if p.ne, err = newNEAgg(numEdges, numNodes, t.ThinGap, serial, counts); err != nil {
+				return nil, err
+			}
 		}
-		st := pairReplayState{pair: pair, ns: ns, ne: ne}
-		if lc.ok {
-			st.m1, st.m2 = lc.pairMasks(pair)
+		switch {
+		case v.lc != nil:
+			p.m1, p.m2 = v.lc.pairMasks(pair)
+		case v.ne != nil:
+			p.tt = targetDegrees(t, pair)
 		}
-		v.ps[k] = st
 	}
 	return v, nil
 }
 
+// targetDegrees computes T(u) for pair once per distinct arrival node,
+// through the occurrence index, and spreads it over the node's steps (-1
+// where the node carries neither label). A node's friend list is the same at
+// each of its steps — one recording reads one graph version — so this is
+// ReplayTargetDegree at every step.
+func targetDegrees(t *Trajectory, pair graph.LabelPair) []int32 {
+	occ := t.Occurrences()
+	tt := make([]int32, t.Samples())
+	for j, u := range occ.Nodes {
+		lo, hi := occ.Off[j], occ.Off[j+1]
+		at := func(o int32) int { return int(t.ext[occ.Walker[o]]) + int(occ.Pos[o]) }
+		d, explores := ReplayTargetDegree(t.labels, TrajStep{Node: u, Neighbors: t.StepNeighbors(at(lo))}, pair)
+		if !explores {
+			d = -1
+		}
+		for o := lo; o < hi; o++ {
+			tt[at(o)] = int32(d)
+		}
+	}
+	return tt
+}
+
 func (v *pairsVisitor) BeginWalker(w, n int) error {
+	v.lo, _ = v.t.WalkerSpan(w)
 	for k := range v.ps {
 		p := &v.ps[k]
-		p.ns.beginWalker(n)
-		p.ne.beginWalker(n)
+		if p.ns != nil {
+			p.ns.beginWalker(n)
+		}
+		if p.ne != nil {
+			p.ne.beginWalker(n)
+		}
 	}
 	return nil
 }
 
 func (v *pairsVisitor) VisitStep(i int) error {
-	t, rc := v.t, v.rc
-	prev, node := t.prev[i], t.node[i]
-	d := int(t.deg[i])
 	// The HT dedup outcome, the NE inclusion probability and 1/d are
 	// pair-independent — read once from the precomputed columns and share
 	// them across every queried pair.
-	retained := rc.isRetained(i)
-	ef, nf := rc.edgeFirst[i], rc.nodeFirst[i]
-	efW, nfW := false, false
-	if rc.edgeFirstW != nil {
-		efW, nfW = rc.edgeFirstW[i], rc.nodeFirstW[i]
-	}
-	incl, invD := rc.neIncl[i], rc.invDeg[i]
-	inclW := 0.0
-	if rc.neInclW != nil {
-		inclW = rc.neInclW[i]
-	}
-	firstAllW := rc.nodeFirstAllW[i]
-	if v.useMasks {
-		pm, nm := v.lc.stepPrev[i], v.lc.stepNode[i]
+	retained := (i-v.lo)%v.t.thinStride() == 0
+	if c := v.ns; c != nil {
+		first, firstW := c.edgeFirst[i], c.edgeFirstW != nil && c.edgeFirstW[i]
 		for k := range v.ps {
 			p := &v.ps[k]
-			// Target membership of the traversed edge: symmetric in the two
-			// endpoints, so the orientation of (prev, node) is irrelevant.
-			target := pm&p.m1 != 0 && nm&p.m2 != 0 || pm&p.m2 != 0 && nm&p.m1 != 0
-			if err := p.ns.addIndexed(target, retained, ef, efW); err != nil {
-				return err
-			}
-			hasT1 := nm&p.m1 != 0
-			hasT2 := nm&p.m2 != 0
-			tt := 0
-			if hasT1 || hasT2 {
-				tt = v.lc.targetDegreeRuns(i, hasT1, hasT2, p.m1, p.m2)
-				if firstAllW {
-					p.explorations++
-				}
-			}
-			if err := p.ne.addIndexed(tt, d, retained, nf, nfW, incl, inclW, invD); err != nil {
+			if err := p.ns.addStep(v.target(p, i), retained, first, firstW); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	labels := t.labels
-	e := graph.Edge{U: prev, V: node}.Canonical()
-	st := TrajStep{Prev: prev, Node: node, Degree: d, Neighbors: t.arena[t.nbrOff[i]:t.nbrOff[i+1]]}
-	for k := range v.ps {
-		p := &v.ps[k]
-		target := labels.HasLabel(e.U, p.pair.T1) && labels.HasLabel(e.V, p.pair.T2) ||
-			labels.HasLabel(e.U, p.pair.T2) && labels.HasLabel(e.V, p.pair.T1)
-		if err := p.ns.addIndexed(target, retained, ef, efW); err != nil {
-			return err
+	if c := v.ne; c != nil {
+		d := int(v.t.deg[i])
+		first, firstAllW, incl, invD := c.nodeFirst[i], c.nodeFirstAllW[i], c.incl[i], c.invDeg[i]
+		firstW, inclW := false, 0.0
+		if c.nodeFirstW != nil {
+			firstW, inclW = c.nodeFirstW[i], c.inclW[i]
 		}
-		tt, explores := ReplayTargetDegree(labels, st, p.pair)
-		if explores && firstAllW {
-			p.explorations++
-		}
-		if err := p.ne.addIndexed(tt, d, retained, nf, nfW, incl, inclW, invD); err != nil {
-			return err
+		for k := range v.ps {
+			p := &v.ps[k]
+			tt, explores := v.targetDegree(p, i)
+			if explores && firstAllW {
+				p.explorations++
+			}
+			if err := p.ne.addStep(tt, d, retained, first, firstW, incl, inclW, invD); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// target reports whether step i's edge carries p's pair. Membership is
+// symmetric in the two endpoints, so the orientation of (prev, node) is
+// irrelevant.
+func (v *pairsVisitor) target(p *pairReplayState, i int) bool {
+	if v.lc != nil {
+		pm, nm := v.lc.stepPrev[i], v.lc.stepNode[i]
+		return pm&p.m1 != 0 && nm&p.m2 != 0 || pm&p.m2 != 0 && nm&p.m1 != 0
+	}
+	lr, a, b := v.t.labels, v.t.prev[i], v.t.node[i]
+	return lr.HasLabel(a, p.pair.T1) && lr.HasLabel(b, p.pair.T2) || lr.HasLabel(a, p.pair.T2) && lr.HasLabel(b, p.pair.T1)
+}
+
+// targetDegree returns T(node_i) for p's pair and whether the node carries a
+// target label (whether NeighborExploration explores it).
+func (v *pairsVisitor) targetDegree(p *pairReplayState, i int) (int, bool) {
+	if v.lc == nil {
+		tt := p.tt[i]
+		return int(max(tt, 0)), tt >= 0
+	}
+	nm := v.lc.stepNode[i]
+	hasT1, hasT2 := nm&p.m1 != 0, nm&p.m2 != 0
+	if !hasT1 && !hasT2 {
+		return 0, false
+	}
+	return v.lc.targetDegreeRuns(i, hasT1, hasT2, p.m1, p.m2), true
 }
 
 func (v *pairsVisitor) EndWalker(w int) error {
 	for k := range v.ps {
-		v.ps[k].ns.endWalker()
-		v.ps[k].ne.endWalker()
+		p := &v.ps[k]
+		if p.ns != nil {
+			p.ns.endWalker()
+		}
+		if p.ne != nil {
+			p.ne.endWalker()
+		}
 	}
 	return nil
 }
 
-// Result assembles the finished per-pair results ([]PairEstimates).
+// Result assembles the finished per-pair results ([]PairEstimates); the
+// half of an estimator the replay did not run stays zero.
 func (v *pairsVisitor) Result() (any, error) {
-	out := make([]PairEstimates, 0, len(v.ps))
+	out := make([]PairEstimates, len(v.ps))
 	for k := range v.ps {
-		p := &v.ps[k]
-		pe := PairEstimates{Pair: p.pair}
-		p.ns.finishInto(&pe.NS)
-		p.ne.finishInto(&pe.NE)
-		pe.NS.APICalls = v.t.APICalls
-		pe.NE.APICalls = v.t.APICalls
-		pe.NE.Explorations = p.explorations
-		out = append(out, pe)
+		p, pe := &v.ps[k], &out[k]
+		pe.Pair = p.pair
+		if p.ns != nil {
+			p.ns.finishInto(&pe.NS)
+			pe.NS.APICalls = v.t.APICalls
+		}
+		if p.ne != nil {
+			p.ne.finishInto(&pe.NE)
+			pe.NE.APICalls = v.t.APICalls
+			pe.NE.Explorations = p.explorations
+		}
 	}
 	return out, nil
 }
@@ -343,7 +396,7 @@ func censusHitsMaskedN(lc *labelCols, pm, nm uint64, n int, hits map[graph.Label
 
 // NewVisitor implements EstimationTask.
 func (pt pairsTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
-	return newPairsVisitor(t, pt.pairs)
+	return newPairsVisitor(t, pt)
 }
 
 // NewVisitor implements EstimationTask.

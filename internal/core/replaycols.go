@@ -16,40 +16,41 @@ import (
 // degree. Precomputing all of them once turns the per-pair inner loop of
 // the fused replay into straight-line float arithmetic: no dedup maps, no
 // expm1/log1p, no divisions that every pair would redo.
+//
+// The columns come in groups that different replays need — NeighborSample's
+// edge flags, NeighborExploration's node columns, the occurrence index, the
+// common-neighbor counts — and each group builds lazily under its own Once,
+// so a replay pays only for what it reads. All groups derive from the step
+// columns and recording parameters, not from labels, so BindLabels keeps
+// them. Flags are false and inclusion probabilities zero at steps the
+// thinning gap drops, because the HT estimators never see those steps.
 
-// replayCols holds the precomputed per-step replay columns. All columns are
-// index-aligned with the step columns; first-visit flags are false and
-// inclusion probabilities zero at steps the thinning gap drops, because the
-// HT estimators never see those steps.
-type replayCols struct {
-	// retained[i] reports whether step i survives the thinning gap; nil
-	// when ThinGap <= 1 (every step retained).
-	retained []bool
-	// edgeFirst and nodeFirst flag the first retained occurrence of the
-	// step's canonical edge / arrival node across the whole pass, in global
-	// step order — the H(· ∈ S) indicator of the pooled HT estimators.
-	edgeFirst []bool
-	nodeFirst []bool
-	// edgeFirstW and nodeFirstW flag first retained occurrences *within the
-	// owning walker* — the indicator of the per-walker HT sub-estimates
-	// behind the confidence intervals. nil for serial trajectories.
-	edgeFirstW []bool
-	nodeFirstW []bool
+// nsCols are NeighborSample's HT dedup flags. edgeFirst flags the first
+// retained occurrence of the step's canonical edge across the whole pass, in
+// global step order — the H(· ∈ S) indicator of the pooled HT estimator;
+// edgeFirstW flags first retained occurrences within the owning walker, the
+// indicator of the per-walker sub-estimates behind the confidence intervals
+// (nil for serial trajectories).
+type nsCols struct {
+	edgeFirst, edgeFirstW []bool
+}
+
+// neCols are NeighborExploration's per-step columns.
+type neCols struct {
+	// nodeFirst and nodeFirstW are the node analogues of nsCols' flags.
+	nodeFirst, nodeFirstW []bool
 	// nodeFirstAllW flags the first occurrence of the arrival node within
-	// its walker among ALL steps (retention does not apply): the NE
+	// its walker among ALL steps (retention does not apply): the
 	// exploration counter visits every step and resets per walker, and
 	// whether a node counts as explored is a per-node label property, so
 	// first-occurrence is the only per-step state it needs.
 	nodeFirstAllW []bool
-	// neIncl[i] is InclusionProbability(d(u_i)/2|E|, retainedTotal), the NE
-	// HT inclusion probability of step i; neInclW uses the owning walker's
+	// incl[i] is InclusionProbability(d(u_i)/2|E|, retainedTotal), the HT
+	// inclusion probability of step i; inclW uses the owning walker's
 	// retained count (nil for serial trajectories).
-	neIncl  []float64
-	neInclW []float64
+	incl, inclW []float64
 	// invDeg[i] is 1/d(u_i), shared by every pair's re-weighted estimator.
 	invDeg []float64
-	// occ groups every arrival by node — the collision-counting index.
-	occ *OccurrenceIndex
 }
 
 // OccurrenceIndex groups the trajectory's arrivals by node: Nodes lists the
@@ -68,36 +69,46 @@ type OccurrenceIndex struct {
 	Pos    []int32
 }
 
-// Occurrences returns the trajectory's node-occurrence index, built lazily
-// with the other replay columns and shared by every replay.
-func (t *Trajectory) Occurrences() *OccurrenceIndex {
-	return t.replayColumns().occ
-}
-
-// replayHolder guards one lazy build of the replay columns, mirroring
-// colsHolder. The columns derive from the step columns and recording
-// parameters only — not from labels — so BindLabels keeps them. The
-// common-neighbor column builds under its own Once: only triangle-shaped
-// replays need it, and replays that don't should not pay for it.
-type replayHolder struct {
+// lazyCol is one lazily built column group, shared by concurrent replays.
+type lazyCol[T any] struct {
 	once sync.Once
-	cols *replayCols
-
-	commonOnce sync.Once
-	common     []int32
+	v    T
 }
 
-// replayColumns returns the trajectory's replay columns, building them on
-// first use. Safe for concurrent replays over one trajectory.
-func (t *Trajectory) replayColumns() *replayCols {
-	h := t.replayH
-	if h == nil {
-		// Trajectories assembled without SetData/NewTrajectoryFromSteps
-		// (tests building literals) get an unshared build.
-		return buildReplayCols(t)
+func (c *lazyCol[T]) get(build func() T) T {
+	c.once.Do(func() { c.v = build() })
+	return c.v
+}
+
+// replayHolder holds the trajectory's lazily built replay column groups.
+type replayHolder struct {
+	ns     lazyCol[*nsCols]
+	ne     lazyCol[*neCols]
+	occ    lazyCol[*OccurrenceIndex]
+	common lazyCol[[]int32]
+}
+
+// replay returns the trajectory's column holder. Trajectories assembled
+// without SetData or NewTrajectoryFromSteps get an unshared one.
+func (t *Trajectory) replay() *replayHolder {
+	if t.replayH == nil {
+		return &replayHolder{}
 	}
-	h.once.Do(func() { h.cols = buildReplayCols(t) })
-	return h.cols
+	return t.replayH
+}
+
+func (t *Trajectory) nsColumns() *nsCols {
+	return t.replay().ns.get(func() *nsCols { return buildNSCols(t) })
+}
+
+func (t *Trajectory) neColumns() *neCols {
+	return t.replay().ne.get(func() *neCols { return buildNECols(t) })
+}
+
+// Occurrences returns the trajectory's node-occurrence index, built lazily
+// and shared by every replay.
+func (t *Trajectory) Occurrences() *OccurrenceIndex {
+	return t.replay().occ.get(func() *OccurrenceIndex { return buildOccurrences(t) })
 }
 
 // EdgeCommonNeighbors returns the per-step count |N(prev_i) ∩ N(node_i)| of
@@ -109,12 +120,7 @@ func (t *Trajectory) replayColumns() *replayCols {
 // the trajectory lacks per-walker start states (the prev lists are then
 // unknown).
 func (t *Trajectory) EdgeCommonNeighbors() []int32 {
-	h := t.replayH
-	if h == nil {
-		return buildCommonNeighbors(t)
-	}
-	h.commonOnce.Do(func() { h.common = buildCommonNeighbors(t) })
-	return h.common
+	return t.replay().common.get(func() []int32 { return buildCommonNeighbors(t) })
 }
 
 // buildCommonNeighbors counts each step's endpoint-common neighbors. With a
@@ -200,88 +206,94 @@ func commonSorted(nu, nv []graph.Node) int {
 	return common
 }
 
-// buildReplayCols scans the step columns once, replaying the dedup the HT
-// estimators would do and freezing the outcome into flag columns.
-func buildReplayCols(t *Trajectory) *replayCols {
+// thinStride is the step stride of the HT-retained samples: every ThinGap-th
+// step of each walker, counted from its first.
+func (t *Trajectory) thinStride() int { return max(t.ThinGap, 1) }
+
+// buildNSCols replays the edge dedup the NeighborSample HT estimators would
+// do over the retained steps and freezes the outcome into flag columns.
+func buildNSCols(t *Trajectory) *nsCols {
+	S := t.Samples()
+	c := &nsCols{edgeFirst: make([]bool, S)}
+	if t.Walkers > 1 {
+		c.edgeFirstW = make([]bool, S)
+	}
+	seen := make(map[graph.Edge]struct{}, S)
+	for w := 0; w < t.NumWalkers(); w++ {
+		lo, hi := t.WalkerSpan(w)
+		var seenW map[graph.Edge]struct{}
+		if c.edgeFirstW != nil {
+			seenW = make(map[graph.Edge]struct{}, hi-lo)
+		}
+		for i := lo; i < hi; i += t.thinStride() {
+			e := graph.Edge{U: t.prev[i], V: t.node[i]}.Canonical()
+			c.edgeFirst[i] = firstSeen(seen, e)
+			if seenW != nil {
+				c.edgeFirstW[i] = firstSeen(seenW, e)
+			}
+		}
+	}
+	return c
+}
+
+// firstSeen inserts e into seen and reports whether it was new.
+func firstSeen(seen map[graph.Edge]struct{}, e graph.Edge) bool {
+	if _, dup := seen[e]; dup {
+		return false
+	}
+	seen[e] = struct{}{}
+	return true
+}
+
+// buildNECols scans the step columns once for the NeighborExploration
+// columns.
+func buildNECols(t *Trajectory) *neCols {
 	S := t.Samples()
 	W := t.NumWalkers()
-	gap := t.ThinGap
 	serial := t.Walkers <= 1
-	rc := &replayCols{
-		edgeFirst:     make([]bool, S),
+	c := &neCols{
 		nodeFirst:     make([]bool, S),
 		nodeFirstAllW: make([]bool, S),
-		neIncl:        make([]float64, S),
+		incl:          make([]float64, S),
 		invDeg:        make([]float64, S),
 	}
-	if gap > 1 {
-		rc.retained = make([]bool, S)
-	}
 	if !serial {
-		rc.edgeFirstW = make([]bool, S)
-		rc.nodeFirstW = make([]bool, S)
-		rc.neInclW = make([]float64, S)
+		c.nodeFirstW = make([]bool, S)
+		c.inclW = make([]float64, S)
 	}
-
 	// Retained-sample counts, exactly as the aggregators size them: the
-	// pooled count feeds neIncl, the per-walker counts feed neInclW.
+	// pooled count feeds incl, the per-walker counts feed inclW.
 	retTotal := 0
 	retW := make([]int, W)
-	for w := 0; w < W; w++ {
-		retW[w] = retainedCount(t.WalkerLen(w), gap)
+	for w := range retW {
+		retW[w] = retainedCount(t.WalkerLen(w), t.ThinGap)
 		retTotal += retW[w]
 	}
-
 	numEdges := float64(t.NumEdges)
-	seenEdges := make(map[graph.Edge]struct{}, S)
-	seenNodes := newNodeSet(t.NumNodes)
+	seen := newNodeSet(t.NumNodes)
 	for w := 0; w < W; w++ {
 		lo, hi := t.WalkerSpan(w)
-		var wEdges map[graph.Edge]struct{}
-		var wNodes *nodeSet
+		seenAll := newNodeSet(t.NumNodes)
+		var seenW *nodeSet
 		if !serial {
-			wEdges = make(map[graph.Edge]struct{}, hi-lo)
-			wNodes = newNodeSet(t.NumNodes)
+			seenW = newNodeSet(t.NumNodes)
 		}
-		wNodesAll := newNodeSet(t.NumNodes)
 		for i := lo; i < hi; i++ {
-			d := int(t.deg[i])
-			rc.invDeg[i] = 1 / float64(d)
-			if wNodesAll.add(t.node[i]) {
-				rc.nodeFirstAllW[i] = true
+			u, d := t.node[i], float64(t.deg[i])
+			c.invDeg[i] = 1 / d
+			c.nodeFirstAllW[i] = seenAll.add(u)
+			if (i-lo)%t.thinStride() != 0 {
+				continue
 			}
-			if gap > 1 {
-				if (i-lo)%gap != 0 {
-					continue
-				}
-				rc.retained[i] = true
-			}
-			e := graph.Edge{U: t.prev[i], V: t.node[i]}.Canonical()
-			if _, dup := seenEdges[e]; !dup {
-				seenEdges[e] = struct{}{}
-				rc.edgeFirst[i] = true
-			}
-			u := t.node[i]
-			if seenNodes.add(u) {
-				rc.nodeFirst[i] = true
-			}
-			// Bit-identical to what neAgg.add computes inline: same p
-			// expression, same retained count.
-			rc.neIncl[i] = estimate.InclusionProbability(float64(d)/(2*numEdges), retTotal)
+			c.nodeFirst[i] = seen.add(u)
+			c.incl[i] = estimate.InclusionProbability(d/(2*numEdges), retTotal)
 			if !serial {
-				if _, dup := wEdges[e]; !dup {
-					wEdges[e] = struct{}{}
-					rc.edgeFirstW[i] = true
-				}
-				if wNodes.add(u) {
-					rc.nodeFirstW[i] = true
-				}
-				rc.neInclW[i] = estimate.InclusionProbability(float64(d)/(2*numEdges), retW[w])
+				c.nodeFirstW[i] = seenW.add(u)
+				c.inclW[i] = estimate.InclusionProbability(d/(2*numEdges), retW[w])
 			}
 		}
 	}
-	rc.occ = buildOccurrences(t)
-	return rc
+	return c
 }
 
 // buildOccurrences assembles the node-occurrence index in two passes: the
@@ -350,9 +362,4 @@ func buildOccurrences(t *Trajectory) *OccurrenceIndex {
 		}
 	}
 	return occ
-}
-
-// isRetained reports whether step i survives the thinning gap.
-func (rc *replayCols) isRetained(i int) bool {
-	return rc.retained == nil || rc.retained[i]
 }

@@ -126,7 +126,23 @@ func replayOne(t *Trajectory, task EstimationTask) (any, error) {
 
 // pairsTask is the label-pair workload — the paper's estimators for P pairs
 // off one walk. Result type: []PairEstimates.
-type pairsTask struct{ pairs []graph.LabelPair }
+type pairsTask struct {
+	pairs []graph.LabelPair
+	// only, when set, runs one estimator and reads labels through the
+	// LabelReader instead of building mask columns: the one-pair replays
+	// behind NeighborSample and NeighborExploration read each step's labels
+	// once, so the masks would cost more than they save.
+	only estimators
+}
+
+// estimators selects which of the paper's algorithms a pairs replay runs.
+type estimators uint8
+
+const (
+	bothEstimators estimators = iota
+	onlyNS
+	onlyNE
+)
 
 func (pairsTask) Kind() string { return "pairs" }
 

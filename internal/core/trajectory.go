@@ -5,24 +5,27 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/osn"
-	"repro/internal/walk"
 )
 
 // This file implements the shared-trajectory multi-query engine: one walk's
-// sample stream is recorded once and replayed through the paper's estimators
-// for arbitrarily many label pairs. The estimators weigh samples by
-// label-pair membership only at aggregation time, and label reads are free in
-// the access model (a friend-list response carries profile snippets), so P
-// pairs cost one walk's API calls instead of P walks'.
+// sample stream is recorded once (record.go) and replayed through the
+// paper's estimators for arbitrarily many label pairs. The estimators weigh
+// samples by label-pair membership only at aggregation time, and label reads
+// are free in the access model (a friend-list response carries profile
+// snippets), so P pairs cost one walk's API calls instead of P walks'.
 //
-// The recording loop charges exactly like NeighborExploration under the
-// ExploreFree cost model: one Step per iteration plus the arrived-at node's
-// neighbor-list fetch (which the next Step then gets from the crawl cache).
-// Replayed NeighborExploration estimates therefore match a standalone
-// NeighborExploration run bit for bit, in both sample-driven and
-// budget-driven mode; replayed NeighborSample estimates match a standalone
-// run bit for bit in sample-driven mode (in budget-driven mode NeighborSample
-// alone would have spent the neighbor-fetch call on one extra walk step).
+// Charging: a plain recording bills one call per distinct node the walk
+// stands on, because each step buys the arrived-at node's friend list ahead
+// of the next step — exactly what NeighborExploration bills under the
+// ExploreFree cost model. NeighborSample and NeighborExploration are
+// themselves a recording plus a one-pair replay; no live walk loop remains.
+// Their recordings differ from a plain one only in billing: NeighborSample's
+// leaves out of its budget checks and its bill the friend list bought ahead
+// for each walker's current arrival, and NeighborExploration's charges the
+// Options.Cost surcharge while recording. A plain recording replayed through
+// EstimateManyPairs therefore matches NeighborExploration (ExploreFree) bit
+// for bit, and matches NeighborSample in sample-driven mode in every field
+// but the bill, which includes the last arrival's list.
 //
 // Storage is columnar: instead of per-step structs carrying their own
 // neighbor slices, a Trajectory holds flat prev/node/degree arrays, one
@@ -72,9 +75,6 @@ type LabelReader interface {
 	Labels(u graph.Node) []graph.Label
 	HasLabel(u graph.Node, l graph.Label) bool
 }
-
-// labelAPI is kept as the historical internal name.
-type labelAPI = LabelReader
 
 // Trajectory is a recorded multi-walker sample stream, reusable across label
 // pairs. It is immutable once recorded: replays only read it, so one
@@ -131,8 +131,8 @@ type Trajectory struct {
 	GraphVersion     uint64
 	GraphFingerprint uint64
 
-	labels  labelAPI
-	colsH   *colsHolder
+	labels  LabelReader
+	colsH   *lazyCol[*labelCols]
 	replayH *replayHolder
 }
 
@@ -225,7 +225,7 @@ func (t *Trajectory) Labels() LabelReader { return t.labels }
 // with in-flight replays.
 func (t *Trajectory) BindLabels(lr LabelReader) {
 	t.labels = lr
-	t.colsH = &colsHolder{}
+	t.colsH = &lazyCol[*labelCols]{}
 	// The replay columns derive from the step columns alone, not from
 	// labels, so a rebind keeps them — but a literal-built trajectory that
 	// never went through SetData gets its holder here.
@@ -262,7 +262,7 @@ func NewTrajectoryFromSteps(perSteps [][]TrajStep, perStarts []TrajStart) *Traje
 		startDeg:  make([]int32, len(perStarts)),
 		startOff:  make([]int64, len(perStarts)+1),
 		arena:     make([]graph.Node, 0, nbrs),
-		colsH:     &colsHolder{},
+		colsH:     &lazyCol[*labelCols]{},
 		replayH:   &replayHolder{},
 	}
 	for w, start := range perStarts {
@@ -372,7 +372,7 @@ func (t *Trajectory) SetData(d TrajectoryData) error {
 	t.startDeg = d.StartDegree
 	t.startOff = d.StartOff
 	t.arena = d.Arena
-	t.colsH = &colsHolder{}
+	t.colsH = &lazyCol[*labelCols]{}
 	t.replayH = &replayHolder{}
 	return nil
 }
@@ -387,177 +387,14 @@ type PairEstimates struct {
 	NE   NeighborExplorationResult
 }
 
-// RecordTrajectory runs one burned-in sampling walk (a fleet of them when
-// opts.Walkers >= 2) and records it as a reusable Trajectory. k is the number
-// of samples, or the API-call budget when opts.BudgetDriven is set.
-// Exploration is never billed during recording (the ExploreFree reading of
-// Algorithm 2): the friend lists the walk already fetched carry the labels a
-// replay needs, whatever the pair.
-func RecordTrajectory(s *osn.Session, k int, opts Options) (*Trajectory, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: RecordTrajectory needs k > 0, got %d", k)
-	}
-	if opts.Walkers > 1 {
-		return recordTrajectoryParallel(s, k, opts)
-	}
-	w, err := newBurnedInWalk(s, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	ctx := opts.ctx()
-	start, err := recordStart(s, w.Current())
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]TrajStep, 0, k)
-	prev := w.Current()
-	maxIters := k
-	if opts.BudgetDriven {
-		maxIters = 50 * k
-	}
-	for iter := 0; iter < maxIters; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// A budget-driven recording always takes at least one step, even
-		// when recordStart's prepaid call already consumed a budget of 1 —
-		// matching the historical loop, which checked the budget only
-		// after its first iteration's spend. The overshoot is the same one
-		// trailing-iteration overshoot the serial algorithms have.
-		if opts.BudgetDriven && s.Calls() >= int64(k) && len(steps) > 0 {
-			break
-		}
-		cur, err := w.Step()
-		if err != nil {
-			return nil, fmt.Errorf("core: RecordTrajectory step %d: %w", iter, err)
-		}
-		d, err := s.Degree(cur)
-		if err != nil {
-			return nil, err
-		}
-		ns, err := s.Neighbors(cur) // crawl-cache hit after Degree: free
-		if err != nil {
-			return nil, err
-		}
-		steps = append(steps, TrajStep{Prev: prev, Node: cur, Degree: d, Neighbors: ns})
-		prev = cur
-	}
-	t := NewTrajectoryFromSteps([][]TrajStep{steps}, []TrajStart{start})
-	t.Walkers = 1
-	t.APICalls = s.Calls()
-	t.PerWalkerCalls = []int64{s.Calls()}
-	t.NumNodes = s.NumNodes()
-	t.NumEdges = s.NumEdges()
-	t.ThinGap = opts.ThinGap
-	t.BurnIn = opts.BurnIn
-	t.BudgetDriven = opts.BudgetDriven
-	t.BindLabels(s)
-	return t, nil
-}
-
-// recordStart fetches the start node's friend list through the metered
-// access handle. The charge is exactly the one the first sampling Step would
-// have paid for the same list (every later Step hits the crawl cache because
-// the previous iteration's Degree call fetched the arrived-at node), so
-// recording the start state leaves the trajectory's total bill unchanged.
-func recordStart(api osn.API, u graph.Node) (TrajStart, error) {
-	d, err := api.Degree(u)
-	if err != nil {
-		return TrajStart{}, fmt.Errorf("core: recording start node %d: %w", u, err)
-	}
-	ns, err := api.Neighbors(u) // crawl-cache hit after Degree: free
-	if err != nil {
-		return TrajStart{}, err
-	}
-	return TrajStart{Node: u, Degree: d, Neighbors: ns}, nil
-}
-
-// recordTrajectoryParallel records W concurrent walkers over one shared
-// session, mirroring the fleet loops of engine.go (same RNG consumption per
-// iteration, so for a fixed seed the recorded streams are the exact streams a
-// standalone multi-walker estimate would sample).
-func recordTrajectoryParallel(s *osn.Session, k int, opts Options) (*Trajectory, error) {
-	W := clampWalkers(opts.Walkers, k)
-	perSteps := make([][]TrajStep, W)
-	perStarts := make([]TrajStart, W)
-
-	cfg := nodeFleetConfig(s, k, opts, W, func(r *walk.FleetRun[graph.Node]) error {
-		// Fleet meters are uncapped (budget shares are enforced softly by
-		// Done checks), so this can only fail on a real source error.
-		start, err := recordStart(r.Meter, r.W.Current())
-		if err != nil {
-			return err
-		}
-		perStarts[r.ID] = start
-		steps := make([]TrajStep, 0, r.Quota)
-		prev := r.W.Current()
-		maxIters := r.MaxIters()
-		for iter := 0; iter < maxIters; iter++ {
-			if err := r.Ctx.Err(); err != nil {
-				return err
-			}
-			// As in the serial loop: the start prefetch must not starve a
-			// walker whose budget share it consumed — every walker records
-			// at least one step.
-			if len(steps) > 0 && r.Done(len(steps)) {
-				break
-			}
-			cur, err := r.W.Step()
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			d, err := r.Meter.Degree(cur)
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			ns, err := r.Meter.Neighbors(cur) // crawl-cache hit after Degree: free
-			if err != nil {
-				if stopWalker(err) {
-					break
-				}
-				return err
-			}
-			steps = append(steps, TrajStep{Prev: prev, Node: cur, Degree: d, Neighbors: ns})
-			prev = cur
-		}
-		perSteps[r.ID] = steps
-		return nil
-	})
-	calls, err := walk.RunFleet(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTrajectoryFromSteps(perSteps, perStarts)
-	t.Walkers = W
-	t.APICalls = sum64(calls)
-	t.PerWalkerCalls = calls
-	t.NumNodes = s.NumNodes()
-	t.NumEdges = s.NumEdges()
-	t.ThinGap = opts.ThinGap
-	t.BurnIn = opts.BurnIn
-	t.BudgetDriven = opts.BudgetDriven
-	t.BindLabels(s)
-	return t, nil
-}
-
 // EstimateManyPairs replays a recorded trajectory through the paper's HH/HT
-// (and, for NeighborExploration, RW) aggregators for every given label pair —
-// the same estimators a live walk feeds, at zero additional API cost, in one
-// fused pass over the step columns (all pairs' aggregators advance together;
-// each still receives exactly the sample sequence a per-pair replay would
-// feed it). Serial trajectories replay through the serial aggregation
-// (batch-means standard errors); fleet trajectories through the multi-walker
-// merging (between-walker confidence intervals).
+// (and, for NeighborExploration, RW) aggregators for every given label pair,
+// at zero additional API cost, in one fused pass over the step columns (all
+// pairs' aggregators advance together; each still receives exactly the
+// sample sequence a per-pair replay would feed it). Serial trajectories
+// replay through the serial aggregation (batch-means standard errors); fleet
+// trajectories through the multi-walker merging (between-walker confidence
+// intervals).
 func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates, error) {
 	if t == nil || t.Samples() == 0 {
 		return nil, fmt.Errorf("core: EstimateManyPairs needs a recorded trajectory")
@@ -572,10 +409,25 @@ func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates,
 	return out.([]PairEstimates), nil
 }
 
+// estimatePair is NeighborSample and NeighborExploration: it records one
+// walk under the estimator's billing rule and replays pair through that
+// estimator alone.
+func estimatePair(s *osn.Session, pair graph.LabelPair, k int, opts Options, bill billing, only estimators) (PairEstimates, error) {
+	t, err := record(s, k, opts, bill)
+	if err != nil {
+		return PairEstimates{}, err
+	}
+	out, err := replayOne(t, pairsTask{pairs: []graph.LabelPair{pair}, only: only})
+	if err != nil {
+		return PairEstimates{}, err
+	}
+	return out.([]PairEstimates)[0], nil
+}
+
 // ReplayTargetDegree recomputes T(u) for a recorded step from the step's
-// stored friend list, mirroring targetDegree without any API access. The
-// boolean reports whether the node carries a target label (i.e. whether a
-// live NeighborExploration run would have explored its neighborhood).
+// stored friend list, without any API access. The boolean reports whether
+// the node carries a target label (i.e. whether NeighborExploration explores
+// its neighborhood, Algorithm 2 line 4).
 func ReplayTargetDegree(labels LabelReader, st TrajStep, pair graph.LabelPair) (int, bool) {
 	hasT1 := labels.HasLabel(st.Node, pair.T1)
 	hasT2 := labels.HasLabel(st.Node, pair.T2)
@@ -593,127 +445,4 @@ func ReplayTargetDegree(labels LabelReader, st TrajStep, pair graph.LabelPair) (
 		}
 	}
 	return tt, true
-}
-
-// Recorder is an incremental serial trajectory recorder: burn-in is paid
-// once at construction, and each Extend call continues the same walk,
-// appending to the recorded stream. A hard API-call budget (enforced by an
-// osn.Meter armed after burn-in) bounds the cumulative sampling cost: unit
-// charges are refused once the budget is spent, so the recording never
-// overshoots it. The doubling workflow of repro.EstimateToPrecision is the
-// intended caller.
-type Recorder struct {
-	m      *osn.Meter
-	w      walk.Walker[graph.Node]
-	opts   Options
-	prev   graph.Node
-	start  TrajStart
-	steps  []TrajStep
-	nNodes int
-	nEdges int64
-	labels labelAPI
-}
-
-// NewRecorder builds a serial recorder over s: it picks a start node, burns
-// in (uncharged, per the paper's accounting), then arms the sampling budget
-// (0 = unlimited). opts.Walkers is ignored — a Recorder is one walker.
-func NewRecorder(s *osn.Session, budget int64, opts Options) (*Recorder, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("core: negative recorder budget %d", budget)
-	}
-	m := s.Meter(0) // unlimited during burn-in
-	start, err := startNode(m, opts.Start, opts.Rng)
-	if err != nil {
-		return nil, err
-	}
-	w, err := newWalk(m, opts, start, opts.Rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := walk.BurninCtx[graph.Node](opts.ctx(), w, opts.BurnIn); err != nil {
-		return nil, fmt.Errorf("core: burn-in: %w", err)
-	}
-	m.Flush() // settle deferred burn-in debits before re-arming
-	m.Reset(budget)
-	ts, err := recordStart(m, w.Current())
-	if err != nil {
-		return nil, err
-	}
-	return &Recorder{
-		m:      m,
-		w:      w,
-		opts:   opts,
-		prev:   w.Current(),
-		start:  ts,
-		nNodes: s.NumNodes(),
-		nEdges: s.NumEdges(),
-		labels: s,
-	}, nil
-}
-
-// Extend continues the walk for up to k more samples, stopping early when
-// the armed budget runs out. It returns how many samples were appended and
-// whether the budget stopped the walk (which is a normal completion, not an
-// error).
-func (r *Recorder) Extend(k int) (added int, exhausted bool, err error) {
-	ctx := r.opts.ctx()
-	for added < k {
-		if err := ctx.Err(); err != nil {
-			return added, false, err
-		}
-		cur, err := r.w.Step()
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, fmt.Errorf("core: Recorder step: %w", err)
-		}
-		d, err := r.m.Degree(cur)
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, err
-		}
-		ns, err := r.m.Neighbors(cur) // crawl-cache hit after Degree: free
-		if err != nil {
-			if stopWalker(err) {
-				return added, true, nil
-			}
-			return added, false, err
-		}
-		r.steps = append(r.steps, TrajStep{Prev: r.prev, Node: cur, Degree: d, Neighbors: ns})
-		r.prev = cur
-		added++
-	}
-	return added, false, nil
-}
-
-// Calls returns the sampling API calls billed so far (burn-in excluded).
-func (r *Recorder) Calls() int64 {
-	r.m.Flush() // keep the session's global counter settled for observers
-	return r.m.Calls()
-}
-
-// Samples returns the cumulative recorded sample count.
-func (r *Recorder) Samples() int { return len(r.steps) }
-
-// Trajectory snapshots the recording so far as a replayable Trajectory. The
-// snapshot copies the recorded rows into fresh columns (an O(samples) copy),
-// so it stays valid — and immutable — across later Extend calls.
-func (r *Recorder) Trajectory() *Trajectory {
-	r.m.Flush()
-	t := NewTrajectoryFromSteps([][]TrajStep{r.steps}, []TrajStart{r.start})
-	t.Walkers = 1
-	t.APICalls = r.m.Calls()
-	t.PerWalkerCalls = []int64{r.m.Calls()}
-	t.NumNodes = r.nNodes
-	t.NumEdges = r.nEdges
-	t.ThinGap = r.opts.ThinGap
-	t.BurnIn = r.opts.BurnIn
-	t.BindLabels(r.labels)
-	return t
 }
