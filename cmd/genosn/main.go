@@ -27,10 +27,10 @@ import (
 
 func main() {
 	var (
-		dataset  = flag.String("dataset", "pokec", "stand-in to generate (facebook, googleplus, pokec, orkut, livejournal)")
-		scale    = flag.Float64("scale", 1.0, "scale factor")
-		seed     = flag.Int64("seed", 1, "random seed")
-		out      = flag.String("out", "", "output file prefix (default: dataset name)")
+		dataset   = flag.String("dataset", "pokec", "stand-in to generate (facebook, googleplus, pokec, orkut, livejournal)")
+		scale     = flag.Float64("scale", 1.0, "scale factor")
+		seed      = flag.Int64("seed", 1, "random seed")
+		out       = flag.String("out", "", "output file prefix (default: dataset name)")
 		graphOut  = flag.String("graph", "", "also write a .osnb binary snapshot to this path")
 		text      = flag.Bool("text", true, "write the .edges/.labels text files")
 		census    = flag.Int("census", 10, "print the N rarest and N most frequent label pairs (0 = skip)")

@@ -1,15 +1,13 @@
 // Airline-route planning: the paper's second motivating scenario. An
 // airline considers a new China–Austria route and uses the number of
 // friendships between users in the two countries as a demand signal. The
-// example emphasizes the operational side: a hard API budget, a metered
-// session, failure injection (real APIs throttle and fail), and comparison
-// of all ten algorithms at the same cost.
+// example emphasizes the operational side: an API budget, a metered
+// session, and comparison of all ten algorithms at the same cost.
 //
 // Run with: go run ./examples/airlineroute
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,29 +39,21 @@ func main() {
 	budget := int64(float64(g.NumNodes()) * 0.05)
 	burnIn := 600
 
-	fmt.Printf("running all algorithms at a hard budget of %d API calls\n", budget)
-	fmt.Println("(sessions inject 0.5% transient API failures with up to 3 retries;")
-	fmt.Println("failed fetch as retryable, as a production crawler does)")
+	fmt.Printf("running all algorithms at a budget of %d API calls\n", budget)
 	fmt.Println()
 	fmt.Println("algorithm                 estimate   rel.err   api_calls")
 
 	runCore := func(name string, f func(s *osn.Session, rng *rand.Rand) (float64, int64, error)) {
-		s, err := newSession(g, budget+int64(burnIn)+1000)
+		s, err := osn.NewSession(g, osn.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(repro.Derive(77, name)))
 		est, calls, err := f(s, rng)
-		switch {
-		case errors.Is(err, osn.ErrBudgetExhausted):
-			fmt.Printf("%-25s  budget exhausted before completion\n", name)
-		case errors.Is(err, osn.ErrTransient):
-			fmt.Printf("%-25s  aborted on injected API failure\n", name)
-		case err != nil:
+		if err != nil {
 			log.Fatalf("%s: %v", name, err)
-		default:
-			fmt.Printf("%-25s %9.0f   %6.1f%%   %9d\n", name, est, 100*relErr(est, truth), calls)
 		}
+		fmt.Printf("%-25s %9.0f   %6.1f%%   %9d\n", name, est, 100*relErr(est, truth), calls)
 	}
 
 	kBudget := int(budget)
@@ -101,15 +91,6 @@ func main() {
 	fmt.Println("China–Austria links are rare: the NeighborExploration family needs an")
 	fmt.Println("order of magnitude less budget than edge sampling for the same error,")
 	fmt.Println("which is why the paper recommends it for low-frequency target labels.")
-}
-
-func newSession(g *graph.Graph, budget int64) (*osn.Session, error) {
-	return osn.NewSession(g, osn.Config{
-		Budget:      budget,
-		FailureRate: 0.005,
-		FailureRng:  rand.New(rand.NewSource(5)),
-		MaxRetries:  3, // a production crawler retries throttled requests
-	})
 }
 
 // buildNetwork: a world of 14k users with a large Chinese region, a small

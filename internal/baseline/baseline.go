@@ -12,7 +12,6 @@ package baseline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -205,19 +204,10 @@ func estimateParallel(s *osn.Session, pair graph.LabelPair, method Method, k int
 				}
 				e, err := r.W.Step()
 				if err != nil {
-					if errors.Is(err, osn.ErrBudgetExhausted) {
-						break
-					}
 					return fmt.Errorf("baseline: %s step %d: %w", method, i, err)
 				}
-				// Resolve both fallible calls before touching the tally, so a
-				// budget-exhausted retraction never leaves Samples/TargetHits
-				// inconsistent with the draws actually fed to the estimator.
 				weight, err := r.W.StationaryWeight(e)
 				if err != nil {
-					if errors.Is(err, osn.ErrBudgetExhausted) {
-						break
-					}
 					return err
 				}
 				tally.samples++

@@ -1,8 +1,10 @@
 package baseline
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exact"
@@ -167,13 +169,30 @@ func TestEstimateZeroTargets(t *testing.T) {
 
 func TestBaselineBudgetSurfaces(t *testing.T) {
 	g := genderGraph(t, 14)
-	s, err := osn.NewSession(g, osn.Config{Budget: 5})
+	s, err := osn.NewSessionFrom(&failingSource{GraphSource: osn.NewGraphSource(g), failAt: 5}, osn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Estimate(s, graph.LabelPair{T1: 1, T2: 2}, RW, 100, defaultOpts(g, 15)); err == nil {
-		t.Error("want budget exhaustion error")
+	if _, err := Estimate(s, graph.LabelPair{T1: 1, T2: 2}, RW, 100, defaultOpts(g, 15)); !errors.Is(err, errUpstream) {
+		t.Errorf("err = %v, want the upstream failure", err)
 	}
+}
+
+// failingSource fails its failAt-th friend-list fetch (counting from 1) and
+// answers every other one from the in-memory graph.
+type failingSource struct {
+	osn.GraphSource
+	failAt int64
+	calls  atomic.Int64
+}
+
+var errUpstream = errors.New("upstream failure")
+
+func (f *failingSource) Neighbors(u graph.Node) ([]graph.Node, error) {
+	if f.calls.Add(1) == f.failAt {
+		return nil, errUpstream
+	}
+	return f.GraphSource.Neighbors(u)
 }
 
 func TestBaselineMoreSamplesLowerError(t *testing.T) {

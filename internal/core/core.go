@@ -36,9 +36,10 @@ const (
 	// ExplorePerNode charges one extra API call the first time a node's
 	// neighborhood is explored (one profile-page fetch for the batch).
 	ExplorePerNode
-	// ExplorePerNeighbor charges one API call per not-yet-seen neighbor
-	// whose labels the exploration reads (a profile fetch per friend — the
-	// most expensive deployment).
+	// ExplorePerNeighbor charges one API call per friend whose labels the
+	// exploration reads (a profile fetch per friend — the most expensive
+	// deployment): d(u) calls the first time a walker explores a node u
+	// carrying a target label, friends it has seen before included.
 	ExplorePerNeighbor
 )
 
@@ -93,8 +94,7 @@ type Options struct {
 	// Seed roots the per-walker RNG streams when Walkers >= 2: walker i
 	// draws from stats.Derive(Seed, "walker/i"), made distinct across the
 	// fleet (see walk.FleetRun.Rng), so multi-walker results are
-	// reproducible regardless of goroutine scheduling (given
-	// FailureRate == 0; see osn.Config.FailureRng).
+	// reproducible regardless of goroutine scheduling.
 	Seed int64
 	// Ctx cancels a run in flight: every sampling loop and burn-in checks
 	// it. nil means context.Background().

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,14 +164,14 @@ func TestNeighborSampleThinningTooAggressive(t *testing.T) {
 
 func TestNeighborSampleBudgetExhaustion(t *testing.T) {
 	g := genderGraph(t, 11)
-	s, err := osn.NewSession(g, osn.Config{Budget: 20})
+	s, err := osn.NewSessionFrom(&failingSource{GraphSource: osn.NewGraphSource(g), failAt: 20}, osn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Burn-in alone exceeds the budget: must surface ErrBudgetExhausted.
+	// The upstream gives out during burn-in: the failure must surface.
 	_, err = NeighborSample(s, graph.LabelPair{T1: 1, T2: 2}, 100, DefaultOptions(1000, rand.New(rand.NewSource(12))))
-	if err == nil {
-		t.Fatal("want budget exhaustion error")
+	if !errors.Is(err, errUpstream) {
+		t.Fatalf("err = %v, want the upstream failure", err)
 	}
 }
 

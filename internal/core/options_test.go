@@ -2,12 +2,10 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/exact"
 	"repro/internal/graph"
-	"repro/internal/osn"
 	"repro/internal/stats"
 )
 
@@ -127,37 +125,6 @@ func TestSampleDrivenIgnoresBudgetSemantics(t *testing.T) {
 	}
 	if res.Samples != 77 {
 		t.Errorf("Samples = %d, want exactly 77 in sample-driven mode", res.Samples)
-	}
-}
-
-func TestExplorationRetriesSurviveFailures(t *testing.T) {
-	g := genderGraph(t, 47)
-	s, err := osn.NewSession(g, osn.Config{
-		FailureRate: 0.02,
-		FailureRng:  rand.New(rand.NewSource(9)),
-		MaxRetries:  5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(200, newRng(5))
-	if _, err := NeighborExploration(s, graph.LabelPair{T1: 1, T2: 2}, 300, opts); err != nil {
-		t.Fatalf("run with retries failed: %v", err)
-	}
-}
-
-func TestExplorationFailsWithoutRetries(t *testing.T) {
-	g := genderGraph(t, 48)
-	s, err := osn.NewSession(g, osn.Config{
-		FailureRate: 0.05,
-		FailureRng:  rand.New(rand.NewSource(10)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(200, newRng(6))
-	if _, err := NeighborExploration(s, graph.LabelPair{T1: 1, T2: 2}, 300, opts); err == nil {
-		t.Error("want failure without retries at 5% failure rate")
 	}
 }
 

@@ -96,9 +96,8 @@ func (r *walkerRecording) calls() int64 { return r.api.Calls() - r.ahead }
 // before a step once the bill reaches it, but only after the first step, so
 // a budget the start purchase consumed still records a sample (the same
 // one-iteration overshoot the budget checks have always allowed). run
-// returns the error that ended the walk early; osn.ErrBudgetExhausted (see
-// stopWalker) is a walker whose budget ran out, a normal stop for fleet
-// walkers and Recorders.
+// returns the error that ended the walk early; osn.ErrBudgetExhausted is a
+// Recorder whose armed meter ran out, a normal stop (see Recorder.Extend).
 func (r *walkerRecording) run(maxSteps int, budget int64) error {
 	for n := 0; n < maxSteps; n++ {
 		if err := r.ctx.Err(); err != nil {
@@ -146,10 +145,6 @@ func (r *walkerRecording) surcharge(u graph.Node, d int) error {
 	return nil
 }
 
-// stopWalker reports whether a sampling-step error is a normal per-walker
-// stop (its budget share ran out) rather than a failure.
-func stopWalker(err error) bool { return errors.Is(err, osn.ErrBudgetExhausted) }
-
 // RecordTrajectory runs one burned-in sampling walk (a fleet of them when
 // opts.Walkers >= 2) and records it as a reusable Trajectory. k is the number
 // of samples, or the API-call budget when opts.BudgetDriven is set.
@@ -196,7 +191,7 @@ func record(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, err
 // of k, metered by its own osn.Meter, so for a fixed seed the recorded
 // streams are independent of scheduling. Fleet meters are uncapped (budget
 // shares are enforced by run's budget check), so a walker stops early only
-// on a session budget or a real source error.
+// on a source error or a cancelled context.
 func recordFleet(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, error) {
 	recs := make([]*walkerRecording, opts.Walkers)
 	calls, err := walk.RunFleet(walk.FleetConfig[graph.Node]{
@@ -220,10 +215,7 @@ func recordFleet(s *osn.Session, k int, opts Options, bill billing) (*Trajectory
 				return err
 			}
 			recs[r.ID] = rec
-			if err := rec.run(r.MaxIters(), r.Budget); err != nil && !stopWalker(err) {
-				return err
-			}
-			return nil
+			return rec.run(r.MaxIters(), r.Budget)
 		},
 	})
 	if err != nil {
@@ -311,7 +303,7 @@ func (r *Recorder) Extend(k int) (added int, exhausted bool, err error) {
 	before := len(r.r.steps)
 	err = r.r.run(k, 0)
 	added = len(r.r.steps) - before
-	if stopWalker(err) {
+	if errors.Is(err, osn.ErrBudgetExhausted) {
 		return added, true, nil
 	}
 	if err != nil {

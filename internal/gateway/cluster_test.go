@@ -3,8 +3,11 @@ package gateway_test
 import (
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/gateway/clustertest"
@@ -101,7 +104,8 @@ func fingerprint(t *testing.T, ans *clustertest.EstimateAnswer) string {
 
 // TestClusterMigratesTrajectoryOnRingChange: after the recording replica
 // leaves the ring, the next request ships the .osnt to the new owner, which
-// serves it as a verified cache hit with zero upstream spend.
+// serves it as a verified cache hit with zero upstream spend and keeps the
+// recorder's recording time.
 func TestClusterMigratesTrajectoryOnRingChange(t *testing.T) {
 	g := clustertest.TestGraph(t, 42)
 	c := clustertest.NewCluster(t, 3, "g", g, gateway.Config{})
@@ -123,6 +127,12 @@ func TestClusterMigratesTrajectoryOnRingChange(t *testing.T) {
 		t.Fatal("no replica recorded")
 	}
 	spent := recorder.Upstream.Calls()
+	// Date the recording well in the past, so an import dated at its
+	// arrival instead would show.
+	recorded := time.Now().Add(-10 * time.Minute).Truncate(time.Second)
+	if err := os.Chtimes(filepath.Join(recorder.StoreDir, "g", first.TrajectoryKey), recorded, recorded); err != nil {
+		t.Fatal(err)
+	}
 
 	// Move ownership off the recorder without killing it: its files stay
 	// pullable.
@@ -144,6 +154,23 @@ func TestClusterMigratesTrajectoryOnRingChange(t *testing.T) {
 	st := c.Gateway.Stats()
 	if st.Pulls != 1 || st.PullErrors != 0 {
 		t.Errorf("pulls = %d, pull_errors = %d, want 1/0", st.Pulls, st.PullErrors)
+	}
+	imported := 0
+	for _, r := range c.Replicas {
+		if r == recorder {
+			continue
+		}
+		fi, err := os.Stat(filepath.Join(r.StoreDir, "g", first.TrajectoryKey))
+		if err != nil {
+			continue
+		}
+		imported++
+		if !fi.ModTime().Equal(recorded) {
+			t.Errorf("migrated copy dated %v, want the recording time %v", fi.ModTime(), recorded)
+		}
+	}
+	if imported != 1 {
+		t.Errorf("%d replicas hold the migrated file, want 1", imported)
 	}
 
 	// The recorder rejoins: ownership and serving return to it without new

@@ -225,13 +225,13 @@ func (c *Cluster) TotalUpstream() int64 {
 // EstimateRequest is the wire request Estimate posts; zero fields are
 // omitted so replicas resolve their own defaults.
 type EstimateRequest struct {
-	Graph   string   `json:"graph,omitempty"` // workspace graph name
-	Pairs   [][2]int `json:"pairs,omitempty"` // label pairs to estimate
-	Kind    string   `json:"kind,omitempty"`  // task kind ("" = pairs)
+	Graph   string   `json:"graph,omitempty"`   // workspace graph name
+	Pairs   [][2]int `json:"pairs,omitempty"`   // label pairs to estimate
+	Kind    string   `json:"kind,omitempty"`    // task kind ("" = pairs)
 	Budget  int      `json:"budget,omitempty"`  // API-call budget per trajectory
 	Walkers int      `json:"walkers,omitempty"` // concurrent walkers per recording
 	Seed    int64    `json:"seed,omitempty"`    // recording seed (part of the key)
-	Tenant  string   `json:"-"` // sent as the X-Tenant header, not in the body
+	Tenant  string   `json:"-"`                 // sent as the X-Tenant header, not in the body
 }
 
 // EstimateAnswer is the slice of the estimate response the harness tests

@@ -359,7 +359,9 @@ func (g *Gateway) migrate(ctx context.Context, key string, f *flight) string {
 
 // shipTrajectory copies one .osnt between replicas: GET from, PUT to. The
 // receiving replica re-verifies the bytes before admitting them, so a
-// truncated or bit-flipped file answers 400 here and never serves.
+// truncated or bit-flipped file answers 400 here and never serves. The
+// pull's Last-Modified rides along on the push, so the trajectory keeps its
+// recording time, and with it its freshness age, across the move.
 func (g *Gateway) shipTrajectory(ctx context.Context, from, to, graph, storeKey string) error {
 	path := "/trajectories/" + graph + "/" + storeKey
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, from+path, nil)
@@ -378,9 +380,13 @@ func (g *Gateway) shipTrajectory(ctx context.Context, from, to, graph, storeKey 
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("pulling from %s: status %d", from, resp.StatusCode)
 	}
+	lastModified := resp.Header.Get("Last-Modified")
 	req, err = http.NewRequestWithContext(ctx, http.MethodPut, to+path, bytes.NewReader(raw))
 	if err != nil {
 		return err
+	}
+	if lastModified != "" {
+		req.Header.Set("Last-Modified", lastModified)
 	}
 	resp, err = g.client.Do(req)
 	if err != nil {

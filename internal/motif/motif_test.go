@@ -1,8 +1,10 @@
 package motif
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exact"
@@ -143,13 +145,30 @@ func TestMotifAccountsAPICalls(t *testing.T) {
 
 func TestMotifBudgetSurfaces(t *testing.T) {
 	g := denseLabeledGraph(t, 7)
-	s, err := osn.NewSession(g, osn.Config{Budget: 10})
+	s, err := osn.NewSessionFrom(&failingSource{GraphSource: osn.NewGraphSource(g), failAt: 10}, osn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = LabeledWedges(s, graph.LabelPair{T1: 1, T2: 2}, 100,
 		Options{BurnIn: 500, Rng: rand.New(rand.NewSource(8)), Start: -1})
-	if err == nil {
-		t.Error("want budget exhaustion error")
+	if !errors.Is(err, errUpstream) {
+		t.Errorf("err = %v, want the upstream failure", err)
 	}
+}
+
+// failingSource fails its failAt-th friend-list fetch (counting from 1) and
+// answers every other one from the in-memory graph.
+type failingSource struct {
+	osn.GraphSource
+	failAt int64
+	calls  atomic.Int64
+}
+
+var errUpstream = errors.New("upstream failure")
+
+func (f *failingSource) Neighbors(u graph.Node) ([]graph.Node, error) {
+	if f.calls.Add(1) == f.failAt {
+		return nil, errUpstream
+	}
+	return f.GraphSource.Neighbors(u)
 }

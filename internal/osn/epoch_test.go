@@ -10,47 +10,37 @@ import (
 
 // TestEpochResetCycles pins the epoch-reset contract on the in-memory fast
 // path: every ResetAccounting opens a fresh accounting phase — previously
-// fetched nodes are charged again, duplicates within a phase stay free (or
-// billed, under ChargeDuplicates), and UniqueNodes restarts from zero — for
-// many consecutive cycles, since the epoch array is never wiped between them.
+// fetched nodes are charged again, duplicates within a phase stay free, and
+// UniqueNodes restarts from zero — for many consecutive cycles, since the
+// epoch array is never wiped between them.
 func TestEpochResetCycles(t *testing.T) {
-	for _, chargeDup := range []bool{false, true} {
-		name := "free-duplicates"
-		if chargeDup {
-			name = "charge-duplicates"
+	t.Run("free-duplicates", func(t *testing.T) {
+		g := completeGraph(t, 32)
+		s, err := NewSession(g, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			g := completeGraph(t, 32)
-			s, err := NewSession(g, Config{ChargeDuplicates: chargeDup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 10
-			for cycle := 0; cycle < 4; cycle++ {
-				for pass := 0; pass < 2; pass++ {
-					for u := 0; u < n; u++ {
-						if _, err := s.Neighbors(graph.Node(u)); err != nil {
-							t.Fatal(err)
-						}
+		const n = 10
+		for cycle := 0; cycle < 4; cycle++ {
+			for pass := 0; pass < 2; pass++ {
+				for u := 0; u < n; u++ {
+					if _, err := s.Neighbors(graph.Node(u)); err != nil {
+						t.Fatal(err)
 					}
 				}
-				wantCalls := int64(n)
-				if chargeDup {
-					wantCalls = 2 * n
-				}
-				if got := s.Calls(); got != wantCalls {
-					t.Fatalf("cycle %d: Calls() = %d, want %d", cycle, got, wantCalls)
-				}
-				if got := s.UniqueNodes(); got != n {
-					t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, n)
-				}
-				s.ResetAccounting()
-				if s.Calls() != 0 || s.UniqueNodes() != 0 {
-					t.Fatalf("cycle %d: counters not zeroed by reset", cycle)
-				}
 			}
-		})
-	}
+			if got := s.Calls(); got != n {
+				t.Fatalf("cycle %d: Calls() = %d, want %d", cycle, got, n)
+			}
+			if got := s.UniqueNodes(); got != n {
+				t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, n)
+			}
+			s.ResetAccounting()
+			if s.Calls() != 0 || s.UniqueNodes() != 0 {
+				t.Fatalf("cycle %d: counters not zeroed by reset", cycle)
+			}
+		}
+	})
 }
 
 // TestEpochResetNonGraphSource runs the same multi-cycle reset contract
@@ -187,84 +177,73 @@ func TestMeterEpochWraparound(t *testing.T) {
 // reconcile contract (run it under -race). Meters are reused across cycles,
 // exercising the O(1) epoch-bump Reset of both session and arenas.
 func TestEpochResetConcurrentWalkers(t *testing.T) {
-	for _, chargeDup := range []bool{false, true} {
-		name := "free-duplicates"
-		if chargeDup {
-			name = "charge-duplicates"
+	t.Run("free-duplicates", func(t *testing.T) {
+		const (
+			workers = 8
+			span    = 20 // nodes per worker, overlapping by half
+			stride  = 10
+		)
+		g := completeGraph(t, workers*stride+span)
+		s, err := NewSession(g, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			const (
-				workers = 8
-				span    = 20 // nodes per worker, overlapping by half
-				stride  = 10
-			)
-			g := completeGraph(t, workers*stride+span)
-			s, err := NewSession(g, Config{ChargeDuplicates: chargeDup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			meters := make([]*Meter, workers)
-			for i := range meters {
-				meters[i] = s.Meter(0)
-			}
-			// Worker i touches [i*stride, i*stride+span); the union is
-			// [0, workers*stride+span-stride)... every node below the last
-			// worker's end, i.e. (workers-1)*stride+span distinct nodes.
-			distinct := int64((workers-1)*stride + span)
-			for cycle := 0; cycle < 3; cycle++ {
-				var wg sync.WaitGroup
-				for i := 0; i < workers; i++ {
-					wg.Add(1)
-					go func(i int) {
-						defer wg.Done()
-						m := meters[i]
-						for pass := 0; pass < 2; pass++ {
-							for u := i * stride; u < i*stride+span; u++ {
-								if _, err := m.Neighbors(graph.Node(u)); err != nil {
-									t.Error(err)
-									return
-								}
+		meters := make([]*Meter, workers)
+		for i := range meters {
+			meters[i] = s.Meter(0)
+		}
+		// Worker i touches [i*stride, i*stride+span); the union is
+		// [0, workers*stride+span-stride)... every node below the last
+		// worker's end, i.e. (workers-1)*stride+span distinct nodes.
+		distinct := int64((workers-1)*stride + span)
+		for cycle := 0; cycle < 3; cycle++ {
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					m := meters[i]
+					for pass := 0; pass < 2; pass++ {
+						for u := i * stride; u < i*stride+span; u++ {
+							if _, err := m.Neighbors(graph.Node(u)); err != nil {
+								t.Error(err)
+								return
 							}
 						}
-					}(i)
-				}
-				wg.Wait()
-				for _, m := range meters {
-					m.Flush()
-				}
-				// Flush must be idempotent: a second flush recounts nothing.
-				for _, m := range meters {
-					m.Flush()
-				}
-				if got := s.UniqueNodes(); got != distinct {
-					t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, distinct)
-				}
-				wantCalls := distinct
-				var wantLocal int64 = span // each worker: span charged, span free local dups
-				if chargeDup {
-					wantCalls = int64(workers) * span * 2
-					wantLocal = span * 2
-				}
-				if got := s.Calls(); got != wantCalls {
-					t.Fatalf("cycle %d: Calls() = %d, want %d (schedule-independent)", cycle, got, wantCalls)
-				}
-				var sum int64
-				for i, m := range meters {
-					if m.Calls() != wantLocal {
-						t.Fatalf("cycle %d: meter %d billed %d, want %d", cycle, i, m.Calls(), wantLocal)
 					}
-					sum += m.Calls()
-				}
-				if s.Calls() > sum {
-					t.Fatalf("cycle %d: session billed %d > sum of meters %d", cycle, s.Calls(), sum)
-				}
-				s.ResetAccounting()
-				for _, m := range meters {
-					m.Reset(0)
-				}
+				}(i)
 			}
-		})
-	}
+			wg.Wait()
+			for _, m := range meters {
+				m.Flush()
+			}
+			// Flush must be idempotent: a second flush recounts nothing.
+			for _, m := range meters {
+				m.Flush()
+			}
+			if got := s.UniqueNodes(); got != distinct {
+				t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, distinct)
+			}
+			if got := s.Calls(); got != distinct {
+				t.Fatalf("cycle %d: Calls() = %d, want %d (schedule-independent)", cycle, got, distinct)
+			}
+			var sum int64
+			for i, m := range meters {
+				// Each worker: span charged, span free local duplicates.
+				if m.Calls() != span {
+					t.Fatalf("cycle %d: meter %d billed %d, want %d", cycle, i, m.Calls(), span)
+				}
+				sum += m.Calls()
+			}
+			if s.Calls() > sum {
+				t.Fatalf("cycle %d: session billed %d > sum of meters %d", cycle, s.Calls(), sum)
+			}
+			s.ResetAccounting()
+			for _, m := range meters {
+				m.Reset(0)
+			}
+		}
+	})
 }
 
 // TestPoolSessionReuse checks the pooled lifecycle: Release hands the

@@ -1,7 +1,6 @@
 package osn
 
 import (
-	"errors"
 	mathbits "math/bits"
 	"math/rand"
 
@@ -40,16 +39,15 @@ const meterFlushEvery = 64
 //     or shards. Reset invalidates the bitmap with a single epoch bump —
 //     O(1), not O(|V|/64) — and pooled arenas carry their epoch across
 //     sessions so reuse never needs a wipe;
-//   - a fully walker-local fetch path: when the source is an in-memory graph
-//     and the session enforces no budget and injects no failures, a fetch
-//     reads the response straight from the immutable graph and records it
-//     only in the local arena — zero shared-memory writes per step. The
-//     session's global accounting (Calls, UniqueNodes, PrepaidHits) is
-//     settled at Flush, which merges the local bitmap into the session's
-//     shared epoch array and counts the nodes this walker was first to
-//     fetch. Flush is idempotent and safe to call from concurrent walkers;
-//     the fleet engine flushes every meter at each phase barrier, so
-//     session-level accounting is settled — and schedule-independent —
+//   - a fully walker-local fetch path: when the source is an in-memory
+//     graph, a fetch reads the response straight from the immutable graph
+//     and records it only in the local arena — zero shared-memory writes
+//     per step. The session's global accounting (Calls, UniqueNodes,
+//     PrepaidHits) is settled at Flush, which merges the local bitmap into
+//     the session's shared epoch array and counts the nodes this walker was
+//     first to fetch. Flush is idempotent and safe to call from concurrent
+//     walkers; the fleet engine flushes every meter at each phase barrier,
+//     so session-level accounting is settled — and schedule-independent —
 //     whenever walkers are quiescent.
 //
 // A Meter is owned by exactly one goroutine and is NOT safe for concurrent
@@ -60,16 +58,12 @@ type Meter struct {
 	calls   int64
 	pending int64 // global debits not yet forwarded to s.calls
 
-	// local marks the fully walker-local fetch path (in-memory graph, no
-	// session budget, no failure injection): fetches touch no shared state
-	// and global accounting is reconciled at Flush.
-	local bool
-
 	// Walker-local read-through arena. bits+wordEpoch are used when the
 	// session serves from an immutable in-memory graph (the response slice
 	// needs no local copy): word w of bits is valid only while
 	// wordEpoch[w] == epoch, so Reset is an epoch bump instead of a bitmap
-	// wipe. arena stores the response slices otherwise.
+	// wipe, and fetches touch no shared state — global accounting is
+	// reconciled at Flush. arena stores the response slices otherwise.
 	bits      []uint64
 	wordEpoch []uint32
 	epoch     uint32
@@ -82,7 +76,6 @@ type Meter struct {
 func (s *Session) Meter(budget int64) *Meter {
 	m := &Meter{s: s, budget: budget}
 	if s.graphFast != nil {
-		m.local = m.fastBill()
 		words := (s.NumNodes() + 63) / 64
 		if s.pool != nil {
 			var last uint32
@@ -135,13 +128,10 @@ func (m *Meter) Flush() {
 
 // reconcile merges the walker-local fetch bitmap into the session's shared
 // epoch-stamped array, counting exactly the nodes this walker was first
-// (across all walkers) to fetch in the current session epoch. Unique and
-// prepaid counters always advance; the global call counter advances only in
-// the default charging mode, where one global call is billed per unique
-// upstream fetch (with ChargeDuplicates every local charge was already
-// forwarded via pending).
+// (across all walkers) to fetch in the current session epoch: one global
+// call, one unique node, and a prepaid hit when the node was prepaid.
 func (m *Meter) reconcile() {
-	if !m.local || m.bits == nil {
+	if m.bits == nil {
 		return
 	}
 	s := m.s
@@ -166,21 +156,11 @@ func (m *Meter) reconcile() {
 	}
 	if uniq > 0 {
 		s.unique.Add(uniq)
+		s.calls.Add(uniq)
 		if prepaidHits > 0 {
 			s.prepaidHits.Add(prepaidHits)
 		}
-		if !s.cfg.ChargeDuplicates {
-			s.calls.Add(uniq)
-		}
 	}
-}
-
-// fastBill reports whether global debits may be deferred: with a
-// session-level budget every charge must be refused exactly at the cap, and
-// with failure injection every charge must roll (and possibly fail)
-// individually, so both force the exact per-call path.
-func (m *Meter) fastBill() bool {
-	return m.s.cfg.Budget == 0 && m.s.cfg.FailureRate == 0
 }
 
 // localHit returns u's response if this meter has already fetched it in its
@@ -212,119 +192,54 @@ func (m *Meter) markLocal(u graph.Node, adj []graph.Node) {
 	m.arena[u] = adj
 }
 
-// chargeOne spends one local call for a fetch of u — the exact path, used
-// when the session enforces a budget or injects failures. The shared Session
-// is billed (and failure-injected) only when the response is not already in
-// the shared cache — i.e. when an actual upstream request happens — so
-// global accounting tracks real traffic while local accounting stays
-// schedule-independent.
-func (m *Meter) chargeOne(u graph.Node) error {
-	if m.budget > 0 && m.calls >= m.budget {
-		return ErrBudgetExhausted
-	}
-	if _, hit := m.s.cached(u); !hit || m.s.cfg.ChargeDuplicates {
-		err := m.s.chargeOne(u)
-		if errors.Is(err, ErrBudgetExhausted) {
-			return err // the global budget refused the charge: nothing billed
-		}
-		m.calls++ // charged — billed locally even if it transiently failed
-		return err
-	}
-	m.calls++
-	return nil
-}
-
-// serve returns u's neighbors from the shared cache, redeeming a prepaid
-// response or filling from the Source (uncharged) on a miss.
-func (m *Meter) serve(u graph.Node) ([]graph.Node, error) {
-	if adj, ok := m.s.cached(u); ok {
-		return adj, nil
-	}
-	if adj, ok := m.s.redeemPrepaid(u); ok {
-		return adj, nil
-	}
-	return m.s.fill(u)
-}
-
 // Neighbors returns the friend list of u, charging one call against the
 // meter's budget. Repeat queries for a node this meter already fetched are
 // free, mirroring Session semantics — and are answered entirely from the
 // walker-local arena, without touching shared state.
 func (m *Meter) Neighbors(u graph.Node) ([]graph.Node, error) {
-	if adj, ok := m.localHit(u); ok && !m.s.cfg.ChargeDuplicates {
+	if adj, ok := m.localHit(u); ok {
 		return adj, nil
 	}
 	return m.fetch(u)
 }
 
-// fetch bills and serves a node the local arena does not cover (or a charged
-// duplicate).
+// fetch bills and serves a node the local arena does not cover. The meter's
+// budget caps both of its paths, chosen by whether the source is the
+// in-memory graph.
 func (m *Meter) fetch(u graph.Node) ([]graph.Node, error) {
 	if err := m.s.checkNode(u); err != nil {
 		return nil, err
 	}
-	if m.local {
+	if m.budget > 0 && m.calls >= m.budget {
+		return nil, ErrBudgetExhausted
+	}
+	m.calls++
+	if m.bits != nil {
 		// Fully walker-local: the response comes straight from the immutable
 		// in-memory graph and is recorded only in the local arena. No shared
 		// cache probe, no shared stamp write, no atomic — reconciliation with
-		// the session's global accounting happens at Flush. With
-		// ChargeDuplicates every charge is also a global call, deferred into
-		// the batched pending counter.
-		if m.budget > 0 && m.calls >= m.budget {
-			return nil, ErrBudgetExhausted
-		}
-		m.calls++
-		if m.s.cfg.ChargeDuplicates {
-			m.pending++
-			if m.pending >= meterFlushEvery {
-				m.s.calls.Add(m.pending)
-				m.pending = 0
-			}
-		}
+		// the session's global accounting happens at Flush.
 		adj := m.s.graphFast.Neighbors(u)
 		m.markLocal(u, adj)
 		return adj, nil
 	}
-	if m.fastBill() {
-		if m.budget > 0 && m.calls >= m.budget {
-			return nil, ErrBudgetExhausted
+	adj, hit := m.s.cached(u)
+	if !hit {
+		// An actual upstream request: defer the global debit, batched into
+		// one atomic add per flush window.
+		m.pending++
+		if m.pending >= meterFlushEvery {
+			m.Flush()
 		}
-		adj, hit := m.s.cached(u)
-		if !hit || m.s.cfg.ChargeDuplicates {
-			// An actual upstream request (or a charged duplicate): defer the
-			// global debit, batched into one atomic add per flush window.
-			m.pending++
-			if m.pending >= meterFlushEvery {
-				m.Flush()
+		if pAdj, ok := m.s.redeemPrepaid(u); ok {
+			adj = pAdj // billed identically, served without upstream
+		} else {
+			var err error
+			adj, err = m.s.fill(u)
+			if err != nil {
+				return nil, err
 			}
 		}
-		m.calls++
-		if !hit {
-			if pAdj, ok := m.s.redeemPrepaid(u); ok {
-				adj = pAdj // billed identically, served without upstream
-			} else {
-				var err error
-				adj, err = m.s.fill(u)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		m.markLocal(u, adj)
-		return adj, nil
-	}
-	for attempt := 0; ; attempt++ {
-		err := m.chargeOne(u)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrTransient) || attempt >= m.s.cfg.MaxRetries {
-			return nil, err
-		}
-	}
-	adj, err := m.serve(u)
-	if err != nil {
-		return nil, err
 	}
 	m.markLocal(u, adj)
 	return adj, nil
@@ -348,9 +263,7 @@ func (m *Meter) ChargeFlat(n int64) error {
 	if m.budget > 0 && m.calls >= m.budget {
 		return ErrBudgetExhausted
 	}
-	if err := m.s.ChargeFlat(n); err != nil {
-		return err
-	}
+	m.s.calls.Add(n)
 	m.calls += n
 	return nil
 }
@@ -372,15 +285,3 @@ func (m *Meter) RandomNode(rng *rand.Rand) graph.Node { return m.s.RandomNode(rn
 
 // Calls returns the calls billed to this meter so far.
 func (m *Meter) Calls() int64 { return m.calls }
-
-// Remaining returns the meter's remaining budget, or -1 when unlimited.
-func (m *Meter) Remaining() int64 {
-	if m.budget == 0 {
-		return -1
-	}
-	r := m.budget - m.calls
-	if r < 0 {
-		r = 0
-	}
-	return r
-}

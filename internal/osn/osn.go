@@ -1,19 +1,19 @@
 // Package osn simulates the restricted access model of the paper
 // (Section 3): the graph can only be reached through API calls that return
 // the friend list of a given user, while |V| and |E| are known a priori.
-// A Session meters every API call against a pluggable Source backend, can
-// enforce a call budget, and can inject transient failures — the conditions
-// a crawler faces against a production OSN. Latency and rate-limit Source
-// decorators sharpen the simulation further.
+// A Session meters every API call against a pluggable Source backend. The
+// failures, retries and rate limits a crawler faces against a production OSN
+// belong to the Source (see internal/osn/httpsrc); a Latency decorator
+// simulates the round trip.
 //
 // Accounting model. The paper measures cost in API calls and reports sample
 // sizes as percentages of |V| API calls. A Session charges one call per
-// Neighbors (or Degree) query; repeated queries for a node already fetched
-// are served from the session cache and, by default, not charged — the
-// behaviour of any real crawler that memoizes responses. Set
-// Config.ChargeDuplicates to charge every query, which is the paper's
-// plainest reading. Label lookups are free: a friend list response in real
-// OSN APIs carries profile snippets of the friends.
+// distinct friend list fetched in an accounting phase (Neighbors and Degree
+// share the endpoint); repeated queries for a node already fetched are served
+// from the session cache free of charge — the behaviour of any real crawler
+// that memoizes responses. ChargeFlat bills surcharges not tied to a fetch.
+// Label lookups are free: a friend list response in real OSN APIs carries
+// profile snippets of the friends.
 package osn
 
 import (
@@ -26,33 +26,12 @@ import (
 	"repro/internal/graph"
 )
 
-// ErrBudgetExhausted is returned once the configured API-call budget is
-// spent. Algorithms surface it so experiments stop at exactly the budgeted
-// cost.
+// ErrBudgetExhausted is returned once a Meter's API-call budget is spent.
+// Algorithms surface it so experiments stop at exactly the budgeted cost.
 var ErrBudgetExhausted = errors.New("osn: API call budget exhausted")
-
-// ErrTransient is the injected API failure. Retryable.
-var ErrTransient = errors.New("osn: transient API failure")
 
 // Config controls the access model of a Session.
 type Config struct {
-	// Budget is the maximum number of charged API calls; 0 means unlimited.
-	Budget int64
-	// ChargeDuplicates charges repeated queries for the same node instead of
-	// serving them from the crawl cache for free.
-	ChargeDuplicates bool
-	// FailureRate is the probability in [0, 1) that a charged call fails
-	// with ErrTransient after being charged (the request was sent).
-	FailureRate float64
-	// FailureRng drives failure injection; required iff FailureRate > 0. The
-	// Session serializes access to it, but with concurrent walkers the order
-	// in which failures land depends on scheduling — deterministic
-	// reproducibility across runs is only guaranteed when FailureRate == 0.
-	FailureRng *rand.Rand
-	// MaxRetries is how many times a transient failure is retried before
-	// being surfaced. Every attempt is charged — real APIs bill the request
-	// whether or not the response arrives intact.
-	MaxRetries int
 	// Pool, when non-nil, recycles the session's node-indexed accounting
 	// arrays (and its meters' walker-local arenas) across sessions over
 	// graphs with the same node count, so a long-lived serving engine pays
@@ -94,16 +73,13 @@ type cacheShard struct {
 
 // Session is a metered, concurrency-safe handle to a hidden graph reachable
 // through a Source. All methods are safe for concurrent use: the call
-// counter and budget are maintained with atomics (the budget is never
-// overspent, and ErrBudgetExhausted surfaces exactly at the configured
-// cost), the response cache is sharded, and failure injection is
-// serialized. A multi-walker estimate shares one Session across its
-// goroutines, each walker metering its slice of the budget through a Meter
-// (see Session.Meter). ResetAccounting is the exception: it must not race
-// with in-flight calls.
+// counter is maintained with atomics and the response cache is sharded. A
+// multi-walker estimate shares one Session across its goroutines, each
+// walker metering its slice of the budget through a Meter (see
+// Session.Meter). ResetAccounting is the exception: it must not race with
+// in-flight calls.
 type Session struct {
 	src Source
-	cfg Config
 
 	// graphFast short-circuits the response cache when the Source is an
 	// in-memory GraphSource: responses are read straight from the immutable
@@ -134,10 +110,10 @@ type Session struct {
 
 	// prepaid marks nodes whose response was carried over from a previous
 	// recording (see Prepay); nil when nothing is prepaid. Redeeming a
-	// prepaid node is billed exactly like a fresh fetch — counters, budget
-	// and failure rolls all advance identically — but skips the upstream
-	// Source and bumps prepaidHits, so callers can report the calls that
-	// cost nothing upstream. The bits are never cleared on redemption:
+	// prepaid node is billed exactly like a fresh fetch — the counters
+	// advance identically — but skips the upstream Source and bumps
+	// prepaidHits, so callers can report the calls that cost nothing
+	// upstream. The bits are never cleared on redemption:
 	// once-per-accounting-phase semantics come from the fetched bitmap,
 	// which ResetAccounting wipes at the burn-in/sampling barrier.
 	prepaid []atomic.Bool
@@ -145,8 +121,6 @@ type Session struct {
 	// an in-memory graph; read-only after Prepay.
 	prepaidResp map[graph.Node][]graph.Node
 	prepaidHits atomic.Int64
-
-	failMu sync.Mutex // serializes FailureRng
 }
 
 // NewSession wraps g in the restricted access model, backed by an in-memory
@@ -157,16 +131,7 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 
 // NewSessionFrom wraps an arbitrary Source in the restricted access model.
 func NewSessionFrom(src Source, cfg Config) (*Session, error) {
-	if cfg.FailureRate < 0 || cfg.FailureRate >= 1 {
-		return nil, fmt.Errorf("osn: failure rate must be in [0,1), got %g", cfg.FailureRate)
-	}
-	if cfg.FailureRate > 0 && cfg.FailureRng == nil {
-		return nil, fmt.Errorf("osn: FailureRng required when FailureRate > 0")
-	}
-	if cfg.Budget < 0 {
-		return nil, fmt.Errorf("osn: negative budget %d", cfg.Budget)
-	}
-	s := &Session{src: src, cfg: cfg, pool: cfg.Pool}
+	s := &Session{src: src, pool: cfg.Pool}
 	if s.pool != nil {
 		if s.pool.Nodes() != src.NumNodes() {
 			return nil, fmt.Errorf("osn: pool spans %d nodes, source %d", s.pool.Nodes(), src.NumNodes())
@@ -242,62 +207,6 @@ func (s *Session) NumNodes() int { return s.src.NumNodes() }
 
 // NumEdges returns |E| — prior knowledge per the paper's assumption (2).
 func (s *Session) NumEdges() int64 { return s.src.NumEdges() }
-
-// chargeN atomically meters n API calls, refusing (without charging) once
-// the budget is reached. Single-call charges therefore stop exactly at the
-// budget; flat multi-call charges may overshoot it once, matching the
-// historical ChargeFlat semantics.
-func (s *Session) chargeN(n int64) error {
-	if s.cfg.Budget <= 0 {
-		s.calls.Add(n)
-		return nil
-	}
-	for {
-		c := s.calls.Load()
-		if c >= s.cfg.Budget {
-			return ErrBudgetExhausted
-		}
-		if s.calls.CompareAndSwap(c, c+n) {
-			return nil
-		}
-	}
-}
-
-// injectFailure rolls the configured failure probability for a charged call
-// against node u.
-func (s *Session) injectFailure(u graph.Node) error {
-	if s.cfg.FailureRate <= 0 {
-		return nil
-	}
-	s.failMu.Lock()
-	roll := s.cfg.FailureRng.Float64()
-	s.failMu.Unlock()
-	if roll < s.cfg.FailureRate {
-		return fmt.Errorf("fetching neighbors of node %d: %w", u, ErrTransient)
-	}
-	return nil
-}
-
-// chargeOne meters one API call and performs failure injection. A failed
-// call is billed (the request went out) but does NOT populate the crawl
-// cache — the response never arrived — so retries are real, billed requests.
-func (s *Session) chargeOne(u graph.Node) error {
-	if err := s.chargeN(1); err != nil {
-		return err
-	}
-	return s.injectFailure(u)
-}
-
-// chargeRetry meters a call, retrying injected transient failures up to
-// MaxRetries times. Every attempt is charged.
-func (s *Session) chargeRetry(u graph.Node) error {
-	for attempt := 0; ; attempt++ {
-		err := s.chargeOne(u)
-		if err == nil || !errors.Is(err, ErrTransient) || attempt >= s.cfg.MaxRetries {
-			return err
-		}
-	}
-}
 
 // Prepay registers carried-over neighbor responses from a previous
 // recording of the same source: fetching a prepaid node is metered exactly
@@ -401,16 +310,10 @@ func (s *Session) Neighbors(u graph.Node) ([]graph.Node, error) {
 	if err := s.checkNode(u); err != nil {
 		return nil, err
 	}
-	adj, hit := s.cached(u)
-	if hit && !s.cfg.ChargeDuplicates {
+	if adj, hit := s.cached(u); hit {
 		return adj, nil // crawl-cache hit: free
 	}
-	if err := s.chargeRetry(u); err != nil {
-		return nil, err
-	}
-	if hit {
-		return adj, nil // charged duplicate, served from cache
-	}
+	s.calls.Add(1)
 	if adj, ok := s.redeemPrepaid(u); ok {
 		return adj, nil // billed like a fresh fetch, served without upstream
 	}
@@ -429,13 +332,13 @@ func (s *Session) Degree(u graph.Node) (int, error) {
 
 // ChargeFlat bills n additional API calls not tied to a neighbor-list fetch
 // — the profile reads a NeighborExploration surcharge models (see
-// core.CostModel). It respects the budget: once exhausted, further flat
-// charges fail.
+// core.CostModel). A Session never refuses the charge; the error belongs to
+// the API contract, under which a Meter refuses it once its budget is spent.
 func (s *Session) ChargeFlat(n int64) error {
-	if n <= 0 {
-		return nil
+	if n > 0 {
+		s.calls.Add(n)
 	}
-	return s.chargeN(n)
+	return nil
 }
 
 // Labels returns the label set of u (profile fields). Label reads are free;
@@ -458,18 +361,6 @@ func (s *Session) Calls() int64 { return s.calls.Load() }
 
 // UniqueNodes returns how many distinct nodes have been queried.
 func (s *Session) UniqueNodes() int64 { return s.unique.Load() }
-
-// Remaining returns the remaining budget, or -1 when unlimited.
-func (s *Session) Remaining() int64 {
-	if s.cfg.Budget == 0 {
-		return -1
-	}
-	r := s.cfg.Budget - s.calls.Load()
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
 
 // ResetAccounting zeroes the call counter and crawl cache, e.g. after
 // burn-in when only the sampling phase should be billed. The crawl-cache

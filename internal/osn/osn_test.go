@@ -1,7 +1,6 @@
 package osn
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -66,107 +65,6 @@ func TestSessionChargesUniqueCalls(t *testing.T) {
 	}
 }
 
-func TestSessionChargeDuplicates(t *testing.T) {
-	g := pathGraph(t, 5)
-	s, err := NewSession(g, Config{ChargeDuplicates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Neighbors(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Calls() != 3 {
-		t.Errorf("Calls = %d, want 3", s.Calls())
-	}
-	if s.UniqueNodes() != 1 {
-		t.Errorf("UniqueNodes = %d, want 1", s.UniqueNodes())
-	}
-}
-
-func TestSessionBudget(t *testing.T) {
-	g := pathGraph(t, 10)
-	s, err := NewSession(g, Config{Budget: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Remaining() != 2 {
-		t.Errorf("Remaining = %d, want 2", s.Remaining())
-	}
-	if _, err := s.Neighbors(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Neighbors(1); err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Neighbors(2)
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("want ErrBudgetExhausted, got %v", err)
-	}
-	if s.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", s.Remaining())
-	}
-	// Cached node stays free even after exhaustion.
-	if _, err := s.Neighbors(0); err != nil {
-		t.Errorf("cached call after exhaustion: %v", err)
-	}
-}
-
-func TestSessionUnlimitedBudgetRemaining(t *testing.T) {
-	g := pathGraph(t, 3)
-	s, err := NewSession(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Remaining() != -1 {
-		t.Errorf("Remaining = %d, want -1 (unlimited)", s.Remaining())
-	}
-}
-
-func TestSessionFailureInjection(t *testing.T) {
-	g := pathGraph(t, 200)
-	s, err := NewSession(g, Config{
-		FailureRate: 0.5,
-		FailureRng:  rand.New(rand.NewSource(5)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	failures := 0
-	for i := 0; i < 199; i++ {
-		if _, err := s.Neighbors(graph.Node(i)); err != nil {
-			if !errors.Is(err, ErrTransient) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			failures++
-		}
-	}
-	if failures < 60 || failures > 140 {
-		t.Errorf("failures = %d, want ~100 of 199", failures)
-	}
-	// The call was still charged (the request went out).
-	if s.Calls() != 199 {
-		t.Errorf("Calls = %d, want 199", s.Calls())
-	}
-}
-
-func TestSessionConfigValidation(t *testing.T) {
-	g := pathGraph(t, 3)
-	if _, err := NewSession(g, Config{FailureRate: 0.5}); err == nil {
-		t.Error("want error: FailureRate without FailureRng")
-	}
-	if _, err := NewSession(g, Config{FailureRate: -0.1}); err == nil {
-		t.Error("want error: negative FailureRate")
-	}
-	if _, err := NewSession(g, Config{FailureRate: 1.0, FailureRng: rand.New(rand.NewSource(1))}); err == nil {
-		t.Error("want error: FailureRate = 1")
-	}
-	if _, err := NewSession(g, Config{Budget: -5}); err == nil {
-		t.Error("want error: negative budget")
-	}
-}
-
 func TestSessionNodeRangeChecks(t *testing.T) {
 	g := pathGraph(t, 3)
 	s, err := NewSession(g, Config{})
@@ -186,7 +84,7 @@ func TestSessionNodeRangeChecks(t *testing.T) {
 
 func TestSessionLabelsFree(t *testing.T) {
 	g := pathGraph(t, 5)
-	s, err := NewSession(g, Config{Budget: 1})
+	s, err := NewSession(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,65 +181,5 @@ func TestChargeFlat(t *testing.T) {
 	}
 	if s.Calls() != 3 {
 		t.Errorf("Calls changed on no-op charges: %d", s.Calls())
-	}
-}
-
-func TestChargeFlatRespectsBudget(t *testing.T) {
-	g := pathGraph(t, 5)
-	s, err := NewSession(g, Config{Budget: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ChargeFlat(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ChargeFlat(1); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("want ErrBudgetExhausted, got %v", err)
-	}
-}
-
-func TestMaxRetriesRecoversFromTransients(t *testing.T) {
-	g := pathGraph(t, 300)
-	s, err := NewSession(g, Config{
-		FailureRate: 0.3,
-		FailureRng:  rand.New(rand.NewSource(7)),
-		MaxRetries:  10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With 10 retries at 30% failure, effectively every call succeeds.
-	for i := 0; i < 299; i++ {
-		if _, err := s.Neighbors(graph.Node(i)); err != nil {
-			t.Fatalf("call %d failed despite retries: %v", i, err)
-		}
-	}
-	// Retries are billed: total calls must exceed the number of requests.
-	if s.Calls() <= 299 {
-		t.Errorf("Calls = %d, want > 299 (retries must be charged)", s.Calls())
-	}
-}
-
-func TestMaxRetriesExhausted(t *testing.T) {
-	g := pathGraph(t, 50)
-	s, err := NewSession(g, Config{
-		FailureRate: 0.9,
-		FailureRng:  rand.New(rand.NewSource(8)),
-		MaxRetries:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawFailure := false
-	for i := 0; i < 49; i++ {
-		if _, err := s.Neighbors(graph.Node(i)); err != nil {
-			if !errors.Is(err, ErrTransient) {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			sawFailure = true
-		}
-	}
-	if !sawFailure {
-		t.Error("90% failure with 1 retry should still fail sometimes")
 	}
 }

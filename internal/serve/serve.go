@@ -127,7 +127,8 @@ type Config struct {
 	// query finding one older than TTL re-records it from the upstream
 	// instead of serving or reloading it. Age counts from the recording —
 	// across store reloads and restarts it is the .osnt file's modification
-	// time. 0 never expires. Engines recording the in-memory graph ignore
+	// time, and an import keeps the exporter's (see ImportTrajectory). 0
+	// never expires. Engines recording the in-memory graph ignore
 	// TTL: graph version plus fingerprint already identify their
 	// trajectories, so re-walking one would buy identical bytes.
 	TTL time.Duration
@@ -1262,20 +1263,25 @@ func (e *Engine) TrajectoryKeys() []string {
 }
 
 // ExportTrajectory returns the raw .osnt bytes of the trajectory keyed by
-// name (the Filename spelling, e.g. "b500_w4_s1_g0.osnt"): the persisted
-// file verbatim when the store has it, or the cached in-memory trajectory
-// freshly encoded (memory-only engines, or a dirty entry whose save failed).
-// A key this engine holds nowhere returns an error wrapping fs.ErrNotExist;
-// a malformed key wraps ErrBadQuery.
-func (e *Engine) ExportTrajectory(name string) ([]byte, error) {
+// name (the Filename spelling, e.g. "b500_w4_s1_g0.osnt") and when it was
+// recorded: the persisted file verbatim with its modification time when the
+// store has it, or the cached in-memory trajectory freshly encoded with the
+// entry's recording time (memory-only engines, or a dirty entry whose save
+// failed). A key this engine holds nowhere returns an error wrapping
+// fs.ErrNotExist; a malformed key wraps ErrBadQuery.
+func (e *Engine) ExportTrajectory(name string) ([]byte, time.Time, error) {
 	k, ok := store.ParseKeyName(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: malformed trajectory key %q (want bB_wW_sS_gV.osnt)", ErrBadQuery, name)
+		return nil, time.Time{}, fmt.Errorf("%w: malformed trajectory key %q (want bB_wW_sS_gV.osnt)", ErrBadQuery, name)
 	}
 	if e.cfg.Store != nil {
 		raw, err := e.cfg.Store.ReadRaw(e.cfg.Name, k)
+		var fi fs.FileInfo
 		if err == nil {
-			return raw, nil
+			fi, err = e.stat(k)
+		}
+		if err == nil {
+			return raw, fi.ModTime(), nil
 		}
 		if !errors.Is(err, fs.ErrNotExist) {
 			e.countStoreError()
@@ -1284,18 +1290,19 @@ func (e *Engine) ExportTrajectory(name string) ([]byte, error) {
 	tk := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
 	e.mu.Lock()
 	var traj *core.Trajectory
+	var recorded time.Time
 	if ent := e.cache[tk]; ent != nil && ent.completed() && ent.err == nil && ent.traj.GraphVersion == k.GraphVersion {
-		traj = ent.traj
+		traj, recorded = ent.traj, ent.recorded
 	}
 	e.mu.Unlock()
 	if traj == nil {
-		return nil, fmt.Errorf("serve: trajectory %q: %w", name, fs.ErrNotExist)
+		return nil, time.Time{}, fmt.Errorf("serve: trajectory %q: %w", name, fs.ErrNotExist)
 	}
 	var buf bytes.Buffer
 	if err := store.Write(&buf, traj); err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), recorded, nil
 }
 
 // ImportTrajectory admits raw .osnt bytes pulled from a peer replica as the
@@ -1305,9 +1312,12 @@ func (e *Engine) ExportTrajectory(name string) ([]byte, error) {
 // identity checks a store reload applies — a peer's file is trusted exactly
 // as far as a local one. Verified trajectories are persisted to the store
 // (when configured) and installed in the cache, so the next query at this
-// configuration is a zero-spend cache hit. Rejected bytes wrap
-// ErrBadTrajectory and leave no trace.
-func (e *Engine) ImportTrajectory(name string, raw []byte) error {
+// configuration is a zero-spend cache hit. recorded is when the peer
+// recorded the trajectory (see ExportTrajectory); the entry and its store
+// file are dated from it, so a migration keeps the trajectory's age for
+// Config.TTL. A zero or future recorded dates the import at its arrival.
+// Rejected bytes wrap ErrBadTrajectory and leave no trace.
+func (e *Engine) ImportTrajectory(name string, raw []byte, recorded time.Time) error {
 	k, ok := store.ParseKeyName(name)
 	if !ok {
 		return fmt.Errorf("%w: malformed trajectory key %q (want bB_wW_sS_gV.osnt)", ErrBadQuery, name)
@@ -1333,18 +1343,24 @@ func (e *Engine) ImportTrajectory(name string, raw []byte) error {
 	// graph's labels at CSR speed instead of the file's interned store.
 	traj.BindLabels(g)
 
+	if now := e.cfg.now(); recorded.IsZero() || recorded.After(now) {
+		recorded = now
+	}
 	persisted := false
 	if e.cfg.Store != nil {
 		if err := e.cfg.Store.WriteRaw(e.cfg.Name, k, raw); err != nil {
 			e.countStoreError()
 		} else {
 			persisted = true
+			// A reload or restart dates the trajectory by the file's
+			// modification time, so it must carry the recording time too.
+			if path, err := e.cfg.Store.Path(e.cfg.Name, k); err != nil || os.Chtimes(path, recorded, recorded) != nil {
+				e.countStoreError()
+			}
 		}
 	}
-	// The .osnt image carries no recording time, so an import's age counts
-	// from its arrival — as its store file's modification time will.
 	ent := e.completeLoaded(&entry{ready: make(chan struct{}), dirty: e.cfg.Store != nil && !persisted},
-		traj, int64(len(raw)), e.cfg.now())
+		traj, int64(len(raw)), recorded)
 
 	tk := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
 	e.mu.Lock()

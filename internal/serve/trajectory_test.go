@@ -10,8 +10,10 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/store"
@@ -104,11 +106,11 @@ func TestTrajectoryExportImportRoundtrip(t *testing.T) {
 		t.Fatalf("TrajectoryKeys = %v, want [%s]", keys, ans.StoreKey)
 	}
 
-	raw, err := recorder.ExportTrajectory("g", ans.StoreKey)
+	raw, recorded, err := recorder.ExportTrajectory("g", ans.StoreKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := peer.ImportTrajectory("g", ans.StoreKey, raw); err != nil {
+	if err := peer.ImportTrajectory("g", ans.StoreKey, raw, recorded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +155,7 @@ func TestExportFromMemoryOnlyEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ws.ExportTrajectory("g", ans.StoreKey)
+	raw, _, err := ws.ExportTrajectory("g", ans.StoreKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +163,10 @@ func TestExportFromMemoryOnlyEngine(t *testing.T) {
 		t.Fatal("empty export")
 	}
 	// Unknown keys are fs.ErrNotExist; malformed keys are bad queries.
-	if _, err := ws.ExportTrajectory("g", "b1_w1_s99_g0.osnt"); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, err := ws.ExportTrajectory("g", "b1_w1_s99_g0.osnt"); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("unknown key: got %v, want fs.ErrNotExist", err)
 	}
-	if _, err := ws.ExportTrajectory("g", "nonsense"); !errors.Is(err, ErrBadQuery) {
+	if _, _, err := ws.ExportTrajectory("g", "nonsense"); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("malformed key: got %v, want ErrBadQuery", err)
 	}
 }
@@ -178,7 +180,7 @@ func TestImportRejectsBadBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := recorder.ExportTrajectory("g", ans.StoreKey)
+	raw, _, err := recorder.ExportTrajectory("g", ans.StoreKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestImportRejectsBadBytes(t *testing.T) {
 		if ws == nil {
 			ws = testWorkspace(t, WorkspaceConfig{}, "g", g, GraphOptions{BurnIn: 40})
 		}
-		if err := ws.ImportTrajectory("g", tc.key, tc.raw); !errors.Is(err, ErrBadTrajectory) {
+		if err := ws.ImportTrajectory("g", tc.key, tc.raw, time.Time{}); !errors.Is(err, ErrBadTrajectory) {
 			t.Errorf("%s: got %v, want ErrBadTrajectory", tc.name, err)
 		}
 		e, err := ws.Graph("g")
@@ -219,7 +221,7 @@ func TestImportRejectsBadBytes(t *testing.T) {
 
 	// A malformed key is a bad request, not a bad trajectory.
 	ws := testWorkspace(t, WorkspaceConfig{}, "g", g, GraphOptions{BurnIn: 40})
-	if err := ws.ImportTrajectory("g", "not-a-key", raw); !errors.Is(err, ErrBadQuery) {
+	if err := ws.ImportTrajectory("g", "not-a-key", raw, time.Time{}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("malformed key: got %v, want ErrBadQuery", err)
 	}
 }
@@ -272,6 +274,9 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("pull: status %d err %v", resp.StatusCode, err)
+	}
+	if _, err := http.ParseTime(resp.Header.Get("Last-Modified")); err != nil {
+		t.Errorf("pull carries no recording time: Last-Modified %q", resp.Header.Get("Last-Modified"))
 	}
 
 	// Pulling a missing key is a 404.
@@ -333,5 +338,75 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST listing: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestImportKeepsRecordingTime: a trajectory pushed with the exporter's
+// Last-Modified keeps its recording time, so a migration cannot restart its
+// freshness age. Bytes stamped twice the TTL ago are re-recorded on the next
+// query; bytes stamped half the TTL ago serve as a cache hit. The store file
+// carries the same time, so a reload cannot revive an expired import.
+func TestImportKeepsRecordingTime(t *testing.T) {
+	g := testGraph(t, 25)
+	recorder := testWorkspace(t, WorkspaceConfig{}, "g", g, GraphOptions{BurnIn: 40})
+	ans, err := recorder.Estimate(context.Background(), "g", trajQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _, err := recorder.ExportTrajectory("g", ans.StoreKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const ttl = time.Hour
+	for _, tc := range []struct {
+		name    string
+		age     time.Duration
+		wantHit bool
+	}{
+		{"stamped 2T ago", 2 * ttl, false},
+		{"stamped T/2 ago", ttl / 2, true},
+	} {
+		clock := &testClock{now: time.Now()}
+		st := testStore(t)
+		ws := testWorkspace(t, WorkspaceConfig{Store: st, now: clock.Now}, "g", g,
+			GraphOptions{BurnIn: 40, TTL: ttl, SourceFactory: upstream})
+		srv := httptest.NewServer(NewHandler(ws))
+		t.Cleanup(srv.Close)
+
+		stamped := clock.Now().Add(-tc.age).Truncate(time.Second)
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/trajectories/g/"+ans.StoreKey, bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Last-Modified", stamped.UTC().Format(http.TimeFormat))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: push status %d, want 200", tc.name, resp.StatusCode)
+		}
+		path, err := st.Path("g", mustKey(t, ans.StoreKey))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !fi.ModTime().Equal(stamped) {
+			t.Errorf("%s: store file dated %v, want %v", tc.name, fi.ModTime(), stamped)
+		}
+
+		a, err := ws.Estimate(context.Background(), "g", trajQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.CacheHit != tc.wantHit {
+			t.Errorf("%s: cache hit = %v, want %v", tc.name, a.CacheHit, tc.wantHit)
+		}
 	}
 }

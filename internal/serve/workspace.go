@@ -300,23 +300,24 @@ func (w *Workspace) TrajectoryKeys(graphName string) ([]string, error) {
 }
 
 // ExportTrajectory returns the raw .osnt bytes of one trajectory of the
-// named graph (see Engine.ExportTrajectory).
-func (w *Workspace) ExportTrajectory(graphName, key string) ([]byte, error) {
+// named graph and its recording time (see Engine.ExportTrajectory).
+func (w *Workspace) ExportTrajectory(graphName, key string) ([]byte, time.Time, error) {
 	e, err := w.Graph(graphName)
 	if err != nil {
-		return nil, err
+		return nil, time.Time{}, err
 	}
 	return e.ExportTrajectory(key)
 }
 
-// ImportTrajectory verifies and admits raw .osnt bytes from a peer replica
-// as a trajectory of the named graph (see Engine.ImportTrajectory).
-func (w *Workspace) ImportTrajectory(graphName, key string, raw []byte) error {
+// ImportTrajectory verifies and admits raw .osnt bytes from a peer replica,
+// recorded at recorded, as a trajectory of the named graph (see
+// Engine.ImportTrajectory).
+func (w *Workspace) ImportTrajectory(graphName, key string, raw []byte, recorded time.Time) error {
 	e, err := w.Graph(graphName)
 	if err != nil {
 		return err
 	}
-	return e.ImportTrajectory(key, raw)
+	return e.ImportTrajectory(key, raw, recorded)
 }
 
 // Estimate answers one query against the named graph (see Engine.Estimate;

@@ -315,8 +315,9 @@ func Write(w io.Writer, t *core.Trajectory) error {
 // crc32 pass, and parsed with a bounds-checked cursor. The previous decoder
 // fed the running CRC four bytes at a time through an io.ReadFull per word,
 // which made reloading a persisted trajectory slower than re-recording it
-// in-process (BENCH_store.json's cold_over_reload_speedup < 1); one
-// table-driven CRC sweep plus direct slice reads restores the reload win.
+// in-process; one table-driven CRC sweep plus direct slice reads restores
+// the reload win (the evict-reload workload in bench/README.md measures
+// it).
 func Read(r io.Reader) (*core.Trajectory, error) {
 	raw, err := io.ReadAll(bufio.NewReaderSize(r, 1<<16))
 	if err != nil {

@@ -52,7 +52,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graph/snapshot"
-	"repro/internal/osn"
 	"repro/internal/stats"
 	"repro/internal/textio"
 	"repro/internal/walk"
@@ -73,18 +72,10 @@ type (
 	Edge = graph.Edge
 	// Builder accumulates edges and labels into a Graph.
 	Builder = graph.Builder
-	// Session is a metered restricted-access handle to a graph.
-	Session = osn.Session
-	// SessionConfig controls budgets and failure injection of a Session.
-	SessionConfig = osn.Config
 )
 
 // NewBuilder returns a graph builder over n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// NewSession wraps g in the restricted access model of the paper: only
-// neighbor-list API calls, with |V| and |E| as prior knowledge.
-func NewSession(g *Graph, cfg SessionConfig) (*Session, error) { return osn.NewSession(g, cfg) }
 
 // GenerateStandIn builds one of the five synthetic stand-ins for the
 // paper's datasets: "facebook", "googleplus", "pokec", "orkut" or

@@ -212,20 +212,6 @@ func TestDeriveFacade(t *testing.T) {
 	}
 }
 
-func TestSessionFacade(t *testing.T) {
-	g, err := GenerateStandIn("facebook", 0.1, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(g, SessionConfig{Budget: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumNodes() != g.NumNodes() {
-		t.Error("session |V| mismatch")
-	}
-}
-
 func TestDiscoverLabelPairs(t *testing.T) {
 	g, err := GenerateStandIn("facebook", 0.2, 13)
 	if err != nil {
