@@ -370,6 +370,17 @@ func TestEngineBatchesConcurrentQueries(t *testing.T) {
 	if charged > st.UpstreamCalls+int64(clients) {
 		t.Errorf("charged total %d exceeds upstream spend %d", charged, st.UpstreamCalls)
 	}
+	// The bill split: every payer saw the final sharer count, which is the
+	// number of payers, and paid its even share; hits paid nothing.
+	for i, a := range answers {
+		switch {
+		case a.CacheHit && (a.SharedBy != 0 || a.Charged != 0):
+			t.Errorf("client %d: cache hit with SharedBy %d, Charged %d; want 0, 0", i, a.SharedBy, a.Charged)
+		case !a.CacheHit && (a.SharedBy != sharers || a.Charged != a.APICalls/int64(sharers)):
+			t.Errorf("client %d: SharedBy %d, Charged %d of %d calls; want %d sharers paying %d each",
+				i, a.SharedBy, a.Charged, a.APICalls, sharers, a.APICalls/int64(sharers))
+		}
+	}
 }
 
 // TestEngineConcurrentMixedLoad hammers the engine from many goroutines
