@@ -18,25 +18,25 @@ import (
 // AssortativityResult is the "assortativity" task's result.
 type AssortativityResult struct {
 	// Variant echoes the estimated measure: "degree" or "label".
-	Variant string
+	Variant string `json:"variant"`
 	// Coefficient is the estimated assortativity in [-1, 1]: Newman's
 	// degree correlation for the degree variant, the categorical
 	// (same-label) assortativity coefficient for the label variant.
-	Coefficient float64
+	Coefficient float64 `json:"coefficient"`
 	// Used is how many recorded steps contributed an edge-endpoint sample.
-	Used int
+	Used int `json:"used"`
 	// Skipped is how many steps were dropped: an unlabeled endpoint (label
 	// variant) or a walker's first step on a trajectory without recorded
 	// starts (degree variant, pre-start-column files).
-	Skipped int
+	Skipped int `json:"skipped"`
 	// Samples and APICalls describe the shared walk.
-	Samples  int
-	APICalls int64
+	Samples  int   `json:"-"`
+	APICalls int64 `json:"-"`
 	// Walkers is the recording's fleet size.
-	Walkers int
+	Walkers int `json:"-"`
 	// CI is the leave-one-walker-out jackknife interval around Coefficient
 	// (multi-walker runs only).
-	CI CI
+	CI CI `json:"ci,omitzero"`
 }
 
 // assortWalker is one walker's accumulator. Every used step is counted in

@@ -17,18 +17,23 @@ type CI struct {
 	// for HT) targets the same quantity but is not the same statistic, so
 	// it can fall slightly outside the interval when per-walker sample
 	// sizes are skewed.
-	Low, High float64
+	Low  float64 `json:"low"`
+	High float64 `json:"high"`
 	// StdErr is the standard error of the mean of the per-walker estimates.
-	StdErr float64
+	StdErr float64 `json:"-"`
 	// Level is the nominal coverage (e.g. 0.95).
-	Level float64
+	Level float64 `json:"-"`
 	// Walkers is how many per-walker estimates the interval is built from.
-	Walkers int
+	Walkers int `json:"-"`
 }
 
 // Valid reports whether the interval carries information (at least two
 // walkers contributed finite estimates).
 func (c CI) Valid() bool { return c.Walkers >= 2 && c.Level > 0 }
+
+// IsZero reports whether the interval carries no information, so an
+// `omitzero` JSON tag drops exactly the intervals that are not Valid.
+func (c CI) IsZero() bool { return !c.Valid() }
 
 // CIFromEstimates builds a level-confidence interval from per-walker
 // estimates using the normal approximation: mean ± z·sd/√W. Non-finite

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/estimate"
 	"repro/internal/graph"
 	"repro/internal/graph/snapshot"
 	"repro/internal/motif"
@@ -66,30 +65,6 @@ type pairAnswerJSON struct {
 	Estimates map[string]float64 `json:"estimates"`
 }
 
-// ciJSON renders a between-walker confidence interval; omitted when the
-// recording was serial.
-type ciJSON struct {
-	Low  float64 `json:"low"`
-	High float64 `json:"high"`
-}
-
-func ciPtr(ci estimate.CI) *ciJSON {
-	if !ci.Valid() {
-		return nil
-	}
-	return &ciJSON{Low: ci.Low, High: ci.High}
-}
-
-// sizeJSON is the kind="size" result.
-type sizeJSON struct {
-	Nodes      float64 `json:"nodes"`
-	Edges      float64 `json:"edges"`
-	MeanDegree float64 `json:"mean_degree"`
-	Collisions int     `json:"collisions"`
-	NodesCI    *ciJSON `json:"nodes_ci,omitempty"`
-	EdgesCI    *ciJSON `json:"edges_ci,omitempty"`
-}
-
 // censusRowJSON is one row of the kind="census" result.
 type censusRowJSON struct {
 	T1       int     `json:"t1"`
@@ -99,12 +74,12 @@ type censusRowJSON struct {
 }
 
 // motifRowJSON is one row of the kind="motif" result; t1/t2 are absent on
-// the unlabeled row.
+// the unlabeled row, and ci on serial recordings.
 type motifRowJSON struct {
 	T1       *int    `json:"t1,omitempty"`
 	T2       *int    `json:"t2,omitempty"`
 	Estimate float64 `json:"estimate"`
-	CI       *ciJSON `json:"ci,omitempty"`
+	CI       core.CI `json:"ci,omitzero"`
 }
 
 // motifJSON is the kind="motif" result.
@@ -113,42 +88,18 @@ type motifJSON struct {
 	Rows  []motifRowJSON `json:"rows"`
 }
 
-// assortJSON is the kind="assortativity" result.
-type assortJSON struct {
-	Variant     string  `json:"variant"`
-	Coefficient float64 `json:"coefficient"`
-	Used        int     `json:"used"`
-	Skipped     int     `json:"skipped"`
-	CI          *ciJSON `json:"ci,omitempty"`
-}
-
-// estimateResponse is one answered query. Exactly one of
-// Pairs/Size/Census/Motif is populated, per the request kind — or Error,
+// estimateResponse is one answered query: the Answer envelope plus exactly
+// one of Pairs/Size/Census/Motif/Assort, per the request kind — or Error,
 // for a batch member whose replay failed.
 type estimateResponse struct {
-	Graph    string           `json:"graph,omitempty"`
-	Kind     string           `json:"kind"`
-	Pairs    []pairAnswerJSON `json:"pairs,omitempty"`
-	Size     *sizeJSON        `json:"size,omitempty"`
-	Census   []censusRowJSON  `json:"census,omitempty"`
-	Motif    *motifJSON       `json:"motif,omitempty"`
-	Assort   *assortJSON      `json:"assortativity,omitempty"`
-	Error    string           `json:"error,omitempty"`
-	APICalls int64            `json:"api_calls"`
-	Charged  int64            `json:"charged"`
-	CacheHit bool             `json:"cache_hit"`
-	SharedBy int              `json:"shared_by"`
-	Walkers  int              `json:"walkers"`
-	Samples  int              `json:"samples"`
-	// GraphVersion is the delta-log version of the graph state the answer
-	// reflects; StaleSteps is how many trajectory steps an incremental
-	// top-up re-recorded to produce it (0 for one-piece recordings).
-	GraphVersion uint64 `json:"graph_version"`
-	StaleSteps   int    `json:"stale_steps"`
-	// TrajectoryKey is the store spelling of the trajectory that served the
-	// answer (e.g. "b500_w4_s1_g0.osnt") — the name a replication peer pulls
-	// via GET /trajectories/{graph}/{key}.
-	TrajectoryKey string `json:"trajectory_key,omitempty"`
+	Graph string `json:"graph,omitempty"`
+	*Answer
+	Pairs  []pairAnswerJSON          `json:"pairs,omitempty"`
+	Size   *sizeest.Result           `json:"size,omitempty"`
+	Census []censusRowJSON           `json:"census,omitempty"`
+	Motif  *motifJSON                `json:"motif,omitempty"`
+	Assort *core.AssortativityResult `json:"assortativity,omitempty"`
+	Error  string                    `json:"error,omitempty"`
 }
 
 // batchResponse is the POST /estimate response for a batch request: one
@@ -156,27 +107,6 @@ type estimateResponse struct {
 type batchResponse struct {
 	Graph   string             `json:"graph,omitempty"`
 	Answers []estimateResponse `json:"answers"`
-}
-
-// graphInfoJSON is one row of the GET /graphs listing.
-type graphInfoJSON struct {
-	Name               string           `json:"name"`
-	Nodes              int              `json:"nodes"`
-	Edges              int64            `json:"edges"`
-	BurnIn             int              `json:"burn_in"`
-	GraphVersion       uint64           `json:"graph_version"`
-	CachedTrajectories int              `json:"cached_trajectories"`
-	CachedBytes        int64            `json:"cached_bytes"`
-	Queries            int64            `json:"queries"`
-	CacheHits          int64            `json:"cache_hits"`
-	Recordings         int64            `json:"recordings"`
-	StoreLoads         int64            `json:"store_loads"`
-	UpstreamCalls      int64            `json:"upstream_api_calls"`
-	Deltas             int64            `json:"deltas"`
-	TopUps             int64            `json:"topups"`
-	TopUpSavedCalls    int64            `json:"topup_saved_calls"`
-	Imports            int64            `json:"imports"`
-	TasksByKind        map[string]int64 `json:"tasks_by_kind,omitempty"`
 }
 
 // trajectoriesResponse is the GET /trajectories/{graph} body.
@@ -189,9 +119,9 @@ type trajectoriesResponse struct {
 
 // graphsResponse is the GET /graphs body.
 type graphsResponse struct {
-	Graphs          []graphInfoJSON `json:"graphs"`
-	CacheBytesUsed  int64           `json:"cache_bytes_used"`
-	CacheByteBudget int64           `json:"cache_byte_budget"`
+	Graphs          []GraphInfo `json:"graphs"`
+	CacheBytesUsed  int64       `json:"cache_bytes_used"`
+	CacheByteBudget int64       `json:"cache_byte_budget"`
 }
 
 // loadGraphRequest is the PUT /graphs/{name} body. All fields are
@@ -241,25 +171,16 @@ type patchGraphResponse struct {
 }
 
 // healthResponse is the GET /healthz body: liveness plus workspace-wide
-// counters (per-graph detail lives under GET /graphs).
+// counters, the sum of every graph's Stats (per-graph detail lives under
+// GET /graphs).
 type healthResponse struct {
 	Status string `json:"status"`
 	// Ready is false until every configured graph has finished loading (see
 	// Workspace.ExpectGraphs); probers must not route traffic to an unready
 	// replica even though the listener answers.
-	Ready           bool  `json:"ready"`
-	Graphs          int   `json:"graphs"`
-	Queries         int64 `json:"queries"`
-	CacheHits       int64 `json:"cache_hits"`
-	Recordings      int64 `json:"recordings"`
-	StoreLoads      int64 `json:"store_loads"`
-	StoreSaves      int64 `json:"store_saves"`
-	StoreErrors     int64 `json:"store_errors"`
-	UpstreamCalls   int64 `json:"upstream_api_calls"`
-	Deltas          int64 `json:"deltas"`
-	TopUps          int64 `json:"topups"`
-	TopUpSavedCalls int64 `json:"topup_saved_calls"`
-	Imports         int64 `json:"imports"`
+	Ready  bool `json:"ready"`
+	Graphs int  `json:"graphs"`
+	Stats
 	CacheBytesUsed  int64 `json:"cache_bytes_used"`
 	CacheByteBudget int64 `json:"cache_byte_budget"`
 	UptimeSec       int64 `json:"uptime_seconds"`
@@ -310,29 +231,9 @@ func NewHandler(ws *Workspace) http.Handler {
 	})
 
 	mux.HandleFunc("GET /graphs", func(w http.ResponseWriter, r *http.Request) {
-		infos := ws.List()
-		resp := graphsResponse{Graphs: make([]graphInfoJSON, 0, len(infos)), CacheByteBudget: ws.CacheBudget()}
-		for _, gi := range infos {
+		resp := graphsResponse{Graphs: ws.List(), CacheByteBudget: ws.CacheBudget()}
+		for _, gi := range resp.Graphs {
 			resp.CacheBytesUsed += gi.CachedBytes
-			resp.Graphs = append(resp.Graphs, graphInfoJSON{
-				Name:               gi.Name,
-				Nodes:              gi.Nodes,
-				Edges:              gi.Edges,
-				BurnIn:             gi.BurnIn,
-				GraphVersion:       gi.Version,
-				CachedTrajectories: gi.CachedTrajectories,
-				CachedBytes:        gi.CachedBytes,
-				Queries:            gi.Stats.Queries,
-				CacheHits:          gi.Stats.CacheHits,
-				Recordings:         gi.Stats.Recordings,
-				StoreLoads:         gi.Stats.StoreLoads,
-				UpstreamCalls:      gi.Stats.UpstreamCalls,
-				Deltas:             gi.Stats.Deltas,
-				TopUps:             gi.Stats.TopUps,
-				TopUpSavedCalls:    gi.Stats.TopUpSavedCalls,
-				Imports:            gi.Stats.Imports,
-				TasksByKind:        gi.Stats.TasksByKind,
-			})
 		}
 		writeJSON(w, http.StatusOK, resp)
 	})
@@ -533,17 +434,7 @@ func NewHandler(ws *Workspace) http.Handler {
 			UptimeSec:       int64(time.Since(start).Seconds()),
 		}
 		for _, gi := range infos {
-			resp.Queries += gi.Stats.Queries
-			resp.CacheHits += gi.Stats.CacheHits
-			resp.Recordings += gi.Stats.Recordings
-			resp.StoreLoads += gi.Stats.StoreLoads
-			resp.StoreSaves += gi.Stats.StoreSaves
-			resp.StoreErrors += gi.Stats.StoreErrors
-			resp.UpstreamCalls += gi.Stats.UpstreamCalls
-			resp.Deltas += gi.Stats.Deltas
-			resp.TopUps += gi.Stats.TopUps
-			resp.TopUpSavedCalls += gi.Stats.TopUpSavedCalls
-			resp.Imports += gi.Stats.Imports
+			resp.add(gi.Stats)
 			resp.CacheBytesUsed += gi.CachedBytes
 		}
 		writeJSON(w, http.StatusOK, resp)
@@ -643,19 +534,7 @@ func writeEstimateError(w http.ResponseWriter, r *http.Request, err error) {
 
 // renderAnswer maps an engine Answer onto the kind-specific wire schema.
 func renderAnswer(graphName string, ans *Answer) estimateResponse {
-	resp := estimateResponse{
-		Graph:         graphName,
-		Kind:          ans.Kind,
-		APICalls:      ans.APICalls,
-		Charged:       ans.Charged,
-		CacheHit:      ans.CacheHit,
-		SharedBy:      ans.SharedBy,
-		Walkers:       ans.Walkers,
-		Samples:       ans.Samples,
-		GraphVersion:  ans.GraphVersion,
-		StaleSteps:    ans.StaleSteps,
-		TrajectoryKey: ans.StoreKey,
-	}
+	resp := estimateResponse{Graph: graphName, Answer: ans}
 	if ans.Err != nil {
 		resp.Error = ans.Err.Error()
 		return resp
@@ -673,14 +552,7 @@ func renderAnswer(graphName string, ans *Answer) estimateResponse {
 	}
 	switch res := ans.Result.(type) {
 	case sizeest.Result:
-		resp.Size = &sizeJSON{
-			Nodes:      res.Nodes,
-			Edges:      res.Edges,
-			MeanDegree: res.MeanDegree,
-			Collisions: res.Collisions,
-			NodesCI:    ciPtr(res.NodesCI),
-			EdgesCI:    ciPtr(res.EdgesCI),
-		}
+		resp.Size = &res
 	case core.CensusResult:
 		resp.Census = make([]censusRowJSON, 0, len(res.Pairs))
 		for _, pe := range res.Pairs {
@@ -694,7 +566,7 @@ func renderAnswer(graphName string, ans *Answer) estimateResponse {
 	case motif.TaskResult:
 		m := &motifJSON{Shape: res.Shape, Rows: make([]motifRowJSON, 0, len(res.Rows))}
 		for _, row := range res.Rows {
-			rj := motifRowJSON{Estimate: row.Estimate, CI: ciPtr(row.CI)}
+			rj := motifRowJSON{Estimate: row.Estimate, CI: row.CI}
 			if row.Pair != nil {
 				t1, t2 := int(row.Pair.T1), int(row.Pair.T2)
 				rj.T1, rj.T2 = &t1, &t2
@@ -703,13 +575,7 @@ func renderAnswer(graphName string, ans *Answer) estimateResponse {
 		}
 		resp.Motif = m
 	case core.AssortativityResult:
-		resp.Assort = &assortJSON{
-			Variant:     res.Variant,
-			Coefficient: res.Coefficient,
-			Used:        res.Used,
-			Skipped:     res.Skipped,
-			CI:          ciPtr(res.CI),
-		}
+		resp.Assort = &res
 	}
 	return resp
 }

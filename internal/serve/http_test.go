@@ -69,7 +69,7 @@ func TestHTTPEstimate(t *testing.T) {
 	if !body2.CacheHit || body2.Charged != 0 {
 		t.Errorf("second query should be a cache hit: %+v", body2)
 	}
-	if st := e.Stats(); st.Recordings != 1 || st.PairsServed != 3 {
+	if st := e.Stats(); st.Recordings != 1 || st.Queries != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 }

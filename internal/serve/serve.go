@@ -44,10 +44,10 @@ import (
 	"repro/internal/store"
 	"repro/internal/walk"
 
-	// sizeest is imported for its "size" task registration only; "pairs"
-	// and "census" register from core itself, motif's registration rides
-	// along on the direct import.
-	"repro/internal/motif"
+	// motif and sizeest are imported for their "motif" and "size" task
+	// registrations only; "pairs", "census" and "assortativity" register
+	// from core itself.
+	_ "repro/internal/motif"
 	_ "repro/internal/sizeest"
 )
 
@@ -67,7 +67,7 @@ var ErrBadQuery = errors.New("serve: bad query")
 // 422 Unprocessable Entity. A query that co-triggered the recording keeps
 // its seat in the bill split even when its replay then fails: the spend
 // happened on its behalf, and the surviving sharers' Charged shares were
-// computed against the frozen sharer count — so the sum of SUCCESSFUL
+// computed against the final sharer count — so the sum of SUCCESSFUL
 // answers' Charged can fall short of APICalls by the failed queries'
 // shares.
 var ErrEstimation = errors.New("serve: estimation failed")
@@ -95,8 +95,8 @@ func Methods() []string {
 func Kinds() []string { return core.TaskKinds() }
 
 // Config describes an Engine — one served graph with its trajectory cache.
-// Engines are usually owned by a Workspace, which supplies Name, Store and
-// the byte-budget coordination.
+// Engines are usually owned by a Workspace, which supplies Graph, Name,
+// Store and the byte-budget coordination; GraphOptions is this type.
 type Config struct {
 	// Graph is the served graph. Required.
 	Graph *graph.Graph
@@ -204,112 +204,115 @@ type PairAnswer struct {
 // Answer is the engine's response to one Query.
 type Answer struct {
 	// Kind echoes the task kind that produced the answer.
-	Kind string
+	Kind string `json:"kind"`
 	// Pairs is populated for kind "pairs" (the historical response shape).
-	Pairs []PairAnswer
+	Pairs []PairAnswer `json:"-"`
 	// Result holds the task's typed result for every other kind:
 	// sizeest.Result for "size", core.CensusResult for "census",
 	// motif.TaskResult for "motif".
-	Result any
+	Result any `json:"-"`
 	// Err is set only on answers of an EstimateBatch call whose replay
 	// failed (wrapping ErrEstimation); the batch's other answers are
 	// unaffected. Single Estimate calls report replay failures as the
 	// call's error instead.
-	Err error
+	Err error `json:"-"`
 	// APICalls is the sampling cost of the trajectory that served the query.
-	APICalls int64
+	APICalls int64 `json:"api_calls"`
 	// Charged is this query's accounted share of that cost: 0 on a cache
 	// hit, APICalls split evenly across the queries that co-triggered the
 	// recording otherwise (and further across the members of a batch).
-	Charged int64
+	Charged int64 `json:"charged"`
 	// CacheHit reports whether a previously recorded trajectory served the
 	// query without any API spend — from memory or reloaded from the
 	// persistent store.
-	CacheHit bool
+	CacheHit bool `json:"cache_hit"`
 	// SharedBy is how many queries split the recording bill (1 when this
 	// query paid alone; 0 on a cache hit).
-	SharedBy int
+	SharedBy int `json:"shared_by"`
 	// Walkers and Samples describe the serving trajectory.
-	Walkers int
-	Samples int // total recorded samples across the fleet
+	Walkers int `json:"walkers"`
+	Samples int `json:"samples"` // total recorded samples across the fleet
 	// GraphVersion is the delta-log version of the graph the serving
 	// trajectory was recorded (or topped up) on, so clients can tell which
 	// graph state an estimate reflects.
-	GraphVersion uint64
+	GraphVersion uint64 `json:"graph_version"`
 	// StaleSteps is how many of the serving trajectory's steps had to be
 	// re-recorded because a graph delta invalidated them — non-zero only
 	// when the trajectory was produced by an incremental top-up. 0 means the
 	// answer replays a trajectory recorded in one piece on its graph
 	// version.
-	StaleSteps int
+	StaleSteps int `json:"stale_steps"`
 	// StoreKey is the resolved persistent-store spelling of the trajectory
 	// that served the query (e.g. "b500_w4_s1_g0.osnt"): the engine defaults
 	// applied to the query's budget/walkers/seed, at the serving graph
 	// version. A gateway uses it verbatim as the {key} of the trajectory
 	// replication endpoints, so peers can pull exactly this recording.
-	StoreKey string
+	StoreKey string `json:"trajectory_key,omitempty"`
 }
 
 // Stats counts engine activity since construction.
 type Stats struct {
 	// Queries is the number of queries answered; a query whose replay
 	// failed (ErrEstimation) is not counted here or below.
-	Queries int64
-	// PairsServed is the total number of result rows returned (pair
-	// estimates, census rows, motif rows; 1 per size answer).
-	PairsServed int64
+	Queries int64 `json:"queries"`
 	// TasksByKind counts answered queries per task kind.
-	TasksByKind map[string]int64
+	TasksByKind map[string]int64 `json:"tasks_by_kind,omitempty"`
 	// Recordings is how many trajectories were recorded.
-	Recordings int64
+	Recordings int64 `json:"recordings"`
 	// CacheHits is how many queries were served without triggering or
 	// joining a recording.
-	CacheHits int64
+	CacheHits int64 `json:"cache_hits"`
 	// UpstreamCalls is the total API-call spend across recordings.
-	UpstreamCalls int64
+	UpstreamCalls int64 `json:"upstream_api_calls"`
 	// StoreLoads is how many trajectories were reloaded from the
 	// persistent store (at zero API spend) instead of being re-recorded.
-	StoreLoads int64
+	StoreLoads int64 `json:"store_loads"`
 	// StoreSaves is how many trajectories were persisted to the store.
-	StoreSaves int64
+	StoreSaves int64 `json:"store_saves"`
 	// StoreErrors counts failed store reads/writes (corrupt files, IO
 	// errors, version mismatches); the engine falls back to recording.
-	StoreErrors int64
+	StoreErrors int64 `json:"store_errors"`
 	// Deltas is how many graph deltas the engine has applied.
-	Deltas int64
+	Deltas int64 `json:"deltas"`
 	// TopUps is how many recordings were served by incrementally topping up
 	// a stale trajectory instead of re-recording from scratch.
-	TopUps int64
+	TopUps int64 `json:"topups"`
 	// TopUpSavedCalls is the upstream API spend the top-ups avoided: the sum
 	// of their redeemed (prepaid) calls. A top-up's nominal bill equals a
 	// fresh recording's; only its nominal bill minus this saving hits the
 	// upstream API, and UpstreamCalls counts that actual spend.
-	TopUpSavedCalls int64
+	TopUpSavedCalls int64 `json:"topup_saved_calls"`
 	// Imports is how many trajectories arrived as verified .osnt bytes from
 	// a peer replica (ImportTrajectory) instead of being recorded or loaded
 	// from this engine's own store — the replication data plane's hit count.
-	Imports int64
+	Imports int64 `json:"imports"`
 }
 
-// trajKey identifies a shareable trajectory configuration.
-type trajKey struct {
-	budget  int
-	walkers int
-	seed    int64
-}
-
-// storeKey maps a cache key onto its persistent-store spelling at one graph
-// version. The version is part of the file name, so a graph's older
-// trajectories survive a delta as top-up sources instead of being
-// overwritten.
-func storeKey(k trajKey, graphVersion uint64) store.Key {
-	return store.Key{Budget: k.budget, Walkers: k.walkers, Seed: k.seed, GraphVersion: graphVersion}
+// add folds o's counters into s — the workspace-wide totals.
+func (s *Stats) add(o Stats) {
+	s.Queries += o.Queries
+	for k, n := range o.TasksByKind {
+		if s.TasksByKind == nil {
+			s.TasksByKind = make(map[string]int64)
+		}
+		s.TasksByKind[k] += n
+	}
+	s.Recordings += o.Recordings
+	s.CacheHits += o.CacheHits
+	s.UpstreamCalls += o.UpstreamCalls
+	s.StoreLoads += o.StoreLoads
+	s.StoreSaves += o.StoreSaves
+	s.StoreErrors += o.StoreErrors
+	s.Deltas += o.Deltas
+	s.TopUps += o.TopUps
+	s.TopUpSavedCalls += o.TopUpSavedCalls
+	s.Imports += o.Imports
 }
 
 // entry is one cache slot: a recording in flight (ready open) or done
 // (ready closed). sharers counts the queries that joined before completion
-// and split the bill; the recording goroutine freezes it under mu before
-// closing ready.
+// and split the bill; ready is only closed under the engine's mu, so once
+// it is closed the count is final.
 type entry struct {
 	ready chan struct{}
 	traj  *core.Trajectory
@@ -321,7 +324,6 @@ type entry struct {
 	recorded time.Time
 	lastUsed time.Time
 	sharers  int
-	frozen   bool
 	// bytes is the trajectory's .osnt-encoded size — the cache weight the
 	// workspace byte budget is enforced against.
 	bytes int64
@@ -357,8 +359,10 @@ type Engine struct {
 	// change edges, never the node count.
 	pool *osn.Pool
 
-	mu    sync.Mutex
-	cache map[trajKey]*entry
+	mu sync.Mutex
+	// cache is keyed by trajectory configuration: a store.Key whose
+	// GraphVersion is 0. The served version is checked on every hit.
+	cache map[store.Key]*entry
 	stats Stats
 }
 
@@ -406,7 +410,7 @@ func New(cfg Config) (*Engine, error) {
 			burn = 10
 		}
 	}
-	e := &Engine{cfg: cfg, burnIn: burn, cache: make(map[trajKey]*entry)}
+	e := &Engine{cfg: cfg, burnIn: burn, cache: make(map[store.Key]*entry)}
 	e.pool = osn.NewPool(cfg.Graph.NumNodes())
 	e.graph.Store(cfg.Graph)
 	return e, nil
@@ -507,7 +511,7 @@ func (e *Engine) CachedBytes() int64 {
 // candidate for the workspace's byte-budget eviction.
 type victim struct {
 	e        *Engine
-	key      trajKey
+	key      store.Key
 	ent      *entry // nil: the engine has nothing evictable
 	lastUsed time.Time
 }
@@ -570,7 +574,7 @@ func (e *Engine) Flush() error {
 		return nil
 	}
 	e.mu.Lock()
-	dirty := make(map[trajKey]*entry)
+	dirty := make(map[store.Key]*entry)
 	for k, ent := range e.cache {
 		if ent.completed() && ent.err == nil && ent.dirty {
 			dirty[k] = ent
@@ -589,8 +593,9 @@ func (e *Engine) Flush() error {
 // saveItem persists one completed dirty trajectory and clears its dirty
 // mark. The file is keyed by the graph version the trajectory was recorded
 // on, which may be older than the engine's current graph.
-func (e *Engine) saveItem(key trajKey, ent *entry) error {
-	err := e.cfg.Store.Save(e.cfg.Name, storeKey(key, ent.traj.GraphVersion), ent.traj)
+func (e *Engine) saveItem(key store.Key, ent *entry) error {
+	key.GraphVersion = ent.traj.GraphVersion
+	err := e.cfg.Store.Save(e.cfg.Name, key, ent.traj)
 	e.mu.Lock()
 	if err != nil {
 		e.stats.StoreErrors++
@@ -635,14 +640,14 @@ func (e *Engine) warmStart(room int64) int {
 		if k.GraphVersion != version {
 			continue
 		}
-		key := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
-		traj, fi := e.loadEntry(key)
+		k.GraphVersion = 0 // the cache key
+		traj, fi := e.loadEntry(k)
 		if traj == nil {
 			continue
 		}
 		e.mu.Lock()
-		if _, exists := e.cache[key]; !exists {
-			e.cache[key] = e.completeLoaded(&entry{ready: make(chan struct{})}, traj, fi.Size(), fi.ModTime())
+		if _, exists := e.cache[k]; !exists {
+			e.cache[k] = e.completeLoaded(&entry{ready: make(chan struct{})}, traj, fi.Size(), fi.ModTime())
 			e.stats.StoreLoads++
 			loaded++
 			room -= fi.Size()
@@ -659,10 +664,10 @@ func (e *Engine) warmStart(room int64) int {
 // graph version, with its file's metadata. It returns a nil trajectory if
 // the file is missing, past the freshness TTL, corrupt, or recorded against
 // a different graph state (counting the last two as store errors).
-func (e *Engine) loadEntry(key trajKey) (*core.Trajectory, fs.FileInfo) {
+func (e *Engine) loadEntry(key store.Key) (*core.Trajectory, fs.FileInfo) {
 	g := e.Graph()
-	sk := storeKey(key, g.Version())
-	fi, err := e.stat(sk)
+	key.GraphVersion = g.Version()
+	fi, err := e.cfg.Store.Stat(e.cfg.Name, key)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			e.countStoreError()
@@ -672,43 +677,47 @@ func (e *Engine) loadEntry(key trajKey) (*core.Trajectory, fs.FileInfo) {
 	if e.expired(fi.ModTime()) {
 		return nil, nil // the caller re-records from the upstream instead
 	}
-	traj, err := e.cfg.Store.Load(e.cfg.Name, sk)
+	traj, err := e.cfg.Store.Load(e.cfg.Name, key)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			e.countStoreError()
 		}
 		return nil, nil
 	}
+	if e.admit(traj, g) != nil {
+		e.countStoreError()
+		return nil, nil
+	}
+	return traj, fi
+}
+
+// admit is the identity check every trajectory that was not recorded here
+// passes before it is served — a store reload, a warm start or a peer's
+// import. It returns an error wrapping ErrBadTrajectory unless traj was
+// recorded on g, the served graph, at this engine's burn-in; an admitted
+// trajectory is bound to g's labels.
+func (e *Engine) admit(traj *core.Trajectory, g *graph.Graph) error {
 	if traj.GraphVersion != g.Version() || traj.GraphFingerprint != g.Fingerprint() {
 		// Hard identity check: the header's delta-log version and content
 		// fingerprint must both match the served graph. This replaces the old
 		// |V|/|E| prior heuristic, which an equal-sized but rewired graph
 		// (exactly what edge churn produces) would slip past.
-		e.countStoreError()
-		return nil, nil
+		return fmt.Errorf("%w: recorded on graph version %d fingerprint %x, this engine serves version %d fingerprint %x",
+			ErrBadTrajectory, traj.GraphVersion, traj.GraphFingerprint, g.Version(), g.Fingerprint())
 	}
 	if traj.BurnIn != e.burnIn {
 		// Recorded under a different burn-in (the server's -burnin changed,
 		// or the measured mixing time moved with a new graph build): not
 		// the trajectory this engine would record, so serving it would be
 		// silently inconsistent with fresh recordings at sibling keys.
-		e.countStoreError()
-		return nil, nil
+		return fmt.Errorf("%w: recorded burn-in %d, this engine records at %d",
+			ErrBadTrajectory, traj.BurnIn, e.burnIn)
 	}
 	// Rebind the trajectory to the served graph's labels — the exact source
 	// the recording read (deltas touch edges, never labels) — so replays run
 	// at CSR speed instead of through the file's self-contained label store.
 	traj.BindLabels(g)
-	return traj, fi
-}
-
-// stat returns the metadata of the graph's persisted trajectory file at k.
-func (e *Engine) stat(k store.Key) (fs.FileInfo, error) {
-	path, err := e.cfg.Store.Path(e.cfg.Name, k)
-	if err != nil {
-		return nil, err
-	}
-	return os.Stat(path)
+	return nil
 }
 
 // expired reports whether a trajectory recorded at recorded has outlived
@@ -725,7 +734,7 @@ func (e *Engine) expired(recorded time.Time) bool {
 // Callers hold e.mu when ent is already published in the cache.
 func (e *Engine) completeLoaded(ent *entry, traj *core.Trajectory, bytes int64, recorded time.Time) *entry {
 	ent.traj, ent.bytes, ent.recorded = traj, bytes, recorded
-	ent.frozen, ent.fromStore = true, true
+	ent.fromStore = true
 	ent.lastUsed = e.cfg.now()
 	close(ent.ready)
 	return ent
@@ -763,16 +772,16 @@ func buildTask(q Query) (string, core.EstimationTask, error) {
 
 // resolveKey maps a query onto its trajectory cache key, applying the
 // engine defaults.
-func (e *Engine) resolveKey(q Query) trajKey {
-	key := trajKey{budget: e.cfg.Budget, walkers: e.cfg.Walkers, seed: e.cfg.Seed}
+func (e *Engine) resolveKey(q Query) store.Key {
+	key := store.Key{Budget: e.cfg.Budget, Walkers: e.cfg.Walkers, Seed: e.cfg.Seed}
 	if q.Budget > 0 {
-		key.budget = q.Budget
+		key.Budget = q.Budget
 	}
 	if q.Walkers > 0 {
-		key.walkers = q.Walkers
+		key.Walkers = q.Walkers
 	}
 	if q.Seed != 0 {
-		key.seed = q.Seed
+		key.Seed = q.Seed
 	}
 	return key
 }
@@ -846,6 +855,8 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 	// batch: every streaming task's aggregators ride the same column sweep,
 	// and per-query replay failures drop out without disturbing the rest.
 	outs, errs := core.RunTasksFused(ent.traj, tasks)
+	key.GraphVersion = ent.traj.GraphVersion // the serving file's spelling
+	storeName := key.Filename()
 	answers := make([]*Answer, len(qs))
 	for i := range qs {
 		out := outs[i]
@@ -859,7 +870,7 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 			// itself).
 			ans.Charged = (ent.traj.APICalls / int64(ent.sharers)) / int64(len(qs))
 		}
-		ans.StoreKey = storeKey(key, ans.GraphVersion).Filename()
+		ans.StoreKey = storeName
 		answers[i] = ans
 		if errs[i] != nil {
 			// Replay failures are per-query: the shared trajectory still
@@ -911,13 +922,8 @@ func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool) *Ans
 
 // countQuery folds one answered query into the stats.
 func (e *Engine) countQuery(kind string, ans *Answer) {
-	rows := len(ans.Pairs)
-	if ans.Pairs == nil {
-		rows = resultRows(ans.Result)
-	}
 	e.mu.Lock()
 	e.stats.Queries++
-	e.stats.PairsServed += int64(rows)
 	if e.stats.TasksByKind == nil {
 		e.stats.TasksByKind = make(map[string]int64)
 	}
@@ -928,25 +934,13 @@ func (e *Engine) countQuery(kind string, ans *Answer) {
 	e.mu.Unlock()
 }
 
-// resultRows counts the rows of a non-pairs task result for the stats.
-func resultRows(out any) int {
-	switch r := out.(type) {
-	case core.CensusResult:
-		return len(r.Pairs)
-	case motif.TaskResult:
-		return len(r.Rows)
-	default:
-		return 1
-	}
-}
-
 // acquire resolves the query's trajectory: a valid cached one (hit), an
 // in-flight recording to join, a persisted one reloaded from the store, or
 // a (possibly topped-up) recording this query triggers. A cached trajectory
 // whose graph version no longer matches the served graph is not discarded
 // outright: it becomes the top-up source for the recording that replaces it,
 // so only its invalidated steps are re-bought upstream.
-func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, bool, error) {
+func (e *Engine) acquire(ctx context.Context, q Query, key store.Key) (*entry, bool, error) {
 	var stale *core.Trajectory
 	for {
 		e.mu.Lock()
@@ -977,22 +971,18 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 				e.mu.Unlock()
 				return ent, true, nil
 			default:
-				// Recording in flight: join the batch and split the bill. A
-				// query that slips in after the sharer set froze (the
-				// recording just completed) rides along as a cache hit.
-				joined := false
-				if !ent.frozen {
-					if q.MaxCost > 0 && q.MaxCost < int64(key.budget)/int64(ent.sharers+1) {
-						e.mu.Unlock()
-						return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.budget)
-					}
-					ent.sharers++
-					joined = true
+				// Recording in flight: join the batch and split the bill. The
+				// recording closes ready under e.mu, so this join lands before
+				// the sharer count is read.
+				if q.MaxCost > 0 && q.MaxCost < int64(key.Budget)/int64(ent.sharers+1) {
+					e.mu.Unlock()
+					return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.Budget)
 				}
+				ent.sharers++
 				e.mu.Unlock()
 				select {
 				case <-ent.ready:
-					return ent, (!joined && ent.err == nil) || ent.fromStore, nil
+					return ent, ent.fromStore, nil
 				case <-ctx.Done():
 					return nil, false, ctx.Err()
 				}
@@ -1001,9 +991,9 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 		// Miss: this query triggers a store reload or a recording. MaxCost
 		// is checked against the recording budget unless the trajectory is
 		// already persisted (a reload costs nothing).
-		if q.MaxCost > 0 && q.MaxCost < int64(key.budget) && !e.storeHas(key) {
+		if q.MaxCost > 0 && q.MaxCost < int64(key.Budget) && !e.storeHas(key) {
 			e.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.budget)
+			return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.Budget)
 		}
 		ent = &entry{ready: make(chan struct{}), sharers: 1}
 		e.cache[key] = ent
@@ -1028,11 +1018,12 @@ func (e *Engine) acquire(ctx context.Context, q Query, key trajKey) (*entry, boo
 // storeHas reports whether the key's trajectory is persisted, and still
 // fresh, for the currently served graph version. Called with e.mu held — it
 // is a single stat, only on the rare miss-with-MaxCost path.
-func (e *Engine) storeHas(key trajKey) bool {
+func (e *Engine) storeHas(key store.Key) bool {
 	if e.cfg.Store == nil {
 		return false
 	}
-	fi, err := e.stat(storeKey(key, e.Graph().Version()))
+	key.GraphVersion = e.Graph().Version()
+	fi, err := e.cfg.Store.Stat(e.cfg.Name, key)
 	return err == nil && fi.Mode().IsRegular() && !e.expired(fi.ModTime())
 }
 
@@ -1043,7 +1034,7 @@ func (e *Engine) storeHas(key trajKey) bool {
 // every recorded response against the current graph before redeeming it. A
 // file past the freshness TTL is no source: its responses are what the
 // re-recording must buy again.
-func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
+func (e *Engine) loadTopUpSource(key store.Key) *core.Trajectory {
 	if e.cfg.Store == nil {
 		return nil
 	}
@@ -1056,10 +1047,8 @@ func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
 	var best store.Key
 	found := false
 	for _, k := range keys {
-		if k.Budget != key.budget || k.Walkers != key.walkers || k.Seed != key.seed {
-			continue
-		}
-		if k.GraphVersion >= cur {
+		key.GraphVersion = k.GraphVersion // same configuration, any version
+		if k != key || k.GraphVersion >= cur {
 			continue
 		}
 		if !found || k.GraphVersion > best.GraphVersion {
@@ -1069,7 +1058,7 @@ func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
 	if !found {
 		return nil
 	}
-	if fi, err := e.stat(best); err == nil && e.expired(fi.ModTime()) {
+	if fi, err := e.cfg.Store.Stat(e.cfg.Name, best); err == nil && e.expired(fi.ModTime()) {
 		return nil
 	}
 	traj, err := e.cfg.Store.Load(e.cfg.Name, best)
@@ -1084,7 +1073,7 @@ func (e *Engine) loadTopUpSource(key trajKey) *core.Trajectory {
 // the persistent store instead of walking. On success every waiter wakes to
 // a zero-cost cache hit — the evicted-then-requested path that makes
 // eviction safe and restarts cheap.
-func (e *Engine) reloadFromStore(key trajKey, ent *entry) bool {
+func (e *Engine) reloadFromStore(key store.Key, ent *entry) bool {
 	if e.cfg.Store == nil {
 		return false
 	}
@@ -1107,7 +1096,7 @@ func (e *Engine) reloadFromStore(key trajKey, ent *entry) bool {
 // fresh walk on the current graph, but paying upstream only for the steps
 // the graph deltas invalidated. The recording itself is not bound to the
 // triggering query's context: co-batched queries are still waiting on it.
-func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *core.Trajectory) {
+func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *core.Trajectory) {
 	if e.cfg.BatchWindow > 0 {
 		select {
 		case <-time.After(e.cfg.BatchWindow):
@@ -1139,20 +1128,20 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 		if p, ok := src.(osn.SessionPrimer); ok {
 			p.PrimeSession(s)
 		}
-		seed := stats.Derive(key.seed, "serve/trajectory")
+		seed := stats.Derive(key.Seed, "serve/trajectory")
 		opts := core.Options{
 			BurnIn:       e.burnIn,
 			Rng:          stats.NewSeedSequence(seed).NextRand(),
 			Start:        -1,
 			BudgetDriven: true,
-			Walkers:      key.walkers,
+			Walkers:      key.Walkers,
 			Seed:         stats.Derive(seed, "fleet"),
 		}
 		if stale != nil && stale.NumNodes == g.NumNodes() {
-			traj, topUp, err = core.ResumeRecording(s, g, stale, key.budget, opts)
+			traj, topUp, err = core.ResumeRecording(s, g, stale, key.Budget, opts)
 			toppedUp = err == nil
 		} else {
-			traj, err = core.RecordTrajectory(s, key.budget, opts)
+			traj, err = core.RecordTrajectory(s, key.Budget, opts)
 		}
 		// All metered access is over: hand the session's pooled accounting
 		// arrays to the next recording. The trajectory's bound label reads
@@ -1172,7 +1161,6 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 	e.mu.Lock()
 	ent.traj = traj
 	ent.err = err
-	ent.frozen = true
 	ent.lastUsed = e.cfg.now()
 	if err == nil {
 		ent.bytes = bytes
@@ -1194,8 +1182,10 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 			delete(e.cache, key)
 		}
 	}
-	e.mu.Unlock()
+	// Closed under the lock: every join in acquire happens before it, so
+	// the sharer count the waiters split the bill by is final.
 	close(ent.ready)
+	e.mu.Unlock()
 	if err == nil {
 		if persist {
 			// Persist eagerly so even an ungraceful death keeps the walk;
@@ -1214,17 +1204,15 @@ func (e *Engine) record(ctx context.Context, key trajKey, ent *entry, stale *cor
 // pruneSuperseded removes persisted trajectories at key's configuration
 // recorded on graph versions older than version — they were retained as
 // top-up sources and a newer file now fills that role.
-func (e *Engine) pruneSuperseded(key trajKey, version uint64) {
+func (e *Engine) pruneSuperseded(key store.Key, version uint64) {
 	keys, err := e.cfg.Store.Keys(e.cfg.Name)
 	if err != nil {
 		e.countStoreError()
 		return
 	}
 	for _, k := range keys {
-		if k.Budget != key.budget || k.Walkers != key.walkers || k.Seed != key.seed {
-			continue
-		}
-		if k.GraphVersion >= version {
+		key.GraphVersion = k.GraphVersion // same configuration, any version
+		if k != key || k.GraphVersion >= version {
 			continue
 		}
 		if err := e.cfg.Store.Remove(e.cfg.Name, k); err != nil {
@@ -1250,7 +1238,8 @@ func (e *Engine) TrajectoryKeys() []string {
 	e.mu.Lock()
 	for k, ent := range e.cache {
 		if ent.completed() && ent.err == nil {
-			seen[storeKey(k, ent.traj.GraphVersion).Filename()] = true
+			k.GraphVersion = ent.traj.GraphVersion
+			seen[k.Filename()] = true
 		}
 	}
 	e.mu.Unlock()
@@ -1278,7 +1267,7 @@ func (e *Engine) ExportTrajectory(name string) ([]byte, time.Time, error) {
 		raw, err := e.cfg.Store.ReadRaw(e.cfg.Name, k)
 		var fi fs.FileInfo
 		if err == nil {
-			fi, err = e.stat(k)
+			fi, err = e.cfg.Store.Stat(e.cfg.Name, k)
 		}
 		if err == nil {
 			return raw, fi.ModTime(), nil
@@ -1287,11 +1276,12 @@ func (e *Engine) ExportTrajectory(name string) ([]byte, time.Time, error) {
 			e.countStoreError()
 		}
 	}
-	tk := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
+	version := k.GraphVersion
+	k.GraphVersion = 0 // the cache key
 	e.mu.Lock()
 	var traj *core.Trajectory
 	var recorded time.Time
-	if ent := e.cache[tk]; ent != nil && ent.completed() && ent.err == nil && ent.traj.GraphVersion == k.GraphVersion {
+	if ent := e.cache[k]; ent != nil && ent.completed() && ent.err == nil && ent.traj.GraphVersion == version {
 		traj, recorded = ent.traj, ent.recorded
 	}
 	e.mu.Unlock()
@@ -1330,18 +1320,9 @@ func (e *Engine) ImportTrajectory(name string, raw []byte, recorded time.Time) e
 		return fmt.Errorf("%w: file is a w%d_g%d trajectory, key %q disagrees",
 			ErrBadTrajectory, traj.Walkers, traj.GraphVersion, name)
 	}
-	g := e.Graph()
-	if traj.GraphVersion != g.Version() || traj.GraphFingerprint != g.Fingerprint() {
-		return fmt.Errorf("%w: recorded on graph version %d fingerprint %x, this engine serves version %d fingerprint %x",
-			ErrBadTrajectory, traj.GraphVersion, traj.GraphFingerprint, g.Version(), g.Fingerprint())
+	if err := e.admit(traj, e.Graph()); err != nil {
+		return err
 	}
-	if traj.BurnIn != e.burnIn {
-		return fmt.Errorf("%w: recorded burn-in %d, this engine records at %d",
-			ErrBadTrajectory, traj.BurnIn, e.burnIn)
-	}
-	// Same label rebinding as a store reload: replays consult the served
-	// graph's labels at CSR speed instead of the file's interned store.
-	traj.BindLabels(g)
 
 	if now := e.cfg.now(); recorded.IsZero() || recorded.After(now) {
 		recorded = now
@@ -1362,17 +1343,17 @@ func (e *Engine) ImportTrajectory(name string, raw []byte, recorded time.Time) e
 	ent := e.completeLoaded(&entry{ready: make(chan struct{}), dirty: e.cfg.Store != nil && !persisted},
 		traj, int64(len(raw)), recorded)
 
-	tk := trajKey{budget: k.Budget, walkers: k.Walkers, seed: k.Seed}
+	k.GraphVersion = 0 // the cache key
 	e.mu.Lock()
 	e.stats.Imports++
 	if persisted {
 		e.stats.StoreSaves++
 	}
 	installed := false
-	if _, exists := e.cache[tk]; !exists {
+	if _, exists := e.cache[k]; !exists {
 		// A recording in flight (or a fresher cached trajectory) keeps its
 		// slot; the imported file still landed in the store above.
-		e.cache[tk] = ent
+		e.cache[k] = ent
 		installed = true
 	}
 	e.mu.Unlock()

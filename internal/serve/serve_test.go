@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/osn"
+	"repro/internal/store"
 )
 
 // testGraph builds a small labeled graph shared by the serve tests.
@@ -487,11 +488,11 @@ func TestEngineCacheBounded(t *testing.T) {
 func TestEngineFailedRecordingNotServedStale(t *testing.T) {
 	g := testGraph(t, 10)
 	e := testEngine(t, g, Config{Budget: 150})
-	key := trajKey{budget: e.cfg.Budget, walkers: e.cfg.Walkers, seed: e.cfg.Seed}
+	key := store.Key{Budget: e.cfg.Budget, Walkers: e.cfg.Walkers, Seed: e.cfg.Seed}
 
 	// Manufacture a completed-but-failed recording in the cache, as record()
 	// would have left it before the fix.
-	ent := &entry{ready: make(chan struct{}), err: errors.New("transient recording failure"), frozen: true, sharers: 1}
+	ent := &entry{ready: make(chan struct{}), err: errors.New("transient recording failure"), sharers: 1}
 	close(ent.ready)
 	e.mu.Lock()
 	e.cache[key] = ent

@@ -249,7 +249,7 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if est.TrajectoryKey == "" {
+	if est.StoreKey == "" {
 		t.Fatal("estimate response carries no trajectory_key")
 	}
 
@@ -263,10 +263,10 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(listing.Keys) != 1 || listing.Keys[0] != est.TrajectoryKey {
-		t.Fatalf("listing = %+v, want [%s]", listing, est.TrajectoryKey)
+	if len(listing.Keys) != 1 || listing.Keys[0] != est.StoreKey {
+		t.Fatalf("listing = %+v, want [%s]", listing, est.StoreKey)
 	}
-	resp, err = http.Get(srvA.URL + "/trajectories/g/" + est.TrajectoryKey)
+	resp, err = http.Get(srvA.URL + "/trajectories/g/" + est.StoreKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 	put := func(body []byte) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPut,
-			srvB.URL+"/trajectories/g/"+est.TrajectoryKey, bytes.NewReader(body))
+			srvB.URL+"/trajectories/g/"+est.StoreKey, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,11 +21,12 @@ var (
 	wireCIKeys        = []string{"high", "low"}
 	wireGraphRowKeys  = []string{"burn_in", "cache_hits", "cached_bytes", "cached_trajectories",
 		"deltas", "edges", "graph_version", "imports", "name", "nodes", "queries", "recordings",
-		"store_loads", "tasks_by_kind", "topup_saved_calls", "topups", "upstream_api_calls"}
+		"store_errors", "store_loads", "store_saves", "tasks_by_kind", "topup_saved_calls", "topups",
+		"upstream_api_calls"}
 	wireHealthKeys = []string{"cache_byte_budget", "cache_bytes_used", "cache_hits", "deltas",
 		"graphs", "imports", "queries", "ready", "recordings", "status", "store_errors",
-		"store_loads", "store_saves", "topup_saved_calls", "topups", "upstream_api_calls",
-		"uptime_seconds"}
+		"store_loads", "store_saves", "tasks_by_kind", "topup_saved_calls", "topups",
+		"upstream_api_calls", "uptime_seconds"}
 )
 
 // TestHTTPWireShape pins the exact key set of every JSON object the serve

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/osn"
 	"repro/internal/store"
 )
 
@@ -23,37 +22,9 @@ var ErrUnknownGraph = errors.New("serve: unknown graph")
 var ErrGraphExists = errors.New("serve: graph already loaded")
 
 // GraphOptions are the per-graph engine settings a Workspace applies when a
-// graph is added; the zero value inherits the workspace defaults field by
-// field (a zero default then means the engine's own documented default, see
-// Config).
-type GraphOptions struct {
-	// BurnIn is the walk burn-in in steps; 0 measures the mixing time once
-	// when the graph is added.
-	BurnIn int
-	// Budget is the default per-trajectory API-call budget; 0 means 5% of
-	// |V|.
-	Budget int
-	// Walkers is the default fleet size per recording; 0 means 1.
-	Walkers int
-	// Seed is the default trajectory seed.
-	Seed int64
-	// BatchWindow is the query-coalescing window (see Config.BatchWindow).
-	BatchWindow time.Duration
-	// TTL bounds the age of trajectories recorded through SourceFactory
-	// (see Config.TTL); 0 never expires.
-	TTL time.Duration
-	// SnapshotPath is the graph's .osnb snapshot on disk; when set,
-	// ApplyDelta persists accepted deltas as .osnd segments beside it (see
-	// Config.SnapshotPath).
-	SnapshotPath string
-	// CompactSegments bounds the delta-segment count before the snapshot is
-	// compacted; 0 means 8 (see Config.CompactSegments).
-	CompactSegments int
-	// SourceFactory, when set, builds the upstream osn.Source each recording
-	// session meters (see Config.SourceFactory); nil records against the
-	// in-memory graph directly.
-	SourceFactory func(*graph.Graph) osn.Source
-}
+// graph is added: an engine Config whose Graph, Name and Store AddGraph
+// fills in. Zero fields mean the engine's own documented defaults.
+type GraphOptions = Config
 
 // WorkspaceConfig describes a Workspace.
 type WorkspaceConfig struct {
@@ -84,24 +55,25 @@ type WorkspaceConfig struct {
 	now func() time.Time
 }
 
-// GraphInfo describes one served graph for listings.
+// GraphInfo describes one served graph for listings; it is a GET /graphs
+// row.
 type GraphInfo struct {
 	// Name is the workspace name queries address the graph by.
-	Name string
+	Name string `json:"name"`
 	// Nodes and Edges are the graph's size.
-	Nodes int
-	Edges int64 // undirected edge count
+	Nodes int   `json:"nodes"`
+	Edges int64 `json:"edges"` // undirected edge count
 	// BurnIn is the burn-in applied to the graph's recordings.
-	BurnIn int
+	BurnIn int `json:"burn_in"`
 	// Version is the graph's current delta-log version (see
 	// Engine.ApplyDelta).
-	Version uint64
+	Version uint64 `json:"graph_version"`
 	// CachedTrajectories and CachedBytes describe the graph's share of the
 	// trajectory cache.
-	CachedTrajectories int
-	CachedBytes        int64 // .osnt-encoded size of the cached trajectories
+	CachedTrajectories int   `json:"cached_trajectories"`
+	CachedBytes        int64 `json:"cached_bytes"` // .osnt-encoded size of the cached trajectories
 	// Stats are the graph's engine counters.
-	Stats Stats
+	Stats
 }
 
 // Workspace serves many named graphs from one process: a registry of
@@ -176,22 +148,9 @@ func (w *Workspace) AddGraph(name string, g *graph.Graph, opts *GraphOptions) (i
 	if opts != nil {
 		o = *opts
 	}
-	engine, err := New(Config{
-		Graph:           g,
-		Name:            name,
-		Store:           w.cfg.Store,
-		BurnIn:          o.BurnIn,
-		Budget:          o.Budget,
-		Walkers:         o.Walkers,
-		Seed:            o.Seed,
-		BatchWindow:     o.BatchWindow,
-		TTL:             o.TTL,
-		SnapshotPath:    o.SnapshotPath,
-		CompactSegments: o.CompactSegments,
-		SourceFactory:   o.SourceFactory,
-		now:             w.cfg.now,
-		onCached:        w.enforceBudget,
-	})
+	o.Graph, o.Name, o.Store = g, name, w.cfg.Store
+	o.now, o.onCached = w.cfg.now, w.enforceBudget
+	engine, err := New(o)
 	if err != nil {
 		return 0, err
 	}

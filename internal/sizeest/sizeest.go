@@ -68,27 +68,27 @@ type Options struct {
 // Result reports one size estimation run.
 type Result struct {
 	// Nodes is the |V| estimate.
-	Nodes float64
+	Nodes float64 `json:"nodes"`
 	// Edges is the |E| estimate.
-	Edges float64
+	Edges float64 `json:"edges"`
 	// MeanDegree is the harmonic-identity mean-degree estimate R/Ψ1
 	// (E_π[1/d]⁻¹ = 2|E|/|V|), free from the same samples.
-	MeanDegree float64
+	MeanDegree float64 `json:"mean_degree"`
 	// Collisions is the number of colliding sample pairs the |V| estimate
 	// rests on; treat small values (< ~10) as unreliable.
-	Collisions int
+	Collisions int `json:"collisions"`
 	// Samples is the number of retained walk samples.
-	Samples int
+	Samples int `json:"-"`
 	// APICalls is the number of charged API calls during sampling (summed
 	// per-walker bills for a multi-walker run).
-	APICalls int64
+	APICalls int64 `json:"-"`
 	// Walkers is how many concurrent walkers produced the sample.
-	Walkers int
+	Walkers int `json:"-"`
 	// NodesCI and EdgesCI are variance-based confidence intervals from the
 	// per-walker estimates; zero (Valid() == false) on serial runs or when
 	// fewer than two walkers saw a collision.
-	NodesCI core.CI
-	EdgesCI core.CI
+	NodesCI core.CI `json:"nodes_ci,omitzero"`
+	EdgesCI core.CI `json:"edges_ci,omitzero"`
 }
 
 func (o *Options) validate() error {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -123,19 +124,16 @@ func (d *Dir) Load(graphName string, k Key) (*core.Trajectory, error) {
 	return Load(path)
 }
 
-// FileSize returns the on-disk byte size of the (graph, key) trajectory.
-// By the format's construction it equals EncodedSize of the loaded
-// trajectory, so callers can weigh a cache entry without re-scanning it.
-func (d *Dir) FileSize(graphName string, k Key) (int64, error) {
+// Stat returns the file metadata of the (graph, key) trajectory. By the
+// format's construction its size equals EncodedSize of the loaded
+// trajectory, so callers can weigh a cache entry without re-scanning it. A
+// missing file returns an error wrapping fs.ErrNotExist.
+func (d *Dir) Stat(graphName string, k Key) (fs.FileInfo, error) {
 	path, err := d.Path(graphName, k)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	return os.Stat(path)
 }
 
 // Has reports whether a (graph, key) trajectory file exists, without
