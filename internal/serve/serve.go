@@ -25,13 +25,8 @@
 package serve
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,7 +35,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/snapshot"
 	"repro/internal/osn"
-	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/walk"
 
@@ -309,35 +303,6 @@ func (s *Stats) add(o Stats) {
 	s.Imports += o.Imports
 }
 
-// entry is one cache slot: a recording in flight (ready open) or done
-// (ready closed). sharers counts the queries that joined before completion
-// and split the bill; ready is only closed under the engine's mu, so once
-// it is closed the count is final.
-type entry struct {
-	ready chan struct{}
-	traj  *core.Trajectory
-	err   error
-	// recorded is when the trajectory was recorded, as far as this engine
-	// can tell: the recording's completion, or the .osnt file's
-	// modification time for one that came from disk. Config.TTL counts
-	// from it.
-	recorded time.Time
-	lastUsed time.Time
-	sharers  int
-	// bytes is the trajectory's .osnt-encoded size — the cache weight the
-	// workspace byte budget is enforced against.
-	bytes int64
-	// dirty marks a completed trajectory not yet persisted to the store;
-	// eviction and Flush write it out before dropping it.
-	dirty bool
-	// fromStore marks a trajectory served from disk rather than recorded:
-	// its waiters are cache hits and nobody is billed.
-	fromStore bool
-	// staleSteps is how many steps a top-up re-recorded when it produced
-	// this entry's trajectory (0 for fresh recordings and store loads).
-	staleSteps int
-}
-
 // Engine owns one graph and serves estimate queries over shared
 // trajectories. The graph is mutable: ApplyDelta swaps in a patched
 // copy-on-write version while queries and recordings in flight keep the
@@ -485,880 +450,9 @@ func (e *Engine) Stats() Stats {
 	return snap
 }
 
-// CachedTrajectories returns how many completed trajectories the cache
-// holds (recordings in flight excluded).
-func (e *Engine) CachedTrajectories() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, ent := range e.cache {
-		if ent.completed() {
-			n++
-		}
-	}
-	return n
-}
-
-// CachedBytes returns the total .osnt-encoded size of the completed
-// trajectories in the cache — the engine's weight against the workspace
-// byte budget.
-func (e *Engine) CachedBytes() int64 {
-	total, _ := e.lru()
-	return total
-}
-
-// victim is an engine's least-recently-used completed trajectory — its
-// candidate for the workspace's byte-budget eviction.
-type victim struct {
-	e        *Engine
-	key      store.Key
-	ent      *entry // nil: the engine has nothing evictable
-	lastUsed time.Time
-}
-
-// lru scans the cache once for the engine's weight (see CachedBytes) and
-// its eviction candidate. Recordings in flight are never candidates: their
-// waiters hold them.
-func (e *Engine) lru() (int64, victim) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var total int64
-	v := victim{e: e}
-	for k, ent := range e.cache {
-		if !ent.completed() || ent.err != nil {
-			continue
-		}
-		total += ent.bytes
-		if v.ent == nil || ent.lastUsed.Before(v.lastUsed) {
-			v.key, v.ent, v.lastUsed = k, ent, ent.lastUsed
-		}
-	}
-	return total, v
-}
-
-// evict drops v from its engine's cache, unless a concurrent query already
-// replaced or dropped it. A dirty victim is persisted on the way out, so
-// the next request for it reloads from disk instead of re-walking.
-func (v victim) evict() {
-	e := v.e
-	e.mu.Lock()
-	if e.cache[v.key] != v.ent {
-		e.mu.Unlock()
-		return
-	}
-	delete(e.cache, v.key)
-	dirty := v.ent.dirty
-	e.mu.Unlock()
-	if dirty {
-		_ = e.saveItem(v.key, v.ent) // failure is counted in StoreErrors
-	}
-}
-
-// completed reports whether the entry's recording (or load) has finished.
-func (ent *entry) completed() bool {
-	select {
-	case <-ent.ready:
-		return true
-	default:
-		return false
-	}
-}
-
-// Flush persists every dirty cached trajectory to the store, returning the
-// first error. It is the graceful-shutdown half of the durability story:
-// recordings are normally saved as they complete, and Flush catches any
-// whose save failed (the error count is in Stats.StoreErrors). Engines
-// without a store flush trivially.
-func (e *Engine) Flush() error {
-	if e.cfg.Store == nil {
-		return nil
-	}
-	e.mu.Lock()
-	dirty := make(map[store.Key]*entry)
-	for k, ent := range e.cache {
-		if ent.completed() && ent.err == nil && ent.dirty {
-			dirty[k] = ent
-		}
-	}
-	e.mu.Unlock()
-	var firstErr error
-	for k, ent := range dirty {
-		if err := e.saveItem(k, ent); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// saveItem persists one completed dirty trajectory and clears its dirty
-// mark. The file is keyed by the graph version the trajectory was recorded
-// on, which may be older than the engine's current graph.
-func (e *Engine) saveItem(key store.Key, ent *entry) error {
-	key.GraphVersion = ent.traj.GraphVersion
-	err := e.cfg.Store.Save(e.cfg.Name, key, ent.traj)
-	e.mu.Lock()
-	if err != nil {
-		e.stats.StoreErrors++
-	} else {
-		ent.dirty = false
-		e.stats.StoreSaves++
-	}
-	e.mu.Unlock()
-	return err
-}
-
 // countStoreError bumps the store-error counter under the lock.
 func (e *Engine) countStoreError() {
 	e.mu.Lock()
 	e.stats.StoreErrors++
 	e.mu.Unlock()
-}
-
-// warmStart loads the persisted trajectories of this graph's CURRENT
-// version into the cache until they fill room bytes, so the first queries
-// after a restart are served with zero API spend. Files of older graph
-// versions are left on disk as top-up sources; files past the freshness
-// TTL are left for the next query to re-record; files that fail to load —
-// corrupt, truncated, or recorded against a different graph — are skipped
-// and counted in Stats.StoreErrors. It returns how many trajectories were
-// loaded.
-func (e *Engine) warmStart(room int64) int {
-	if e.cfg.Store == nil {
-		return 0
-	}
-	keys, err := e.cfg.Store.Keys(e.cfg.Name)
-	if err != nil {
-		e.countStoreError()
-		return 0
-	}
-	version := e.Graph().Version()
-	loaded := 0
-	for _, k := range keys {
-		if room <= 0 {
-			break
-		}
-		if k.GraphVersion != version {
-			continue
-		}
-		k.GraphVersion = 0 // the cache key
-		traj, fi := e.loadEntry(k)
-		if traj == nil {
-			continue
-		}
-		e.mu.Lock()
-		if _, exists := e.cache[k]; !exists {
-			e.cache[k] = e.completeLoaded(&entry{ready: make(chan struct{})}, traj, fi.Size(), fi.ModTime())
-			e.stats.StoreLoads++
-			loaded++
-			room -= fi.Size()
-		}
-		e.mu.Unlock()
-	}
-	if loaded > 0 {
-		e.notifyCached()
-	}
-	return loaded
-}
-
-// loadEntry reads the persisted trajectory recorded on the engine's current
-// graph version, with its file's metadata. It returns a nil trajectory if
-// the file is missing, past the freshness TTL, corrupt, or recorded against
-// a different graph state (counting the last two as store errors).
-func (e *Engine) loadEntry(key store.Key) (*core.Trajectory, fs.FileInfo) {
-	g := e.Graph()
-	key.GraphVersion = g.Version()
-	fi, err := e.cfg.Store.Stat(e.cfg.Name, key)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			e.countStoreError()
-		}
-		return nil, nil
-	}
-	if e.expired(fi.ModTime()) {
-		return nil, nil // the caller re-records from the upstream instead
-	}
-	traj, err := e.cfg.Store.Load(e.cfg.Name, key)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			e.countStoreError()
-		}
-		return nil, nil
-	}
-	if e.admit(traj, g) != nil {
-		e.countStoreError()
-		return nil, nil
-	}
-	return traj, fi
-}
-
-// admit is the identity check every trajectory that was not recorded here
-// passes before it is served — a store reload, a warm start or a peer's
-// import. It returns an error wrapping ErrBadTrajectory unless traj was
-// recorded on g, the served graph, at this engine's burn-in; an admitted
-// trajectory is bound to g's labels.
-func (e *Engine) admit(traj *core.Trajectory, g *graph.Graph) error {
-	if traj.GraphVersion != g.Version() || traj.GraphFingerprint != g.Fingerprint() {
-		// Hard identity check: the header's delta-log version and content
-		// fingerprint must both match the served graph. This replaces the old
-		// |V|/|E| prior heuristic, which an equal-sized but rewired graph
-		// (exactly what edge churn produces) would slip past.
-		return fmt.Errorf("%w: recorded on graph version %d fingerprint %x, this engine serves version %d fingerprint %x",
-			ErrBadTrajectory, traj.GraphVersion, traj.GraphFingerprint, g.Version(), g.Fingerprint())
-	}
-	if traj.BurnIn != e.burnIn {
-		// Recorded under a different burn-in (the server's -burnin changed,
-		// or the measured mixing time moved with a new graph build): not
-		// the trajectory this engine would record, so serving it would be
-		// silently inconsistent with fresh recordings at sibling keys.
-		return fmt.Errorf("%w: recorded burn-in %d, this engine records at %d",
-			ErrBadTrajectory, traj.BurnIn, e.burnIn)
-	}
-	// Rebind the trajectory to the served graph's labels — the exact source
-	// the recording read (deltas touch edges, never labels) — so replays run
-	// at CSR speed instead of through the file's self-contained label store.
-	traj.BindLabels(g)
-	return nil
-}
-
-// expired reports whether a trajectory recorded at recorded has outlived
-// the freshness TTL. Only recordings through an upstream source age (see
-// Config.TTL).
-func (e *Engine) expired(recorded time.Time) bool {
-	return e.cfg.SourceFactory != nil && e.cfg.TTL > 0 && e.cfg.now().Sub(recorded) > e.cfg.TTL
-}
-
-// completeLoaded completes ent with a verified trajectory that came from
-// disk or a peer rather than from a recording here — the one constructor
-// of such entries (store reload, warm start, import). Its waiters are cache
-// hits and nobody is billed; recorded dates the trajectory for Config.TTL.
-// Callers hold e.mu when ent is already published in the cache.
-func (e *Engine) completeLoaded(ent *entry, traj *core.Trajectory, bytes int64, recorded time.Time) *entry {
-	ent.traj, ent.bytes, ent.recorded = traj, bytes, recorded
-	ent.fromStore = true
-	ent.lastUsed = e.cfg.now()
-	close(ent.ready)
-	return ent
-}
-
-// notifyCached tells the owning workspace (if any) that the cache gained a
-// trajectory, so it can enforce the byte budget. Never called with e.mu
-// held.
-func (e *Engine) notifyCached() {
-	if e.cfg.onCached != nil {
-		e.cfg.onCached()
-	}
-}
-
-// buildTask validates a query's task parameters through the registry and
-// returns the resolved kind and replayable task.
-func buildTask(q Query) (string, core.EstimationTask, error) {
-	kind := q.Kind
-	if kind == "" {
-		kind = "pairs"
-	}
-	spec, ok := core.LookupTask(kind)
-	if !ok {
-		return "", nil, fmt.Errorf("%w: unknown kind %q (have %v)", ErrBadQuery, kind, core.TaskKinds())
-	}
-	task, err := spec.NewTask(core.TaskParams{Pairs: q.Pairs, Motif: q.Motif, Top: q.Top, Variant: q.Variant})
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	if q.Budget < 0 || q.Walkers < 0 || q.MaxCost < 0 {
-		return "", nil, fmt.Errorf("%w: negative Budget/Walkers/MaxCost", ErrBadQuery)
-	}
-	return kind, task, nil
-}
-
-// resolveKey maps a query onto its trajectory cache key, applying the
-// engine defaults.
-func (e *Engine) resolveKey(q Query) store.Key {
-	key := store.Key{Budget: e.cfg.Budget, Walkers: e.cfg.Walkers, Seed: e.cfg.Seed}
-	if q.Budget > 0 {
-		key.Budget = q.Budget
-	}
-	if q.Walkers > 0 {
-		key.Walkers = q.Walkers
-	}
-	if q.Seed != 0 {
-		key.Seed = q.Seed
-	}
-	return key
-}
-
-// Estimate answers one query — an EstimateBatch of one: it resolves the
-// query's task kind through the estimation-task registry, then records a
-// trajectory, joins one in flight, reloads a persisted one, or replays a
-// cached one as the cache dictates, and finally replays the task over it.
-// Parameter validation happens before any API spend; a replay failure is
-// returned as the call's error (wrapping ErrEstimation).
-func (e *Engine) Estimate(ctx context.Context, q Query) (*Answer, error) {
-	answers, err := e.EstimateBatch(ctx, []Query{q})
-	if err != nil {
-		return nil, err
-	}
-	if answers[0].Err != nil {
-		return nil, answers[0].Err
-	}
-	return answers[0], nil
-}
-
-// EstimateBatch answers several queries against ONE shared trajectory: all
-// queries must resolve to the same (budget, walkers, seed) configuration
-// (zero fields inherit the engine defaults), the trajectory is acquired
-// once, and each query's task replays over it. Mixing kinds is the point —
-// the kind is not part of the trajectory key — and the recording bill is
-// split across the batch members on top of the usual co-triggering split.
-// A per-query replay failure sets that answer's Err (wrapping
-// ErrEstimation) without failing the batch; invalid queries fail the whole
-// batch before any API spend.
-func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadQuery)
-	}
-	kinds := make([]string, len(qs))
-	tasks := make([]core.EstimationTask, len(qs))
-	key := e.resolveKey(qs[0])
-	var maxCost int64
-	for i, q := range qs {
-		kind, task, err := buildTask(q)
-		if err != nil {
-			if len(qs) > 1 {
-				err = fmt.Errorf("batch query %d: %w", i, err)
-			}
-			return nil, err
-		}
-		kinds[i], tasks[i] = kind, task
-		if e.resolveKey(q) != key {
-			return nil, fmt.Errorf("%w: batch query %d resolves to a different trajectory configuration than query 0 — a batch shares one walk", ErrBadQuery, i)
-		}
-		if q.MaxCost > 0 && (maxCost == 0 || q.MaxCost < maxCost) {
-			maxCost = q.MaxCost
-		}
-	}
-
-	ent, hit, err := e.acquire(ctx, Query{MaxCost: maxCost}, key)
-	if err != nil {
-		return nil, err
-	}
-	if ent.err != nil {
-		return nil, ent.err
-	}
-
-	// One fused pass over the trajectory's step columns answers the whole
-	// batch: every streaming task's aggregators ride the same column sweep,
-	// and per-query replay failures drop out without disturbing the rest.
-	outs, errs := core.RunTasksFused(ent.traj, tasks)
-	key.GraphVersion = ent.traj.GraphVersion // the serving file's spelling
-	storeName := key.Filename()
-	answers := make([]*Answer, len(qs))
-	for i := range qs {
-		out := outs[i]
-		if errs[i] != nil {
-			out = nil
-		}
-		ans := e.assembleAnswer(kinds[i], out, ent, hit)
-		if !ans.CacheHit {
-			// The batch occupied one seat in the co-triggering split; divide
-			// that share across its members (truncated, like the split
-			// itself).
-			ans.Charged = (ent.traj.APICalls / int64(ent.sharers)) / int64(len(qs))
-		}
-		ans.StoreKey = storeName
-		answers[i] = ans
-		if errs[i] != nil {
-			// Replay failures are per-query: the shared trajectory still
-			// answers the rest of the batch. A failed query is not counted
-			// as served.
-			ans.Err = fmt.Errorf("%w: kind %q: %v", ErrEstimation, kinds[i], errs[i])
-			continue
-		}
-		e.countQuery(kinds[i], ans)
-	}
-	return answers, nil
-}
-
-// assembleAnswer wraps one task's replay result in the answer envelope.
-func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool) *Answer {
-	ans := &Answer{
-		Kind:         kind,
-		APICalls:     ent.traj.APICalls,
-		CacheHit:     hit || ent.fromStore,
-		Walkers:      ent.traj.Walkers,
-		Samples:      ent.traj.Samples(),
-		GraphVersion: ent.traj.GraphVersion,
-		StaleSteps:   ent.staleSteps,
-	}
-	if !ans.CacheHit {
-		ans.SharedBy = ent.sharers
-		ans.Charged = ent.traj.APICalls / int64(ent.sharers)
-	}
-	if prs, isPairs := out.([]core.PairEstimates); isPairs {
-		// The historical pairs response shape.
-		ans.Pairs = make([]PairAnswer, 0, len(prs))
-		for _, pe := range prs {
-			ans.Pairs = append(ans.Pairs, PairAnswer{
-				Pair: pe.Pair,
-				Estimates: map[string]float64{
-					"NeighborSample-HH":      pe.NS.HH,
-					"NeighborSample-HT":      pe.NS.HT,
-					"NeighborExploration-HH": pe.NE.HH,
-					"NeighborExploration-HT": pe.NE.HT,
-					"NeighborExploration-RW": pe.NE.RW,
-				},
-			})
-		}
-	} else {
-		ans.Result = out
-	}
-	return ans
-}
-
-// countQuery folds one answered query into the stats.
-func (e *Engine) countQuery(kind string, ans *Answer) {
-	e.mu.Lock()
-	e.stats.Queries++
-	if e.stats.TasksByKind == nil {
-		e.stats.TasksByKind = make(map[string]int64)
-	}
-	e.stats.TasksByKind[kind]++
-	if ans.CacheHit {
-		e.stats.CacheHits++
-	}
-	e.mu.Unlock()
-}
-
-// acquire resolves the query's trajectory: a valid cached one (hit), an
-// in-flight recording to join, a persisted one reloaded from the store, or
-// a (possibly topped-up) recording this query triggers. A cached trajectory
-// whose graph version no longer matches the served graph is not discarded
-// outright: it becomes the top-up source for the recording that replaces it,
-// so only its invalidated steps are re-bought upstream.
-func (e *Engine) acquire(ctx context.Context, q Query, key store.Key) (*entry, bool, error) {
-	var stale *core.Trajectory
-	for {
-		e.mu.Lock()
-		ent := e.cache[key]
-		if ent != nil {
-			select {
-			case <-ent.ready:
-				// A completed recording that failed, or outlived its freshness
-				// TTL, is dropped and this query retries with a fresh one.
-				// Only the queries that actually waited on a failed recording
-				// see its error (through the join and miss paths below).
-				if ent.err != nil || e.expired(ent.recorded) {
-					delete(e.cache, key)
-					e.mu.Unlock()
-					continue
-				}
-				if g := e.Graph(); ent.traj.GraphVersion != g.Version() ||
-					ent.traj.GraphFingerprint != g.Fingerprint() {
-					// A delta outdated this trajectory. Keep it as the top-up
-					// source and fall through to the miss path, which records
-					// its replacement redeeming the still-valid steps.
-					stale = ent.traj
-					delete(e.cache, key)
-					e.mu.Unlock()
-					continue
-				}
-				ent.lastUsed = e.cfg.now()
-				e.mu.Unlock()
-				return ent, true, nil
-			default:
-				// Recording in flight: join the batch and split the bill. The
-				// recording closes ready under e.mu, so this join lands before
-				// the sharer count is read.
-				if q.MaxCost > 0 && q.MaxCost < int64(key.Budget)/int64(ent.sharers+1) {
-					e.mu.Unlock()
-					return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.Budget)
-				}
-				ent.sharers++
-				e.mu.Unlock()
-				select {
-				case <-ent.ready:
-					return ent, ent.fromStore, nil
-				case <-ctx.Done():
-					return nil, false, ctx.Err()
-				}
-			}
-		}
-		// Miss: this query triggers a store reload or a recording. MaxCost
-		// is checked against the recording budget unless the trajectory is
-		// already persisted (a reload costs nothing).
-		if q.MaxCost > 0 && q.MaxCost < int64(key.Budget) && !e.storeHas(key) {
-			e.mu.Unlock()
-			return nil, false, fmt.Errorf("%w: MaxCost %d, trajectory budget %d", ErrQueryBudget, q.MaxCost, key.Budget)
-		}
-		ent = &entry{ready: make(chan struct{}), sharers: 1}
-		e.cache[key] = ent
-		e.mu.Unlock()
-
-		if e.reloadFromStore(key, ent) {
-			return ent, true, nil
-		}
-		if stale == nil {
-			// No stale in-memory trajectory to top up from; an older graph
-			// version's persisted file (retained across deltas) serves just
-			// as well.
-			stale = e.loadTopUpSource(key)
-		}
-		// record blocks through the batching window and the fleet run, and
-		// closes ent.ready before returning; co-batched queries wake with us.
-		e.record(ctx, key, ent, stale)
-		return ent, false, nil
-	}
-}
-
-// storeHas reports whether the key's trajectory is persisted, and still
-// fresh, for the currently served graph version. Called with e.mu held — it
-// is a single stat, only on the rare miss-with-MaxCost path.
-func (e *Engine) storeHas(key store.Key) bool {
-	if e.cfg.Store == nil {
-		return false
-	}
-	key.GraphVersion = e.Graph().Version()
-	fi, err := e.cfg.Store.Stat(e.cfg.Name, key)
-	return err == nil && fi.Mode().IsRegular() && !e.expired(fi.ModTime())
-}
-
-// loadTopUpSource looks for the newest persisted trajectory at key's
-// configuration recorded on an OLDER graph version — the per-version
-// retention that turns a delta into an incremental top-up instead of a full
-// re-recording. The returned trajectory needs no trust: the top-up validates
-// every recorded response against the current graph before redeeming it. A
-// file past the freshness TTL is no source: its responses are what the
-// re-recording must buy again.
-func (e *Engine) loadTopUpSource(key store.Key) *core.Trajectory {
-	if e.cfg.Store == nil {
-		return nil
-	}
-	keys, err := e.cfg.Store.Keys(e.cfg.Name)
-	if err != nil {
-		e.countStoreError()
-		return nil
-	}
-	cur := e.Graph().Version()
-	var best store.Key
-	found := false
-	for _, k := range keys {
-		key.GraphVersion = k.GraphVersion // same configuration, any version
-		if k != key || k.GraphVersion >= cur {
-			continue
-		}
-		if !found || k.GraphVersion > best.GraphVersion {
-			best, found = k, true
-		}
-	}
-	if !found {
-		return nil
-	}
-	if fi, err := e.cfg.Store.Stat(e.cfg.Name, best); err == nil && e.expired(fi.ModTime()) {
-		return nil
-	}
-	traj, err := e.cfg.Store.Load(e.cfg.Name, best)
-	if err != nil {
-		e.countStoreError()
-		return nil
-	}
-	return traj
-}
-
-// reloadFromStore tries to complete a just-published in-flight entry from
-// the persistent store instead of walking. On success every waiter wakes to
-// a zero-cost cache hit — the evicted-then-requested path that makes
-// eviction safe and restarts cheap.
-func (e *Engine) reloadFromStore(key store.Key, ent *entry) bool {
-	if e.cfg.Store == nil {
-		return false
-	}
-	traj, fi := e.loadEntry(key)
-	if traj == nil {
-		return false
-	}
-	e.mu.Lock()
-	e.stats.StoreLoads++
-	e.completeLoaded(ent, traj, fi.Size(), fi.ModTime())
-	e.mu.Unlock()
-	e.notifyCached()
-	return true
-}
-
-// record waits out the batching window, runs the fleet recording, publishes
-// the result to every query waiting on ent, and persists it to the store
-// (when configured). When stale carries an outdated trajectory at the same
-// configuration, the recording is an incremental top-up: bit-identical to a
-// fresh walk on the current graph, but paying upstream only for the steps
-// the graph deltas invalidated. The recording itself is not bound to the
-// triggering query's context: co-batched queries are still waiting on it.
-func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *core.Trajectory) {
-	if e.cfg.BatchWindow > 0 {
-		select {
-		case <-time.After(e.cfg.BatchWindow):
-		case <-ctx.Done():
-			// The triggering client gave up; run anyway for any co-batched
-			// queries — the window already elapsed for them too.
-		}
-	}
-
-	// Snapshot the served graph once: a delta applied mid-recording must not
-	// tear this walk across versions.
-	g := e.Graph()
-	src := osn.Source(osn.NewGraphSource(g))
-	if e.cfg.SourceFactory != nil {
-		src = e.cfg.SourceFactory(g)
-	}
-	scfg := osn.Config{}
-	if e.pool.Nodes() == g.NumNodes() {
-		scfg.Pool = e.pool
-	}
-	s, err := osn.NewSessionFrom(src, scfg)
-	var traj *core.Trajectory
-	var topUp core.TopUpStats
-	toppedUp := false
-	if err == nil {
-		// A source carrying its own persistent response cache (e.g. the
-		// httpsrc .osnc log) prepays everything it already holds; a top-up's
-		// own Prepay below merges over it, later call winning per node.
-		if p, ok := src.(osn.SessionPrimer); ok {
-			p.PrimeSession(s)
-		}
-		seed := stats.Derive(key.Seed, "serve/trajectory")
-		opts := core.Options{
-			BurnIn:       e.burnIn,
-			Rng:          stats.NewSeedSequence(seed).NextRand(),
-			Start:        -1,
-			BudgetDriven: true,
-			Walkers:      key.Walkers,
-			Seed:         stats.Derive(seed, "fleet"),
-		}
-		if stale != nil && stale.NumNodes == g.NumNodes() {
-			traj, topUp, err = core.ResumeRecording(s, g, stale, key.Budget, opts)
-			toppedUp = err == nil
-		} else {
-			traj, err = core.RecordTrajectory(s, key.Budget, opts)
-		}
-		// All metered access is over: hand the session's pooled accounting
-		// arrays to the next recording. The trajectory's bound label reads
-		// stay valid after Release (and queries rebind to the graph anyway).
-		s.Release()
-	}
-	var bytes int64
-	if err == nil {
-		// Stamp the graph identity the file header and the staleness checks
-		// key on (ResumeRecording already stamps; fresh recordings here).
-		traj.GraphVersion = g.Version()
-		traj.GraphFingerprint = g.Fingerprint()
-		bytes = store.EncodedSize(traj)
-	}
-
-	persist := err == nil && e.cfg.Store != nil
-	e.mu.Lock()
-	ent.traj = traj
-	ent.err = err
-	ent.lastUsed = e.cfg.now()
-	if err == nil {
-		ent.bytes = bytes
-		ent.dirty = persist
-		ent.recorded = ent.lastUsed
-		e.stats.Recordings++
-		if toppedUp {
-			ent.staleSteps = topUp.StaleSteps
-			e.stats.TopUps++
-			e.stats.TopUpSavedCalls += topUp.PrepaidHits
-			e.stats.UpstreamCalls += topUp.ChargedCalls
-		} else {
-			e.stats.UpstreamCalls += traj.APICalls
-		}
-	} else {
-		// Failed recordings answer their waiters but are not kept for later
-		// queries — those should retry with a fresh walk.
-		if e.cache[key] == ent {
-			delete(e.cache, key)
-		}
-	}
-	// Closed under the lock: every join in acquire happens before it, so
-	// the sharer count the waiters split the bill by is final.
-	close(ent.ready)
-	e.mu.Unlock()
-	if err == nil {
-		if persist {
-			// Persist eagerly so even an ungraceful death keeps the walk;
-			// failures stay dirty and are retried by Flush at shutdown.
-			if e.saveItem(key, ent) == nil {
-				// The new version's file supersedes the older ones it was (or
-				// could have been) topped up from; only now is it safe to
-				// retire them.
-				e.pruneSuperseded(key, traj.GraphVersion)
-			}
-		}
-		e.notifyCached()
-	}
-}
-
-// pruneSuperseded removes persisted trajectories at key's configuration
-// recorded on graph versions older than version — they were retained as
-// top-up sources and a newer file now fills that role.
-func (e *Engine) pruneSuperseded(key store.Key, version uint64) {
-	keys, err := e.cfg.Store.Keys(e.cfg.Name)
-	if err != nil {
-		e.countStoreError()
-		return
-	}
-	for _, k := range keys {
-		key.GraphVersion = k.GraphVersion // same configuration, any version
-		if k != key || k.GraphVersion >= version {
-			continue
-		}
-		if err := e.cfg.Store.Remove(e.cfg.Name, k); err != nil {
-			e.countStoreError()
-		}
-	}
-}
-
-// TrajectoryKeys lists the trajectory keys this engine can export, in their
-// on-disk .osnt spelling: every key persisted in the store plus every
-// completed in-memory trajectory not yet on disk, deduplicated and sorted.
-func (e *Engine) TrajectoryKeys() []string {
-	seen := make(map[string]bool)
-	if e.cfg.Store != nil {
-		keys, err := e.cfg.Store.Keys(e.cfg.Name)
-		if err != nil {
-			e.countStoreError()
-		}
-		for _, k := range keys {
-			seen[k.Filename()] = true
-		}
-	}
-	e.mu.Lock()
-	for k, ent := range e.cache {
-		if ent.completed() && ent.err == nil {
-			k.GraphVersion = ent.traj.GraphVersion
-			seen[k.Filename()] = true
-		}
-	}
-	e.mu.Unlock()
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ExportTrajectory returns the raw .osnt bytes of the trajectory keyed by
-// name (the Filename spelling, e.g. "b500_w4_s1_g0.osnt") and when it was
-// recorded: the persisted file verbatim with its modification time when the
-// store has it, or the cached in-memory trajectory freshly encoded with the
-// entry's recording time (memory-only engines, or a dirty entry whose save
-// failed). A key this engine holds nowhere returns an error wrapping
-// fs.ErrNotExist; a malformed key wraps ErrBadQuery.
-func (e *Engine) ExportTrajectory(name string) ([]byte, time.Time, error) {
-	k, ok := store.ParseKeyName(name)
-	if !ok {
-		return nil, time.Time{}, fmt.Errorf("%w: malformed trajectory key %q (want bB_wW_sS_gV.osnt)", ErrBadQuery, name)
-	}
-	if e.cfg.Store != nil {
-		raw, err := e.cfg.Store.ReadRaw(e.cfg.Name, k)
-		var fi fs.FileInfo
-		if err == nil {
-			fi, err = e.cfg.Store.Stat(e.cfg.Name, k)
-		}
-		if err == nil {
-			return raw, fi.ModTime(), nil
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			e.countStoreError()
-		}
-	}
-	version := k.GraphVersion
-	k.GraphVersion = 0 // the cache key
-	e.mu.Lock()
-	var traj *core.Trajectory
-	var recorded time.Time
-	if ent := e.cache[k]; ent != nil && ent.completed() && ent.err == nil && ent.traj.GraphVersion == version {
-		traj, recorded = ent.traj, ent.recorded
-	}
-	e.mu.Unlock()
-	if traj == nil {
-		return nil, time.Time{}, fmt.Errorf("serve: trajectory %q: %w", name, fs.ErrNotExist)
-	}
-	var buf bytes.Buffer
-	if err := store.Write(&buf, traj); err != nil {
-		return nil, time.Time{}, err
-	}
-	return buf.Bytes(), recorded, nil
-}
-
-// ImportTrajectory admits raw .osnt bytes pulled from a peer replica as the
-// trajectory keyed by name. The bytes are fully verified before anything is
-// admitted: the .osnt CRC and structural checks (store.Decode), the key's
-// own spelling, and the same graph version + content fingerprint + burn-in
-// identity checks a store reload applies — a peer's file is trusted exactly
-// as far as a local one. Verified trajectories are persisted to the store
-// (when configured) and installed in the cache, so the next query at this
-// configuration is a zero-spend cache hit. recorded is when the peer
-// recorded the trajectory (see ExportTrajectory); the entry and its store
-// file are dated from it, so a migration keeps the trajectory's age for
-// Config.TTL. A zero or future recorded dates the import at its arrival.
-// Rejected bytes wrap ErrBadTrajectory and leave no trace.
-func (e *Engine) ImportTrajectory(name string, raw []byte, recorded time.Time) error {
-	k, ok := store.ParseKeyName(name)
-	if !ok {
-		return fmt.Errorf("%w: malformed trajectory key %q (want bB_wW_sS_gV.osnt)", ErrBadQuery, name)
-	}
-	traj, err := store.Decode(raw)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadTrajectory, err)
-	}
-	if traj.Walkers != k.Walkers || traj.GraphVersion != k.GraphVersion {
-		return fmt.Errorf("%w: file is a w%d_g%d trajectory, key %q disagrees",
-			ErrBadTrajectory, traj.Walkers, traj.GraphVersion, name)
-	}
-	if err := e.admit(traj, e.Graph()); err != nil {
-		return err
-	}
-
-	if now := e.cfg.now(); recorded.IsZero() || recorded.After(now) {
-		recorded = now
-	}
-	persisted := false
-	if e.cfg.Store != nil {
-		if err := e.cfg.Store.WriteRaw(e.cfg.Name, k, raw); err != nil {
-			e.countStoreError()
-		} else {
-			persisted = true
-			// A reload or restart dates the trajectory by the file's
-			// modification time, so it must carry the recording time too.
-			if path, err := e.cfg.Store.Path(e.cfg.Name, k); err != nil || os.Chtimes(path, recorded, recorded) != nil {
-				e.countStoreError()
-			}
-		}
-	}
-	ent := e.completeLoaded(&entry{ready: make(chan struct{}), dirty: e.cfg.Store != nil && !persisted},
-		traj, int64(len(raw)), recorded)
-
-	k.GraphVersion = 0 // the cache key
-	e.mu.Lock()
-	e.stats.Imports++
-	if persisted {
-		e.stats.StoreSaves++
-	}
-	installed := false
-	if _, exists := e.cache[k]; !exists {
-		// A recording in flight (or a fresher cached trajectory) keeps its
-		// slot; the imported file still landed in the store above.
-		e.cache[k] = ent
-		installed = true
-	}
-	e.mu.Unlock()
-	if installed {
-		e.notifyCached()
-	}
-	return nil
 }
