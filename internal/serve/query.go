@@ -68,13 +68,7 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 		if errs[i] != nil {
 			out = nil
 		}
-		ans := e.assembleAnswer(kinds[i], out, ent, hit)
-		if !ans.CacheHit {
-			// The batch occupied one seat in the co-triggering split; divide
-			// that share across its members (truncated, like the split
-			// itself).
-			ans.Charged = (ent.traj.APICalls / int64(ent.sharers)) / int64(len(qs))
-		}
+		ans := e.assembleAnswer(kinds[i], out, ent, hit, len(qs))
 		ans.StoreKey = storeName
 		answers[i] = ans
 		if errs[i] != nil {
@@ -143,8 +137,9 @@ func (e *Engine) resolveKey(q Query) store.Key {
 	return key
 }
 
-// assembleAnswer wraps one task's replay result in the answer envelope.
-func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool) *Answer {
+// assembleAnswer wraps one task's replay result in the answer envelope of
+// one of a batch's members queries.
+func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool, members int) *Answer {
 	ans := &Answer{
 		Kind:         kind,
 		APICalls:     ent.traj.APICalls,
@@ -155,8 +150,11 @@ func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool) *Ans
 		StaleSteps:   ent.staleSteps,
 	}
 	if !ans.CacheHit {
+		// The batch occupied one seat in the co-triggering split; divide
+		// that share across its members (truncated, like the split
+		// itself).
 		ans.SharedBy = ent.sharers
-		ans.Charged = ent.traj.APICalls / int64(ent.sharers)
+		ans.Charged = ent.traj.APICalls / int64(ent.sharers) / int64(members)
 	}
 	if prs, isPairs := out.([]core.PairEstimates); isPairs {
 		// The historical pairs response shape.

@@ -27,26 +27,20 @@ func Run(ctx context.Context, ln net.Listener, h http.Handler, ws *Workspace, dr
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
+	var err error
 	select {
-	case err := <-serveErr:
+	case err = <-serveErr:
 		// The listener failed on its own; there is nothing to drain, but
 		// flush what the cache holds.
-		if ws != nil {
-			if ferr := ws.Flush(); ferr != nil && err == nil {
-				err = ferr
-			}
-		}
-		return err
 	case <-ctx.Done():
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		err = srv.Shutdown(shutdownCtx)
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = errors.New("serve: drain deadline exceeded; abandoned in-flight requests")
+		}
+		<-serveErr // Serve has returned http.ErrServerClosed by now
 	}
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
-	if errors.Is(err, context.DeadlineExceeded) {
-		err = errors.New("serve: drain deadline exceeded; abandoned in-flight requests")
-	}
-	<-serveErr // Serve has returned http.ErrServerClosed by now
 	if ws != nil {
 		if ferr := ws.Flush(); ferr != nil && err == nil {
 			err = ferr

@@ -27,6 +27,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -443,10 +444,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	snap := e.stats
-	snap.TasksByKind = make(map[string]int64, len(e.stats.TasksByKind))
-	for k, v := range e.stats.TasksByKind {
-		snap.TasksByKind[k] = v
-	}
+	snap.TasksByKind = maps.Clone(e.stats.TasksByKind)
 	return snap
 }
 
