@@ -1,10 +1,12 @@
 package gateway_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -212,6 +214,28 @@ func TestGatewayQuota(t *testing.T) {
 	}
 	if st := c.Gateway.Stats(); st.QuotaRejected != 1 {
 		t.Errorf("quota_rejected = %d, want 1", st.QuotaRejected)
+	}
+}
+
+// TestGatewayBodyLimit: an estimate body one byte over the 16 MiB cap is
+// refused with 413 before it is routed to any replica.
+func TestGatewayBodyLimit(t *testing.T) {
+	g := clustertest.TestGraph(t, 42)
+	c := clustertest.NewCluster(t, 2, "g", g, gateway.Config{})
+	const head, tail = `{"graph": "g", "pairs": [[1,2]], "pad": "`, `"}`
+	body := head + strings.Repeat("x", 16<<20+1-len(head)-len(tail)) + tail
+	resp, err := http.Post(c.Front.URL+"/estimate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]string
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || out["error"] == "" {
+		t.Errorf("status %d, body %v (%v); want 413 with an error", resp.StatusCode, out, err)
+	}
+	if st := c.Gateway.Stats(); st.Routed != 0 {
+		t.Errorf("routed = %d, want 0", st.Routed)
 	}
 }
 

@@ -423,9 +423,8 @@ func (g *Gateway) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("tenant %q over quota (%.3g req/s, burst %.3g); retry after %s", tenant, g.cfg.QuotaRate, g.cfg.QuotaBurst, wait.Round(time.Millisecond)))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
 	var meta estimateMeta
@@ -535,9 +534,8 @@ func (g *Gateway) proxyEstimate(ctx context.Context, target string, body []byte)
 // transport failures evict; if no replica succeeds, 502 carries the last
 // error body.
 func (g *Gateway) handleBroadcast(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := readBody(w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
 	urls := g.ring.aliveURLs()
@@ -654,6 +652,23 @@ func (g *Gateway) Handler() http.Handler {
 		})
 	}
 	return mux
+}
+
+// maxBodyBytes caps the estimate and admin bodies the gateway buffers
+// before relaying them; replicas apply the same cap.
+const maxBodyBytes = 16 << 20
+
+// readBody buffers a request body of at most maxBodyBytes. On failure it
+// answers 413 (over the cap) or 400 itself and returns the error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+	}
+	return body, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

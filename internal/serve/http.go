@@ -18,6 +18,13 @@ import (
 	"repro/internal/store"
 )
 
+// Request body caps: estimate and admin bodies are small JSON documents,
+// trajectory pushes .osnt images. A larger body is refused with 413.
+const (
+	maxRequestBytes    = 16 << 20
+	maxTrajectoryBytes = 1 << 30
+)
+
 // estimateQuery is one estimation question on the wire: the task kind plus
 // its parameters. It appears as the top level of a single-query POST
 // /estimate body and as each element of a batch's "queries" array.
@@ -210,8 +217,7 @@ func NewHandler(ws *Workspace) http.Handler {
 
 	mux.HandleFunc("POST /estimate", func(w http.ResponseWriter, r *http.Request) {
 		var req estimateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Queries) > 0 {
@@ -245,11 +251,8 @@ func NewHandler(ws *Workspace) http.Handler {
 			return
 		}
 		var req loadGraphRequest
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+			return
 		}
 		if _, err := ws.Graph(name); err == nil {
 			// Fail the duplicate before reading a multi-megabyte snapshot;
@@ -308,8 +311,7 @@ func NewHandler(ws *Workspace) http.Handler {
 	mux.HandleFunc("PATCH /graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		var req patchGraphRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		var d graph.Delta
@@ -379,11 +381,10 @@ func NewHandler(ws *Workspace) http.Handler {
 
 	mux.HandleFunc("PUT /trajectories/{graph}/{key}", func(w http.ResponseWriter, r *http.Request) {
 		graphName, key := r.PathValue("graph"), r.PathValue("key")
-		// Trajectories are megabytes, not gigabytes; bound the body so a
-		// broken peer cannot exhaust memory.
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
+		// Bound the body so a broken peer cannot exhaust memory.
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxTrajectoryBytes))
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+			bodyError(w, "reading body", err)
 			return
 		}
 		// Last-Modified carries the exporter's recording time, so the
@@ -508,6 +509,25 @@ func buildQuery(w http.ResponseWriter, eq estimateQuery, req estimateRequest) (Q
 		q.Pairs = append(q.Pairs, graph.LabelPair{T1: graph.Label(p[0]), T2: graph.Label(p[1])})
 	}
 	return q, true
+}
+
+// decodeBody decodes a JSON body of at most maxRequestBytes into v. On
+// failure it answers 413 or 400 (see bodyError) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err != nil {
+		bodyError(w, "bad JSON", err)
+	}
+	return err == nil
+}
+
+// bodyError answers a failed body read: 413 over the cap, 400 otherwise.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		httpError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
+	httpError(w, http.StatusBadRequest, fmt.Sprintf("%s: %v", what, err))
 }
 
 // writeEstimateError maps workspace/engine errors onto HTTP statuses: 400

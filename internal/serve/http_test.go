@@ -235,3 +235,43 @@ search:
 		}
 	}
 }
+
+// oversizeEstimate is a POST /estimate body one byte over maxRequestBytes:
+// valid JSON up to a padding string the decoder must read to its end.
+func oversizeEstimate() string {
+	const head, tail = `{"pairs": [[1,2]], "pad": "`, `"}`
+	return head + strings.Repeat("x", maxRequestBytes+1-len(head)-len(tail)) + tail
+}
+
+// TestHTTPBodyLimit: estimate and admin bodies over their cap are refused
+// with 413 and the {"error": ...} body, and nothing is answered.
+func TestHTTPBodyLimit(t *testing.T) {
+	srv, e := testServer(t)
+	body := oversizeEstimate()
+	if len(body) != maxRequestBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxRequestBytes+1)
+	}
+	for _, method := range []string{http.MethodPost, http.MethodPatch} {
+		target := srv.URL + "/estimate"
+		if method == http.MethodPatch {
+			target = srv.URL + "/graphs/g"
+		}
+		req, err := http.NewRequest(method, target, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]string
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || out["error"] == "" {
+			t.Errorf("%s %s: status %d, body %v (%v); want 413 with an error", method, target, resp.StatusCode, out, err)
+		}
+	}
+	if st := e.Stats(); st.Queries != 0 || st.Deltas != 0 {
+		t.Errorf("oversize bodies were served: %+v", st)
+	}
+}
