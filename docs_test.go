@@ -116,3 +116,61 @@ func TestDocLinks(t *testing.T) {
 		t.Logf("checked %d markdown files", len(mdFiles))
 	}
 }
+
+// docTestRe matches a cited test, benchmark or fuzz function name.
+var docTestRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+
+// goTestFuncRe matches the declaration of a test, benchmark or fuzz
+// function.
+var goTestFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+
+// TestDocTestNames fails when a document names a Test*, Benchmark* or
+// Fuzz* function that no .go file in the repository defines — a citation
+// left behind when the test was deleted or renamed. CHANGES.md, ROADMAP.md
+// and ISSUE.md record history and plans, so they are not checked.
+func TestDocTestNames(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// Skip VCS internals, fixtures and the bench's build output.
+			if d.Name() == ".git" || d.Name() == "testdata" || d.Name() == ".bench_build" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range goTestFuncRe.FindAllStringSubmatch(string(raw), -1) {
+				defined[m[1]] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "examples/README.md", "bench/README.md")
+	for _, doc := range docs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, name := range docTestRe.FindAllString(line, -1) {
+				if !defined[name] {
+					t.Errorf("%s:%d cites %s, which no .go file defines", doc, i+1, name)
+				}
+			}
+		}
+	}
+}
