@@ -75,10 +75,10 @@ type flight struct {
 	done chan struct{}
 
 	// Written once before done closes, read freely after.
-	err      error
-	holder   string
-	graph    string
-	storeKey string
+	err           error
+	holder        string
+	graph         string
+	trajectoryKey string
 
 	// pullMu serializes .osnt migrations of this key, so a herd arriving
 	// after an ownership change performs one pull, not one per request.
@@ -305,12 +305,12 @@ func (g *Gateway) claim(ctx context.Context, key string) (f *flight, creator boo
 }
 
 // completeFlight publishes a successful recording: holder has the finished
-// trajectory under storeKey. The flight stays in the table as the key's
+// trajectory under trajectoryKey. The flight stays in the table as the key's
 // location memo.
-func (g *Gateway) completeFlight(f *flight, holder, graph, storeKey string) {
+func (g *Gateway) completeFlight(f *flight, holder, graph, trajectoryKey string) {
 	f.holder = holder
 	f.graph = graph
-	f.storeKey = storeKey
+	f.trajectoryKey = trajectoryKey
 	close(f.done)
 }
 
@@ -342,11 +342,11 @@ func (g *Gateway) migrate(ctx context.Context, key string, f *flight) string {
 	}
 	// An unnamed graph cannot be addressed on the trajectory endpoints;
 	// the owner simply re-records (deterministically, to the same bytes).
-	if f.graph == "" || f.storeKey == "" {
+	if f.graph == "" || f.trajectoryKey == "" {
 		f.holder = owner
 		return owner
 	}
-	if err := g.shipTrajectory(ctx, f.holder, owner, f.graph, f.storeKey); err != nil {
+	if err := g.shipTrajectory(ctx, f.holder, owner, f.graph, f.trajectoryKey); err != nil {
 		g.pullErrors.Add(1)
 	} else {
 		g.pulls.Add(1)
@@ -362,8 +362,8 @@ func (g *Gateway) migrate(ctx context.Context, key string, f *flight) string {
 // truncated or bit-flipped file answers 400 here and never serves. The
 // pull's Last-Modified rides along on the push, so the trajectory keeps its
 // recording time, and with it its freshness age, across the move.
-func (g *Gateway) shipTrajectory(ctx context.Context, from, to, graph, storeKey string) error {
-	path := "/trajectories/" + graph + "/" + storeKey
+func (g *Gateway) shipTrajectory(ctx context.Context, from, to, graph, trajectoryKey string) error {
+	path := "/trajectories/" + graph + "/" + trajectoryKey
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, from+path, nil)
 	if err != nil {
 		return err
