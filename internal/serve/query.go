@@ -137,8 +137,8 @@ func (e *Engine) resolveKey(q Query) store.Key {
 	return key
 }
 
-// assembleAnswer wraps one task's replay result in the answer envelope of
-// one of a batch's members queries.
+// assembleAnswer wraps one task's replay result in the answer envelope;
+// members is the size of the query's batch.
 func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool, members int) *Answer {
 	ans := &Answer{
 		Kind:         kind,
