@@ -2,10 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -133,11 +133,7 @@ func wireCall(t *testing.T, method, url, body string) map[string]any {
 // wireKeys fails unless obj carries exactly the want keys.
 func wireKeys(t *testing.T, what string, obj map[string]any, want []string) {
 	t.Helper()
-	got := make([]string, 0, len(obj))
-	for k := range obj {
-		got = append(got, k)
-	}
-	sort.Strings(got)
+	got := slices.Sorted(maps.Keys(obj))
 	want = slices.Sorted(slices.Values(want))
 	if !slices.Equal(got, want) {
 		t.Errorf("%s keys:\n got %v\nwant %v", what, got, want)
