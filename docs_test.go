@@ -124,10 +124,10 @@ var docTestRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 // function.
 var goTestFuncRe = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 
-// TestDocTestNames fails when a document names a Test*, Benchmark* or
-// Fuzz* function that no .go file in the repository defines — a citation
-// left behind when the test was deleted or renamed. CHANGES.md, ROADMAP.md
-// and ISSUE.md record history and plans, so they are not checked.
+// TestDocTestNames fails when a reference document names a Test*,
+// Benchmark* or Fuzz* function that no .go file in the repository defines —
+// a citation left behind when the test was deleted or renamed. The change
+// log and the roadmap record history and plans, so they are not checked.
 func TestDocTestNames(t *testing.T) {
 	defined := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
