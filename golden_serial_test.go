@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// updateGolden regenerates testdata/golden_serial.json instead of comparing
-// against it: go test -run TestSerialGolden -update-golden .
-var updateGolden = flag.Bool("update-golden", false, "rewrite the serial golden file")
+// updateGolden regenerates the golden files (testdata/golden_serial.json,
+// testdata/golden_entrypoints.json) instead of comparing against them:
+// go test -run TestSerialGolden -update-golden .
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files")
 
 const goldenPath = "testdata/golden_serial.json"
 
