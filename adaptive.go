@@ -18,7 +18,10 @@ type PrecisionOptions struct {
 	// MaxBudget caps total sampling API calls as a fraction of |V| (default
 	// 0.25, floored at 100 calls). The cap is hard: the walk's metered
 	// budget refuses charges at the cap, so the run never overspends it —
-	// at worst the final sampling iteration is cut short mid-step.
+	// at worst the final sampling iteration is cut short mid-step. Cache
+	// hits are free, so a walk that has cached every friend list it can
+	// reach never spends the cap (likely once the cap is at least |V|
+	// calls); the run also stops at 50 samples per budgeted call.
 	MaxBudget float64
 	// BurnIn, Seed as in EstimateOptions.
 	BurnIn int
@@ -33,7 +36,8 @@ type PrecisionResult struct {
 	RelSE float64
 	// Reached reports whether the target precision was met within budget.
 	// When false, Estimate still carries the best (partial) answer the
-	// budget allowed.
+	// budget allowed: the run stopped at the MaxBudget cap, or at 50
+	// samples per budgeted call without spending it.
 	Reached bool
 	// Samples and APICalls account the whole run. APICalls covers the
 	// sampling phase only: burn-in is paid once, before the budget is
@@ -57,7 +61,8 @@ type PrecisionResult struct {
 // re-aggregating the Eq. 11 estimator over everything recorded so far. The
 // budget cap is enforced by the walk's meter, so the run returns a partial
 // result with Reached == false — never an error, and never an overspend —
-// when the cap lands mid-round.
+// when the cap lands mid-round, or when the sample count reaches 50 per
+// budgeted call first.
 func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (PrecisionResult, error) {
 	var res PrecisionResult
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
@@ -76,16 +81,9 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 	}
 	burn := opts.BurnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
-			MaxSteps:   5000,
-			StartNodes: walk.DefaultMixingStarts(g, 4),
-		})
-		if err != nil {
+		var err error
+		if burn, err = walk.BurnIn(g); err != nil {
 			return res, err
-		}
-		burn = mixed.Steps
-		if burn < 10 {
-			burn = 10
 		}
 	}
 
@@ -117,7 +115,11 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 		}
 		return nil
 	}
-	for k := 64; ; k *= 2 {
+	// Cache hits are free, so once the walk has cached every friend list it
+	// stands on the meter never runs out; spinCap (50 samples per budgeted
+	// call, the cap budget-driven recordings apply) ends the doubling there.
+	spinCap := 50 * int(maxCalls)
+	for k := 64; ; k = min(2*k, spinCap) {
 		res.Rounds++
 		_, exhausted, err := rec.Extend(k - rec.Samples())
 		if err != nil {
@@ -130,8 +132,8 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 			res.Reached = true
 			return res, nil
 		}
-		if exhausted {
-			return res, nil // budget cap hit; partial result, Reached stays false
+		if exhausted || rec.Samples() >= spinCap {
+			return res, nil // budget or spin cap hit; partial result, Reached stays false
 		}
 	}
 }

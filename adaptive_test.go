@@ -146,3 +146,33 @@ func TestEstimateToPrecisionValidation(t *testing.T) {
 		t.Error("want error for empty graph")
 	}
 }
+
+// TestEstimateToPrecisionStopsWhenWalkIsCached is the regression test for a
+// run that never returned: with a budget of at least |V| calls the walk
+// eventually caches every friend list, cache hits are free, so the meter
+// never runs out, and an unreachable target (a pair with no target edges,
+// RelSE = +Inf) doubled the sample count forever. The run now stops at 50
+// samples per budgeted call, the spin cap budget-driven recordings apply.
+func TestEstimateToPrecisionStopsWhenWalkIsCached(t *testing.T) {
+	g, err := GenerateStandIn("facebook", 0.15, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxBudget = 1.5
+	maxCalls := int64(maxBudget * float64(g.NumNodes()))
+	res, err := EstimateToPrecision(g, LabelPair{T1: 90, T2: 91}, PrecisionOptions{
+		TargetRelSE: 0.1,
+		MaxBudget:   maxBudget,
+		BurnIn:      100,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reached || !math.IsInf(res.RelSE, 1) {
+		t.Errorf("a pair with no target edges cannot reach the target: %+v", res)
+	}
+	if res.APICalls > maxCalls || int64(res.Samples) > 50*maxCalls {
+		t.Errorf("run went past its caps (%d calls, %d samples): %+v", maxCalls, 50*maxCalls, res)
+	}
+}

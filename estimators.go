@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/baseline"
@@ -125,30 +124,9 @@ func EstimateTargetEdges(g *Graph, pair LabelPair, opts EstimateOptions) (Result
 	if method == "" {
 		method = Auto
 	}
-	k := opts.Samples
-	if k <= 0 {
-		budget := opts.Budget
-		if budget <= 0 {
-			budget = 0.05
-		}
-		k = int(math.Round(budget * float64(g.NumNodes())))
-		if k < 1 {
-			k = 1
-		}
-	}
-	burn := opts.BurnIn
-	if burn <= 0 {
-		mixed, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
-			MaxSteps:   5000,
-			StartNodes: walk.DefaultMixingStarts(g, 4),
-		})
-		if err != nil {
-			return res, err
-		}
-		burn = mixed.Steps
-		if burn < 10 {
-			burn = 10
-		}
+	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
+	if err != nil {
+		return res, err
 	}
 	res.BurnIn = burn
 	res.Samples = k
@@ -285,33 +263,19 @@ func DiscoverLabelPairsOpts(g *Graph, opts CensusOptions) ([]PairEstimate, error
 	if k < 10 {
 		k = 10
 	}
-	s, err := osn.NewSession(g, osn.Config{})
+	burn, err := walk.BurnIn(g)
 	if err != nil {
 		return nil, err
 	}
-	mixed, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
-		MaxSteps:   5000,
-		StartNodes: walk.DefaultMixingStarts(g, 4),
-	})
+	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "census/multiwalk", opts.Ctx)
 	if err != nil {
 		return nil, err
 	}
-	burn := mixed.Steps
-	if burn < 10 {
-		burn = 10
-	}
-	res, err := core.EstimateCensus(s, k, core.Options{
-		BurnIn:  burn,
-		Rng:     stats.NewSeedSequence(opts.Seed).NextRand(),
-		Start:   -1,
-		Walkers: opts.Walkers,
-		Seed:    stats.Derive(opts.Seed, "census/multiwalk"),
-		Ctx:     opts.Ctx,
-	})
+	out, err := core.RunTask(traj, "census", core.TaskParams{})
 	if err != nil {
 		return nil, err
 	}
-	return res.Pairs, nil
+	return out.(core.CensusResult).Pairs, nil
 }
 
 // autoRareThreshold is the relative target-edge frequency below which Auto

@@ -15,13 +15,16 @@ import (
 // operational interface — their godoc is what an operator reads first — so
 // comment coverage there is enforced like a compile error.
 var docCheckedPackages = []string{
+	"internal/estimate",
 	"internal/gateway",
 	"internal/gateway/clustertest",
 	"internal/graph",
 	"internal/graph/snapshot",
+	"internal/motif",
 	"internal/osn/httpsrc",
 	"internal/osn/httpsrc/faultsim",
 	"internal/serve",
+	"internal/sizeest",
 	"internal/store",
 }
 

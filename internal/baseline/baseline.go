@@ -103,7 +103,6 @@ func Estimate(s *osn.Session, pair graph.LabelPair, method Method, k int, opts O
 		return estimateParallel(s, pair, method, k, opts)
 	}
 
-	ctx := opts.ctx()
 	view := linegraph.View{S: s}
 	start, err := view.RandomEdge(opts.Rng)
 	if err != nil {
@@ -113,53 +112,66 @@ func Estimate(s *osn.Session, pair graph.LabelPair, method Method, k int, opts O
 	if err != nil {
 		return res, err
 	}
-	if err := walk.BurninCtx[graph.Edge](ctx, w, opts.BurnIn); err != nil {
+	if err := walk.BurninCtx[graph.Edge](opts.ctx(), w, opts.BurnIn); err != nil {
 		return res, fmt.Errorf("baseline: %s burn-in: %w", method, err)
 	}
 	s.ResetAccounting()
 
-	rw := &estimate.Reweighted{}
-	maxIters := k
+	// Budget-driven: cache hits are free, so the walk may take more steps
+	// than k; the cap prevents spinning once the whole graph is cached.
+	maxIters, budget := k, int64(0)
 	if opts.BudgetDriven {
-		maxIters = 50 * k
+		maxIters, budget = 50*k, int64(k)
 	}
-	for i := 0; i < maxIters; i++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		if opts.BudgetDriven && s.Calls() >= int64(k) {
-			break
-		}
-		e, err := w.Step()
-		if err != nil {
-			return res, fmt.Errorf("baseline: %s step %d: %w", method, i, err)
-		}
-		res.Samples++
-		indicator := 0.0
-		if view.IsTarget(e, pair) {
-			indicator = 1
-			res.TargetHits++
-		}
-		weight, err := w.StationaryWeight(e)
-		if err != nil {
-			return res, err
-		}
-		if err := rw.Add(indicator, weight); err != nil {
-			return res, err
-		}
+	var t tally
+	if err := t.sample(opts.ctx(), view, w, pair, method, maxIters, budget); err != nil {
+		return res, err
 	}
-	res.Estimate = rw.Ratio() * float64(s.NumEdges())
+	res.Samples = t.samples
+	res.TargetHits = t.targetHits
+	res.Estimate = t.rw.Ratio() * float64(s.NumEdges())
 	res.APICalls = s.Calls()
 	res.Walkers = 1
 	return res, nil
 }
 
-// walkerTally is one line-graph walker's contribution to a parallel
-// baseline estimate.
-type walkerTally struct {
+// tally is one line-graph walker's contribution to an estimate.
+type tally struct {
 	rw         estimate.Reweighted
 	samples    int
 	targetHits int
+}
+
+// sample is the package's one sampling loop, shared by the serial run and
+// every fleet walker: it takes up to maxIters steps of w and stops before a
+// step once the walker's bill (view.S.Calls) reaches a positive budget.
+func (t *tally) sample(ctx context.Context, view linegraph.View, w walk.Walker[graph.Edge], pair graph.LabelPair, method Method, maxIters int, budget int64) error {
+	for i := 0; i < maxIters; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if budget > 0 && view.S.Calls() >= budget {
+			return nil
+		}
+		e, err := w.Step()
+		if err != nil {
+			return fmt.Errorf("baseline: %s step %d: %w", method, i, err)
+		}
+		weight, err := w.StationaryWeight(e)
+		if err != nil {
+			return err
+		}
+		t.samples++
+		indicator := 0.0
+		if view.IsTarget(e, pair) {
+			indicator = 1
+			t.targetHits++
+		}
+		if err := t.rw.Add(indicator, weight); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // estimateParallel runs the chosen baseline with W concurrent line-graph
@@ -173,7 +185,7 @@ func estimateParallel(s *osn.Session, pair graph.LabelPair, method Method, k int
 	if W > k {
 		W = k
 	}
-	tallies := make([]walkerTally, W)
+	tallies := make([]tally, W)
 
 	cfg := walk.FleetConfig[graph.Edge]{
 		Session:      s,
@@ -192,35 +204,7 @@ func estimateParallel(s *osn.Session, pair graph.LabelPair, method Method, k int
 			return newWalker(view, start, method, opts, r.Rng)
 		},
 		Sample: func(r *walk.FleetRun[graph.Edge]) error {
-			view := linegraph.View{S: r.Meter}
-			tally := &tallies[r.ID]
-			maxIters := r.MaxIters()
-			for i := 0; i < maxIters; i++ {
-				if err := r.Ctx.Err(); err != nil {
-					return err
-				}
-				if r.Done(tally.samples) {
-					break
-				}
-				e, err := r.W.Step()
-				if err != nil {
-					return fmt.Errorf("baseline: %s step %d: %w", method, i, err)
-				}
-				weight, err := r.W.StationaryWeight(e)
-				if err != nil {
-					return err
-				}
-				tally.samples++
-				indicator := 0.0
-				if view.IsTarget(e, pair) {
-					indicator = 1
-					tally.targetHits++
-				}
-				if err := tally.rw.Add(indicator, weight); err != nil {
-					return err
-				}
-			}
-			return nil
+			return tallies[r.ID].sample(r.Ctx, linegraph.View{S: r.Meter}, r.W, pair, method, r.MaxIters(), r.Budget)
 		},
 	}
 	calls, err := walk.RunFleet(cfg)
@@ -241,7 +225,7 @@ func estimateParallel(s *osn.Session, pair graph.LabelPair, method Method, k int
 		}
 	}
 	res.Estimate = pooled.Ratio() * numEdges
-	res.CI = estimate.CIFromEstimates(perEst, 0.95)
+	res.CI = estimate.CIFromEstimates(perEst)
 	for _, c := range calls {
 		res.APICalls += c
 	}

@@ -27,9 +27,6 @@ import (
 // results (alias of estimate.CI).
 type CI = estimate.CI
 
-// ciLevel is the nominal coverage of the reported intervals.
-const ciLevel = 0.95
-
 // retainedCount is the thinning arithmetic: how many of a walker's n samples
 // feed the HT estimator at the given gap.
 func retainedCount(n, gap int) int {
@@ -171,8 +168,8 @@ func (a *nsAgg) finishInto(res *NeighborSampleResult) {
 		res.Walkers = 1
 		return
 	}
-	res.HHCI = estimate.CIFromEstimates(a.perHH, ciLevel)
-	res.HTCI = estimate.CIFromEstimates(a.perHT, ciLevel)
+	res.HHCI = estimate.CIFromEstimates(a.perHH)
+	res.HTCI = estimate.CIFromEstimates(a.perHT)
 	res.HHStdErr = res.HHCI.StdErr
 	res.Walkers = a.walkers
 }
@@ -311,9 +308,9 @@ func (a *neAgg) finishInto(res *NeighborExplorationResult) {
 		res.Walkers = 1
 		return
 	}
-	res.HHCI = estimate.CIFromEstimates(a.perHH, ciLevel)
-	res.HTCI = estimate.CIFromEstimates(a.perHT, ciLevel)
-	res.RWCI = estimate.CIFromEstimates(a.perRW, ciLevel)
+	res.HHCI = estimate.CIFromEstimates(a.perHH)
+	res.HTCI = estimate.CIFromEstimates(a.perHT)
+	res.RWCI = estimate.CIFromEstimates(a.perRW)
 	res.HHStdErr = res.HHCI.StdErr
 	res.Walkers = a.walkers
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/estimate"
 	"repro/internal/graph"
 )
 
@@ -152,17 +152,15 @@ func (v *assortVisitor) Result() (any, error) {
 	res.Coefficient = coeff
 	res.Used = used
 	if W := len(v.walkers); W > 1 {
-		// Leave-one-walker-out jackknife, like sizeest: the coefficient is a
-		// ratio statistic, so per-walker subsample estimates would be badly
-		// biased at small per-walker counts; leave-one-out keeps each
-		// estimate at nearly full sample size.
+		// Leave-one-walker-out jackknife (see estimate.JackknifeCI): the
+		// coefficient is a ratio statistic.
 		lo := make([]float64, 0, W)
 		for wi := 0; wi < W; wi++ {
 			if c, _, ok := v.pooled(wi); ok {
 				lo = append(lo, c)
 			}
 		}
-		res.CI = jackknifeCoeffCI(coeff, lo)
+		res.CI = estimate.JackknifeCI(coeff, lo)
 	}
 	return res, nil
 }
@@ -221,34 +219,6 @@ func (v *assortVisitor) pooled(skip int) (coeff float64, used int, ok bool) {
 		return 0, int(n / 2), true
 	}
 	return cov / varX, int(n / 2), true
-}
-
-// jackknifeCoeffCI builds a level-ciLevel interval around the pooled
-// coefficient from leave-one-walker-out estimates.
-func jackknifeCoeffCI(pooled float64, leaveOneOut []float64) CI {
-	W := len(leaveOneOut)
-	if W < 2 {
-		return CI{Walkers: W}
-	}
-	mean := 0.0
-	for _, c := range leaveOneOut {
-		mean += c
-	}
-	mean /= float64(W)
-	ss := 0.0
-	for _, c := range leaveOneOut {
-		d := c - mean
-		ss += d * d
-	}
-	se := math.Sqrt(float64(W-1) / float64(W) * ss)
-	z := math.Sqrt2 * math.Erfinv(ciLevel)
-	return CI{
-		Low:     pooled - z*se,
-		High:    pooled + z*se,
-		StdErr:  se,
-		Level:   ciLevel,
-		Walkers: W,
-	}
 }
 
 // firstLabelOf returns u's first label through the bound reader, or -1 when

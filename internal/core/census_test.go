@@ -6,15 +6,30 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/osn"
 )
+
+// estimateCensus records k samples over s under opts and replays the
+// "census" task over the recording.
+func estimateCensus(s *osn.Session, k int, opts Options) (CensusResult, error) {
+	traj, err := RecordTrajectory(s, k, opts)
+	if err != nil {
+		return CensusResult{}, err
+	}
+	out, err := RunTask(traj, "census", TaskParams{})
+	if err != nil {
+		return CensusResult{}, err
+	}
+	return out.(CensusResult), nil
+}
 
 func TestEstimateCensusValidation(t *testing.T) {
 	g := genderGraph(t, 71)
 	s := newSession(t, g)
-	if _, err := EstimateCensus(s, 0, DefaultOptions(10, newRng(1))); err == nil {
+	if _, err := estimateCensus(s, 0, DefaultOptions(10, newRng(1))); err == nil {
 		t.Error("want error for k=0")
 	}
-	if _, err := EstimateCensus(s, 10, Options{BurnIn: 10, Start: -1}); err == nil {
+	if _, err := estimateCensus(s, 10, Options{BurnIn: 10, Start: -1}); err == nil {
 		t.Error("want error for nil Rng")
 	}
 }
@@ -32,7 +47,7 @@ func TestEstimateCensusMatchesExact(t *testing.T) {
 	const reps = 80
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
-		res, err := EstimateCensus(s, 400, DefaultOptions(150, newRng(int64(5000+i))))
+		res, err := estimateCensus(s, 400, DefaultOptions(150, newRng(int64(5000+i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +68,7 @@ func TestEstimateCensusMatchesExact(t *testing.T) {
 func TestEstimateCensusSortedDescending(t *testing.T) {
 	g := rareLabelGraph(t, 73)
 	s := newSession(t, g)
-	res, err := EstimateCensus(s, 500, DefaultOptions(200, newRng(3)))
+	res, err := estimateCensus(s, 500, DefaultOptions(200, newRng(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +90,7 @@ func TestEstimateCensusEstimatesSumToEdgeMass(t *testing.T) {
 	// census estimates must sum to exactly |E|.
 	g := genderGraph(t, 74)
 	s := newSession(t, g)
-	res, err := EstimateCensus(s, 300, DefaultOptions(100, newRng(4)))
+	res, err := estimateCensus(s, 300, DefaultOptions(100, newRng(4)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestNeighborExplorationParallel(t *testing.T) {
 func TestEstimateCensusParallel(t *testing.T) {
 	g := engineGraph(t)
 	run := func() CensusResult {
-		r, err := EstimateCensus(engineSession(t, g), 400, parallelOpts(4, 5))
+		r, err := estimateCensus(engineSession(t, g), 400, parallelOpts(4, 5))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,8 +10,8 @@ import (
 // This file is the replay driver: one iteration over the trajectory's step
 // columns that feeds every query's streaming aggregators simultaneously. It
 // is the only walker-major replay loop — a single task is a pass of one
-// (RunTask, EstimateManyPairs, CensusFromTrajectory and the per-package
-// FromTrajectory helpers all replay through it). N queries over one
+// (RunTask, EstimateManyPairs, NeighborSample and NeighborExploration all
+// replay through it). N queries over one
 // trajectory cost one column sweep, with label membership answered by the
 // precomputed mask columns (labelcols.go). Bit-identity with one-task
 // passes is structural: each aggregator still receives exactly its own
@@ -299,8 +299,8 @@ func (v *pairsVisitor) Result() (any, error) {
 	return out, nil
 }
 
-// censusVisitor replays the all-pairs census in one pass — the census
-// task's visitor, behind CensusFromTrajectory.
+// censusVisitor replays the all-pairs census in one pass — the visitor of
+// task kind "census".
 type censusVisitor struct {
 	t        *Trajectory
 	top      int

@@ -105,7 +105,7 @@ func TaskKinds() []string {
 }
 
 // RunTask builds the kind's task from params and replays it over t — the
-// one-call convenience the CLIs and benchmarks use.
+// one-task call of the public facade, the CLIs and the benchmarks.
 func RunTask(t *Trajectory, kind string, p TaskParams) (any, error) {
 	spec, ok := LookupTask(kind)
 	if !ok {

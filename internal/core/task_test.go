@@ -73,7 +73,7 @@ func TestRegisterTaskGuards(t *testing.T) {
 // list so the SAME walk can also serve degree-reading tasks.
 func TestCensusGoldenSerial(t *testing.T) {
 	g := taskGraph(t)
-	res, err := EstimateCensus(newSession(t, g), 500, Options{
+	res, err := estimateCensus(newSession(t, g), 500, Options{
 		BurnIn: 150, Rng: rand.New(rand.NewSource(11)), Start: -1,
 	})
 	if err != nil {
@@ -100,15 +100,15 @@ func TestCensusGoldenSerial(t *testing.T) {
 }
 
 // TestCensusReplayMatchesLive: dispatching the census task over an
-// already-recorded trajectory equals EstimateCensus at the same seed — the
-// replay-consistency contract that lets a cached trajectory serve census
-// queries.
+// already-recorded trajectory equals a fresh recording's census at the same
+// seed, and costs no API calls — the replay-consistency contract that lets
+// a cached trajectory serve census queries.
 func TestCensusReplayMatchesLive(t *testing.T) {
 	g := taskGraph(t)
 	mkOpts := func() Options {
 		return Options{BurnIn: 120, Rng: rand.New(rand.NewSource(31)), Start: -1}
 	}
-	live, err := EstimateCensus(newSession(t, g), 400, mkOpts())
+	live, err := estimateCensus(newSession(t, g), 400, mkOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 func TestCIFromEstimatesBasic(t *testing.T) {
 	vals := []float64{10, 12, 8, 11, 9}
-	ci := CIFromEstimates(vals, 0.95)
+	ci := CIFromEstimates(vals)
 	if !ci.Valid() {
 		t.Fatalf("CI invalid: %+v", ci)
 	}
@@ -30,21 +30,45 @@ func TestCIFromEstimatesBasic(t *testing.T) {
 }
 
 func TestCIFromEstimatesDropsNonFinite(t *testing.T) {
-	ci := CIFromEstimates([]float64{5, math.NaN(), 7, math.Inf(1)}, 0.95)
+	ci := CIFromEstimates([]float64{5, math.NaN(), 7, math.Inf(1)})
 	if !ci.Valid() || ci.Walkers != 2 {
 		t.Errorf("want a valid 2-walker CI, got %+v", ci)
 	}
 }
 
 func TestCIFromEstimatesDegenerate(t *testing.T) {
-	if ci := CIFromEstimates([]float64{5}, 0.95); ci.Valid() {
+	if ci := CIFromEstimates([]float64{5}); ci.Valid() {
 		t.Errorf("one estimate must not yield a CI: %+v", ci)
 	}
-	if ci := CIFromEstimates(nil, 0.95); ci.Valid() {
+	if ci := CIFromEstimates(nil); ci.Valid() {
 		t.Errorf("empty input must not yield a CI: %+v", ci)
 	}
-	if ci := CIFromEstimates([]float64{1, 2, 3}, 0); ci.Valid() {
-		t.Errorf("zero level must not yield a CI: %+v", ci)
+}
+
+func TestJackknifeCIDegenerate(t *testing.T) {
+	for _, lo := range [][]float64{nil, {4}} {
+		if ci := JackknifeCI(5, lo); ci.Valid() || ci.Walkers != len(lo) {
+			t.Errorf("%d leave-one-out estimates must not yield a CI: %+v", len(lo), ci)
+		}
+	}
+}
+
+// TestJackknifeCIByHand checks a W=3 interval computed by hand: the
+// leave-one-out estimates 9, 10, 14 have mean 11 and squared deviations
+// 4 + 1 + 9 = 14, so SE² = (2/3)·14 = 28/3, and the interval is centred on
+// the pooled estimate, not on the leave-one-out mean.
+func TestJackknifeCIByHand(t *testing.T) {
+	ci := JackknifeCI(10.5, []float64{9, 10, 14})
+	wantSE := math.Sqrt(28.0 / 3)
+	if math.Abs(ci.StdErr-wantSE) > 1e-12 {
+		t.Errorf("StdErr = %g, want %g", ci.StdErr, wantSE)
+	}
+	z := math.Sqrt2 * math.Erfinv(0.95)
+	if math.Abs(ci.Low-(10.5-z*wantSE)) > 1e-12 || math.Abs(ci.High-(10.5+z*wantSE)) > 1e-12 {
+		t.Errorf("interval [%g, %g], want 10.5 ± %g", ci.Low, ci.High, z*wantSE)
+	}
+	if !ci.Valid() || ci.Walkers != 3 || ci.Level != Level {
+		t.Errorf("metadata: %+v", ci)
 	}
 }
 

@@ -181,7 +181,9 @@ func InclusionProbability(p float64, k int) float64 {
 // Approx bundles the (ϵ, δ)-approximation parameters of Appendix A:
 // P[(1−ϵ)F < F̂ < (1+ϵ)F] ≥ 1 − δ.
 type Approx struct {
-	Eps   float64
+	// Eps is the relative error band ϵ, in (0, 1].
+	Eps float64
+	// Delta is the failure probability δ, in (0, 1).
 	Delta float64
 }
 

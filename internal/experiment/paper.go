@@ -91,7 +91,8 @@ func (s *Suite) graphLocked(name gen.StandIn) (*graph.Graph, error) {
 }
 
 // MixingTime returns the burn-in used for the stand-in: the configured
-// BurnIn, or the measured mixing time T(1e-3) over sampled starts.
+// BurnIn, or walk.BurnIn's default — the measured mixing time T(1e-3) over
+// sampled starts, floored at 10 steps.
 func (s *Suite) MixingTime(name gen.StandIn) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -109,16 +110,9 @@ func (s *Suite) mixingLocked(name gen.StandIn) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
-		MaxSteps:   5000,
-		StartNodes: walk.DefaultMixingStarts(g, 4),
-	})
+	t, err := walk.BurnIn(g)
 	if err != nil {
 		return 0, err
-	}
-	t := res.Steps
-	if t < 10 {
-		t = 10 // floor: even fast-mixing graphs get a short burn-in
 	}
 	s.burnin[name] = t
 	return t, nil

@@ -28,26 +28,26 @@ func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b
 
 // TestMotifGoldenSerial pins every single-walker motif estimator to the
 // values the pre-refactor private walk loops produced (recorded before the
-// port onto RecordTrajectory + the FromTrajectory replays). Estimates,
+// port onto RecordTrajectory plus the "motif" task replay). Estimates,
 // sample counts AND API bills are bit-identical: the trajectory recording
 // visits the same nodes and charges the same fetches.
 func TestMotifGoldenSerial(t *testing.T) {
 	g := goldenGraph(t)
 	pair := graph.LabelPair{T1: 1, T2: 2}
-	opts := func(seed int64) Options {
-		return Options{BurnIn: 150, Rng: rand.New(rand.NewSource(seed)), Start: -1}
+	opts := func(seed int64) core.Options {
+		return core.Options{BurnIn: 150, Rng: rand.New(rand.NewSource(seed)), Start: -1}
 	}
 
 	cases := []struct {
 		name     string
-		run      func() (Result, error)
+		run      func() (oneRow, error)
 		estimate float64
 		calls    int64
 	}{
-		{"LabeledWedges", func() (Result, error) { return LabeledWedges(newSession(t, g), pair, 500, opts(9)) }, 4148.502579617178, 219},
-		{"LabeledTriangles", func() (Result, error) { return LabeledTriangles(newSession(t, g), pair, 500, opts(10)) }, 269.44, 215},
-		{"Wedges", func() (Result, error) { return Wedges(newSession(t, g), 500, opts(13)) }, 24239.496, 215},
-		{"Triangles", func() (Result, error) { return Triangles(newSession(t, g), 500, opts(14)) }, 630.9386666666661, 210},
+		{"LabeledWedges", func() (oneRow, error) { return countMotif(newSession(t, g), ShapeWedges, 500, opts(9), pair) }, 4148.502579617178, 219},
+		{"LabeledTriangles", func() (oneRow, error) { return countMotif(newSession(t, g), ShapeTriangles, 500, opts(10), pair) }, 269.44, 215},
+		{"Wedges", func() (oneRow, error) { return countMotif(newSession(t, g), ShapeWedges, 500, opts(13)) }, 24239.496, 215},
+		{"Triangles", func() (oneRow, error) { return countMotif(newSession(t, g), ShapeTriangles, 500, opts(14)) }, 630.9386666666661, 210},
 	}
 	for _, tc := range cases {
 		res, err := tc.run()
@@ -65,17 +65,6 @@ func TestMotifGoldenSerial(t *testing.T) {
 		}
 	}
 
-	cl, err := GlobalClustering(newSession(t, g), 500, opts(15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEq(cl.Coefficient, 0.07446656164972079) ||
-		!bitEq(cl.Triangles, 583.786666666667) || !bitEq(cl.Wedges, 23518.744) {
-		t.Errorf("GlobalClustering drifted from golden: %+v", cl)
-	}
-	if cl.Samples != 500 || cl.APICalls != 220 {
-		t.Errorf("GlobalClustering: samples=%d calls=%d, want 500/220", cl.Samples, cl.APICalls)
-	}
 }
 
 // TestMotifFleetDeterministicWithCI: multi-walker motif estimates are
@@ -84,10 +73,10 @@ func TestMotifGoldenSerial(t *testing.T) {
 func TestMotifFleetDeterministicWithCI(t *testing.T) {
 	g := goldenGraph(t)
 	pair := graph.LabelPair{T1: 1, T2: 2}
-	run := func() Result {
-		res, err := LabeledWedges(newSession(t, g), pair, 600, Options{
+	run := func() oneRow {
+		res, err := countMotif(newSession(t, g), ShapeWedges, 600, core.Options{
 			BurnIn: 150, Rng: rand.New(rand.NewSource(4)), Start: -1, Walkers: 4, Seed: 17,
-		})
+		}, pair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +106,10 @@ func TestMotifCancellation(t *testing.T) {
 	cancel()
 	pair := graph.LabelPair{T1: 1, T2: 2}
 	for _, walkers := range []int{0, 4} {
-		_, err := LabeledTriangles(newSession(t, g), pair, 400, Options{
+		_, err := countMotif(newSession(t, g), ShapeTriangles, 400, core.Options{
 			BurnIn: 100, Rng: rand.New(rand.NewSource(1)), Start: -1,
 			Walkers: walkers, Seed: 2, Ctx: ctx,
-		})
+		}, pair)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("walkers=%d: want context.Canceled, got %v", walkers, err)
 		}
@@ -136,13 +125,13 @@ func TestUnlabeledAccuracy(t *testing.T) {
 	const reps = 40
 	var ws, ts []float64
 	for i := 0; i < reps; i++ {
-		opts := Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1}
-		w, err := Wedges(newSession(t, g), 400, opts)
+		opts := core.Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1}
+		w, err := countMotif(newSession(t, g), ShapeWedges, 400, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts = Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(1000 + i))), Start: -1}
-		tr, err := Triangles(newSession(t, g), 400, opts)
+		opts = core.Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(1000 + i))), Start: -1}
+		tr, err := countMotif(newSession(t, g), ShapeTriangles, 400, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +157,7 @@ func mean(xs []float64) float64 {
 
 // TestMotifTaskRegistryDispatch: the registry-dispatched "motif" task
 // returns one row per pair — plus the unlabeled row when no pairs are given
-// — equal to the direct replays on the same recording.
+// — and describes the shared recording it replayed.
 func TestMotifTaskRegistryDispatch(t *testing.T) {
 	g := goldenGraph(t)
 	pair := graph.LabelPair{T1: 1, T2: 2}
@@ -184,15 +173,12 @@ func TestMotifTaskRegistryDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := out.(TaskResult)
-	if res.Shape != ShapeTriangles || len(res.Rows) != 1 || res.Rows[0].Pair == nil {
+	if res.Shape != ShapeTriangles || len(res.Rows) != 1 || res.Rows[0].Pair == nil || *res.Rows[0].Pair != pair {
 		t.Fatalf("unexpected task result %+v", res)
 	}
-	direct, err := TrianglesFromTrajectory(traj, &pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEq(res.Rows[0].Estimate, direct.Estimate) || res.Samples != direct.Samples || res.APICalls != direct.APICalls {
-		t.Errorf("registry dispatch differs from direct replay: %+v vs %+v", res.Rows[0], direct)
+	if res.Samples != traj.Samples() || res.APICalls != traj.APICalls || res.Walkers != traj.Walkers {
+		t.Errorf("task result %+v does not describe the recording (%d samples, %d calls, %d walkers)",
+			res, traj.Samples(), traj.APICalls, traj.Walkers)
 	}
 
 	out, err = core.RunTask(traj, "motif", core.TaskParams{Motif: ShapeWedges})
@@ -202,13 +188,6 @@ func TestMotifTaskRegistryDispatch(t *testing.T) {
 	res = out.(TaskResult)
 	if len(res.Rows) != 1 || res.Rows[0].Pair != nil {
 		t.Fatalf("unlabeled dispatch should yield one pair-less row, got %+v", res)
-	}
-	udirect, err := WedgesFromTrajectory(traj, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEq(res.Rows[0].Estimate, udirect.Estimate) {
-		t.Errorf("unlabeled registry dispatch %v != direct %v", res.Rows[0].Estimate, udirect.Estimate)
 	}
 
 	if _, err := core.RunTask(traj, "motif", core.TaskParams{Motif: "squares"}); err == nil {

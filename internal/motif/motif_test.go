@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -40,17 +41,42 @@ func newSession(t testing.TB, g *graph.Graph) *osn.Session {
 	return s
 }
 
+// oneRow is a one-row motif answer, flattened for the tests.
+type oneRow struct {
+	Estimate float64
+	Samples  int
+	APICalls int64
+	Walkers  int
+	CI       core.CI
+}
+
+// countMotif records k samples over s under opts and replays the "motif"
+// task for shape over the recording: the count for pair, or the unlabeled
+// count without one.
+func countMotif(s *osn.Session, shape string, k int, opts core.Options, pair ...graph.LabelPair) (oneRow, error) {
+	traj, err := core.RecordTrajectory(s, k, opts)
+	if err != nil {
+		return oneRow{}, err
+	}
+	out, err := core.RunTask(traj, "motif", core.TaskParams{Motif: shape, Pairs: pair})
+	if err != nil {
+		return oneRow{}, err
+	}
+	r := out.(TaskResult)
+	return oneRow{Estimate: r.Rows[0].Estimate, Samples: r.Samples, APICalls: r.APICalls, Walkers: r.Walkers, CI: r.Rows[0].CI}, nil
+}
+
 func TestLabeledWedgesValidation(t *testing.T) {
 	g := denseLabeledGraph(t, 1)
 	s := newSession(t, g)
 	pair := graph.LabelPair{T1: 1, T2: 2}
-	if _, err := LabeledWedges(s, pair, 0, Options{BurnIn: 10, Rng: rand.New(rand.NewSource(1)), Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeWedges, 0, core.Options{BurnIn: 10, Rng: rand.New(rand.NewSource(1)), Start: -1}, pair); err == nil {
 		t.Error("want error for k=0")
 	}
-	if _, err := LabeledWedges(s, pair, 10, Options{BurnIn: 10, Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeWedges, 10, core.Options{BurnIn: 10, Start: -1}, pair); err == nil {
 		t.Error("want error for nil Rng")
 	}
-	if _, err := LabeledWedges(s, pair, 10, Options{BurnIn: -1, Rng: rand.New(rand.NewSource(1)), Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeWedges, 10, core.Options{BurnIn: -1, Rng: rand.New(rand.NewSource(1)), Start: -1}, pair); err == nil {
 		t.Error("want error for negative burn-in")
 	}
 }
@@ -66,7 +92,7 @@ func TestLabeledWedgesUnbiased(t *testing.T) {
 	ests := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
-		res, err := LabeledWedges(s, pair, 400, Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
+		res, err := countMotif(s, ShapeWedges, 400, core.Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1}, pair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +115,7 @@ func TestLabeledTrianglesUnbiased(t *testing.T) {
 	ests := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
-		res, err := LabeledTriangles(s, pair, 400, Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
+		res, err := countMotif(s, ShapeTriangles, 400, core.Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(i))), Start: -1}, pair)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,8 +130,7 @@ func TestLabeledTrianglesUnbiased(t *testing.T) {
 func TestLabeledTrianglesZeroForAbsentLabels(t *testing.T) {
 	g := denseLabeledGraph(t, 4)
 	s := newSession(t, g)
-	res, err := LabeledTriangles(s, graph.LabelPair{T1: 88, T2: 89}, 200,
-		Options{BurnIn: 50, Rng: rand.New(rand.NewSource(5)), Start: -1})
+	res, err := countMotif(s, ShapeTriangles, 200, core.Options{BurnIn: 50, Rng: rand.New(rand.NewSource(5)), Start: -1}, graph.LabelPair{T1: 88, T2: 89})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +142,7 @@ func TestLabeledTrianglesZeroForAbsentLabels(t *testing.T) {
 func TestLabeledWedgesZeroForAbsentLabels(t *testing.T) {
 	g := denseLabeledGraph(t, 5)
 	s := newSession(t, g)
-	res, err := LabeledWedges(s, graph.LabelPair{T1: 88, T2: 89}, 200,
-		Options{BurnIn: 50, Rng: rand.New(rand.NewSource(6)), Start: -1})
+	res, err := countMotif(s, ShapeWedges, 200, core.Options{BurnIn: 50, Rng: rand.New(rand.NewSource(6)), Start: -1}, graph.LabelPair{T1: 88, T2: 89})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +154,7 @@ func TestLabeledWedgesZeroForAbsentLabels(t *testing.T) {
 func TestMotifAccountsAPICalls(t *testing.T) {
 	g := denseLabeledGraph(t, 6)
 	s := newSession(t, g)
-	res, err := LabeledTriangles(s, graph.LabelPair{T1: 1, T2: 2}, 100,
-		Options{BurnIn: 50, Rng: rand.New(rand.NewSource(7)), Start: -1})
+	res, err := countMotif(s, ShapeTriangles, 100, core.Options{BurnIn: 50, Rng: rand.New(rand.NewSource(7)), Start: -1}, graph.LabelPair{T1: 1, T2: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +172,7 @@ func TestMotifBudgetSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = LabeledWedges(s, graph.LabelPair{T1: 1, T2: 2}, 100,
-		Options{BurnIn: 500, Rng: rand.New(rand.NewSource(8)), Start: -1})
+	_, err = countMotif(s, ShapeWedges, 100, core.Options{BurnIn: 500, Rng: rand.New(rand.NewSource(8)), Start: -1}, graph.LabelPair{T1: 1, T2: 2})
 	if !errors.Is(err, errUpstream) {
 		t.Errorf("err = %v, want the upstream failure", err)
 	}

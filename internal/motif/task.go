@@ -10,7 +10,9 @@ import (
 // TaskRow is one motif answer of a registry-dispatched task: the estimate
 // for one label pair, or the unlabeled count when Pair is nil.
 type TaskRow struct {
-	Pair     *graph.LabelPair
+	// Pair is the queried label pair; nil for the unlabeled count.
+	Pair *graph.LabelPair
+	// Estimate is the estimated motif count.
 	Estimate float64
 	// CI is the between-walker interval (valid only for fleet recordings).
 	CI core.CI
@@ -24,10 +26,13 @@ type TaskResult struct {
 	// Rows holds one answer per queried pair, in query order; a single
 	// pair-less row when no pairs were given.
 	Rows []TaskRow
-	// Samples, APICalls and Walkers describe the shared trajectory.
-	Samples  int
+	// Samples is the shared trajectory's sample count.
+	Samples int
+	// APICalls is the shared trajectory's recording cost (summed
+	// per-walker bills for a multi-walker recording).
 	APICalls int64
-	Walkers  int
+	// Walkers is how many concurrent walkers recorded the trajectory.
+	Walkers int
 }
 
 // motifTask adapts the replay estimators to the estimation-task registry.
@@ -39,9 +44,8 @@ type motifTask struct {
 func (motifTask) Kind() string { return "motif" }
 
 // NewVisitor implements core.EstimationTask: all queried pairs stream over
-// ONE column sweep, each pair's accumulator fed the identical sample
-// sequence a one-pair replay (WedgesFromTrajectory/TrianglesFromTrajectory)
-// would feed it.
+// ONE column sweep, each row's accumulator fed the identical sample
+// sequence a one-pair replay would feed it.
 func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, error) {
 	pairs := make([]*graph.LabelPair, 0, len(mt.pairs)+1)
 	if len(mt.pairs) == 0 {
@@ -51,7 +55,7 @@ func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, erro
 			pairs = append(pairs, &mt.pairs[i])
 		}
 	}
-	subs := make([]core.TrajectoryVisitor, len(pairs))
+	subs := make([]rowVisitor, len(pairs))
 	for i, p := range pairs {
 		if mt.shape == ShapeTriangles {
 			v, err := newTriangleVisitor(t, p)
@@ -60,58 +64,50 @@ func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, erro
 			}
 			subs[i] = v
 		} else {
-			subs[i] = newWedgeVisitor(t, p)
+			subs[i] = &wedgeVisitor{newRowHH(t, p)}
 		}
 	}
-	return &motifVisitor{shape: mt.shape, pairs: pairs, subs: subs}, nil
+	return &motifVisitor{t: t, shape: mt.shape, subs: subs}, nil
 }
 
-// motifVisitor fans one fused pass out to per-pair wedge/triangle visitors.
+// motifVisitor fans one fused pass out to per-row wedge/triangle visitors.
 type motifVisitor struct {
+	t     *core.Trajectory
 	shape string
-	pairs []*graph.LabelPair
-	subs  []core.TrajectoryVisitor
+	subs  []rowVisitor
 }
 
 func (mv *motifVisitor) BeginWalker(w, n int) error {
 	for _, s := range mv.subs {
-		if err := s.BeginWalker(w, n); err != nil {
-			return err
-		}
+		s.beginWalker(w, n)
 	}
 	return nil
 }
 
 func (mv *motifVisitor) VisitStep(i int) error {
 	for _, s := range mv.subs {
-		if err := s.VisitStep(i); err != nil {
-			return err
-		}
+		s.visitStep(i)
 	}
 	return nil
 }
 
 func (mv *motifVisitor) EndWalker(w int) error {
 	for _, s := range mv.subs {
-		if err := s.EndWalker(w); err != nil {
-			return err
-		}
+		s.endWalker()
 	}
 	return nil
 }
 
 func (mv *motifVisitor) Result() (any, error) {
-	res := TaskResult{Shape: mv.shape}
+	res := TaskResult{
+		Shape:    mv.shape,
+		Rows:     make([]TaskRow, len(mv.subs)),
+		Samples:  mv.t.Samples(),
+		APICalls: mv.t.APICalls,
+		Walkers:  mv.t.Walkers,
+	}
 	for i, s := range mv.subs {
-		out, err := s.Result()
-		if err != nil {
-			return nil, err
-		}
-		r := out.(Result)
-		res.Rows = append(res.Rows, TaskRow{Pair: mv.pairs[i], Estimate: r.Estimate, CI: r.CI})
-		res.Samples = r.Samples
-		res.APICalls = r.APICalls
-		res.Walkers = r.Walkers
+		res.Rows[i] = s.row()
 	}
 	return res, nil
 }

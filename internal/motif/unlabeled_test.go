@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/osn"
@@ -18,7 +19,7 @@ func TestWedgesUnbiased(t *testing.T) {
 	ests := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
-		res, err := Wedges(s, 300, Options{BurnIn: 150, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
+		res, err := countMotif(s, ShapeWedges, 300, core.Options{BurnIn: 150, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestTrianglesUnbiased(t *testing.T) {
 	ests := make([]float64, 0, reps)
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
-		res, err := Triangles(s, 300, Options{BurnIn: 150, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
+		res, err := countMotif(s, ShapeTriangles, 300, core.Options{BurnIn: 150, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,43 +51,17 @@ func TestTrianglesUnbiased(t *testing.T) {
 	}
 }
 
-func TestGlobalClusteringAccuracy(t *testing.T) {
-	g := denseLabeledGraph(t, 13)
-	truth := 3 * float64(exact.CountTriangles(g)) / float64(exact.CountWedges(g))
-	const reps = 60
-	ests := make([]float64, 0, reps)
-	for i := 0; i < reps; i++ {
-		s := newSession(t, g)
-		res, err := GlobalClustering(s, 400, Options{BurnIn: 150, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Coefficient < 0 || res.Coefficient > 1.5 {
-			t.Fatalf("coefficient %g out of plausible range", res.Coefficient)
-		}
-		ests = append(ests, res.Coefficient)
-	}
-	mean := stats.Mean(ests)
-	// The ratio estimator has a small finite-sample bias; 10% is plenty.
-	if math.Abs(mean-truth)/truth > 0.10 {
-		t.Errorf("clustering mean %.4f, truth %.4f", mean, truth)
-	}
-}
-
 func TestUnlabeledValidation(t *testing.T) {
 	g := denseLabeledGraph(t, 14)
 	s := newSession(t, g)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Wedges(s, 0, Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeWedges, 0, core.Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
 		t.Error("Wedges: want error for k=0")
 	}
-	if _, err := Triangles(s, 0, Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeTriangles, 0, core.Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
 		t.Error("Triangles: want error for k=0")
 	}
-	if _, err := GlobalClustering(s, 0, Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
-		t.Error("GlobalClustering: want error for k=0")
-	}
-	if _, err := Wedges(s, 10, Options{BurnIn: 10, Start: -1}); err == nil {
+	if _, err := countMotif(s, ShapeWedges, 10, core.Options{BurnIn: 10, Start: -1}); err == nil {
 		t.Error("Wedges: want error for nil Rng")
 	}
 }
@@ -107,7 +82,7 @@ func TestTrianglesZeroOnTriangleFreeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Triangles(s, 100, Options{BurnIn: 20, Rng: rand.New(rand.NewSource(2)), Start: -1})
+	res, err := countMotif(s, ShapeTriangles, 100, core.Options{BurnIn: 20, Rng: rand.New(rand.NewSource(2)), Start: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -364,16 +364,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	burn := cfg.BurnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(cfg.Graph, 1e-3, walk.MixingOptions{
-			MaxSteps:   5000,
-			StartNodes: walk.DefaultMixingStarts(cfg.Graph, 4),
-		})
-		if err != nil {
+		var err error
+		if burn, err = walk.BurnIn(cfg.Graph); err != nil {
 			return nil, err
-		}
-		burn = mixed.Steps
-		if burn < 10 {
-			burn = 10
 		}
 	}
 	e := &Engine{cfg: cfg, burnIn: burn, cache: make(map[store.Key]*entry)}

@@ -114,19 +114,21 @@ func TestEngineMixedKindsShareOneTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSize, err := sizeest.FromTrajectory(traj, 0)
+	out, err := core.RunTask(traj, "size", core.TaskParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantSize := out.(sizeest.Result)
 	gotSize := sizeAns.Result.(sizeest.Result)
 	if math.Float64bits(gotSize.Nodes) != math.Float64bits(wantSize.Nodes) ||
 		math.Float64bits(gotSize.Edges) != math.Float64bits(wantSize.Edges) {
 		t.Errorf("size answer differs from offline replay: %+v vs %+v", gotSize, wantSize)
 	}
-	wantCensus, err := core.CensusFromTrajectory(traj, 5)
+	out, err = core.RunTask(traj, "census", core.TaskParams{Top: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantCensus := out.(core.CensusResult)
 	gotCensus := censusAns.Result.(core.CensusResult)
 	if len(gotCensus.Pairs) != len(wantCensus.Pairs) {
 		t.Fatalf("census row counts differ: %d vs %d", len(gotCensus.Pairs), len(wantCensus.Pairs))
@@ -136,10 +138,11 @@ func TestEngineMixedKindsShareOneTrajectory(t *testing.T) {
 			t.Errorf("census row %d differs: %+v vs %+v", i, gotCensus.Pairs[i], wantCensus.Pairs[i])
 		}
 	}
-	wantTri, err := motif.TrianglesFromTrajectory(traj, &pair)
+	out, err = core.RunTask(traj, "motif", core.TaskParams{Motif: motif.ShapeTriangles, Pairs: []graph.LabelPair{pair}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantTri := out.(motif.TaskResult).Rows[0]
 	gotMotif := motifAns.Result.(motif.TaskResult)
 	if math.Float64bits(gotMotif.Rows[0].Estimate) != math.Float64bits(wantTri.Estimate) {
 		t.Errorf("motif answer %v differs from offline replay %v", gotMotif.Rows[0].Estimate, wantTri.Estimate)

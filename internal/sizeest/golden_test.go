@@ -27,13 +27,14 @@ func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b
 
 // TestEstimateGoldenSerial pins the single-walker size estimate to the
 // values the pre-refactor private walk loop produced (recorded before the
-// port onto RecordTrajectory + FromTrajectory). Every field, including the
+// port onto RecordTrajectory plus the "size" task replay). Every field,
+// including the
 // API bill, must be bit-identical: the trajectory recording charges exactly
 // like the historical loop (one step fetch prepaid at the start, one
 // arrived-node fetch per iteration).
 func TestEstimateGoldenSerial(t *testing.T) {
 	g := goldenGraph(t)
-	res, err := Estimate(newSession(t, g), 600, Options{
+	res, err := estimateSize(newSession(t, g), 600, core.Options{
 		BurnIn: 200, Rng: rand.New(rand.NewSource(7)), Start: -1,
 	})
 	if err != nil {
@@ -51,39 +52,13 @@ func TestEstimateGoldenSerial(t *testing.T) {
 	}
 }
 
-// TestDegreeDistributionGoldenSerial pins the replayed degree distribution
-// (and the derived mean degree) to the pre-refactor serial loop.
-func TestDegreeDistributionGoldenSerial(t *testing.T) {
-	g := goldenGraph(t)
-	mk := func() Options {
-		return Options{BurnIn: 200, Rng: rand.New(rand.NewSource(8)), Start: -1}
-	}
-	dist, err := DegreeDistribution(newSession(t, g), 400, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist) != 39 {
-		t.Fatalf("bucket count %d, want 39", len(dist))
-	}
-	if dist[0].Degree != 1 || !bitEq(dist[0].Fraction, 0.3120668935759737) {
-		t.Errorf("first bucket {%d %v} drifted from golden", dist[0].Degree, dist[0].Fraction)
-	}
-	md, err := MeanDegree(newSession(t, g), 400, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bitEq(md, 5.427250323060411) {
-		t.Errorf("mean degree %v drifted from golden", md)
-	}
-}
-
 // TestEstimateFleetDeterministicWithCI: a multi-walker size estimate is
 // reproducible for a fixed seed and carries between-walker intervals — the
 // capability the port onto the fleet recording machinery buys.
 func TestEstimateFleetDeterministicWithCI(t *testing.T) {
 	g := goldenGraph(t)
 	run := func() Result {
-		res, err := Estimate(newSession(t, g), 800, Options{
+		res, err := estimateSize(newSession(t, g), 800, core.Options{
 			BurnIn: 150, Rng: rand.New(rand.NewSource(3)), Start: -1, Walkers: 4, Seed: 11,
 		})
 		if err != nil {
@@ -117,7 +92,7 @@ func TestEstimateCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, walkers := range []int{0, 4} {
-		_, err := Estimate(newSession(t, g), 400, Options{
+		_, err := estimateSize(newSession(t, g), 400, core.Options{
 			BurnIn: 100, Rng: rand.New(rand.NewSource(1)), Start: -1,
 			Walkers: walkers, Seed: 2, Ctx: ctx,
 		})
@@ -125,15 +100,10 @@ func TestEstimateCancellation(t *testing.T) {
 			t.Errorf("walkers=%d: want context.Canceled, got %v", walkers, err)
 		}
 	}
-	if _, err := DegreeDistribution(newSession(t, g), 400, Options{
-		BurnIn: 100, Rng: rand.New(rand.NewSource(1)), Start: -1, Ctx: ctx,
-	}); !errors.Is(err, context.Canceled) {
-		t.Errorf("DegreeDistribution: want context.Canceled, got %v", err)
-	}
 }
 
-// TestSizeTaskRegistryDispatch: the registry-dispatched "size" task equals
-// FromTrajectory on the same recording.
+// TestSizeTaskRegistryDispatch: the registry-dispatched "size" task returns
+// a Result that describes the recording it replayed.
 func TestSizeTaskRegistryDispatch(t *testing.T) {
 	g := goldenGraph(t)
 	traj, err := core.RecordTrajectory(newSession(t, g), 500, core.Options{
@@ -150,11 +120,14 @@ func TestSizeTaskRegistryDispatch(t *testing.T) {
 	if !ok {
 		t.Fatalf("size task returned %T", out)
 	}
-	want, err := FromTrajectory(traj, 0)
-	if err != nil {
-		t.Fatal(err)
+	if got.Samples != traj.Samples() || got.APICalls != traj.APICalls || got.Walkers != traj.Walkers {
+		t.Errorf("result %+v does not describe the recording (%d samples, %d calls, %d walkers)",
+			got, traj.Samples(), traj.APICalls, traj.Walkers)
 	}
-	if got != want {
-		t.Errorf("registry dispatch differs from direct replay:\n got %+v\nwant %+v", got, want)
+	if got.Collisions <= 0 || got.Nodes <= 0 || got.Edges <= 0 {
+		t.Errorf("500 samples on |V|=%d should collide: %+v", g.NumNodes(), got)
+	}
+	if _, err := core.RunTask(traj, "size", core.TaskParams{ThinGap: -1}); err == nil {
+		t.Error("want error for a negative collision gap")
 	}
 }

@@ -19,51 +19,25 @@
 // collision count (they are trivially correlated), the same r-spacing
 // heuristic the paper borrows from [11] for its Horvitz–Thompson variants.
 //
-// Since the task-registry refactor the walk itself is a core.Trajectory
-// recording: Estimate records once and replays through FromTrajectory, the
-// estimation task registered under kind "size". One recorded walk therefore
-// answers size questions alongside label-pair, census and motif queries,
-// and size estimation inherits the fleet machinery — parallel walkers,
-// context cancellation, budget caps, and between-walker confidence
-// intervals — for free. Single-walker results are bit-identical to the
-// historical private walk loop (pinned by the package's golden test).
+// The estimator is a pure replay over a recorded core.Trajectory, reached
+// one way: record a walk (core.RecordTrajectory), then replay the task
+// registered under kind "size" (core.RunTask or core.RunTasksFused). It
+// needs enough samples for collisions to occur — k of order sqrt(|V|) gives
+// a handful, k of a few percent of |V| gives a sharp estimate. One recorded
+// walk therefore answers size questions alongside label-pair, census and
+// motif queries, and size estimation inherits the fleet machinery —
+// parallel walkers, context cancellation, budget caps, and between-walker
+// confidence intervals — for free. Single-walker results are bit-identical
+// to the historical private walk loop (pinned by the package's golden
+// test).
 package sizeest
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/osn"
+	"repro/internal/estimate"
 )
-
-// ciLevel is the nominal coverage of the multi-walker intervals.
-const ciLevel = 0.95
-
-// Options configures a size estimation run.
-type Options struct {
-	// BurnIn is the number of walk steps discarded before sampling.
-	BurnIn int
-	// ThinGap excludes sample pairs closer than this along the walk from
-	// the collision count; 0 means 2.5% of the (per-walker) sample count
-	// (the [11] default).
-	ThinGap int
-	// Rng drives all random choices. Required.
-	Rng *rand.Rand
-	// Start, when non-negative, fixes the walk's start node.
-	Start graph.Node
-	// Walkers is the number of concurrent walkers splitting the sample
-	// count (see core.Options.Walkers); 0 or 1 records serially, which is
-	// bit-identical to the historical single-walk implementation.
-	Walkers int
-	// Seed roots the per-walker RNG streams when Walkers >= 2.
-	Seed int64
-	// Ctx cancels a run in flight; nil means context.Background().
-	Ctx context.Context
-}
 
 // Result reports one size estimation run.
 type Result struct {
@@ -84,64 +58,17 @@ type Result struct {
 	APICalls int64 `json:"-"`
 	// Walkers is how many concurrent walkers produced the sample.
 	Walkers int `json:"-"`
-	// NodesCI and EdgesCI are variance-based confidence intervals from the
-	// per-walker estimates; zero (Valid() == false) on serial runs or when
-	// fewer than two walkers saw a collision.
+	// NodesCI is the leave-one-walker-out jackknife interval on Nodes;
+	// zero (Valid() == false) on serial runs or when fewer than two
+	// leave-one-out samples saw a collision.
 	NodesCI core.CI `json:"nodes_ci,omitzero"`
+	// EdgesCI is the matching interval on Edges.
 	EdgesCI core.CI `json:"edges_ci,omitzero"`
 }
 
-func (o *Options) validate() error {
-	if o.Rng == nil {
-		return fmt.Errorf("sizeest: Options.Rng is required")
-	}
-	if o.BurnIn < 0 {
-		return fmt.Errorf("sizeest: negative burn-in %d", o.BurnIn)
-	}
-	if o.ThinGap < 0 {
-		return fmt.Errorf("sizeest: negative thinning gap %d", o.ThinGap)
-	}
-	if o.Walkers < 0 {
-		return fmt.Errorf("sizeest: negative walker count %d", o.Walkers)
-	}
-	return nil
-}
-
-// coreOptions maps Options onto the shared recording configuration.
-func (o *Options) coreOptions() core.Options {
-	return core.Options{
-		BurnIn:  o.BurnIn,
-		Rng:     o.Rng,
-		Start:   o.Start,
-		Walkers: o.Walkers,
-		Seed:    o.Seed,
-		Ctx:     o.Ctx,
-	}
-}
-
-// Estimate runs a k-sample walk and estimates |V| and |E|. It needs enough
-// samples for collisions to occur — k of order sqrt(|V|) gives a handful,
-// k of a few percent of |V| gives a sharp estimate. The walk is recorded as
-// a core.Trajectory and replayed through FromTrajectory, so callers that
-// already hold a trajectory can skip straight to the replay.
-func Estimate(s *osn.Session, k int, opts Options) (Result, error) {
-	var res Result
-	if err := opts.validate(); err != nil {
-		return res, err
-	}
-	if k <= 1 {
-		return res, fmt.Errorf("sizeest: need k > 1 samples, got %d", k)
-	}
-	traj, err := core.RecordTrajectory(s, k, opts.coreOptions())
-	if err != nil {
-		return res, fmt.Errorf("sizeest: %w", err)
-	}
-	return FromTrajectory(traj, opts.ThinGap)
-}
-
-// FromTrajectory replays a recorded trajectory through the Katzir
-// collision-counting size estimator at zero additional API cost. thinGap 0
-// applies the 2.5%-of-samples spacing per walker. Ψ1/Ψ2 pool across
+// sizeVisitor replays a recorded trajectory through the Katzir
+// collision-counting size estimator at zero additional API cost. A thinGap
+// of 0 applies the 2.5%-of-samples spacing per walker. Ψ1/Ψ2 pool across
 // walkers in walker order; the collision count pools within-walker pairs
 // (subject to the spacing heuristic, which is defined along one walk) PLUS
 // every cross-walker pair hitting the same node — different walkers are
@@ -150,21 +77,9 @@ func Estimate(s *osn.Session, k int, opts Options) (Result, error) {
 // pooled sample while within-walker pairs only grow as R²/W). Single-walker
 // replays have no cross-walker pairs and are bit-identical to the
 // historical serial estimator.
-func FromTrajectory(t *core.Trajectory, thinGap int) (Result, error) {
-	var res Result
-	if t == nil || t.Samples() == 0 {
-		return res, fmt.Errorf("sizeest: size replay needs a recorded trajectory")
-	}
-	outs, errs := core.RunTasksFused(t, []core.EstimationTask{sizeTask{gap: thinGap}})
-	if errs[0] != nil {
-		return res, errs[0]
-	}
-	return outs[0].(Result), nil
-}
-
-// sizeVisitor streams the trajectory's degree column through the
-// collision-counting size estimator. Only the Ψ sums stream per step (their
-// float accumulation order is the determinism contract); the collision
+//
+// Only the Ψ sums stream per step over the degree column (their float
+// accumulation order is the determinism contract); the collision
 // counts are integer sums over unordered same-node sample pairs, so Result
 // reads them off the trajectory's precomputed node-occurrence index instead
 // of rebuilding per-walker position maps on every replay.
@@ -316,51 +231,10 @@ func (v *sizeVisitor) Result() (any, error) {
 			loNodes = append(loNodes, n)
 			loEdges = append(loEdges, n*float64(loK)/(2*loPsi1))
 		}
-		res.NodesCI = jackknifeCI(res.Nodes, loNodes)
-		res.EdgesCI = jackknifeCI(res.Edges, loEdges)
+		res.NodesCI = estimate.JackknifeCI(res.Nodes, loNodes)
+		res.EdgesCI = estimate.JackknifeCI(res.Edges, loEdges)
 	}
 	return res, nil
-}
-
-// jackknifeCI builds a level-ciLevel interval around the pooled estimate
-// from leave-one-out estimates: SE² = (W−1)/W · Σ(θ₍₋ᵢ₎ − θ̄₍₋·₎)².
-func jackknifeCI(pooled float64, leaveOneOut []float64) core.CI {
-	W := len(leaveOneOut)
-	if W < 2 {
-		return core.CI{Walkers: W}
-	}
-	mean := 0.0
-	for _, v := range leaveOneOut {
-		mean += v
-	}
-	mean /= float64(W)
-	ss := 0.0
-	for _, v := range leaveOneOut {
-		d := v - mean
-		ss += d * d
-	}
-	se := math.Sqrt(float64(W-1) / float64(W) * ss)
-	z := math.Sqrt2 * math.Erfinv(ciLevel)
-	return core.CI{
-		Low:     pooled - z*se,
-		High:    pooled + z*se,
-		StdErr:  se,
-		Level:   ciLevel,
-		Walkers: W,
-	}
-}
-
-// EstimateWithPriors mirrors the full no-prior pipeline the paper's
-// assumption (2) sketches: estimate |V| and |E| first, and return a
-// function that converts a degree-weighted sample mean into an F̂ without
-// any exact prior. It is a convenience for callers composing sizeest with
-// the core estimators.
-func EstimateWithPriors(s *osn.Session, k int, opts Options) (nHat, eHat float64, err error) {
-	r, err := Estimate(s, k, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Nodes, r.Edges, nil
 }
 
 // sizeTask is the size estimator in the estimation-task registry.

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/osn"
@@ -32,17 +33,31 @@ func newSession(t testing.TB, g *graph.Graph) *osn.Session {
 	return s
 }
 
+// estimateSize records k samples over s under opts and replays the "size"
+// task over the recording.
+func estimateSize(s *osn.Session, k int, opts core.Options) (Result, error) {
+	traj, err := core.RecordTrajectory(s, k, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	out, err := core.RunTask(traj, "size", core.TaskParams{})
+	if err != nil {
+		return Result{}, err
+	}
+	return out.(Result), nil
+}
+
 func TestEstimateValidation(t *testing.T) {
 	g := testGraph(t, 200, 1)
 	s := newSession(t, g)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := Estimate(s, 1, Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
-		t.Error("want error for k<=1")
+	if _, err := estimateSize(s, 1, core.Options{BurnIn: 10, Rng: rng, Start: -1}); err == nil {
+		t.Error("want error for k<=1: one sample cannot collide")
 	}
-	if _, err := Estimate(s, 100, Options{BurnIn: 10, Start: -1}); err == nil {
+	if _, err := estimateSize(s, 100, core.Options{BurnIn: 10, Start: -1}); err == nil {
 		t.Error("want error for nil Rng")
 	}
-	if _, err := Estimate(s, 100, Options{BurnIn: -1, Rng: rng, Start: -1}); err == nil {
+	if _, err := estimateSize(s, 100, core.Options{BurnIn: -1, Rng: rng, Start: -1}); err == nil {
 		t.Error("want error for negative burn-in")
 	}
 }
@@ -56,7 +71,7 @@ func TestEstimateAccuracy(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		s := newSession(t, g)
 		// 40% of |V| samples: plenty of collisions.
-		res, err := Estimate(s, 800, Options{BurnIn: 300, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
+		res, err := estimateSize(s, 800, core.Options{BurnIn: 300, Rng: rand.New(rand.NewSource(int64(i))), Start: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +99,7 @@ func TestEstimateTooFewSamplesForCollisions(t *testing.T) {
 	}
 	g, _ := graph.LargestComponent(g0)
 	s := newSession(t, g)
-	_, err = Estimate(s, 15, Options{BurnIn: 100, Rng: rand.New(rand.NewSource(4)), Start: -1})
+	_, err = estimateSize(s, 15, core.Options{BurnIn: 100, Rng: rand.New(rand.NewSource(4)), Start: -1})
 	if err == nil {
 		t.Error("want error when no collisions occur")
 	}
@@ -93,7 +108,7 @@ func TestEstimateTooFewSamplesForCollisions(t *testing.T) {
 func TestEstimateAccounting(t *testing.T) {
 	g := testGraph(t, 500, 5)
 	s := newSession(t, g)
-	res, err := Estimate(s, 300, Options{BurnIn: 100, Rng: rand.New(rand.NewSource(6)), Start: -1})
+	res, err := estimateSize(s, 300, core.Options{BurnIn: 100, Rng: rand.New(rand.NewSource(6)), Start: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,28 +120,22 @@ func TestEstimateAccounting(t *testing.T) {
 	}
 }
 
-func TestEstimateWithPriorsPipeline(t *testing.T) {
-	// The full no-prior pipeline: estimate sizes, then feed them into a
-	// hand-rolled Eq. 11 estimate, and compare against using exact priors.
-	rng := rand.New(rand.NewSource(7))
-	g0, err := gen.BarabasiAlbert(1500, 5, rng)
-	if err != nil {
-		t.Fatal(err)
+func TestMeanDegreeEstimate(t *testing.T) {
+	g := testGraph(t, 1000, 14)
+	truth := 2 * float64(g.NumEdges()) / float64(g.NumNodes())
+	var sum float64
+	const reps = 30
+	for i := 0; i < reps; i++ {
+		s := newSession(t, g)
+		res, err := estimateSize(s, 400, core.Options{BurnIn: 200, Rng: rand.New(rand.NewSource(int64(100 + i))), Start: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += res.MeanDegree
 	}
-	g, err := gen.Apply(g0, &gen.GenderLabeler{PFemale: 0.3, Rng: rng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newSession(t, g)
-	nHat, eHat, err := EstimateWithPriors(s, 600, Options{BurnIn: 200, Rng: rng, Start: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nHat < float64(g.NumNodes())/2 || nHat > float64(g.NumNodes())*2 {
-		t.Errorf("|V| estimate %.0f outside 2x of %d", nHat, g.NumNodes())
-	}
-	if eHat < float64(g.NumEdges())/2 || eHat > float64(g.NumEdges())*2 {
-		t.Errorf("|E| estimate %.0f outside 2x of %d", eHat, g.NumEdges())
+	got := sum / reps
+	if math.Abs(got-truth)/truth > 0.10 {
+		t.Errorf("mean degree estimate %.2f, truth %.2f", got, truth)
 	}
 }
 
@@ -136,7 +145,7 @@ func TestEstimateBudgetSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Estimate(s, 200, Options{BurnIn: 100, Rng: rand.New(rand.NewSource(9)), Start: -1})
+	_, err = estimateSize(s, 200, core.Options{BurnIn: 100, Rng: rand.New(rand.NewSource(9)), Start: -1})
 	if !errors.Is(err, errUpstream) {
 		t.Errorf("err = %v, want the upstream failure", err)
 	}

@@ -174,6 +174,22 @@ func totalVariation(a, b []float64) float64 {
 	return sum / 2
 }
 
+// BurnIn is the default burn-in of a walk on g: the mixing time T(1e-3) of
+// Section 5.1, maximized over DefaultMixingStarts(g, 4) and capped at 5,000
+// steps, floored at 10 so even fast-mixing graphs get a short burn-in. The
+// estimation entry points, the serving engine and the experiment harness
+// all resolve a zero burn-in through it.
+func BurnIn(g *graph.Graph) (int, error) {
+	mixed, err := MixingTime(g, 1e-3, MixingOptions{
+		MaxSteps:   5000,
+		StartNodes: DefaultMixingStarts(g, 4),
+	})
+	if err != nil {
+		return 0, err
+	}
+	return max(mixed.Steps, 10), nil
+}
+
 // DefaultMixingStarts picks a small representative set of start nodes for
 // approximate mixing-time computation: the highest-degree node, the
 // lowest-degree node, and evenly spaced IDs. On social graphs the slowest

@@ -58,32 +58,40 @@ type MultiPairResult struct {
 }
 
 // recordShared resolves the sample count and burn-in from opts and records
-// one shared trajectory over a fresh session — the recording step behind
-// EstimateManyPairs and EstimateBatch (both derive the walk identically, so
-// a batch's trajectory is the exact walk EstimateManyPairs would record for
+// one shared trajectory — the recording step behind EstimateManyPairs,
+// EstimateBatch and RecordTrajectory (all derive the walk identically, so a
+// batch's trajectory is the exact walk EstimateManyPairs would record for
 // the same options).
 func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, int, error) {
 	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
 		return nil, 0, err
 	}
-
-	s, err := osn.NewSession(g, osn.Config{})
-	if err != nil {
-		return nil, 0, err
-	}
-	traj, err := core.RecordTrajectory(s, k, core.Options{
-		BurnIn:  burn,
-		Rng:     stats.NewSeedSequence(opts.Seed).NextRand(),
-		Start:   -1,
-		Walkers: opts.Walkers,
-		Seed:    stats.Derive(opts.Seed, "multipair"),
-		Ctx:     opts.Ctx,
-	})
+	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "multipair", opts.Ctx)
 	if err != nil {
 		return nil, 0, err
 	}
 	return traj, burn, nil
+}
+
+// record runs one burned-in recording of k samples over a fresh session —
+// the recording step of every facade entry point that replays a registered
+// task. A serial walk draws from the first stream of NewSeedSequence(seed);
+// a fleet of walkers roots its per-walker streams at Derive(seed, tag), so
+// each entry point's tag keeps its fleet streams its own.
+func record(g *Graph, k, burn, walkers int, seed int64, tag string, ctx context.Context) (*core.Trajectory, error) {
+	s, err := osn.NewSession(g, osn.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return core.RecordTrajectory(s, k, core.Options{
+		BurnIn:  burn,
+		Rng:     stats.NewSeedSequence(seed).NextRand(),
+		Start:   -1,
+		Walkers: walkers,
+		Seed:    stats.Derive(seed, tag),
+		Ctx:     ctx,
+	})
 }
 
 // EstimateManyPairs estimates F for every given label pair from ONE shared

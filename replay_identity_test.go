@@ -77,25 +77,22 @@ func soloReplay(traj *core.Trajectory, req TaskRequest, task core.EstimationTask
 		}
 		return out, nil
 	case "motif":
-		replay := motif.WedgesFromTrajectory
-		if req.Motif == MotifTriangles {
-			replay = motif.TrianglesFromTrajectory
-		}
-		rowPairs := []*LabelPair{nil}
+		rowPairs := [][]LabelPair{nil}
 		if len(req.Pairs) > 0 {
 			rowPairs = rowPairs[:0]
 			for i := range req.Pairs {
-				rowPairs = append(rowPairs, &req.Pairs[i])
+				rowPairs = append(rowPairs, req.Pairs[i:i+1])
 			}
 		}
-		res := motif.TaskResult{Shape: req.Motif}
+		var res motif.TaskResult
 		for _, p := range rowPairs {
-			r, err := replay(traj, p)
+			out, err := core.RunTask(traj, "motif", core.TaskParams{Motif: req.Motif, Pairs: p})
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, motif.TaskRow{Pair: p, Estimate: r.Estimate, CI: r.CI})
-			res.Samples, res.APICalls, res.Walkers = r.Samples, r.APICalls, r.Walkers
+			r := out.(motif.TaskResult)
+			rows := append(res.Rows, r.Rows...)
+			res, res.Rows = r, rows
 		}
 		return res, nil
 	default:

@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/motif"
-	"repro/internal/osn"
 	"repro/internal/sizeest"
-	"repro/internal/stats"
 	"repro/internal/walk"
 )
 
@@ -311,23 +309,15 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 		}
 		burn = mixed.Steps + 10
 	}
-	s, err := osn.NewSession(g, osn.Config{})
+	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "size/multiwalk", opts.Ctx)
 	if err != nil {
 		return res, err
 	}
-	r, err := sizeest.Estimate(s, k, sizeest.Options{
-		BurnIn:  burn,
-		ThinGap: opts.CollisionGap,
-		Rng:     stats.NewSeedSequence(opts.Seed).NextRand(),
-		Start:   -1,
-		Walkers: opts.Walkers,
-		Seed:    stats.Derive(opts.Seed, "size/multiwalk"),
-		Ctx:     opts.Ctx,
-	})
+	out, err := core.RunTask(traj, "size", core.TaskParams{ThinGap: opts.CollisionGap})
 	if err != nil {
 		return res, err
 	}
-	return sizeResult(r, burn), nil
+	return sizeResult(out.(sizeest.Result), burn), nil
 }
 
 // MotifRow is one motif answer: the estimate for one label pair, or the
@@ -393,22 +383,11 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	k, burn, err := resolveBudget(g, opts)
+	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
 		return nil, err
 	}
-	s, err := osn.NewSession(g, osn.Config{})
-	if err != nil {
-		return nil, err
-	}
-	traj, err := core.RecordTrajectory(s, k, core.Options{
-		BurnIn:  burn,
-		Rng:     stats.NewSeedSequence(opts.Seed).NextRand(),
-		Start:   -1,
-		Walkers: opts.Walkers,
-		Seed:    stats.Derive(opts.Seed, "motif/multiwalk"),
-		Ctx:     opts.Ctx,
-	})
+	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "motif/multiwalk", opts.Ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -419,19 +398,13 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	return motifResult(outs[0].(motif.TaskResult), burn), nil
 }
 
-// resolveBudget maps EstimateOptions' budget fields onto a sample count and
-// burn-in via resolveWalkPlan — the shared arithmetic of the estimation
-// entry points.
-func resolveBudget(g *Graph, opts EstimateOptions) (k, burn int, err error) {
-	return resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
-}
-
 // resolveWalkPlan turns the public budget knobs into a concrete walk plan:
 // samples overrides budget (a fraction of |V|, default 0.05), and a zero
-// burn-in is resolved by measuring the mixing time T(1e-3) (minimum 10).
-// EstimateManyPairs, EstimateBatch, CountMotifs and EstimateTargetEdges all
-// derive their walks through this one function, so their walks agree for
-// equal options.
+// burn-in resolves to walk.BurnIn's default (the measured mixing time
+// T(1e-3), minimum 10). EstimateTargetEdges, EstimateManyPairs,
+// EstimateBatch, RecordTrajectory and CountMotifs (so EstimateLabeledMotif
+// too) all derive their walks through this one function, so their walks
+// agree for equal options.
 func resolveWalkPlan(g *Graph, budget float64, samples, burnIn int) (k, burn int, err error) {
 	k = samples
 	if k <= 0 {
@@ -445,16 +418,8 @@ func resolveWalkPlan(g *Graph, budget float64, samples, burnIn int) (k, burn int
 	}
 	burn = burnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
-			MaxSteps:   5000,
-			StartNodes: walk.DefaultMixingStarts(g, 4),
-		})
-		if err != nil {
+		if burn, err = walk.BurnIn(g); err != nil {
 			return 0, 0, err
-		}
-		burn = mixed.Steps
-		if burn < 10 {
-			burn = 10
 		}
 	}
 	return k, burn, nil
