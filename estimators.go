@@ -267,7 +267,7 @@ func DiscoverLabelPairsOpts(g *Graph, opts CensusOptions) ([]PairEstimate, error
 	if err != nil {
 		return nil, err
 	}
-	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "census/multiwalk", opts.Ctx)
+	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "census/multiwalk")
 	if err != nil {
 		return nil, err
 	}

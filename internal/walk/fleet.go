@@ -36,15 +36,6 @@ type FleetRun[N comparable] struct {
 	Ctx context.Context
 }
 
-// Done reports whether the walker has consumed its share of the work, given
-// how many samples it has retained so far.
-func (r *FleetRun[N]) Done(samples int) bool {
-	if r.Budget > 0 {
-		return r.Meter.Calls() >= r.Budget
-	}
-	return samples >= r.Quota
-}
-
 // MaxIters bounds a budget-driven sampling loop: cache hits are free, so the
 // walk may take many more steps than its budget, and the cap prevents
 // spinning once the whole graph is cached (mirroring the serial paths).
@@ -80,8 +71,9 @@ type FleetConfig[N comparable] struct {
 	// any random choice and r.Meter for any API access.
 	NewWalker func(r *FleetRun[N]) (Walker[N], error)
 	// Sample runs walker r's sampling loop, writing per-walker results into
-	// caller-side slices at index r.ID. It must honor r.Done, r.MaxIters
-	// and r.Ctx.
+	// caller-side slices at index r.ID. It must take at most r.MaxIters
+	// steps, stop before a step once r.Meter.Calls() reaches a positive
+	// r.Budget, and honor r.Ctx.
 	Sample func(r *FleetRun[N]) error
 }
 
@@ -168,8 +160,8 @@ func RunFleet[N comparable](cfg FleetConfig[N]) ([]int64, error) {
 	burnt.Wait()
 	if firstFleetErr(errs) == nil {
 		// Wipe burn-in charges and meters. The meters stay uncapped:
-		// per-walker budgets are enforced softly by Done() checks between
-		// iterations, so an iteration's trailing charges may overshoot the
+		// per-walker budgets are enforced softly by the Sample loops'
+		// checks between iterations, so an iteration's trailing charges may overshoot the
 		// share slightly — exactly the serial loops' budget semantics
 		// ("s.Calls() >= k" checked between iterations). A hard meter cap
 		// would instead starve walkers whose share is smaller than one

@@ -108,7 +108,7 @@ func TestRunFleetShareSmallerThanIteration(t *testing.T) {
 			// arrived-at node's profile fetch — the NeighborExploration /
 			// trajectory-recording pattern.
 			maxIters := r.MaxIters()
-			for iter := 0; iter < maxIters && !r.Done(sampled[r.ID]); iter++ {
+			for iter := 0; iter < maxIters && !done(r, sampled[r.ID]); iter++ {
 				cur, err := r.W.Step()
 				if err != nil {
 					if errors.Is(err, osn.ErrBudgetExhausted) {
@@ -184,7 +184,7 @@ func TestRunFleetBarrierResetsAccounting(t *testing.T) {
 			return NewSimple[graph.Node](NodeSpace{S: r.Meter}, graph.Node(r.ID), r.Rng), nil
 		},
 		Sample: func(r *FleetRun[graph.Node]) error {
-			for !r.Done(sampled[r.ID]) {
+			for !done(r, sampled[r.ID]) {
 				if _, err := r.W.Step(); err != nil {
 					return err
 				}
@@ -306,7 +306,7 @@ func TestRunFleetClampsWalkers(t *testing.T) {
 						t.Errorf("walker %d got a zero share", r.ID)
 					}
 					maxIters := r.MaxIters()
-					for iter := 0; iter < maxIters && !r.Done(sampled[r.ID]); iter++ {
+					for iter := 0; iter < maxIters && !done(r, sampled[r.ID]); iter++ {
 						if _, err := r.W.Step(); err != nil {
 							if errors.Is(err, osn.ErrBudgetExhausted) {
 								return nil
@@ -413,4 +413,13 @@ func TestRunFleetPropagatesWalkerError(t *testing.T) {
 	if errors.Is(err, context.Canceled) {
 		t.Errorf("cancellation masked the real failure: %v", err)
 	}
+}
+
+// done reports whether walker r has used up its share of the work: its
+// budget in budget-driven mode, else its sample quota.
+func done(r *FleetRun[graph.Node], samples int) bool {
+	if r.Budget > 0 {
+		return r.Meter.Calls() >= r.Budget
+	}
+	return samples >= r.Quota
 }

@@ -67,7 +67,7 @@ func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, int, error
 	if err != nil {
 		return nil, 0, err
 	}
-	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "multipair", opts.Ctx)
+	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "multipair")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -79,7 +79,7 @@ func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, int, error
 // task. A serial walk draws from the first stream of NewSeedSequence(seed);
 // a fleet of walkers roots its per-walker streams at Derive(seed, tag), so
 // each entry point's tag keeps its fleet streams its own.
-func record(g *Graph, k, burn, walkers int, seed int64, tag string, ctx context.Context) (*core.Trajectory, error) {
+func record(ctx context.Context, g *Graph, k, burn, walkers int, seed int64, tag string) (*core.Trajectory, error) {
 	s, err := osn.NewSession(g, osn.Config{})
 	if err != nil {
 		return nil, err

@@ -309,7 +309,7 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 		}
 		burn = mixed.Steps + 10
 	}
-	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "size/multiwalk", opts.Ctx)
+	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "size/multiwalk")
 	if err != nil {
 		return res, err
 	}
@@ -387,7 +387,7 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if err != nil {
 		return nil, err
 	}
-	traj, err := record(g, k, burn, opts.Walkers, opts.Seed, "motif/multiwalk", opts.Ctx)
+	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "motif/multiwalk")
 	if err != nil {
 		return nil, err
 	}
