@@ -11,12 +11,12 @@ import (
 // columns that feeds every query's streaming aggregators simultaneously. It
 // is the only walker-major replay loop — a single task is a pass of one
 // (RunTask, EstimateManyPairs, NeighborSample and NeighborExploration all
-// replay through it). N queries over one
-// trajectory cost one column sweep, with label membership answered by the
-// precomputed mask columns (labelcols.go). Bit-identity with one-task
-// passes is structural: each aggregator still receives exactly its own
-// sample sequence in walker-major step order — fusing only interleaves
-// *different* accumulators, never reorders any one accumulator's inputs.
+// replay through it). N queries over one trajectory cost one column sweep,
+// with label membership answered by the precomputed mask columns
+// (labelcols.go). Bit-identity with one-task passes is structural: each
+// aggregator still receives exactly its own sample sequence in walker-major
+// step order — fusing only interleaves *different* accumulators, never
+// reorders any one accumulator's inputs.
 
 // TrajectoryVisitor consumes a trajectory's steps in one walker-major pass.
 // The driver calls BeginWalker(w, n) with walker w's sample count, then

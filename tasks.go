@@ -287,6 +287,10 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		return res, fmt.Errorf("repro: graph has no edges to sample")
 	}
+	task, err := newTask("size", core.TaskParams{ThinGap: opts.CollisionGap})
+	if err != nil {
+		return res, err
+	}
 	k := opts.Samples
 	if k <= 0 {
 		budget := opts.Budget
@@ -313,11 +317,11 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	if err != nil {
 		return res, err
 	}
-	out, err := core.RunTask(traj, "size", core.TaskParams{ThinGap: opts.CollisionGap})
-	if err != nil {
-		return res, err
+	outs, errs := core.RunTasksFused(traj, []core.EstimationTask{task})
+	if errs[0] != nil {
+		return res, errs[0]
 	}
-	return sizeResult(out.(sizeest.Result), burn), nil
+	return sizeResult(outs[0].(sizeest.Result), burn), nil
 }
 
 // MotifRow is one motif answer: the estimate for one label pair, or the
@@ -375,13 +379,9 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		return nil, fmt.Errorf("repro: graph has no edges to sample")
 	}
-	spec, ok := core.LookupTask("motif")
-	if !ok {
-		return nil, fmt.Errorf("repro: motif task not registered")
-	}
-	task, err := spec.NewTask(core.TaskParams{Pairs: pairs, Motif: shape})
+	task, err := newTask("motif", core.TaskParams{Pairs: pairs, Motif: shape})
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
+		return nil, err
 	}
 	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
@@ -396,6 +396,20 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 		return nil, errs[0]
 	}
 	return motifResult(outs[0].(motif.TaskResult), burn), nil
+}
+
+// newTask builds the registered task of kind from p before its walk is
+// paid for, so a bad parameter is rejected without recording anything.
+func newTask(kind string, p core.TaskParams) (core.EstimationTask, error) {
+	spec, ok := core.LookupTask(kind)
+	if !ok {
+		return nil, fmt.Errorf("repro: %s task not registered", kind)
+	}
+	task, err := spec.NewTask(p)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return task, nil
 }
 
 // resolveWalkPlan turns the public budget knobs into a concrete walk plan:
