@@ -311,10 +311,9 @@ type censusVisitor struct {
 	samples  int
 }
 
-func newCensusVisitor(t *Trajectory, top int) (*censusVisitor, error) {
-	if top < 0 {
-		return nil, fmt.Errorf("core: census replay needs top >= 0, got %d", top)
-	}
+// newCensusVisitor builds the census visitor for t. top is non-negative:
+// the registry's constructor rejects a negative Top.
+func newCensusVisitor(t *Trajectory, top int) *censusVisitor {
 	lc := t.labelColumns()
 	return &censusVisitor{
 		t:        t,
@@ -323,7 +322,7 @@ func newCensusVisitor(t *Trajectory, top int) (*censusVisitor, error) {
 		useMasks: lc.ok,
 		hits:     make(map[graph.LabelPair]int),
 		seen:     make(map[graph.LabelPair]struct{}, 8),
-	}, nil
+	}
 }
 
 func (v *censusVisitor) BeginWalker(w, n int) error { return nil }
@@ -401,5 +400,5 @@ func (pt pairsTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
 
 // NewVisitor implements EstimationTask.
 func (ct censusTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
-	return newCensusVisitor(t, ct.top)
+	return newCensusVisitor(t, ct.top), nil
 }

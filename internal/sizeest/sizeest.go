@@ -102,10 +102,10 @@ type sizeVisitor struct {
 	walkerLens []int
 }
 
-func newSizeVisitor(t *core.Trajectory, thinGap int) (*sizeVisitor, error) {
-	if thinGap < 0 {
-		return nil, fmt.Errorf("sizeest: negative thinning gap %d", thinGap)
-	}
+// newSizeVisitor sizes the visitor for t. thinGap is non-negative: the
+// registry's constructor is the only way to build a sizeTask, and it
+// rejects a negative gap.
+func newSizeVisitor(t *core.Trajectory, thinGap int) *sizeVisitor {
 	W := t.NumWalkers()
 	return &sizeVisitor{
 		t:          t,
@@ -116,7 +116,7 @@ func newSizeVisitor(t *core.Trajectory, thinGap int) (*sizeVisitor, error) {
 		perWithin:  make([]int, W),
 		perCross:   make([]int, W),
 		walkerLens: make([]int, W),
-	}, nil
+	}
 }
 
 func (v *sizeVisitor) BeginWalker(w, n int) error {
@@ -246,7 +246,7 @@ func (sizeTask) Kind() string { return "size" }
 // NewVisitor implements core.EstimationTask: the collision counting streams
 // over the driver's shared column sweep (core.RunTasksFused).
 func (st sizeTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, error) {
-	return newSizeVisitor(t, st.gap)
+	return newSizeVisitor(t, st.gap), nil
 }
 
 func init() {
