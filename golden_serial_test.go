@@ -10,7 +10,8 @@ import (
 )
 
 // updateGolden regenerates the golden files (testdata/golden_serial.json,
-// testdata/golden_entrypoints.json) instead of comparing against them:
+// testdata/golden_entrypoints.json, testdata/golden_manylabels.json) instead
+// of comparing against them:
 // go test -run TestSerialGolden -update-golden .
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files")
 
