@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -78,5 +77,3 @@ func sortPairEstimates(pairs []PairEstimate) {
 		return pi.T2 < pj.T2
 	})
 }
-
-func errCensusEmpty() error { return fmt.Errorf("core: census replay drew no samples") }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -12,7 +12,7 @@ import (
 // is the only walker-major replay loop — a single task is a pass of one
 // (RunTask, EstimateManyPairs, NeighborSample and NeighborExploration all
 // replay through it). N queries over one trajectory cost one column sweep,
-// with label membership answered by the precomputed mask columns
+// with label membership answered by the memoized label columns
 // (labelcols.go). Bit-identity with one-task passes is structural: each
 // aggregator still receives exactly its own sample sequence in walker-major
 // step order — fusing only interleaves *different* accumulators, never
@@ -96,13 +96,14 @@ func RunTasksFused(t *Trajectory, tasks []EstimationTask) (outs []any, errs []er
 // pairReplayState is one label pair's streaming aggregators inside the
 // fused pass.
 type pairReplayState struct {
-	pair   graph.LabelPair
-	m1, m2 uint64 // the pair's mask bits (mask path)
-	// tt[i] is T(node_i), or -1 where the node carries neither label
-	// (LabelReader path, when NeighborExploration runs).
-	tt []int32
-	ns *nsAgg // nil when NeighborSample does not run
-	ne *neAgg // nil when NeighborExploration does not run
+	pair graph.LabelPair
+	// target and tt are the pair's memoized label columns (labelcols.go):
+	// the target-edge flags when NeighborSample runs, and T(node_i), -1
+	// where the node carries neither label, when NeighborExploration runs.
+	target []bool
+	tt     []int32
+	ns     *nsAgg // nil when NeighborSample does not run
+	ne     *neAgg // nil when NeighborExploration does not run
 	// explorations counts distinct explored nodes per walker, summed over
 	// walkers. Whether a node explores is a per-node label property, so the
 	// walker-local first-occurrence column decides it — no per-pair set.
@@ -114,24 +115,18 @@ type pairReplayState struct {
 // NeighborSample and NeighborExploration.
 type pairsVisitor struct {
 	t  *Trajectory
-	lc *labelCols // nil on the LabelReader path
-	ns *nsCols    // nil when NeighborSample does not run
-	ne *neCols    // nil when NeighborExploration does not run
-	lo int        // first global step of the current walker
+	ns *nsCols // nil when NeighborSample does not run
+	ne *neCols // nil when NeighborExploration does not run
+	lo int     // first global step of the current walker
 	ps []pairReplayState
 }
 
-// newPairsVisitor builds the column groups the task's estimators read and
-// sizes the per-pair aggregators from the walker extents (every recorded
-// step yields exactly one edge sample and one node sample, so the per-walker
+// newPairsVisitor takes the columns the task's estimators read and sizes
+// the per-pair aggregators from the walker extents (every recorded step
+// yields exactly one edge sample and one node sample, so the per-walker
 // sample counts are the walker lengths).
 func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 	v := &pairsVisitor{t: t, ps: make([]pairReplayState, len(pt.pairs))}
-	if pt.only == bothEstimators {
-		if lc := t.labelColumns(); lc.ok {
-			v.lc = lc
-		}
-	}
 	if pt.only != onlyNE {
 		v.ns = t.nsColumns()
 	}
@@ -152,42 +147,16 @@ func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 			if p.ns, err = newNSAgg(numEdges, t.ThinGap, serial, counts); err != nil {
 				return nil, err
 			}
+			p.target = t.targetFlags(pair)
 		}
 		if v.ne != nil {
 			if p.ne, err = newNEAgg(numEdges, numNodes, t.ThinGap, serial, counts); err != nil {
 				return nil, err
 			}
-		}
-		switch {
-		case v.lc != nil:
-			p.m1, p.m2 = v.lc.pairMasks(pair)
-		case v.ne != nil:
-			p.tt = targetDegrees(t, pair)
+			p.tt = t.TargetDegrees(pair)
 		}
 	}
 	return v, nil
-}
-
-// targetDegrees computes T(u) for pair once per distinct arrival node,
-// through the occurrence index, and spreads it over the node's steps (-1
-// where the node carries neither label). A node's friend list is the same at
-// each of its steps — one recording reads one graph version — so this is
-// ReplayTargetDegree at every step.
-func targetDegrees(t *Trajectory, pair graph.LabelPair) []int32 {
-	occ := t.Occurrences()
-	tt := make([]int32, t.Samples())
-	for j, u := range occ.Nodes {
-		lo, hi := occ.Off[j], occ.Off[j+1]
-		at := func(o int32) int { return int(t.ext[occ.Walker[o]]) + int(occ.Pos[o]) }
-		d, explores := ReplayTargetDegree(t.labels, TrajStep{Node: u, Neighbors: t.StepNeighbors(at(lo))}, pair)
-		if !explores {
-			d = -1
-		}
-		for o := lo; o < hi; o++ {
-			tt[at(o)] = int32(d)
-		}
-	}
-	return tt
 }
 
 func (v *pairsVisitor) BeginWalker(w, n int) error {
@@ -213,7 +182,7 @@ func (v *pairsVisitor) VisitStep(i int) error {
 		first, firstW := c.edgeFirst[i], c.edgeFirstW != nil && c.edgeFirstW[i]
 		for k := range v.ps {
 			p := &v.ps[k]
-			if err := p.ns.addStep(v.target(p, i), retained, first, firstW); err != nil {
+			if err := p.ns.addStep(p.target[i], retained, first, firstW); err != nil {
 				return err
 			}
 		}
@@ -227,43 +196,16 @@ func (v *pairsVisitor) VisitStep(i int) error {
 		}
 		for k := range v.ps {
 			p := &v.ps[k]
-			tt, explores := v.targetDegree(p, i)
-			if explores && firstAllW {
+			tt := p.tt[i]
+			if tt >= 0 && firstAllW {
 				p.explorations++
 			}
-			if err := p.ne.addStep(tt, d, retained, first, firstW, incl, inclW, invD); err != nil {
+			if err := p.ne.addStep(int(max(tt, 0)), d, retained, first, firstW, incl, inclW, invD); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// target reports whether step i's edge carries p's pair. Membership is
-// symmetric in the two endpoints, so the orientation of (prev, node) is
-// irrelevant.
-func (v *pairsVisitor) target(p *pairReplayState, i int) bool {
-	if v.lc != nil {
-		pm, nm := v.lc.stepPrev[i], v.lc.stepNode[i]
-		return pm&p.m1 != 0 && nm&p.m2 != 0 || pm&p.m2 != 0 && nm&p.m1 != 0
-	}
-	lr, a, b := v.t.labels, v.t.prev[i], v.t.node[i]
-	return lr.HasLabel(a, p.pair.T1) && lr.HasLabel(b, p.pair.T2) || lr.HasLabel(a, p.pair.T2) && lr.HasLabel(b, p.pair.T1)
-}
-
-// targetDegree returns T(node_i) for p's pair and whether the node carries a
-// target label (whether NeighborExploration explores it).
-func (v *pairsVisitor) targetDegree(p *pairReplayState, i int) (int, bool) {
-	if v.lc == nil {
-		tt := p.tt[i]
-		return int(max(tt, 0)), tt >= 0
-	}
-	nm := v.lc.stepNode[i]
-	hasT1, hasT2 := nm&p.m1 != 0, nm&p.m2 != 0
-	if !hasT1 && !hasT2 {
-		return 0, false
-	}
-	return v.lc.targetDegreeRuns(i, hasT1, hasT2, p.m1, p.m2), true
 }
 
 func (v *pairsVisitor) EndWalker(w int) error {
@@ -299,98 +241,29 @@ func (v *pairsVisitor) Result() (any, error) {
 	return out, nil
 }
 
-// censusVisitor replays the all-pairs census in one pass — the visitor of
-// task kind "census".
+// censusVisitor is the visitor of task kind "census". The census is a
+// memoized column of the trajectory (labelcols.go), so the pass feeds it
+// nothing and Result cuts the memo to the task's top.
 type censusVisitor struct {
-	t        *Trajectory
-	top      int
-	lc       *labelCols
-	useMasks bool
-	hits     map[graph.LabelPair]int
-	seen     map[graph.LabelPair]struct{}
-	samples  int
-}
-
-// newCensusVisitor builds the census visitor for t. top is non-negative:
-// the registry's constructor rejects a negative Top.
-func newCensusVisitor(t *Trajectory, top int) *censusVisitor {
-	lc := t.labelColumns()
-	return &censusVisitor{
-		t:        t,
-		top:      top,
-		lc:       lc,
-		useMasks: lc.ok,
-		hits:     make(map[graph.LabelPair]int),
-		seen:     make(map[graph.LabelPair]struct{}, 8),
-	}
+	t   *Trajectory
+	top int // non-negative: the registry's constructor rejects a negative Top
 }
 
 func (v *censusVisitor) BeginWalker(w, n int) error { return nil }
-
-func (v *censusVisitor) VisitStep(i int) error {
-	v.samples++
-	if v.useMasks {
-		// The per-step credits are integer increments determined entirely
-		// by the two endpoint masks, so Result replays the precomputed
-		// (prev, node) mask combos scaled by multiplicity instead —
-		// identical counts in O(distinct combos) work.
-		return nil
-	}
-	censusHits(v.t.labels, v.t.prev[i], v.t.node[i], v.hits, v.seen)
-	return nil
-}
-
-func (v *censusVisitor) EndWalker(w int) error { return nil }
+func (v *censusVisitor) VisitStep(i int) error      { return nil }
+func (v *censusVisitor) EndWalker(w int) error      { return nil }
 
 func (v *censusVisitor) Result() (any, error) {
-	var res CensusResult
-	res.Samples = v.samples
-	if res.Samples == 0 {
-		return nil, errCensusEmpty()
+	rows := v.t.censusRows()
+	if v.top > 0 && v.top < len(rows) {
+		rows = rows[:v.top]
 	}
-	if v.useMasks {
-		for c := range v.lc.comboCnt {
-			censusHitsMaskedN(v.lc, v.lc.comboPrev[c], v.lc.comboNode[c], int(v.lc.comboCnt[c]), v.hits, v.seen)
-		}
-	}
-	numEdges := float64(v.t.NumEdges)
-	res.Pairs = make([]PairEstimate, 0, len(v.hits))
-	for p, h := range v.hits {
-		res.Pairs = append(res.Pairs, PairEstimate{
-			Pair:     p,
-			Estimate: numEdges * float64(h) / float64(res.Samples),
-			Hits:     h,
-		})
-	}
-	sortPairEstimates(res.Pairs)
-	if v.top > 0 && v.top < len(res.Pairs) {
-		res.Pairs = res.Pairs[:v.top]
-	}
-	res.APICalls = v.t.APICalls
-	res.Walkers = v.t.Walkers
-	return res, nil
-}
-
-// censusHitsMaskedN is censusHits over mask columns, crediting one step's
-// label pairs n times — the combo replay: n steps sharing the same endpoint
-// masks credit the same pairs. The set bits of the two endpoint masks
-// enumerate exactly the label sets censusHits reads through the
-// LabelReader, so the credited pair set — and the hit counts — are
-// identical.
-func censusHitsMaskedN(lc *labelCols, pm, nm uint64, n int, hits map[graph.LabelPair]int, seen map[graph.LabelPair]struct{}) {
-	clear(seen)
-	for a := pm; a != 0; a &= a - 1 {
-		la := lc.table[bits.TrailingZeros64(a)]
-		for b := nm; b != 0; b &= b - 1 {
-			lb := lc.table[bits.TrailingZeros64(b)]
-			p := graph.LabelPair{T1: la, T2: lb}.Canonical()
-			if _, dup := seen[p]; dup {
-				continue
-			}
-			seen[p] = struct{}{}
-			hits[p] += n
-		}
-	}
+	return CensusResult{
+		Pairs:    slices.Clone(rows),
+		Samples:  v.t.Samples(),
+		APICalls: v.t.APICalls,
+		Walkers:  v.t.Walkers,
+	}, nil
 }
 
 // NewVisitor implements EstimationTask.
@@ -400,5 +273,5 @@ func (pt pairsTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
 
 // NewVisitor implements EstimationTask.
 func (ct censusTask) NewVisitor(t *Trajectory) (TrajectoryVisitor, error) {
-	return newCensusVisitor(t, ct.top), nil
+	return &censusVisitor{t: t, top: ct.top}, nil
 }

@@ -206,6 +206,69 @@ func commonSorted(nu, nv []graph.Node) int {
 	return common
 }
 
+// denseScratchMaxNodes bounds the O(numNodes) scratch arrays of the column
+// builds; graphs past it use maps keyed by node instead.
+const denseScratchMaxNodes = 1 << 24
+
+// denseScratch decides whether an O(numNodes) build-time scratch array is
+// worth allocating for a column build that touches at most touched distinct
+// nodes. Small graphs always take the dense array (cheap, fastest); larger
+// graphs take it only when the workload is within a constant factor of the
+// graph size, so a few-hundred-step trajectory over a million-node graph
+// builds through sparse maps and the per-estimate allocation cost stays
+// independent of |V|. Both paths produce identical columns.
+func denseScratch(numNodes, touched int) bool {
+	if numNodes <= 0 || numNodes > denseScratchMaxNodes {
+		return false
+	}
+	return numNodes <= denseScratchMinNodes || numNodes/denseScratchFactor <= touched
+}
+
+const (
+	// denseScratchMinNodes is the graph size below which dense scratch is
+	// unconditional: a few KB of arrays beat any map.
+	denseScratchMinNodes = 1 << 12
+	// denseScratchFactor is how many times larger than the touched-node
+	// bound the graph must be before sparse scratch wins.
+	denseScratchFactor = 8
+)
+
+// nodeSet is a visited-node set: a bitmap when the node universe is bounded,
+// a map otherwise.
+type nodeSet struct {
+	bits []uint64
+	m    map[graph.Node]struct{}
+}
+
+func newNodeSet(numNodes int) *nodeSet {
+	if numNodes > 0 {
+		return &nodeSet{bits: make([]uint64, (numNodes+63)/64)}
+	}
+	return &nodeSet{m: make(map[graph.Node]struct{})}
+}
+
+// add inserts u and reports whether it was new.
+func (s *nodeSet) add(u graph.Node) bool {
+	if s.bits != nil {
+		w, b := uint(u)>>6, uint64(1)<<(uint(u)&63)
+		if int(w) < len(s.bits) {
+			if s.bits[w]&b != 0 {
+				return false
+			}
+			s.bits[w] |= b
+			return true
+		}
+	}
+	if s.m == nil {
+		s.m = make(map[graph.Node]struct{})
+	}
+	if _, ok := s.m[u]; ok {
+		return false
+	}
+	s.m[u] = struct{}{}
+	return true
+}
+
 // thinStride is the step stride of the HT-retained samples: every ThinGap-th
 // step of each walker, counted from its first.
 func (t *Trajectory) thinStride() int { return max(t.ThinGap, 1) }

@@ -128,10 +128,9 @@ func replayOne(t *Trajectory, task EstimationTask) (any, error) {
 // off one walk. Result type: []PairEstimates.
 type pairsTask struct {
 	pairs []graph.LabelPair
-	// only, when set, runs one estimator and reads labels through the
-	// LabelReader instead of building mask columns: the one-pair replays
-	// behind NeighborSample and NeighborExploration read each step's labels
-	// once, so the masks would cost more than they save.
+	// only, when set, runs one estimator: the one-pair replays behind
+	// NeighborSample and NeighborExploration, which build only the label
+	// column their estimator reads.
 	only estimators
 }
 

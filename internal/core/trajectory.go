@@ -132,7 +132,7 @@ type Trajectory struct {
 	GraphFingerprint uint64
 
 	labels  LabelReader
-	colsH   *lazyCol[*labelCols]
+	labelH  *labelMemo
 	replayH *replayHolder
 }
 
@@ -220,12 +220,12 @@ func (t *Trajectory) Labels() LabelReader { return t.labels }
 // then bound to the labels the file carries (or to the served graph, which
 // recorded them in the first place). Binding replaces the reader wholesale;
 // it must cover every node the trajectory references, or replays will
-// silently treat the missing nodes as unlabeled. It also discards the cached
-// label-mask columns (they are derived from the reader), so it must not race
-// with in-flight replays.
+// silently treat the missing nodes as unlabeled. It also discards the
+// memoized label columns (they are derived from the reader), so it must not
+// race with in-flight replays.
 func (t *Trajectory) BindLabels(lr LabelReader) {
 	t.labels = lr
-	t.colsH = &lazyCol[*labelCols]{}
+	t.labelH = &labelMemo{}
 	// The replay columns derive from the step columns alone, not from
 	// labels, so a rebind keeps them — but a literal-built trajectory that
 	// never went through SetData gets its holder here.
@@ -262,7 +262,7 @@ func NewTrajectoryFromSteps(perSteps [][]TrajStep, perStarts []TrajStart) *Traje
 		startDeg:  make([]int32, len(perStarts)),
 		startOff:  make([]int64, len(perStarts)+1),
 		arena:     make([]graph.Node, 0, nbrs),
-		colsH:     &lazyCol[*labelCols]{},
+		labelH:    &labelMemo{},
 		replayH:   &replayHolder{},
 	}
 	for w, start := range perStarts {
@@ -372,7 +372,7 @@ func (t *Trajectory) SetData(d TrajectoryData) error {
 	t.startDeg = d.StartDegree
 	t.startOff = d.StartOff
 	t.arena = d.Arena
-	t.colsH = &lazyCol[*labelCols]{}
+	t.labelH = &labelMemo{}
 	t.replayH = &replayHolder{}
 	return nil
 }

@@ -92,15 +92,27 @@ func (r *rowHH) row() TaskRow {
 // counterpart and part of the Hardiman–Katzir [11] substrate the paper
 // builds on. Every step is a node sample drawn ∝ degree, so the per-node
 // wedge count is Hansen–Hurwitz-weighted by the stationary probability
-// d(u)/2|E|. Labeled target degrees come from the trajectory's precomputed
-// label-mask columns (core.TargetDegreeAt) when available.
-type wedgeVisitor struct{ rowHH }
+// d(u)/2|E|. A labeled row reads T(u) from the pair's column, which the
+// trajectory memoizes (core.Trajectory.TargetDegrees), so a warm replay
+// reads no labels.
+type wedgeVisitor struct {
+	rowHH
+	tt []int32 // the pair's T(u) column, -1 where u carries neither label
+}
+
+func newWedgeVisitor(t *core.Trajectory, pair *graph.LabelPair) *wedgeVisitor {
+	v := &wedgeVisitor{rowHH: newRowHH(t, pair)}
+	if pair != nil {
+		v.tt = t.TargetDegrees(*pair)
+	}
+	return v
+}
 
 func (v *wedgeVisitor) visitStep(i int) {
 	d := v.t.StepDegree(i)
 	tt := d
-	if v.pair != nil {
-		tt, _ = v.t.TargetDegreeAt(i, *v.pair)
+	if v.tt != nil {
+		tt = int(max(v.tt[i], 0))
 	}
 	wedges := float64(tt) * float64(tt-1) / 2
 	// HH term: value / π(u) with π(u) = d(u)/2|E|.

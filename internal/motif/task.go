@@ -64,7 +64,7 @@ func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, erro
 			}
 			subs[i] = v
 		} else {
-			subs[i] = &wedgeVisitor{newRowHH(t, p)}
+			subs[i] = newWedgeVisitor(t, p)
 		}
 	}
 	return &motifVisitor{t: t, shape: mt.shape, subs: subs}, nil
