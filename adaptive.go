@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -82,7 +83,7 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 	burn := opts.BurnIn
 	if burn <= 0 {
 		var err error
-		if burn, err = walk.BurnIn(g); err != nil {
+		if burn, err = walk.BurnIn(context.Background(), g); err != nil {
 			return res, err
 		}
 	}

@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -220,7 +221,7 @@ func BenchmarkMixingTime(b *testing.B) {
 	starts := walk.DefaultMixingStarts(g, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{MaxSteps: 5000, StartNodes: starts}); err != nil {
+		if _, err := walk.MixingTime(context.Background(), g, 1e-3, walk.MixingOptions{MaxSteps: 5000, StartNodes: starts}); err != nil {
 			b.Fatal(err)
 		}
 	}

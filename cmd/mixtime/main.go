@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func main() {
 		fmt.Printf("maximizing over %d sampled starts (pass -exact for all %d)\n",
 			len(opts.StartNodes), g.NumNodes())
 	}
-	res, err := walk.MixingTime(g, *eps, opts)
+	res, err := walk.MixingTime(context.Background(), g, *eps, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mixtime:", err)
 		os.Exit(1)

@@ -124,7 +124,7 @@ func EstimateTargetEdges(g *Graph, pair LabelPair, opts EstimateOptions) (Result
 	if method == "" {
 		method = Auto
 	}
-	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
+	k, burn, err := resolveWalkPlan(opts.Ctx, g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
 		return res, err
 	}
@@ -139,7 +139,7 @@ func EstimateTargetEdges(g *Graph, pair LabelPair, opts EstimateOptions) (Result
 	}
 
 	if method == Auto {
-		method = autoSelect(s, pair, k, burn, rng)
+		method = autoSelect(opts.Ctx, s, pair, k, burn, rng)
 		// Fresh session so the pilot's crawl cache does not subsidize the
 		// main run's accounting.
 		s, err = osn.NewSession(g, osn.Config{})
@@ -240,6 +240,9 @@ func DiscoverLabelPairs(g *Graph, budget float64, seed int64) ([]PairEstimate, e
 type CensusOptions struct {
 	// Budget is the sample size as a fraction of |V|; 0 means 5%.
 	Budget float64
+	// BurnIn is the walk burn-in in steps; 0 means measure the mixing time
+	// T(1e-3) first (Section 5.1).
+	BurnIn int
 	// Seed drives all randomness.
 	Seed int64
 	// Walkers is the number of concurrent walkers splitting the census walk
@@ -263,9 +266,12 @@ func DiscoverLabelPairsOpts(g *Graph, opts CensusOptions) ([]PairEstimate, error
 	if k < 10 {
 		k = 10
 	}
-	burn, err := walk.BurnIn(g)
-	if err != nil {
-		return nil, err
+	burn := opts.BurnIn
+	if burn <= 0 {
+		var err error
+		if burn, err = walk.BurnIn(orBackground(opts.Ctx), g); err != nil {
+			return nil, err
+		}
 	}
 	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "census/multiwalk")
 	if err != nil {
@@ -286,13 +292,14 @@ const autoRareThreshold = 0.02
 // autoSelect runs a short NeighborExploration pilot (a tenth of the budget)
 // to gauge F/|E| and picks the method the paper's findings 4–5 recommend:
 // NeighborSample-HT for abundant targets, NeighborExploration-HH for rare
-// ones.
-func autoSelect(s *osn.Session, pair graph.LabelPair, k, burn int, rng *rand.Rand) Method {
+// ones. The pilot records under ctx; a cancelled pilot falls back to the
+// default, whose run then fails on the same ctx.
+func autoSelect(ctx context.Context, s *osn.Session, pair graph.LabelPair, k, burn int, rng *rand.Rand) Method {
 	pilotK := k / 10
 	if pilotK < 20 {
 		pilotK = 20
 	}
-	r, err := core.NeighborExploration(s, pair, pilotK, core.Options{BurnIn: burn, Rng: rng, Start: -1})
+	r, err := core.NeighborExploration(s, pair, pilotK, core.Options{BurnIn: burn, Rng: rng, Start: -1, Ctx: ctx})
 	if err != nil {
 		return NeighborExplorationHH // cheap safe default
 	}

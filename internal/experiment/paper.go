@@ -110,7 +110,7 @@ func (s *Suite) mixingLocked(name gen.StandIn) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	t, err := walk.BurnIn(g)
+	t, err := walk.BurnIn(context.Background(), g)
 	if err != nil {
 		return 0, err
 	}

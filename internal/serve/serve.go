@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"maps"
@@ -365,7 +366,7 @@ func New(cfg Config) (*Engine, error) {
 	burn := cfg.BurnIn
 	if burn <= 0 {
 		var err error
-		if burn, err = walk.BurnIn(cfg.Graph); err != nil {
+		if burn, err = walk.BurnIn(context.Background(), cfg.Graph); err != nil {
 			return nil, err
 		}
 	}

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -46,8 +47,9 @@ type MixingResult struct {
 //
 // The walk on a connected non-bipartite graph converges; on bipartite graphs
 // the pure walk is periodic and never converges, which this function reports
-// via Converged=false rather than looping forever.
-func MixingTime(g *graph.Graph, eps float64, opts MixingOptions) (MixingResult, error) {
+// via Converged=false rather than looping forever. ctx is checked between
+// power-iteration steps; a cancelled computation returns ctx's error.
+func MixingTime(ctx context.Context, g *graph.Graph, eps float64, opts MixingOptions) (MixingResult, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return MixingResult{}, fmt.Errorf("walk: mixing time of empty graph")
@@ -116,6 +118,9 @@ func MixingTime(g *graph.Graph, eps float64, opts MixingOptions) (MixingResult, 
 				t := 0
 				tv := totalVariation(cur, pi)
 				for tv >= eps && t < opts.MaxSteps {
+					if ctx.Err() != nil {
+						return
+					}
 					stepDistribution(g, cur, next)
 					cur, next = next, cur
 					t++
@@ -126,6 +131,9 @@ func MixingTime(g *graph.Graph, eps float64, opts MixingOptions) (MixingResult, 
 		}()
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return MixingResult{}, err
+	}
 
 	worstSteps := 0
 	worstTV := results[0].tv
@@ -178,9 +186,10 @@ func totalVariation(a, b []float64) float64 {
 // Section 5.1, maximized over DefaultMixingStarts(g, 4) and capped at 5,000
 // steps, floored at 10 so even fast-mixing graphs get a short burn-in. The
 // estimation entry points, the serving engine and the experiment harness
-// all resolve a zero burn-in through it.
-func BurnIn(g *graph.Graph) (int, error) {
-	mixed, err := MixingTime(g, 1e-3, MixingOptions{
+// all resolve a zero burn-in through it. A cancelled ctx stops the
+// measurement between power-iteration steps.
+func BurnIn(ctx context.Context, g *graph.Graph) (int, error) {
+	mixed, err := MixingTime(ctx, g, 1e-3, MixingOptions{
 		MaxSteps:   5000,
 		StartNodes: DefaultMixingStarts(g, 4),
 	})

@@ -1,6 +1,8 @@
 package walk
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -27,7 +29,7 @@ func completeGraph(t *testing.T, n int) *graph.Graph {
 
 func TestMixingTimeCompleteGraphFast(t *testing.T) {
 	g := completeGraph(t, 20)
-	res, err := MixingTime(g, 1e-3, MixingOptions{MaxSteps: 100})
+	res, err := MixingTime(context.Background(), g, 1e-3, MixingOptions{MaxSteps: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +58,11 @@ func TestMixingTimePathSlowerThanComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, err := MixingTime(k, 1e-2, MixingOptions{MaxSteps: 5000})
+	rk, err := MixingTime(context.Background(), k, 1e-2, MixingOptions{MaxSteps: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := MixingTime(path, 1e-2, MixingOptions{MaxSteps: 5000})
+	rp, err := MixingTime(context.Background(), path, 1e-2, MixingOptions{MaxSteps: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMixingTimeBipartiteDoesNotConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MixingTime(g, 1e-3, MixingOptions{MaxSteps: 50})
+	res, err := MixingTime(context.Background(), g, 1e-3, MixingOptions{MaxSteps: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,18 +96,35 @@ func TestMixingTimeBipartiteDoesNotConverge(t *testing.T) {
 	}
 }
 
+// TestMixingTimeCancelled: a cancelled context stops the power iteration,
+// and MixingTime and BurnIn return its error instead of a mixing time.
+func TestMixingTimeCancelled(t *testing.T) {
+	g, err := gen.Build(gen.Pokec, 0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MixingTime(ctx, g, 1e-3, MixingOptions{MaxSteps: 5000, Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("MixingTime: want context.Canceled, got %v", err)
+	}
+	if _, err := BurnIn(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Errorf("BurnIn: want context.Canceled, got %v", err)
+	}
+}
+
 func TestMixingTimeValidation(t *testing.T) {
 	g := completeGraph(t, 4)
-	if _, err := MixingTime(g, 0, MixingOptions{}); err == nil {
+	if _, err := MixingTime(context.Background(), g, 0, MixingOptions{}); err == nil {
 		t.Error("want error for eps=0")
 	}
-	if _, err := MixingTime(g, 1, MixingOptions{}); err == nil {
+	if _, err := MixingTime(context.Background(), g, 1, MixingOptions{}); err == nil {
 		t.Error("want error for eps=1")
 	}
-	if _, err := MixingTime(&graph.Graph{}, 0.1, MixingOptions{}); err == nil {
+	if _, err := MixingTime(context.Background(), &graph.Graph{}, 0.1, MixingOptions{}); err == nil {
 		t.Error("want error for empty graph")
 	}
-	if _, err := MixingTime(g, 0.1, MixingOptions{StartNodes: []graph.Node{99}}); err == nil {
+	if _, err := MixingTime(context.Background(), g, 0.1, MixingOptions{StartNodes: []graph.Node{99}}); err == nil {
 		t.Error("want error for out-of-range start")
 	}
 }
@@ -116,11 +135,11 @@ func TestMixingTimeSampledStartsLowerBoundsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRes, err := MixingTime(g, 1e-2, MixingOptions{MaxSteps: 2000})
+	exactRes, err := MixingTime(context.Background(), g, 1e-2, MixingOptions{MaxSteps: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := MixingTime(g, 1e-2, MixingOptions{
+	sampled, err := MixingTime(context.Background(), g, 1e-2, MixingOptions{
 		MaxSteps:   2000,
 		StartNodes: DefaultMixingStarts(g, 4),
 	})
@@ -182,11 +201,11 @@ func TestMixingTimeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	starts := DefaultMixingStarts(g, 6)
-	seq, err := MixingTime(g, 1e-2, MixingOptions{MaxSteps: 2000, StartNodes: starts})
+	seq, err := MixingTime(context.Background(), g, 1e-2, MixingOptions{MaxSteps: 2000, StartNodes: starts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MixingTime(g, 1e-2, MixingOptions{MaxSteps: 2000, StartNodes: starts, Workers: 4})
+	par, err := MixingTime(context.Background(), g, 1e-2, MixingOptions{MaxSteps: 2000, StartNodes: starts, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,7 +84,7 @@ func TestSpectralBoundDominatesMeasuredMixing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured, err := MixingTime(g, 1e-3, MixingOptions{MaxSteps: 5000})
+	measured, err := MixingTime(context.Background(), g, 1e-3, MixingOptions{MaxSteps: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

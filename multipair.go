@@ -63,7 +63,7 @@ type MultiPairResult struct {
 // batch's trajectory is the exact walk EstimateManyPairs would record for
 // the same options).
 func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, int, error) {
-	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
+	k, burn, err := resolveWalkPlan(opts.Ctx, g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
 		return nil, 0, err
 	}

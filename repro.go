@@ -41,6 +41,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -164,7 +165,7 @@ func CountTargetEdgesExact(g *Graph, pair LabelPair) int64 {
 // the paper's Eq. 23, maximized over a small representative set of start
 // nodes (see walk.DefaultMixingStarts).
 func MixingTime(g *Graph, eps float64) (int, error) {
-	res, err := walk.MixingTime(g, eps, walk.MixingOptions{
+	res, err := walk.MixingTime(context.Background(), g, eps, walk.MixingOptions{
 		MaxSteps:   20000,
 		StartNodes: walk.DefaultMixingStarts(g, 4),
 	})

@@ -304,7 +304,7 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	}
 	burn := opts.BurnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(g, 1e-3, walk.MixingOptions{
+		mixed, err := walk.MixingTime(orBackground(opts.Ctx), g, 1e-3, walk.MixingOptions{
 			MaxSteps:   5000,
 			StartNodes: walk.DefaultMixingStarts(g, 4),
 		})
@@ -383,7 +383,7 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if err != nil {
 		return nil, err
 	}
-	k, burn, err := resolveWalkPlan(g, opts.Budget, opts.Samples, opts.BurnIn)
+	k, burn, err := resolveWalkPlan(opts.Ctx, g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
 		return nil, err
 	}
@@ -415,11 +415,12 @@ func newTask(kind string, p core.TaskParams) (core.EstimationTask, error) {
 // resolveWalkPlan turns the public budget knobs into a concrete walk plan:
 // samples overrides budget (a fraction of |V|, default 0.05), and a zero
 // burn-in resolves to walk.BurnIn's default (the measured mixing time
-// T(1e-3), minimum 10). EstimateTargetEdges, EstimateManyPairs,
+// T(1e-3), minimum 10), which a cancelled ctx (nil means
+// context.Background()) stops. EstimateTargetEdges, EstimateManyPairs,
 // EstimateBatch, RecordTrajectory and CountMotifs (so EstimateLabeledMotif
 // too) all derive their walks through this one function, so their walks
 // agree for equal options.
-func resolveWalkPlan(g *Graph, budget float64, samples, burnIn int) (k, burn int, err error) {
+func resolveWalkPlan(ctx context.Context, g *Graph, budget float64, samples, burnIn int) (k, burn int, err error) {
 	k = samples
 	if k <= 0 {
 		if budget <= 0 {
@@ -432,9 +433,18 @@ func resolveWalkPlan(g *Graph, budget float64, samples, burnIn int) (k, burn int
 	}
 	burn = burnIn
 	if burn <= 0 {
-		if burn, err = walk.BurnIn(g); err != nil {
+		if burn, err = walk.BurnIn(orBackground(ctx), g); err != nil {
 			return 0, 0, err
 		}
 	}
 	return k, burn, nil
+}
+
+// orBackground returns ctx, or context.Background() for the nil an options
+// struct's Ctx field leaves unset.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
 }
