@@ -13,7 +13,8 @@ import (
 // TestDefaultBurnInHonoursCancel: at BurnIn 0 every entry point measures the
 // mixing time first, over 0.1 s on the pokec stand-in at scale 1. A
 // cancelled Ctx stops that measurement, so each call returns
-// context.Canceled at once.
+// context.Canceled at once. The fastest of three calls is timed, so a
+// scheduling stall on a busy host does not fail the test.
 func TestDefaultBurnInHonoursCancel(t *testing.T) {
 	g, err := GenerateStandIn("pokec", 1, 7)
 	if err != nil {
@@ -38,14 +39,17 @@ func TestDefaultBurnInHonoursCancel(t *testing.T) {
 		}
 	}
 	for name, call := range calls {
-		start := time.Now()
-		err := call()
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: want context.Canceled, got %v", name, err)
+		fastest := time.Duration(1 << 62)
+		for range 3 {
+			start := time.Now()
+			err := call()
+			fastest = min(fastest, time.Since(start))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: want context.Canceled, got %v", name, err)
+			}
 		}
-		if elapsed > 20*time.Millisecond {
-			t.Errorf("%s: returned after %v with a cancelled Ctx, want at most 20ms", name, elapsed)
+		if fastest > 20*time.Millisecond {
+			t.Errorf("%s: returned after %v with a cancelled Ctx, want at most 20ms", name, fastest)
 		}
 	}
 }
