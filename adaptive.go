@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/osn"
 	"repro/internal/stats"
-	"repro/internal/walk"
 )
 
 // PrecisionOptions configures EstimateToPrecision.
@@ -80,12 +79,9 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 	if maxCalls < 100 {
 		maxCalls = 100
 	}
-	burn := opts.BurnIn
-	if burn <= 0 {
-		var err error
-		if burn, err = walk.BurnIn(context.Background(), g); err != nil {
-			return res, err
-		}
+	burn, err := resolveBurnIn(context.Background(), g, opts.BurnIn)
+	if err != nil {
+		return res, err
 	}
 
 	s, err := osn.NewSession(g, osn.Config{})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/osn"
 	"repro/internal/stats"
-	"repro/internal/walk"
 )
 
 // Method selects the estimation algorithm for EstimateTargetEdges.
@@ -266,12 +265,9 @@ func DiscoverLabelPairsOpts(g *Graph, opts CensusOptions) ([]PairEstimate, error
 	if k < 10 {
 		k = 10
 	}
-	burn := opts.BurnIn
-	if burn <= 0 {
-		var err error
-		if burn, err = walk.BurnIn(orBackground(opts.Ctx), g); err != nil {
-			return nil, err
-		}
+	burn, err := resolveBurnIn(opts.Ctx, g, opts.BurnIn)
+	if err != nil {
+		return nil, err
 	}
 	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "census/multiwalk")
 	if err != nil {

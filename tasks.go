@@ -415,8 +415,8 @@ func newTask(kind string, p core.TaskParams) (core.EstimationTask, error) {
 // resolveWalkPlan turns the public budget knobs into a concrete walk plan:
 // samples overrides budget (a fraction of |V|, default 0.05), and a zero
 // burn-in resolves to walk.BurnIn's default (the measured mixing time
-// T(1e-3), minimum 10), which a cancelled ctx (nil means
-// context.Background()) stops. EstimateTargetEdges, EstimateManyPairs,
+// T(1e-3), minimum 10) through resolveBurnIn, which a cancelled ctx (nil
+// means context.Background()) stops. EstimateTargetEdges, EstimateManyPairs,
 // EstimateBatch, RecordTrajectory and CountMotifs (so EstimateLabeledMotif
 // too) all derive their walks through this one function, so their walks
 // agree for equal options.
@@ -431,13 +431,19 @@ func resolveWalkPlan(ctx context.Context, g *Graph, budget float64, samples, bur
 			k = 1
 		}
 	}
-	burn = burnIn
-	if burn <= 0 {
-		if burn, err = walk.BurnIn(orBackground(ctx), g); err != nil {
-			return 0, 0, err
-		}
+	if burn, err = resolveBurnIn(ctx, g, burnIn); err != nil {
+		return 0, 0, err
 	}
 	return k, burn, nil
+}
+
+// resolveBurnIn returns burnIn when it is positive, and otherwise
+// walk.BurnIn's default, measured under ctx.
+func resolveBurnIn(ctx context.Context, g *Graph, burnIn int) (int, error) {
+	if burnIn > 0 {
+		return burnIn, nil
+	}
+	return walk.BurnIn(orBackground(ctx), g)
 }
 
 // orBackground returns ctx, or context.Background() for the nil an options
