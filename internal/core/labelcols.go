@@ -19,9 +19,11 @@ import (
 // Only what a query touches is built: a pair's flag and T(u) columns build
 // separately (a NeighborSample-only replay never builds T(u)), and at most
 // maxMemoPairs pairs are kept per trajectory. A pair past the cap is computed
-// for its replay and dropped, so the memo stays within maxMemoPairs × 5 bytes
-// per step. The columns cache what the reader answers, so results are
-// identical to reading labels at every step, and BindLabels discards them.
+// for its replay and dropped, so the pair columns stay within maxMemoPairs ×
+// 5 bytes per step. The census is not capped: it keeps one 24-byte row per
+// distinct label pair the sampled edges carry. The columns cache what the
+// reader answers, so results are identical to reading labels at every step,
+// and BindLabels discards them.
 
 // maxMemoPairs caps the label pairs whose columns one trajectory memoizes.
 const maxMemoPairs = 16
@@ -116,15 +118,6 @@ func buildTargetDegrees(t *Trajectory, pair graph.LabelPair) []int32 {
 		}
 	}
 	return tt
-}
-
-// TargetDegreeAt computes T(node(i)) for a pair at global step i from the
-// memoized TargetDegrees column — the column equivalent of
-// ReplayTargetDegree. The boolean reports whether the step node carries a
-// target label.
-func (t *Trajectory) TargetDegreeAt(i int, pair graph.LabelPair) (int, bool) {
-	tt := t.TargetDegrees(pair)[i]
-	return int(max(tt, 0)), tt >= 0
 }
 
 // censusRows returns the trajectory's full census: every label pair the

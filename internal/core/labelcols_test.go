@@ -107,10 +107,13 @@ func TestLabelColumnsMatchPerStepReads(t *testing.T) {
 			if flags[i] != want {
 				t.Fatalf("pair %v step %d: target flag %v, per-step read %v", pair, i, flags[i], want)
 			}
-			wantT, wantOK := ReplayTargetDegree(g, TrajStep{Node: b, Neighbors: traj.StepNeighbors(i)}, pair)
+			wantT := int32(-1)
+			if d, explores := ReplayTargetDegree(g, TrajStep{Node: b, Neighbors: traj.StepNeighbors(i)}, pair); explores {
+				wantT = int32(d)
+			}
 			for _, p := range []graph.LabelPair{pair, swapped} {
-				if gotT, gotOK := traj.TargetDegreeAt(i, p); gotT != wantT || gotOK != wantOK {
-					t.Fatalf("pair %v step %d: TargetDegreeAt (%d, %v), ReplayTargetDegree (%d, %v)", p, i, gotT, gotOK, wantT, wantOK)
+				if gotT := traj.TargetDegrees(p)[i]; gotT != wantT {
+					t.Fatalf("pair %v step %d: TargetDegrees %d, ReplayTargetDegree %d", p, i, gotT, wantT)
 				}
 			}
 		}
