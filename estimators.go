@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/osn"
 	"repro/internal/stats"
+	"repro/internal/walk"
 )
 
 // Method selects the estimation algorithm for EstimateTargetEdges.
@@ -239,9 +240,6 @@ func DiscoverLabelPairs(g *Graph, budget float64, seed int64) ([]PairEstimate, e
 type CensusOptions struct {
 	// Budget is the sample size as a fraction of |V|; 0 means 5%.
 	Budget float64
-	// BurnIn is the walk burn-in in steps; 0 means measure the mixing time
-	// T(1e-3) first (Section 5.1).
-	BurnIn int
 	// Seed drives all randomness.
 	Seed int64
 	// Walkers is the number of concurrent walkers splitting the census walk
@@ -265,7 +263,7 @@ func DiscoverLabelPairsOpts(g *Graph, opts CensusOptions) ([]PairEstimate, error
 	if k < 10 {
 		k = 10
 	}
-	burn, err := resolveBurnIn(opts.Ctx, g, opts.BurnIn)
+	burn, err := walk.BurnIn(opts.Ctx, g)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"repro/internal/graph"
 )
@@ -48,8 +50,10 @@ type MixingResult struct {
 // The walk on a connected non-bipartite graph converges; on bipartite graphs
 // the pure walk is periodic and never converges, which this function reports
 // via Converged=false rather than looping forever. ctx is checked between
-// power-iteration steps; a cancelled computation returns ctx's error.
+// power-iteration steps; a cancelled computation returns ctx's error. A nil
+// ctx means context.Background().
 func MixingTime(ctx context.Context, g *graph.Graph, eps float64, opts MixingOptions) (MixingResult, error) {
+	ctx = orBackground(ctx)
 	n := g.NumNodes()
 	if n == 0 {
 		return MixingResult{}, fmt.Errorf("walk: mixing time of empty graph")
@@ -186,9 +190,22 @@ func totalVariation(a, b []float64) float64 {
 // Section 5.1, maximized over DefaultMixingStarts(g, 4) and capped at 5,000
 // steps, floored at 10 so even fast-mixing graphs get a short burn-in. The
 // estimation entry points, the serving engine and the experiment harness
-// all resolve a zero burn-in through it. A cancelled ctx stops the
-// measurement between power-iteration steps.
+// all resolve a zero burn-in through it. The measurement is memoized per
+// graph pointer and version, so only the first call on a graph pays for it.
+// A cancelled ctx (nil means context.Background()) returns its error, and
+// stops a measurement between power-iteration steps.
 func BurnIn(ctx context.Context, g *graph.Graph) (int, error) {
+	ctx = orBackground(ctx)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	key := burnInKey{g: weak.Make(g), version: g.Version()}
+	burnIns.Lock()
+	burn, ok := burnIns.m[key]
+	burnIns.Unlock()
+	if ok {
+		return burn, nil
+	}
 	mixed, err := MixingTime(ctx, g, 1e-3, MixingOptions{
 		MaxSteps:   5000,
 		StartNodes: DefaultMixingStarts(g, 4),
@@ -196,7 +213,37 @@ func BurnIn(ctx context.Context, g *graph.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return max(mixed.Steps, 10), nil
+	burn = max(mixed.Steps, 10)
+	burnIns.Lock()
+	defer burnIns.Unlock()
+	if _, ok := burnIns.m[key]; !ok {
+		if burnIns.m == nil {
+			burnIns.m = make(map[burnInKey]int)
+		}
+		burnIns.m[key] = burn
+		runtime.AddCleanup(g, forgetBurnIn, key)
+	}
+	return burn, nil
+}
+
+// burnIns memoizes BurnIn. Its keys hold the graph weakly, so the memo keeps
+// no graph alive, and a cleanup drops a graph's entries once it is collected.
+var burnIns struct {
+	sync.Mutex
+	m map[burnInKey]int
+}
+
+// burnInKey identifies one graph at one version. Graphs are immutable apart
+// from SetVersion, which snapshot loaders call before publishing one.
+type burnInKey struct {
+	g       weak.Pointer[graph.Graph]
+	version uint64
+}
+
+func forgetBurnIn(key burnInKey) {
+	burnIns.Lock()
+	delete(burnIns.m, key)
+	burnIns.Unlock()
 }
 
 // DefaultMixingStarts picks a small representative set of start nodes for

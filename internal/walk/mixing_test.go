@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -110,6 +113,54 @@ func TestMixingTimeCancelled(t *testing.T) {
 	}
 	if _, err := BurnIn(ctx, g); !errors.Is(err, context.Canceled) {
 		t.Errorf("BurnIn: want context.Canceled, got %v", err)
+	}
+}
+
+// TestBurnInMemoized: BurnIn measures a graph once per version, and its memo
+// keeps no graph alive.
+func TestBurnInMemoized(t *testing.T) {
+	ctx := context.Background()
+	g := completeGraph(t, 20)
+	want, err := BurnIn(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := burnInKey{g: weak.Make(g), version: g.Version()}
+	burnIns.Lock()
+	got, ok := burnIns.m[key]
+	// A memoized graph is answered from the memo, not measured again.
+	burnIns.m[key] = want + 1
+	burnIns.Unlock()
+	if !ok || got != want {
+		t.Fatalf("memo holds (%d, %v) after BurnIn returned %d", got, ok, want)
+	}
+	if b, err := BurnIn(ctx, g); err != nil || b != want+1 {
+		t.Fatalf("second BurnIn = (%d, %v), want the memoized %d", b, err, want+1)
+	}
+	g.SetVersion(g.Version() + 1)
+	if b, err := BurnIn(ctx, g); err != nil || b != want {
+		t.Fatalf("BurnIn at a new version = (%d, %v), want a fresh measurement %d", b, err, want)
+	}
+
+	keys := []burnInKey{key, {g: weak.Make(g), version: g.Version()}}
+	g = nil
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		burnIns.Lock()
+		left := 0
+		for _, k := range keys {
+			if _, ok := burnIns.m[k]; ok {
+				left++
+			}
+		}
+		burnIns.Unlock()
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d memo entries remain after their graph was collected", left)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -304,7 +304,7 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	}
 	burn := opts.BurnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(orBackground(opts.Ctx), g, 1e-3, walk.MixingOptions{
+		mixed, err := walk.MixingTime(opts.Ctx, g, 1e-3, walk.MixingOptions{
 			MaxSteps:   5000,
 			StartNodes: walk.DefaultMixingStarts(g, 4),
 		})
@@ -443,14 +443,5 @@ func resolveBurnIn(ctx context.Context, g *Graph, burnIn int) (int, error) {
 	if burnIn > 0 {
 		return burnIn, nil
 	}
-	return walk.BurnIn(orBackground(ctx), g)
-}
-
-// orBackground returns ctx, or context.Background() for the nil an options
-// struct's Ctx field leaves unset.
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
+	return walk.BurnIn(ctx, g)
 }
