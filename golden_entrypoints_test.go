@@ -22,6 +22,17 @@ type entryPointCase struct {
 	Fields []string `json:"fields"`
 }
 
+// goldenCases collects the pinned calls of one golden run.
+type goldenCases []entryPointCase
+
+// add pins every field of one call's answer and error.
+func (c *goldenCases) add(call string, res any, err error) {
+	var fields []string
+	flattenFields("result", reflect.ValueOf(&res).Elem(), &fields)
+	flattenFields("err", reflect.ValueOf(&err).Elem(), &fields)
+	*c = append(*c, entryPointCase{Call: call, Fields: fields})
+}
+
 var errorType = reflect.TypeFor[error]()
 
 // flattenFields appends one "path=value" line per leaf of v.
@@ -80,13 +91,8 @@ func entryPointRun(t testing.TB) []entryPointCase {
 	}
 	pair := LabelPair{T1: 1, T2: 2}
 	pairs := []LabelPair{{T1: 1, T2: 1}, {T1: 1, T2: 2}, {T1: 2, T2: 2}}
-	var out []entryPointCase
-	add := func(call string, res any, err error) {
-		var fields []string
-		flattenFields("result", reflect.ValueOf(&res).Elem(), &fields)
-		flattenFields("err", reflect.ValueOf(&err).Elem(), &fields)
-		out = append(out, entryPointCase{Call: call, Fields: fields})
-	}
+	var out goldenCases
+	add := out.add
 	for _, w := range []int{1, 4} {
 		for _, burn := range []int{0, 120} {
 			tag := fmt.Sprintf("W=%d/BurnIn=%d", w, burn)
@@ -142,19 +148,25 @@ func entryPointRun(t testing.TB) []entryPointCase {
 // answer bit for bit. Regenerate deliberately with
 // go test -run TestEntryPointGolden -update-golden .
 func TestEntryPointGolden(t *testing.T) {
-	got := entryPointRun(t)
+	checkGolden(t, entryPointGoldenPath, entryPointRun(t))
+}
+
+// checkGolden compares got with the golden file at path call by call and
+// field by field, or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path string, got []entryPointCase) {
+	t.Helper()
 	if *updateGolden {
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(entryPointGoldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", entryPointGoldenPath)
+		t.Logf("wrote %s", path)
 		return
 	}
-	buf, err := os.ReadFile(entryPointGoldenPath)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden file (rerun with -update-golden to regenerate): %v", err)
 	}

@@ -1,11 +1,8 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -50,13 +47,8 @@ func manyLabelRun(t testing.TB) []entryPointCase {
 	t.Helper()
 	g := manyLabelGraph(t)
 	pairs := manyLabelPairs(g)
-	var out []entryPointCase
-	add := func(call string, res any, err error) {
-		var fields []string
-		flattenFields("result", reflect.ValueOf(&res).Elem(), &fields)
-		flattenFields("err", reflect.ValueOf(&err).Elem(), &fields)
-		out = append(out, entryPointCase{Call: call, Fields: fields})
-	}
+	var out goldenCases
+	add := out.add
 	for _, w := range []int{1, 4} {
 		tag := fmt.Sprintf("W=%d", w)
 		mopts := MultiPairOptions{Samples: manyLabelSamples, BurnIn: manyLabelBurnIn, Seed: 17, Walkers: w}
@@ -197,42 +189,5 @@ func TestManyLabelGolden(t *testing.T) {
 		}
 	}
 
-	got := manyLabelRun(t)
-	if *updateGolden {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(manyLabelGoldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", manyLabelGoldenPath)
-		return
-	}
-	buf, err := os.ReadFile(manyLabelGoldenPath)
-	if err != nil {
-		t.Fatalf("reading golden file (rerun with -update-golden to regenerate): %v", err)
-	}
-	var want []entryPointCase
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d calls, golden has %d", len(got), len(want))
-	}
-	for i := range want {
-		g, w := got[i], want[i]
-		if g.Call != w.Call {
-			t.Fatalf("call %d: got %q, golden has %q", i, g.Call, w.Call)
-		}
-		if len(g.Fields) != len(w.Fields) {
-			t.Errorf("%s: got %d fields, want %d", g.Call, len(g.Fields), len(w.Fields))
-			continue
-		}
-		for j := range w.Fields {
-			if g.Fields[j] != w.Fields[j] {
-				t.Errorf("%s: got %s, want %s", g.Call, g.Fields[j], w.Fields[j])
-			}
-		}
-	}
+	checkGolden(t, manyLabelGoldenPath, manyLabelRun(t))
 }
