@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/graph"
 )
 
@@ -111,18 +112,23 @@ func WriteDelta(w io.Writer, d graph.Delta, h DeltaHeader) error {
 	return nil
 }
 
-// ReadDelta parses one delta segment, verifying the checksum and
-// range-checking every edge endpoint against the header's node count.
+// ReadDelta parses one delta segment. The segment is read whole, and its
+// length must equal the size the header's edge counts imply before any edge
+// array is sized from them, so a corrupt count fails fast instead of
+// allocating for edges the segment does not hold. Then the checksum is
+// verified and every edge endpoint range-checked against the header's node
+// count.
 func ReadDelta(r io.Reader) (graph.Delta, DeltaHeader, error) {
 	var d graph.Delta
 	var h DeltaHeader
-	crc := crc32.NewIEEE()
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<16), h: crc}
-
-	var hdr [deltaHeaderSize]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return d, h, fmt.Errorf("snapshot: reading delta header: %w", err)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return d, h, fmt.Errorf("snapshot: reading delta segment: %w", err)
 	}
+	if len(raw) < deltaHeaderSize {
+		return d, h, fmt.Errorf("snapshot: %d bytes is too short for a .osnd header", len(raw))
+	}
+	hdr := raw[:deltaHeaderSize]
 	if string(hdr[0:4]) != DeltaMagic {
 		return d, h, fmt.Errorf("snapshot: bad magic %q (not a .osnd file)", hdr[0:4])
 	}
@@ -142,19 +148,23 @@ func ReadDelta(r io.Reader) (graph.Delta, DeltaHeader, error) {
 		return d, h, fmt.Errorf("snapshot: implausible delta edge count (%d adds, %d dels): corrupt segment?", numAdds, numDels)
 	}
 	h.NumNodes = int(numNodes)
+	if want := deltaHeaderSize + int64(numAdds+numDels)*8 + 4; int64(len(raw)) != want {
+		return d, h, fmt.Errorf("snapshot: delta segment is %d bytes, header implies %d (truncated or corrupt)", len(raw), want)
+	}
+	if got, want := crc32.ChecksumIEEE(raw[:len(raw)-4]), binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != want {
+		return d, h, fmt.Errorf("snapshot: delta checksum mismatch (file %08x, computed %08x): corrupt segment", want, got)
+	}
 
+	payload := raw[deltaHeaderSize : len(raw)-4]
 	readEdges := func(count uint64) ([]graph.Edge, error) {
 		if count == 0 {
 			return nil, nil
 		}
 		es := make([]graph.Edge, count)
-		var pair [8]byte
 		for i := range es {
-			if _, err := io.ReadFull(cr, pair[:]); err != nil {
-				return nil, err
-			}
-			u := binary.LittleEndian.Uint32(pair[0:4])
-			v := binary.LittleEndian.Uint32(pair[4:8])
+			u := binary.LittleEndian.Uint32(payload[0:4])
+			v := binary.LittleEndian.Uint32(payload[4:8])
+			payload = payload[8:]
 			if uint64(u) >= numNodes || uint64(v) >= numNodes {
 				return nil, fmt.Errorf("edge endpoint (%d,%d) out of range [0,%d)", u, v, numNodes)
 			}
@@ -162,21 +172,11 @@ func ReadDelta(r io.Reader) (graph.Delta, DeltaHeader, error) {
 		}
 		return es, nil
 	}
-	var err error
 	if d.Adds, err = readEdges(numAdds); err != nil {
 		return d, h, fmt.Errorf("snapshot: reading delta adds: %w", err)
 	}
 	if d.Dels, err = readEdges(numDels); err != nil {
 		return d, h, fmt.Errorf("snapshot: reading delta dels: %w", err)
-	}
-
-	var tail [4]byte
-	sum := crc.Sum32()
-	if _, err := io.ReadFull(cr.r, tail[:]); err != nil {
-		return d, h, fmt.Errorf("snapshot: reading delta checksum: %w", err)
-	}
-	if want := binary.LittleEndian.Uint32(tail[:]); want != sum {
-		return d, h, fmt.Errorf("snapshot: delta checksum mismatch (file %08x, computed %08x): corrupt segment", want, sum)
 	}
 	return d, h, nil
 }
@@ -187,9 +187,10 @@ func DeltaPath(basePath string, resultVersion uint64) string {
 	return strings.TrimSuffix(basePath, Ext) + fmt.Sprintf(".d%d%s", resultVersion, DeltaExt)
 }
 
-// SaveDelta atomically persists the delta that turned parent into result as
-// result's .osnd segment beside basePath (tmp + fsync + rename, like Save).
-// It returns the segment path.
+// SaveDelta persists the delta that turned parent into result as result's
+// .osnd segment beside basePath, through atomicfile.Write like Save, so the
+// segment's name is durable when SaveDelta returns. It returns the segment
+// path.
 func SaveDelta(basePath string, parent, result *graph.Graph, d graph.Delta) (string, error) {
 	if result.Version() != parent.Version()+1 {
 		return "", fmt.Errorf("snapshot: delta segment spans versions %d -> %d, want exactly one step", parent.Version(), result.Version())
@@ -201,29 +202,9 @@ func SaveDelta(basePath string, parent, result *graph.Graph, d graph.Delta) (str
 		ParentFP:      parent.Fingerprint(),
 		ResultFP:      result.Fingerprint(),
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return "", fmt.Errorf("snapshot: creating temp delta file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := WriteDelta(tmp, d, h); err != nil {
+	if err := atomicfile.Write(path, func(w io.Writer) error { return WriteDelta(w, d, h) }); err != nil {
 		return "", err
 	}
-	if err := tmp.Sync(); err != nil {
-		return "", fmt.Errorf("snapshot: syncing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("snapshot: closing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", fmt.Errorf("snapshot: renaming delta into place: %w", err)
-	}
-	tmp = nil
 	return path, nil
 }
 
@@ -323,10 +304,10 @@ func applySegments(basePath string, g *graph.Graph) (*graph.Graph, error) {
 
 // CompactSnapshot folds g's delta overlay into a fresh base snapshot at
 // basePath and removes the segments it absorbed. The base rewrite is atomic
-// (Save's tmp+fsync+rename); segment removal happens only after the new base
-// is durable, so a crash between the two leaves stale segments that Load
-// recognizes by version and skips. It returns how many segments were
-// removed.
+// and durable (Save's temp file, fsync, rename, directory fsync), and
+// segment removal starts only after it returns, so a crash between the two
+// leaves stale segments that Load recognizes by version and skips. It
+// returns how many segments were removed.
 func CompactSnapshot(basePath string, g *graph.Graph) (int, error) {
 	if err := Save(basePath, g.Compact()); err != nil {
 		return 0, err

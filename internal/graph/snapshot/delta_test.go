@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -185,7 +186,7 @@ func TestDeltaRejectsUnknownVersion(t *testing.T) {
 	err := corruptedDeltaLoad(t, func(raw []byte) []byte {
 		binary.LittleEndian.PutUint32(raw[4:8], DeltaVersion+1)
 		// Re-seal the CRC so only the version check can fail.
-		resealDelta(raw)
+		reseal(raw)
 		return raw
 	})
 	if err == nil || !strings.Contains(err.Error(), "version") {
@@ -197,7 +198,7 @@ func TestDeltaRejectsOutOfRangeEndpoint(t *testing.T) {
 	err := corruptedDeltaLoad(t, func(raw []byte) []byte {
 		// First add edge's U endpoint, just past the header.
 		binary.LittleEndian.PutUint32(raw[deltaHeaderSize:], 1<<30)
-		resealDelta(raw)
+		reseal(raw)
 		return raw
 	})
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
@@ -205,8 +206,33 @@ func TestDeltaRejectsOutOfRangeEndpoint(t *testing.T) {
 	}
 }
 
-// resealDelta recomputes the trailing CRC over a mutated segment so the
-// deliberate corruption under test is reached instead of the checksum.
-func resealDelta(raw []byte) {
+// reseal recomputes the trailing CRC over a mutated segment or snapshot so
+// the deliberate corruption under test is reached instead of the checksum.
+func reseal(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+}
+
+// TestLoadDeltaRefusesImpossibleCount: a 56-byte segment, a bare header
+// whose add count claims 2^28 edges, must fail on its size before the edge
+// array is sized from the count, which would take 2 GiB.
+func TestLoadDeltaRefusesImpossibleCount(t *testing.T) {
+	raw := make([]byte, deltaHeaderSize)
+	copy(raw, DeltaMagic)
+	binary.LittleEndian.PutUint32(raw[4:8], DeltaVersion)
+	binary.LittleEndian.PutUint64(raw[8:16], 10)
+	binary.LittleEndian.PutUint64(raw[40:48], 1<<28)
+	path := filepath.Join(t.TempDir(), "g.d1.osnd")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := LoadDelta(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("LoadDelta accepted a segment claiming 2^28 adds in 56 bytes")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("LoadDelta allocated %d bytes for a 56-byte segment before refusing it", grew)
+	}
 }

@@ -50,9 +50,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"repro/internal/atomicfile"
 	"repro/internal/graph"
 )
 
@@ -223,35 +223,11 @@ func Read(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// Save writes g to path atomically: the snapshot streams to a temporary
-// file in the same directory, is fsynced, and replaces path by rename, so a
-// crash mid-write never leaves a truncated snapshot behind.
+// Save writes g to path through atomicfile.Write (temp file, fsync, rename,
+// directory fsync), so a crash mid-write never leaves a truncated snapshot
+// behind and the new file is durable when Save returns.
 func Save(path string, g *graph.Graph) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("snapshot: creating temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := Write(tmp, g); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("snapshot: syncing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: closing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("snapshot: renaming into place: %w", err)
-	}
-	tmp = nil
-	return nil
+	return atomicfile.Write(path, func(w io.Writer) error { return Write(w, g) })
 }
 
 // Load reads the snapshot at path and replays any .osnd delta segments

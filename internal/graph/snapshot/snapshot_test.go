@@ -15,7 +15,7 @@ import (
 
 // randomGraph builds a random labeled graph through the Builder, exercising
 // self-loop/duplicate cleanup and SetLabels resets along the way.
-func randomGraph(t *testing.T, rng *rand.Rand, n, m, maxLabels int) *graph.Graph {
+func randomGraph(t testing.TB, rng *rand.Rand, n, m, maxLabels int) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for i := 0; i < m; i++ {

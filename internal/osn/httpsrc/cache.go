@@ -2,12 +2,15 @@ package httpsrc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/graph"
 )
 
@@ -58,18 +61,15 @@ type Cache struct {
 
 	neighbors map[graph.Node][]graph.Node
 	labels    map[graph.Node][]graph.Label
-
-	// droppedBytes is how many trailing bytes Open discarded as a corrupt
-	// or partial tail.
-	droppedBytes int64
 }
 
 // OpenCache opens (or creates) the response cache at path for an upstream
-// with the given node and edge counts. An existing file must carry the same
-// counts — a cache recorded against a different upstream fails here instead
-// of serving wrong responses. A corrupt or partially written tail is
-// truncated away; everything before it is loaded. path "" returns a
-// memory-only cache.
+// with the given node and edge counts. A new cache starts as a header-only
+// file written through atomicfile.Write, then opens like an existing one.
+// An existing file must carry the same counts — a cache recorded against a
+// different upstream fails here instead of serving wrong responses. A
+// corrupt or partially written tail is truncated away; everything before it
+// is loaded. path "" returns a memory-only cache.
 func OpenCache(path string, nodes int, edges int64) (*Cache, error) {
 	c := &Cache{
 		path:      path,
@@ -81,24 +81,20 @@ func OpenCache(path string, nodes int, edges int64) (*Cache, error) {
 	if path == "" {
 		return c, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := atomicfile.Write(path, func(w io.Writer) error {
+			_, err := w.Write(cacheHeader(nodes, edges))
+			return err
+		}); err != nil {
+			return nil, fmt.Errorf("httpsrc: create cache: %w", err)
+		}
+		f, err = os.OpenFile(path, os.O_RDWR, 0)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("httpsrc: open cache: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("httpsrc: stat cache %s: %w", path, err)
-	}
-	if st.Size() == 0 {
-		if err := writeCacheHeader(f, nodes, edges); err != nil {
-			f.Close()
-			return nil, err
-		}
-		c.f = f
-		return c, nil
-	}
-	if err := c.load(f, st.Size()); err != nil {
+	if err := c.load(f); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -106,31 +102,25 @@ func OpenCache(path string, nodes int, edges int64) (*Cache, error) {
 	return c, nil
 }
 
-// writeCacheHeader writes and fsyncs the fixed header of a fresh cache.
-func writeCacheHeader(f *os.File, nodes int, edges int64) error {
+// cacheHeader returns the fixed header of a cache for an upstream with the
+// given node and edge counts.
+func cacheHeader(nodes int, edges int64) []byte {
 	buf := make([]byte, cacheHeaderSize)
 	copy(buf, cacheMagic)
 	binary.LittleEndian.PutUint32(buf[4:], cacheVersion)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(nodes))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(edges))
 	binary.LittleEndian.PutUint32(buf[24:], crc32.ChecksumIEEE(buf[:24]))
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("httpsrc: write cache header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("httpsrc: sync cache header: %w", err)
-	}
-	return nil
+	return buf
 }
 
 // load validates the header, replays every intact record into the in-memory
 // maps and truncates a corrupt or partial tail so appends resume cleanly.
-func (c *Cache) load(f *os.File, size int64) error {
-	if size < cacheHeaderSize {
-		return fmt.Errorf("httpsrc: cache %s: truncated header (%d bytes, want %d)", c.path, size, cacheHeaderSize)
-	}
+func (c *Cache) load(f *os.File) error {
 	hdr := make([]byte, cacheHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if n, err := io.ReadFull(f, hdr); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("httpsrc: cache %s: truncated header (%d bytes, want %d)", c.path, n, cacheHeaderSize)
+	} else if err != nil {
 		return fmt.Errorf("httpsrc: read cache header: %w", err)
 	}
 	if string(hdr[:4]) != cacheMagic {
@@ -183,7 +173,6 @@ func (c *Cache) load(f *os.File, size int64) error {
 		good += n
 	}
 	if good < len(rest) {
-		c.droppedBytes = int64(len(rest) - good)
 		if err := f.Truncate(int64(cacheHeaderSize + good)); err != nil {
 			return fmt.Errorf("httpsrc: cache %s: truncate corrupt tail: %w", c.path, err)
 		}
@@ -321,17 +310,6 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.neighbors)
 }
-
-// DroppedBytes reports how many trailing bytes Open discarded as a corrupt
-// or partial tail (0 for a clean file).
-func (c *Cache) DroppedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.droppedBytes
-}
-
-// Path returns the cache file path ("" when memory-only).
-func (c *Cache) Path() string { return c.path }
 
 // Close releases the cache file. Every append was already fsync'd, so Close
 // loses nothing.

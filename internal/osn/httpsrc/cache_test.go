@@ -37,6 +37,17 @@ func seedCache(t *testing.T, path string) {
 	}
 }
 
+// fileLen returns the size of the file at path. After OpenCache it is the
+// header plus the intact records: Open truncates everything past them.
+func fileLen(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
+}
+
 // wantNeighbors is what seedCache stored for u.
 func wantNeighbors(u graph.Node) []graph.Node { return []graph.Node{u + 1, u + 2, u + 3} }
 
@@ -65,8 +76,8 @@ func TestCacheRoundTrip(t *testing.T) {
 	if c.Len() != 10 {
 		t.Fatalf("reloaded %d neighbor responses, want 10", c.Len())
 	}
-	if c.DroppedBytes() != 0 {
-		t.Errorf("clean file reported %d dropped bytes", c.DroppedBytes())
+	if got, want := fileLen(t, path), int64(cacheHeaderSize+15*25); got != want {
+		t.Errorf("clean file is %d bytes after open, want %d: intact records were dropped", got, want)
 	}
 	for u := graph.Node(0); u < 10; u++ {
 		adj, ok := c.Neighbors(u)
@@ -224,7 +235,8 @@ func TestCacheCorruptionSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, tc.corrupt(t, raw), 0o644); err != nil {
+			damaged := tc.corrupt(t, raw)
+			if err := os.WriteFile(path, damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			c, err := OpenCache(path, 100, 250)
@@ -245,8 +257,8 @@ func TestCacheCorruptionSweep(t *testing.T) {
 			if n := c.Len(); n < tc.minLoaded || n > tc.maxLoaded {
 				t.Errorf("loaded %d responses, want %d..%d", n, tc.minLoaded, tc.maxLoaded)
 			}
-			if c.DroppedBytes() == 0 {
-				t.Error("damaged tail load reported zero dropped bytes")
+			if got := fileLen(t, path); got >= int64(len(damaged)) {
+				t.Errorf("damaged file is %d bytes after open, was %d: the tail was not truncated", got, len(damaged))
 			}
 			checkNoWrongResponse(t, c)
 			// The truncation healed the file: appends land cleanly and the
@@ -255,13 +267,14 @@ func TestCacheCorruptionSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Close()
+			healed := fileLen(t, path)
 			c2, err := OpenCache(path, 100, 250)
 			if err != nil {
 				t.Fatalf("reopen after heal: %v", err)
 			}
 			defer c2.Close()
-			if c2.DroppedBytes() != 0 {
-				t.Errorf("healed file still drops %d bytes on reopen", c2.DroppedBytes())
+			if got := fileLen(t, path); got != healed {
+				t.Errorf("healed file shrank from %d to %d bytes on reopen", healed, got)
 			}
 			if adj, ok := c2.Neighbors(90); !ok || !reflect.DeepEqual(adj, []graph.Node{91, 92}) {
 				t.Errorf("append after heal lost: %v/%v", adj, ok)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"sync"
 	"testing"
@@ -114,8 +116,8 @@ func TestEngineTopUpFromPersistedOldVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldKey := store.Key{Budget: 500, Walkers: 1, Seed: 9, GraphVersion: g.Version()}
-	if !dir.Has("g", oldKey) {
-		t.Fatal("recording was not persisted")
+	if _, err := dir.Stat("g", oldKey); err != nil {
+		t.Fatalf("recording was not persisted: %v", err)
 	}
 
 	ng, err := g.ApplyDelta(testChurn(t, g, 0.01, 11))
@@ -142,11 +144,11 @@ func TestEngineTopUpFromPersistedOldVersion(t *testing.T) {
 	}
 	newKey := oldKey
 	newKey.GraphVersion = ng.Version()
-	if !dir.Has("g", newKey) {
-		t.Error("topped-up trajectory was not persisted under the new graph version")
+	if _, err := dir.Stat("g", newKey); err != nil {
+		t.Errorf("topped-up trajectory was not persisted under the new graph version: %v", err)
 	}
-	if dir.Has("g", oldKey) {
-		t.Error("superseded old-version file survived its replacement")
+	if _, err := dir.Stat("g", oldKey); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("superseded old-version file survived its replacement (stat error %v)", err)
 	}
 }
 

@@ -141,8 +141,8 @@ func TestTrajectoryExportImportRoundtrip(t *testing.T) {
 	}
 
 	// The imported bytes persisted verbatim, so a restart warm-starts them.
-	if !peer.Store().Has("g", mustKey(t, ans.StoreKey)) {
-		t.Error("imported trajectory not persisted to the peer store")
+	if _, err := peer.Store().Stat("g", mustKey(t, ans.StoreKey)); err != nil {
+		t.Errorf("imported trajectory not persisted to the peer store: %v", err)
 	}
 }
 

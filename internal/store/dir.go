@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 )
 
@@ -73,8 +75,8 @@ func ValidGraphName(name string) bool {
 
 // Dir is a trajectory store rooted at one directory: each graph owns a
 // subdirectory holding one .osnt file per trajectory key. All methods are
-// safe for concurrent use — atomicity comes from Save's tmp+fsync+rename,
-// not from locking.
+// safe for concurrent use — atomicity comes from atomicfile.Write's temp
+// file, fsync, rename and directory fsync, not from locking.
 type Dir struct {
 	root string
 }
@@ -104,14 +106,24 @@ func (d *Dir) Path(graphName string, k Key) (string, error) {
 // Save persists t as the (graph, key) trajectory, atomically replacing any
 // previous file for the same key.
 func (d *Dir) Save(graphName string, k Key, t *core.Trajectory) error {
-	path, err := d.Path(graphName, k)
+	path, err := d.createPath(graphName, k)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating graph directory: %w", err)
-	}
 	return Save(path, t)
+}
+
+// createPath returns the file path a (graph, key) trajectory persists at,
+// creating the graph's directory if needed.
+func (d *Dir) createPath(graphName string, k Key) (string, error) {
+	path, err := d.Path(graphName, k)
+	if err != nil {
+		return "", err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return "", fmt.Errorf("store: creating graph directory: %w", err)
+	}
+	return path, nil
 }
 
 // Load reads the (graph, key) trajectory. A missing file returns an error
@@ -136,17 +148,6 @@ func (d *Dir) Stat(graphName string, k Key) (fs.FileInfo, error) {
 	return os.Stat(path)
 }
 
-// Has reports whether a (graph, key) trajectory file exists, without
-// reading it.
-func (d *Dir) Has(graphName string, k Key) bool {
-	path, err := d.Path(graphName, k)
-	if err != nil {
-		return false
-	}
-	st, err := os.Stat(path)
-	return err == nil && st.Mode().IsRegular()
-}
-
 // ReadRaw returns the exact on-disk bytes of the (graph, key) trajectory —
 // the .osnt image as written, including its trailing CRC. It is the export
 // half of trajectory replication: the bytes can be shipped to a peer replica
@@ -168,40 +169,17 @@ func (d *Dir) ReadRaw(graphName string, k Key) ([]byte, error) {
 // replacing any previous file for the same key. The bytes are written as
 // given — callers are responsible for validating them first (Decode runs the
 // full CRC and structural checks); the serving layer never admits unverified
-// bytes. The same tmp+fsync+rename discipline as Save applies, so a crash
+// bytes. The write goes through atomicfile.Write like Save's, so a crash
 // mid-write never leaves a truncated file behind.
 func (d *Dir) WriteRaw(graphName string, k Key, raw []byte) error {
-	path, err := d.Path(graphName, k)
+	path, err := d.createPath(graphName, k)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating graph directory: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(raw); err != nil {
-		return fmt.Errorf("store: writing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: renaming into place: %w", err)
-	}
-	tmp = nil
-	return nil
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 }
 
 // Remove deletes the (graph, key) trajectory file; removing a missing file

@@ -61,9 +61,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -306,35 +306,19 @@ func Write(w io.Writer, t *core.Trajectory) error {
 	return nil
 }
 
-// Read parses a .osnt stream and reconstructs the trajectory, bound to the
-// label store the file carries. Every count and node ID is validated before
-// use, and the trailing CRC must match, so a truncated, bit-flipped or
-// hostile stream fails fast instead of replaying garbage.
+// Decode parses one complete .osnt byte image and reconstructs the
+// trajectory, bound to the label store the file carries. Every count and
+// node ID is validated before use, and the trailing CRC must match, so a
+// truncated, bit-flipped or hostile image fails fast instead of replaying
+// garbage. Load decodes files through it; the replication pull path decodes
+// (and thereby verifies) a peer's bytes before admitting them to the local
+// store.
 //
-// The whole stream is slurped into one buffer, checksummed in a single
-// crc32 pass, and parsed with a bounds-checked cursor. The previous decoder
-// fed the running CRC four bytes at a time through an io.ReadFull per word,
-// which made reloading a persisted trajectory slower than re-recording it
-// in-process; one table-driven CRC sweep plus direct slice reads restores
-// the reload win (the evict-reload workload in bench/README.md measures
-// it).
-func Read(r io.Reader) (*core.Trajectory, error) {
-	raw, err := io.ReadAll(bufio.NewReaderSize(r, 1<<16))
-	if err != nil {
-		return nil, fmt.Errorf("store: reading trajectory stream: %w", err)
-	}
-	return decode(raw)
-}
-
-// Decode parses one complete in-memory .osnt byte image, applying the same
-// CRC, size and structural validation as Read. It is the entry point for
-// trajectory bytes that arrive over the network rather than from disk — the
-// replication pull path decodes (and thereby verifies) a peer's file before
-// admitting it to the local store.
-func Decode(raw []byte) (*core.Trajectory, error) { return decode(raw) }
-
-// decode parses one complete .osnt byte image.
-func decode(raw []byte) (*core.Trajectory, error) {
+// The image is checksummed in a single crc32 pass and parsed with a
+// bounds-checked cursor rather than word by word off a stream, which keeps
+// reloading a persisted trajectory cheaper than re-recording it (the
+// evict-reload workload in bench/README.md measures it).
+func Decode(raw []byte) (*core.Trajectory, error) {
 	if len(raw) < headerSize+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a .osnt file", len(raw))
 	}
@@ -561,36 +545,12 @@ func decode(raw []byte) (*core.Trajectory, error) {
 	return t, nil
 }
 
-// Save writes t to path atomically: the trajectory streams to a temporary
-// file in the same directory, is fsynced, and replaces path by rename, so a
-// crash mid-write never leaves a truncated trajectory behind, and a
-// concurrent Load sees either the previous complete file or the new one.
+// Save writes t to path through atomicfile.Write (temp file, fsync, rename,
+// directory fsync), so a crash mid-write never leaves a truncated trajectory
+// behind, a concurrent Load sees either the previous complete file or the
+// new one, and the new file is durable when Save returns.
 func Save(path string, t *core.Trajectory) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("store: creating temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := Write(tmp, t); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: syncing %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: closing %s: %w", tmp.Name(), err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: renaming into place: %w", err)
-	}
-	tmp = nil
-	return nil
+	return atomicfile.Write(path, func(w io.Writer) error { return Write(w, t) })
 }
 
 // Load reads the trajectory at path in one slurp. The decoder cross-checks
@@ -601,7 +561,7 @@ func Load(path string) (*core.Trajectory, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	t, err := decode(raw)
+	t, err := Decode(raw)
 	if err != nil {
 		return nil, fmt.Errorf("store: loading %s: %w", path, err)
 	}

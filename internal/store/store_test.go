@@ -109,7 +109,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if got, want := int64(buf.Len()), EncodedSize(traj); got != want {
 			t.Errorf("walkers=%d: wrote %d bytes, EncodedSize says %d", walkers, got, want)
 		}
-		loaded, err := Read(bytes.NewReader(buf.Bytes()))
+		loaded, err := Decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("walkers=%d: %v", walkers, err)
 		}
@@ -234,7 +234,7 @@ func TestSaveAtomicUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestDirLayout exercises the keyed directory layout: save, has, keys,
+// TestDirLayout exercises the keyed directory layout: save, stat, keys,
 // load, remove, and rejection of unsafe graph names.
 func TestDirLayout(t *testing.T) {
 	g := testGraph(t, 13)
@@ -251,8 +251,12 @@ func TestDirLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !d.Has("pokec", k1) || d.Has("pokec", Key{Budget: 1}) || d.Has("other", k1) {
-		t.Error("Has does not reflect saved keys")
+	has := func(graphName string, k Key) bool {
+		_, err := d.Stat(graphName, k)
+		return err == nil
+	}
+	if !has("pokec", k1) || has("pokec", Key{Budget: 1}) || has("other", k1) {
+		t.Error("Stat does not reflect saved keys")
 	}
 	keys, err := d.Keys("pokec")
 	if err != nil {
@@ -273,7 +277,7 @@ func TestDirLayout(t *testing.T) {
 	if err := d.Remove("pokec", k1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Has("pokec", k1) {
+	if has("pokec", k1) {
 		t.Error("key still present after Remove")
 	}
 	if err := d.Remove("pokec", k1); err != nil {
@@ -340,7 +344,7 @@ func TestNilLabelRoundTrip(t *testing.T) {
 	if got, want := int64(buf.Len()), EncodedSize(traj); got != want {
 		t.Fatalf("wrote %d bytes, EncodedSize says %d — the two layouts disagree", got, want)
 	}
-	loaded, err := Read(bytes.NewReader(buf.Bytes()))
+	loaded, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +408,7 @@ func TestLoadAllocsPerStep(t *testing.T) {
 	}
 	allocs := func(data []byte) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Read(bytes.NewReader(data)); err != nil {
+			if _, err := Decode(data); err != nil {
 				t.Fatal(err)
 			}
 		})
