@@ -1,11 +1,16 @@
 package repro
 
 import (
+	"bufio"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/osn/httpsrc"
+	"repro/internal/osn/httpsrc/faultsim"
 )
 
 // buildTool compiles one cmd/ tool into dir and returns the binary path.
@@ -154,6 +159,74 @@ func TestCLIFlagValidation(t *testing.T) {
 	runExpectUsageError(t, census, "-graph", "-edges", "x.edges", "-graph", "x.osnb")
 	runExpectUsageError(t, sizeest, "-graph", "-dataset", "facebook", "-graph", "x.osnb")
 	runExpectUsageError(t, sizeest, "-labels", "-graph", "x.osnb", "-labels", "x.labels")
+}
+
+// TestCLIServeFreshSourceCache starts serve against a live upstream with a
+// -source-cache path that does not exist yet. The pre-flight check of the
+// path must leave nothing there, so serve creates the cache as a valid
+// header-only file and comes up; a second start reopens that file.
+func TestCLIServeFreshSourceCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	serve := buildTool(t, dir, "serve")
+	g, err := GenerateStandIn("facebook", 0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := faultsim.New(g)
+	defer up.Close()
+	cache := filepath.Join(dir, "fresh.osnc")
+	for start := 1; start <= 2; start++ {
+		runServeUntilListening(t, serve, "-dataset", "facebook", "-scale", "0.1", "-seed", "7", "-burnin", "50",
+			"-addr", "127.0.0.1:0", "-source-url", up.URL(), "-source-cache", cache)
+		c, err := httpsrc.OpenCache(cache, g.NumNodes(), g.NumEdges())
+		if err != nil {
+			t.Fatalf("start %d left a cache that does not open: %v", start, err)
+		}
+		c.Close()
+	}
+}
+
+// runServeUntilListening runs serve until it logs that it is listening, then
+// stops it with SIGINT and waits for a clean exit. A serve that exits before
+// listening fails the test with its output.
+func runServeUntilListening(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	watchdog := time.AfterFunc(time.Minute, func() { cmd.Process.Kill() })
+	defer watchdog.Stop()
+	var out strings.Builder
+	sc := bufio.NewScanner(stderr)
+	listening := false
+	for !listening && sc.Scan() {
+		out.WriteString(sc.Text() + "\n")
+		listening = strings.Contains(sc.Text(), "listening on")
+	}
+	if listening {
+		if err := cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Errorf("interrupting serve: %v", err)
+			cmd.Process.Kill()
+		}
+	}
+	for sc.Scan() {
+		out.WriteString(sc.Text() + "\n")
+	}
+	err = cmd.Wait()
+	if !listening {
+		t.Fatalf("serve %v exited before listening (%v):\n%s", args, err, out.String())
+	}
+	if err != nil {
+		t.Fatalf("serve %v: %v after SIGINT:\n%s", args, err, out.String())
+	}
 }
 
 // TestCLISnapshotWorkflow exercises the preprocess-once/query-many split:

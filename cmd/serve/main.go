@@ -36,8 +36,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
@@ -51,6 +54,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/osn"
 	"repro/internal/osn/httpsrc"
 	"repro/internal/serve"
@@ -171,11 +175,9 @@ func main() {
 		if *sourceCache != "" {
 			// Pre-flight the cache path before dialing the upstream, so a
 			// misconfigured deployment fails fast with exit 2.
-			f, err := os.OpenFile(*sourceCache, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
+			if err := checkCachePath(*sourceCache); err != nil {
 				fail("-source-cache %s is not writable: %v", *sourceCache, err)
 			}
-			f.Close()
 		}
 	}
 
@@ -344,4 +346,24 @@ func main() {
 		os.Exit(1)
 	}
 	log.Printf("drained and flushed; bye")
+}
+
+// checkCachePath checks that the -source-cache path will open, and leaves
+// it as it found it: an empty file there would not be a valid cache. An
+// existing cache must open for appending. For a new one, atomicfile.Write
+// runs with a fill that fails, which creates a temp file beside the path
+// (the step that creating the cache takes first) and removes it again.
+func checkCachePath(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		return f.Close()
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	errDryRun := errors.New("dry run")
+	if err := atomicfile.Write(path, func(io.Writer) error { return errDryRun }); !errors.Is(err, errDryRun) {
+		return err
+	}
+	return nil
 }

@@ -2,7 +2,8 @@
 // of the repository (.osnt trajectories, .osnb snapshots, .osnd delta
 // segments and the header of a new .osnc response cache) is written through
 // Write, so a crash at any moment leaves either the complete old file or the
-// complete new one under its name, and a returned Write is durable.
+// complete new one under its name, and a returned Write is durable as long
+// as its directory's own name is: MkdirAll creates directories that way.
 package atomicfile
 
 import (
@@ -36,7 +37,8 @@ type fileSystem struct {
 // unlinking files the new one supersedes) cannot reach the disk before it.
 // On any failure before the rename, the temp file is removed, path keeps
 // its previous contents, and the error is returned; fill's own errors come
-// back unwrapped.
+// back unwrapped. A failed directory fsync comes after the rename: path
+// then holds the new contents, though its name may not be durable.
 func Write(path string, fill func(io.Writer) error) error {
 	return write(fileSystem{
 		createTemp: func(dir, pattern string) (file, error) { return os.CreateTemp(dir, pattern) },
@@ -81,6 +83,27 @@ func fillAndClose(f file, fill func(io.Writer) error) error {
 		return fmt.Errorf("atomicfile: %w", err)
 	}
 	return nil
+}
+
+// MkdirAll creates dir and any missing parents with mode 0755, like
+// os.MkdirAll, and fsyncs the parent of each directory it creates, so the
+// new names are durable when it returns.
+func MkdirAll(dir string) error {
+	if fi, err := os.Stat(dir); err == nil && fi.IsDir() {
+		return nil
+	}
+	if parent := filepath.Dir(dir); parent != dir {
+		if err := MkdirAll(parent); err != nil {
+			return err
+		}
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		// A concurrent caller may have just made it; only a directory will do.
+		if fi, serr := os.Stat(dir); serr != nil || !fi.IsDir() {
+			return err
+		}
+	}
+	return syncDir(filepath.Dir(dir))
 }
 
 // syncDir fsyncs the directory dir, making the names in it durable.

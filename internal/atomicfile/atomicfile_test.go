@@ -184,3 +184,27 @@ func assertOnlyFile(t *testing.T, dir, path string, want []byte) {
 		t.Errorf("directory holds %v, want only %s", names, filepath.Base(path))
 	}
 }
+
+// TestMkdirAll: MkdirAll creates every missing level, accepts a directory
+// that already exists, and refuses a path that names a regular file.
+func TestMkdirAll(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "c")
+	for i := 0; i < 2; i++ {
+		if err := MkdirAll(dir); err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Fatalf("call %d: %s is not a directory afterwards (%v)", i+1, dir, err)
+		}
+	}
+	file := filepath.Join(root, "a", "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{file, filepath.Join(file, "d")} {
+		if err := MkdirAll(p); err == nil {
+			t.Errorf("MkdirAll(%s) succeeded through a regular file", p)
+		}
+	}
+}

@@ -187,10 +187,13 @@ func DeltaPath(basePath string, resultVersion uint64) string {
 	return strings.TrimSuffix(basePath, Ext) + fmt.Sprintf(".d%d%s", resultVersion, DeltaExt)
 }
 
+var writeFile = atomicfile.Write // tests swap it to fail after the rename
+
 // SaveDelta persists the delta that turned parent into result as result's
 // .osnd segment beside basePath, through atomicfile.Write like Save, so the
 // segment's name is durable when SaveDelta returns. It returns the segment
-// path.
+// path. On an error no segment is left at that path, even when the write
+// failed after its rename, so a refused delta does not replay at load.
 func SaveDelta(basePath string, parent, result *graph.Graph, d graph.Delta) (string, error) {
 	if result.Version() != parent.Version()+1 {
 		return "", fmt.Errorf("snapshot: delta segment spans versions %d -> %d, want exactly one step", parent.Version(), result.Version())
@@ -202,7 +205,8 @@ func SaveDelta(basePath string, parent, result *graph.Graph, d graph.Delta) (str
 		ParentFP:      parent.Fingerprint(),
 		ResultFP:      result.Fingerprint(),
 	}
-	if err := atomicfile.Write(path, func(w io.Writer) error { return WriteDelta(w, d, h) }); err != nil {
+	if err := writeFile(path, func(w io.Writer) error { return WriteDelta(w, d, h) }); err != nil {
+		_ = os.Remove(path) // best effort: the write's error is the one to report
 		return "", err
 	}
 	return path, nil

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/graph"
 )
 
@@ -234,5 +237,38 @@ func TestLoadDeltaRefusesImpossibleCount(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Errorf("LoadDelta allocated %d bytes for a 56-byte segment before refusing it", grew)
+	}
+}
+
+// TestSaveDeltaFailureLeavesNoSegment: when the write fails after its
+// rename (at the directory fsync), SaveDelta reports the error and removes
+// the segment, so the refused delta does not replay at the next load.
+func TestSaveDeltaFailureLeavesNoSegment(t *testing.T) {
+	path, _, g := saveChain(t, t.TempDir(), 1)
+	errSync := errors.New("directory fsync failed")
+	writeFile = func(p string, fill func(io.Writer) error) error {
+		if err := atomicfile.Write(p, fill); err != nil {
+			return err
+		}
+		return errSync
+	}
+	defer func() { writeFile = atomicfile.Write }()
+	d := churnDelta(t, g, rand.New(rand.NewSource(7)))
+	ng, err := g.ApplyDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveDelta(path, g, ng, d); !errors.Is(err, errSync) {
+		t.Fatalf("SaveDelta returned %v, want the write's error", err)
+	}
+	if _, err := os.Stat(DeltaPath(path, ng.Version())); !os.IsNotExist(err) {
+		t.Fatalf("refused segment still on disk: %v", err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Version() != g.Version() || loaded.Fingerprint() != g.Fingerprint() {
+		t.Errorf("load gave version %d, want %d without the refused delta", loaded.Version(), g.Version())
 	}
 }

@@ -86,7 +86,7 @@ func NewDir(root string) (*Dir, error) {
 	if root == "" {
 		return nil, fmt.Errorf("store: empty store directory")
 	}
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := atomicfile.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("store: creating store directory: %w", err)
 	}
 	return &Dir{root: root}, nil
@@ -114,13 +114,14 @@ func (d *Dir) Save(graphName string, k Key, t *core.Trajectory) error {
 }
 
 // createPath returns the file path a (graph, key) trajectory persists at,
-// creating the graph's directory if needed.
+// creating the graph's directory through atomicfile.MkdirAll if needed, so
+// the first trajectory saved into it is as durable as any later one.
 func (d *Dir) createPath(graphName string, k Key) (string, error) {
 	path, err := d.Path(graphName, k)
 	if err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := atomicfile.MkdirAll(filepath.Dir(path)); err != nil {
 		return "", fmt.Errorf("store: creating graph directory: %w", err)
 	}
 	return path, nil
