@@ -1,16 +1,56 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/gen"
 )
+
+// updateWire rewrites testdata/wire_estimate.golden:
+//
+//	go test ./internal/serve -run TestHTTPWireBytes -update-golden
+var updateWire = flag.Bool("update-golden", false, "rewrite the wire golden file")
+
+const wireGoldenPath = "testdata/wire_estimate.golden"
+
+// The three /estimate bodies both wire tests send, in order: one pairs query
+// at W=1, a W=2 batch of every kind and a W=1 batch.
+const (
+	wireSingleBody = `{"graph": "fb", "kind": "pairs", "pairs": [[1,2]], "seed": 1}`
+	wireW2Body     = `{"graph": "fb", "walkers": 2, "seed": 2, "queries": [
+		{"kind": "pairs", "pairs": [[1,2]]},
+		{"kind": "size"},
+		{"kind": "census", "top": 5},
+		{"kind": "motif", "motif": "wedges", "pairs": [[1,2]]},
+		{"kind": "motif", "motif": "triangles"},
+		{"kind": "assortativity", "variant": "degree"},
+		{"kind": "assortativity", "variant": "label"}]}`
+	wireW1Body = `{"graph": "fb", "walkers": 1, "seed": 3, "queries": [
+		{"kind": "size"}, {"kind": "motif", "motif": "wedges"}, {"kind": "assortativity"}]}`
+)
+
+// wireServer serves the facebook stand-in as graph "fb" over HTTP.
+func wireServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	g, err := gen.Build(gen.StandIn("facebook"), 0.3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := testWorkspace(t, WorkspaceConfig{}, "fb", g, GraphOptions{BurnIn: 50, Budget: 400})
+	srv := httptest.NewServer(NewHandler(ws))
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 // Wire key sets of the HTTP API, pinned by TestHTTPWireShape.
 var (
@@ -35,27 +75,13 @@ var (
 // rename, drop or add a key unnoticed. Intervals appear only on multi-walker
 // answers.
 func TestHTTPWireShape(t *testing.T) {
-	g, err := gen.Build(gen.StandIn("facebook"), 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := testWorkspace(t, WorkspaceConfig{}, "fb", g, GraphOptions{BurnIn: 50, Budget: 400})
-	srv := httptest.NewServer(NewHandler(ws))
-	t.Cleanup(srv.Close)
+	srv := wireServer(t)
 
-	single := wireCall(t, http.MethodPost, srv.URL+"/estimate",
-		`{"graph": "fb", "kind": "pairs", "pairs": [[1,2]], "seed": 1}`)
+	single := wireCall(t, http.MethodPost, srv.URL+"/estimate", wireSingleBody)
 	wireKeys(t, "single answer", single, append([]string{"graph", "pairs"}, wireEnvelopeKeys...))
 	checkPairRows(t, "single answer", single["pairs"])
 
-	w2 := wireCall(t, http.MethodPost, srv.URL+"/estimate", `{"graph": "fb", "walkers": 2, "seed": 2, "queries": [
-		{"kind": "pairs", "pairs": [[1,2]]},
-		{"kind": "size"},
-		{"kind": "census", "top": 5},
-		{"kind": "motif", "motif": "wedges", "pairs": [[1,2]]},
-		{"kind": "motif", "motif": "triangles"},
-		{"kind": "assortativity", "variant": "degree"},
-		{"kind": "assortativity", "variant": "label"}]}`)
+	w2 := wireCall(t, http.MethodPost, srv.URL+"/estimate", wireW2Body)
 	wireKeys(t, "W=2 batch", w2, []string{"answers", "graph"})
 	answers := wireAnswers(t, "W=2 batch", w2, 7)
 	wireKeys(t, "W=2 pairs", answers[0], append([]string{"pairs"}, wireEnvelopeKeys...))
@@ -86,8 +112,7 @@ func TestHTTPWireShape(t *testing.T) {
 		}
 	}
 
-	w1 := wireCall(t, http.MethodPost, srv.URL+"/estimate", `{"graph": "fb", "walkers": 1, "seed": 3, "queries": [
-		{"kind": "size"}, {"kind": "motif", "motif": "wedges"}, {"kind": "assortativity"}]}`)
+	w1 := wireCall(t, http.MethodPost, srv.URL+"/estimate", wireW1Body)
 	wireKeys(t, "W=1 batch", w1, []string{"answers", "graph"})
 	answers = wireAnswers(t, "W=1 batch", w1, 3)
 	wireKeys(t, "W=1 size", answers[0], append([]string{"size"}, wireEnvelopeKeys...))
@@ -108,8 +133,45 @@ func TestHTTPWireShape(t *testing.T) {
 	wireKeys(t, "/healthz", wireCall(t, http.MethodGet, srv.URL+"/healthz", ""), wireHealthKeys)
 }
 
-// wireCall sends one request and decodes its 200 body as a JSON object.
-func wireCall(t *testing.T, method, url, body string) map[string]any {
+// TestHTTPWireBytes pins the raw bodies of TestHTTPWireShape's three
+// /estimate calls byte for byte: key order, number spelling and every value,
+// which a key-set comparison lets through.
+func TestHTTPWireBytes(t *testing.T) {
+	srv := wireServer(t)
+	var got bytes.Buffer
+	for _, body := range []string{wireSingleBody, wireW2Body, wireW1Body} {
+		got.Write(wireRaw(t, http.MethodPost, srv.URL+"/estimate", body))
+	}
+	if *updateWire {
+		if err := os.WriteFile(wireGoldenPath, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(wireGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gl), len(wl)) {
+			if i >= len(gl) || i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("/estimate bodies differ from %s at line %d:\n got %.400s\nwant %.400s",
+					wireGoldenPath, i+1, lineAt(gl, i), lineAt(wl, i))
+			}
+		}
+	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<missing>"
+}
+
+// wireRaw sends one request and returns its 200 body.
+func wireRaw(t *testing.T, method, url, body string) []byte {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -120,12 +182,22 @@ func wireCall(t *testing.T, method, url, body string) map[string]any {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d, body %v", method, url, resp.StatusCode, out)
+		t.Fatalf("%s %s: status %d, body %s", method, url, resp.StatusCode, raw)
+	}
+	return raw
+}
+
+// wireCall sends one request and decodes its 200 body as a JSON object.
+func wireCall(t *testing.T, method, url, body string) map[string]any {
+	t.Helper()
+	var out map[string]any
+	if err := json.Unmarshal(wireRaw(t, method, url, body), &out); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
