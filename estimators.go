@@ -23,11 +23,11 @@ type Method string
 // edges are abundant, NeighborExploration when they are rare.
 const (
 	Auto                  Method = "auto"
-	NeighborSampleHH      Method = "NeighborSample-HH"
-	NeighborSampleHT      Method = "NeighborSample-HT"
-	NeighborExplorationHH Method = "NeighborExploration-HH"
-	NeighborExplorationHT Method = "NeighborExploration-HT"
-	NeighborExplorationRW Method = "NeighborExploration-RW"
+	NeighborSampleHH      Method = core.NeighborSampleHH
+	NeighborSampleHT      Method = core.NeighborSampleHT
+	NeighborExplorationHH Method = core.NeighborExplorationHH
+	NeighborExplorationHT Method = core.NeighborExplorationHT
+	NeighborExplorationRW Method = core.NeighborExplorationRW
 	BaselineMethodRW      Method = "EX-RW"
 	BaselineMethodMHRW    Method = "EX-MHRW"
 	BaselineMethodMDRW    Method = "EX-MDRW"

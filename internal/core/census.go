@@ -6,13 +6,14 @@ import (
 	"repro/internal/graph"
 )
 
-// PairEstimate is one row of an estimated label-pair census.
+// PairEstimate is one row of an estimated label-pair census, and the row
+// the HTTP census answer encodes.
 type PairEstimate struct {
-	Pair graph.LabelPair
+	graph.Pair
 	// Estimate is the estimated number of edges carrying the pair.
-	Estimate float64
+	Estimate float64 `json:"estimate"`
 	// Hits is how many sampled edges carried the pair.
-	Hits int
+	Hits int `json:"hits"`
 }
 
 // CensusResult is the result type of task kind "census": the counts of ALL

@@ -168,7 +168,7 @@ func TestEstimateCensusParallel(t *testing.T) {
 	}
 	for i := range a.Pairs {
 		if a.Pairs[i] != b.Pairs[i] {
-			t.Errorf("census row %d differs: %+v vs %+v", i, a.Pairs[i], b.Pairs[i])
+			t.Errorf("census row %d differs: %#v vs %#v", i, a.Pairs[i], b.Pairs[i])
 		}
 	}
 	for i := 1; i < len(a.Pairs); i++ {

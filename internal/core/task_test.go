@@ -132,7 +132,7 @@ func TestCensusReplayMatchesLive(t *testing.T) {
 	}
 	for i := range live.Pairs {
 		if replay.Pairs[i] != live.Pairs[i] {
-			t.Errorf("row %d differs: %+v vs %+v", i, replay.Pairs[i], live.Pairs[i])
+			t.Errorf("row %d differs: %#v vs %#v", i, replay.Pairs[i], live.Pairs[i])
 		}
 	}
 	// Top truncation keeps the head of the same ordering.
@@ -142,7 +142,7 @@ func TestCensusReplayMatchesLive(t *testing.T) {
 	}
 	top := out.(CensusResult)
 	if len(top.Pairs) != 2 || top.Pairs[0] != replay.Pairs[0] || top.Pairs[1] != replay.Pairs[1] {
-		t.Errorf("Top=2 truncation wrong: %+v", top.Pairs)
+		t.Errorf("Top=2 truncation wrong: %#v", top.Pairs)
 	}
 }
 

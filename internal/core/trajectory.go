@@ -387,6 +387,48 @@ type PairEstimates struct {
 	NE   NeighborExplorationResult
 }
 
+// The paper's five estimators of F, by the names answers and tables give
+// them: NeighborSample HH and HT (Eqs. 2–3) and NeighborExploration HH, HT
+// and RW (Eqs. 11, 13, 19).
+const (
+	NeighborSampleHH      = "NeighborSample-HH"
+	NeighborSampleHT      = "NeighborSample-HT"
+	NeighborExplorationHH = "NeighborExploration-HH"
+	NeighborExplorationHT = "NeighborExploration-HT"
+	NeighborExplorationRW = "NeighborExploration-RW"
+)
+
+// pairMethods lists the five estimators in answer order, each with how its
+// estimate is read off a PairEstimates.
+var pairMethods = [...]struct {
+	name string
+	of   func(*PairEstimates) float64
+}{
+	{NeighborSampleHH, func(pe *PairEstimates) float64 { return pe.NS.HH }},
+	{NeighborSampleHT, func(pe *PairEstimates) float64 { return pe.NS.HT }},
+	{NeighborExplorationHH, func(pe *PairEstimates) float64 { return pe.NE.HH }},
+	{NeighborExplorationHT, func(pe *PairEstimates) float64 { return pe.NE.HT }},
+	{NeighborExplorationRW, func(pe *PairEstimates) float64 { return pe.NE.RW }},
+}
+
+// MethodNames returns the five estimator names in answer order.
+func MethodNames() []string {
+	names := make([]string, len(pairMethods))
+	for i, m := range pairMethods {
+		names[i] = m.name
+	}
+	return names
+}
+
+// Estimates returns the pair's five estimates keyed by method name.
+func (pe *PairEstimates) Estimates() map[string]float64 {
+	est := make(map[string]float64, len(pairMethods))
+	for _, m := range pairMethods {
+		est[m.name] = m.of(pe)
+	}
+	return est
+}
+
 // EstimateManyPairs replays a recorded trajectory through the paper's HH/HT
 // (and, for NeighborExploration, RW) aggregators for every given label pair,
 // at zero additional API cost, in one fused pass over the step columns (all

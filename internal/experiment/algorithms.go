@@ -22,11 +22,11 @@ type Algorithm string
 
 // The ten algorithms of Table 2.
 const (
-	NSHH   Algorithm = "NeighborSample-HH"
-	NSHT   Algorithm = "NeighborSample-HT"
-	NEHH   Algorithm = "NeighborExploration-HH"
-	NEHT   Algorithm = "NeighborExploration-HT"
-	NERW   Algorithm = "NeighborExploration-RW"
+	NSHH   Algorithm = core.NeighborSampleHH
+	NSHT   Algorithm = core.NeighborSampleHT
+	NEHH   Algorithm = core.NeighborExplorationHH
+	NEHT   Algorithm = core.NeighborExplorationHT
+	NERW   Algorithm = core.NeighborExplorationRW
 	EXMDRW Algorithm = "EX-MDRW"
 	EXMHRW Algorithm = "EX-MHRW"
 	EXRW   Algorithm = "EX-RW"

@@ -89,10 +89,7 @@ type BoundsRow struct {
 func RenderBoundsTable(rows []BoundsRow, title string) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, title)
-	out := [][]string{{
-		"pair", "NeighborSample-HH", "NeighborSample-HT",
-		"NeighborExploration-HH", "NeighborExploration-HT", "NeighborExploration-RW",
-	}}
+	out := [][]string{append([]string{"pair"}, core.MethodNames()...)}
 	for _, r := range rows {
 		out = append(out, []string{
 			r.Pair.String(),

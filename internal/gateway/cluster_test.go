@@ -101,7 +101,7 @@ func fingerprint(t *testing.T, ans *clustertest.EstimateAnswer) string {
 	if len(ans.Pairs) == 0 {
 		t.Fatalf("answer has no pairs: %+v", ans)
 	}
-	return fmt.Sprint(ans.Pairs)
+	return fmt.Sprintf("%#v", ans.Pairs) // %v would print each row's embedded pair alone
 }
 
 // TestClusterMigratesTrajectoryOnRingChange: after the recording replica

@@ -240,14 +240,10 @@ type EstimateAnswer struct {
 	// Status is the HTTP status the request came back with.
 	Status int `json:"-"`
 	// Pairs carries the per-pair estimates by method name.
-	Pairs []struct {
-		T1        int                `json:"t1"`
-		T2        int                `json:"t2"`
-		Estimates map[string]float64 `json:"estimates"`
-	} `json:"pairs"`
-	Error    string `json:"error"`     // error body on non-2xx answers
-	APICalls int64  `json:"api_calls"` // upstream calls billed to this answer
-	Charged  int64  `json:"charged"`   // priced subset of APICalls
+	Pairs    []serve.PairAnswer `json:"pairs"`
+	Error    string             `json:"error"`     // error body on non-2xx answers
+	APICalls int64              `json:"api_calls"` // upstream calls billed to this answer
+	Charged  int64              `json:"charged"`   // priced subset of APICalls
 	// CacheHit reports the answer replayed a finished trajectory.
 	CacheHit      bool   `json:"cache_hit"`
 	GraphVersion  uint64 `json:"graph_version"`  // graph version the answer was computed on

@@ -44,9 +44,18 @@ func (e Edge) Canonical() Edge {
 // LabelPair is an unordered pair of target labels (t1, t2), the query of the
 // paper's counting problem.
 type LabelPair struct {
-	// T1 and T2 are the queried labels, in no particular order.
-	T1, T2 Label
+	// T1 is one queried label; the pair's labels come in no particular
+	// order.
+	T1 Label `json:"t1"`
+	// T2 is the other queried label.
+	T2 Label `json:"t2"`
 }
+
+// Pair is LabelPair under the field name answer rows embed it by: an
+// embedded Pair keeps the row's .Pair field and flattens to "t1"/"t2" in
+// JSON (a nil *Pair drops both keys). Embedding also promotes String, so a
+// row formatted whole with %v prints only its pair.
+type Pair = LabelPair
 
 // Canonical returns the pair ordered so that T1 <= T2.
 func (p LabelPair) Canonical() LabelPair {

@@ -2,6 +2,7 @@ package motif
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -11,28 +12,30 @@ import (
 // for one label pair, or the unlabeled count when Pair is nil.
 type TaskRow struct {
 	// Pair is the queried label pair; nil for the unlabeled count.
-	Pair *graph.LabelPair
+	*graph.Pair
 	// Estimate is the estimated motif count.
-	Estimate float64
+	Estimate float64 `json:"estimate"`
 	// CI is the between-walker interval (valid only for fleet recordings).
-	CI core.CI
+	CI core.CI `json:"ci,omitzero"`
 }
 
 // TaskResult is the result type of task kind "motif": one row per queried
 // pair (or a single unlabeled row), all replayed from the same trajectory.
 type TaskResult struct {
 	// Shape is "wedges" or "triangles".
-	Shape string
+	Shape string `json:"shape"`
 	// Rows holds one answer per queried pair, in query order; a single
 	// pair-less row when no pairs were given.
-	Rows []TaskRow
+	Rows []TaskRow `json:"rows"`
 	// Samples is the shared trajectory's sample count.
-	Samples int
+	Samples int `json:"-"`
 	// APICalls is the shared trajectory's recording cost (summed
 	// per-walker bills for a multi-walker recording).
-	APICalls int64
+	APICalls int64 `json:"-"`
+	// BurnIn is the burn-in the shared trajectory was recorded with.
+	BurnIn int `json:"-"`
 	// Walkers is how many concurrent walkers recorded the trajectory.
-	Walkers int
+	Walkers int `json:"-"`
 }
 
 // motifTask adapts the replay estimators to the estimation-task registry.
@@ -51,8 +54,10 @@ func (mt motifTask) NewVisitor(t *core.Trajectory) (core.TrajectoryVisitor, erro
 	if len(mt.pairs) == 0 {
 		pairs = append(pairs, nil)
 	} else {
-		for i := range mt.pairs {
-			pairs = append(pairs, &mt.pairs[i])
+		// The rows point at a copy, so no result shares the caller's pairs.
+		own := slices.Clone(mt.pairs)
+		for i := range own {
+			pairs = append(pairs, &own[i])
 		}
 	}
 	subs := make([]rowVisitor, len(pairs))
@@ -104,6 +109,7 @@ func (mv *motifVisitor) Result() (any, error) {
 		Rows:     make([]TaskRow, len(mv.subs)),
 		Samples:  mv.t.Samples(),
 		APICalls: mv.t.APICalls,
+		BurnIn:   mv.t.BurnIn,
 		Walkers:  mv.t.Walkers,
 	}
 	for i, s := range mv.subs {

@@ -65,46 +65,16 @@ type estimateRequest struct {
 	MaxCost int64 `json:"max_cost,omitempty"`
 }
 
-// pairAnswerJSON is one pair's row in the kind="pairs" response.
-type pairAnswerJSON struct {
-	T1        int                `json:"t1"`
-	T2        int                `json:"t2"`
-	Estimates map[string]float64 `json:"estimates"`
-}
-
-// censusRowJSON is one row of the kind="census" result.
-type censusRowJSON struct {
-	T1       int     `json:"t1"`
-	T2       int     `json:"t2"`
-	Estimate float64 `json:"estimate"`
-	Hits     int     `json:"hits"`
-}
-
-// motifRowJSON is one row of the kind="motif" result; t1/t2 are absent on
-// the unlabeled row, and ci on serial recordings.
-type motifRowJSON struct {
-	T1       *int    `json:"t1,omitempty"`
-	T2       *int    `json:"t2,omitempty"`
-	Estimate float64 `json:"estimate"`
-	CI       core.CI `json:"ci,omitzero"`
-}
-
-// motifJSON is the kind="motif" result.
-type motifJSON struct {
-	Shape string         `json:"shape"`
-	Rows  []motifRowJSON `json:"rows"`
-}
-
 // estimateResponse is one answered query: the Answer envelope plus exactly
 // one of Pairs/Size/Census/Motif/Assort, per the request kind — or Error,
 // for a batch member whose replay failed.
 type estimateResponse struct {
 	Graph string `json:"graph,omitempty"`
 	*Answer
-	Pairs  []pairAnswerJSON          `json:"pairs,omitempty"`
+	Pairs  []PairAnswer              `json:"pairs,omitempty"`
 	Size   *sizeest.Result           `json:"size,omitempty"`
-	Census []censusRowJSON           `json:"census,omitempty"`
-	Motif  *motifJSON                `json:"motif,omitempty"`
+	Census []core.PairEstimate       `json:"census,omitempty"`
+	Motif  *motif.TaskResult         `json:"motif,omitempty"`
 	Assort *core.AssortativityResult `json:"assortativity,omitempty"`
 	Error  string                    `json:"error,omitempty"`
 }
@@ -554,46 +524,18 @@ func writeEstimateError(w http.ResponseWriter, r *http.Request, err error) {
 
 // renderAnswer maps an engine Answer onto the kind-specific wire schema.
 func renderAnswer(graphName string, ans *Answer) estimateResponse {
-	resp := estimateResponse{Graph: graphName, Answer: ans}
+	resp := estimateResponse{Graph: graphName, Answer: ans, Pairs: ans.Pairs}
 	if ans.Err != nil {
 		resp.Error = ans.Err.Error()
-		return resp
-	}
-	if ans.Pairs != nil {
-		resp.Pairs = make([]pairAnswerJSON, 0, len(ans.Pairs))
-		for _, pa := range ans.Pairs {
-			resp.Pairs = append(resp.Pairs, pairAnswerJSON{
-				T1:        int(pa.Pair.T1),
-				T2:        int(pa.Pair.T2),
-				Estimates: pa.Estimates,
-			})
-		}
 		return resp
 	}
 	switch res := ans.Result.(type) {
 	case sizeest.Result:
 		resp.Size = &res
 	case core.CensusResult:
-		resp.Census = make([]censusRowJSON, 0, len(res.Pairs))
-		for _, pe := range res.Pairs {
-			resp.Census = append(resp.Census, censusRowJSON{
-				T1:       int(pe.Pair.T1),
-				T2:       int(pe.Pair.T2),
-				Estimate: pe.Estimate,
-				Hits:     pe.Hits,
-			})
-		}
+		resp.Census = res.Pairs
 	case motif.TaskResult:
-		m := &motifJSON{Shape: res.Shape, Rows: make([]motifRowJSON, 0, len(res.Rows))}
-		for _, row := range res.Rows {
-			rj := motifRowJSON{Estimate: row.Estimate, CI: row.CI}
-			if row.Pair != nil {
-				t1, t2 := int(row.Pair.T1), int(row.Pair.T2)
-				rj.T1, rj.T2 = &t1, &t2
-			}
-			m.Rows = append(m.Rows, rj)
-		}
-		resp.Motif = m
+		resp.Motif = &res
 	case core.AssortativityResult:
 		resp.Assort = &res
 	}

@@ -157,19 +157,9 @@ func (e *Engine) assembleAnswer(kind string, out any, ent *entry, hit bool, memb
 		ans.Charged = ent.traj.APICalls / int64(ent.sharers) / int64(members)
 	}
 	if prs, isPairs := out.([]core.PairEstimates); isPairs {
-		// The historical pairs response shape.
-		ans.Pairs = make([]PairAnswer, 0, len(prs))
-		for _, pe := range prs {
-			ans.Pairs = append(ans.Pairs, PairAnswer{
-				Pair: pe.Pair,
-				Estimates: map[string]float64{
-					"NeighborSample-HH":      pe.NS.HH,
-					"NeighborSample-HT":      pe.NS.HT,
-					"NeighborExploration-HH": pe.NE.HH,
-					"NeighborExploration-HT": pe.NE.HT,
-					"NeighborExploration-RW": pe.NE.RW,
-				},
-			})
+		ans.Pairs = make([]PairAnswer, len(prs))
+		for i := range prs {
+			ans.Pairs[i] = PairAnswer{Pair: prs[i].Pair, Estimates: prs[i].Estimates()}
 		}
 	} else {
 		ans.Result = out

@@ -77,15 +77,7 @@ var ErrBadTrajectory = errors.New("serve: trajectory rejected")
 
 // Methods returns the estimator names a "pairs" answer carries, in stable
 // order. The names match repro.Method values.
-func Methods() []string {
-	return []string{
-		"NeighborSample-HH",
-		"NeighborSample-HT",
-		"NeighborExploration-HH",
-		"NeighborExploration-HT",
-		"NeighborExploration-RW",
-	}
-}
+func Methods() []string { return core.MethodNames() }
 
 // Kinds returns the estimation-task kinds the engine dispatches, sorted.
 func Kinds() []string { return core.TaskKinds() }
@@ -189,12 +181,13 @@ type Query struct {
 	MaxCost int64
 }
 
-// PairAnswer is one pair's estimates, keyed by method name (see Methods).
+// PairAnswer is one pair's estimates, keyed by method name (see Methods):
+// a row of the HTTP "pairs" answer.
 type PairAnswer struct {
 	// Pair echoes the queried label pair.
-	Pair graph.LabelPair
+	graph.Pair
 	// Estimates maps each method name to its estimate of F.
-	Estimates map[string]float64
+	Estimates map[string]float64 `json:"estimates"`
 }
 
 // Answer is the engine's response to one Query.

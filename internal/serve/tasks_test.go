@@ -135,7 +135,7 @@ func TestEngineMixedKindsShareOneTrajectory(t *testing.T) {
 	}
 	for i := range wantCensus.Pairs {
 		if gotCensus.Pairs[i] != wantCensus.Pairs[i] {
-			t.Errorf("census row %d differs: %+v vs %+v", i, gotCensus.Pairs[i], wantCensus.Pairs[i])
+			t.Errorf("census row %d differs: %#v vs %#v", i, gotCensus.Pairs[i], wantCensus.Pairs[i])
 		}
 	}
 	out, err = core.RunTask(traj, "motif", core.TaskParams{Motif: motif.ShapeTriangles, Pairs: []graph.LabelPair{pair}})
@@ -274,15 +274,15 @@ func TestHTTPKindDispatch(t *testing.T) {
 	if motifResp.Motif.Shape != "triangles" || len(motifResp.Motif.Rows) != 1 {
 		t.Errorf("motif payload wrong: %+v", motifResp.Motif)
 	}
-	if row := motifResp.Motif.Rows[0]; row.T1 == nil || *row.T1 != 1 || row.T2 == nil || *row.T2 != 2 {
-		t.Errorf("motif row should echo the pair: %+v", motifResp.Motif.Rows[0])
+	if row := motifResp.Motif.Rows[0]; row.Pair == nil || row.T1 != 1 || row.T2 != 2 {
+		t.Errorf("motif row should echo the pair (1,2), got %v", row.Pair)
 	}
 	if !motifResp.CacheHit {
 		t.Error("motif should share the same trajectory (same config)")
 	}
 
 	unlabeled, status := post(`{"kind": "motif", "motif": "wedges", "seed": 5}`)
-	if status != http.StatusOK || len(unlabeled.Motif.Rows) != 1 || unlabeled.Motif.Rows[0].T1 != nil {
+	if status != http.StatusOK || len(unlabeled.Motif.Rows) != 1 || unlabeled.Motif.Rows[0].Pair != nil {
 		t.Fatalf("unlabeled motif response: status=%d %+v", status, unlabeled)
 	}
 

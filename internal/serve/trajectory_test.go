@@ -326,8 +326,9 @@ func TestTrajectoryHTTPEndpoints(t *testing.T) {
 	if !est2.CacheHit || est2.Charged != 0 {
 		t.Errorf("peer should serve the pushed trajectory for free: %+v", est2)
 	}
-	if fmt.Sprint(est.Pairs) != fmt.Sprint(est2.Pairs) {
-		t.Errorf("estimates differ across replication:\n%v\n%v", est.Pairs, est2.Pairs)
+	// %#v, because a row's embedded pair makes %v print the pair alone.
+	if a, b := fmt.Sprintf("%#v", est.Pairs), fmt.Sprintf("%#v", est2.Pairs); a != b {
+		t.Errorf("estimates differ across replication:\n%s\n%s", a, b)
 	}
 
 	// Wrong methods keep the JSON error contract.

@@ -56,6 +56,8 @@ type Result struct {
 	// APICalls is the number of charged API calls during sampling (summed
 	// per-walker bills for a multi-walker run).
 	APICalls int64 `json:"-"`
+	// BurnIn is the burn-in the walk was recorded with.
+	BurnIn int `json:"-"`
 	// Walkers is how many concurrent walkers produced the sample.
 	Walkers int `json:"-"`
 	// NodesCI is the leave-one-walker-out jackknife interval on Nodes;
@@ -203,6 +205,7 @@ func (v *sizeVisitor) Result() (any, error) {
 	collisions := v.countCollisions()
 	res.Samples = k
 	res.APICalls = v.t.APICalls
+	res.BurnIn = v.t.BurnIn
 	res.Walkers = v.t.Walkers
 	res.Collisions = collisions
 	res.MeanDegree = float64(k) / v.psi1

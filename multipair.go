@@ -29,17 +29,12 @@ type MultiPairOptions struct {
 }
 
 // PairResult is one pair's slice of a multi-pair estimate: every estimator
-// of both algorithms, replayed from the shared trajectory.
-type PairResult struct {
-	// Pair is the queried label pair.
-	Pair LabelPair
-	// Estimates holds the estimate of every proposed method for this pair,
-	// keyed by Method (NeighborSample-{HH,HT}, NeighborExploration-{HH,HT,RW}).
-	Estimates map[Method]float64
-	// TargetHits is how many sampled edges matched the pair (the
-	// NeighborSample view of the shared walk).
-	TargetHits int
-}
+// of both algorithms, replayed from the shared trajectory. NS holds
+// NeighborSample's HH and HT estimates and NE NeighborExploration's HH, HT
+// and RW, each with its between-walker intervals (multi-walker recordings)
+// and HH's standard error; NS.TargetHits is how many sampled edges matched
+// the pair. The APICalls fields carry the shared walk's one-time cost.
+type PairResult = core.PairEstimates
 
 // MultiPairResult reports one EstimateManyPairs run: P pair answers from one
 // walk's API spend.
@@ -115,26 +110,11 @@ func EstimateManyPairs(g *Graph, pairs []LabelPair, opts MultiPairOptions) (*Mul
 	if err != nil {
 		return nil, err
 	}
-
-	res := &MultiPairResult{
-		Pairs:    make([]PairResult, 0, len(prs)),
+	return &MultiPairResult{
+		Pairs:    prs,
 		APICalls: traj.APICalls,
 		Samples:  traj.Samples(),
 		BurnIn:   burn,
 		Walkers:  traj.Walkers,
-	}
-	for _, pe := range prs {
-		res.Pairs = append(res.Pairs, PairResult{
-			Pair: pe.Pair,
-			Estimates: map[Method]float64{
-				NeighborSampleHH:      pe.NS.HH,
-				NeighborSampleHT:      pe.NS.HT,
-				NeighborExplorationHH: pe.NE.HH,
-				NeighborExplorationHT: pe.NE.HT,
-				NeighborExplorationRW: pe.NE.RW,
-			},
-			TargetHits: pe.NS.TargetHits,
-		})
-	}
-	return res, nil
+	}, nil
 }

@@ -71,7 +71,7 @@ func TestEstimateManyPairsAmortizesAPICalls(t *testing.T) {
 			continue
 		}
 		checked++
-		est := pr.Estimates[NeighborExplorationHH]
+		est := pr.NE.HH
 		if relErr := math.Abs(est-truth) / truth; relErr > 1.0 {
 			t.Errorf("pair %v: NE-HH %.0f vs truth %.0f (rel err %.2f)", pr.Pair, est, truth, relErr)
 		}
@@ -110,10 +110,11 @@ func TestEstimateManyPairsValidationAndDeterminism(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		a, b := run(w), run(w)
 		for i := range a.Pairs {
-			for m, v := range a.Pairs[i].Estimates {
-				if b.Pairs[i].Estimates[m] != v {
+			bEst := b.Pairs[i].Estimates()
+			for m, v := range a.Pairs[i].Estimates() {
+				if bEst[m] != v {
 					t.Errorf("walkers=%d: %s for %v not deterministic: %g vs %g",
-						w, m, a.Pairs[i].Pair, v, b.Pairs[i].Estimates[m])
+						w, m, a.Pairs[i].Pair, v, bEst[m])
 				}
 			}
 		}

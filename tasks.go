@@ -166,7 +166,7 @@ func replayTasks(traj *core.Trajectory, burn int, kinds []string, tasks []core.E
 			})
 			continue
 		}
-		ans, err := taskAnswer(kinds[i], outs[i], burn, traj)
+		ans, err := taskAnswer(kinds[i], outs[i])
 		if err != nil {
 			res.Answers = append(res.Answers, TaskAnswer{Kind: kinds[i], Err: err})
 			continue
@@ -181,32 +181,18 @@ func taskParams(req TaskRequest) core.TaskParams {
 	return core.TaskParams{Pairs: req.Pairs, Motif: req.Motif, Top: req.Top, Variant: req.Variant}
 }
 
-// taskAnswer converts a registry result into the public answer types.
-func taskAnswer(kind string, out any, burn int, traj *core.Trajectory) (TaskAnswer, error) {
+// taskAnswer files a registry result under its kind's answer field.
+func taskAnswer(kind string, out any) (TaskAnswer, error) {
 	ans := TaskAnswer{Kind: kind}
 	switch r := out.(type) {
 	case []core.PairEstimates:
-		ans.Pairs = make([]PairResult, 0, len(r))
-		for _, pe := range r {
-			ans.Pairs = append(ans.Pairs, PairResult{
-				Pair: pe.Pair,
-				Estimates: map[Method]float64{
-					NeighborSampleHH:      pe.NS.HH,
-					NeighborSampleHT:      pe.NS.HT,
-					NeighborExplorationHH: pe.NE.HH,
-					NeighborExplorationHT: pe.NE.HT,
-					NeighborExplorationRW: pe.NE.RW,
-				},
-				TargetHits: pe.NS.TargetHits,
-			})
-		}
+		ans.Pairs = r
 	case sizeest.Result:
-		sr := sizeResult(r, burn)
-		ans.Size = &sr
+		ans.Size = &r
 	case core.CensusResult:
 		ans.Census = r.Pairs
 	case motif.TaskResult:
-		ans.Motif = motifResult(r, burn)
+		ans.Motif = &r
 	case core.AssortativityResult:
 		ans.Assortativity = &r
 	default:
@@ -237,45 +223,11 @@ type SizeOptions struct {
 	Ctx context.Context
 }
 
-// SizeResult reports one EstimateSize run.
-type SizeResult struct {
-	// Nodes and Edges are the |V| and |E| estimates.
-	Nodes float64
-	Edges float64
-	// MeanDegree is the harmonic-identity mean-degree estimate.
-	MeanDegree float64
-	// Collisions is the number of colliding sample pairs behind the |V|
-	// estimate; treat small values (< ~10) as unreliable.
-	Collisions int
-	// Samples is the number of retained walk samples.
-	Samples int
-	// APICalls is the number of charged API calls during sampling.
-	APICalls int64
-	// BurnIn is the burn-in that was applied.
-	BurnIn int
-	// Walkers is the concurrent walker count the estimate ran with.
-	Walkers int
-	// NodesCI and EdgesCI are between-walker intervals (multi-walker runs
-	// only).
-	NodesCI CI
-	EdgesCI CI
-}
-
-// sizeResult converts the internal size result.
-func sizeResult(r sizeest.Result, burn int) SizeResult {
-	return SizeResult{
-		Nodes:      r.Nodes,
-		Edges:      r.Edges,
-		MeanDegree: r.MeanDegree,
-		Collisions: r.Collisions,
-		Samples:    r.Samples,
-		APICalls:   r.APICalls,
-		BurnIn:     burn,
-		Walkers:    r.Walkers,
-		NodesCI:    r.NodesCI,
-		EdgesCI:    r.EdgesCI,
-	}
-}
+// SizeResult reports one EstimateSize run: the |V| and |E| estimates, the
+// harmonic-identity mean degree, the collision count behind |V| (treat
+// fewer than ~10 as unreliable), the walk's samples, API calls, burn-in and
+// walkers, and the between-walker intervals of multi-walker runs.
+type SizeResult = sizeest.Result
 
 // EstimateSize estimates |V| and |E| by random walk (Katzir et al.
 // collision counting plus inverse-degree weighting) — the substrate behind
@@ -321,53 +273,19 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	if errs[0] != nil {
 		return res, errs[0]
 	}
-	return sizeResult(outs[0].(sizeest.Result), burn), nil
+	return outs[0].(sizeest.Result), nil
 }
 
 // MotifRow is one motif answer: the estimate for one label pair, or the
-// unlabeled (global) count when Pair is nil.
-type MotifRow struct {
-	Pair     *LabelPair
-	Estimate float64
-	// CI is the between-walker interval (multi-walker runs only).
-	CI CI
-}
+// unlabeled (global) count when Pair is nil, with its between-walker
+// interval on multi-walker runs.
+type MotifRow = motif.TaskRow
 
-// MotifResult reports one CountMotifs run: every row replayed from the same
-// walk.
-type MotifResult struct {
-	// Shape is MotifWedges or MotifTriangles.
-	Shape string
-	// Rows holds one answer per queried pair in query order, or a single
-	// pair-less row for the unlabeled count.
-	Rows []MotifRow
-	// Samples, APICalls, BurnIn and Walkers describe the shared walk.
-	Samples  int
-	APICalls int64
-	BurnIn   int
-	Walkers  int
-}
-
-// motifResult converts the internal motif task result.
-func motifResult(r motif.TaskResult, burn int) *MotifResult {
-	res := &MotifResult{
-		Shape:    r.Shape,
-		Rows:     make([]MotifRow, 0, len(r.Rows)),
-		Samples:  r.Samples,
-		APICalls: r.APICalls,
-		BurnIn:   burn,
-		Walkers:  r.Walkers,
-	}
-	for _, row := range r.Rows {
-		var pair *LabelPair
-		if row.Pair != nil {
-			p := *row.Pair
-			pair = &p
-		}
-		res.Rows = append(res.Rows, MotifRow{Pair: pair, Estimate: row.Estimate, CI: row.CI})
-	}
-	return res
-}
+// MotifResult reports one CountMotifs run: Shape is MotifWedges or
+// MotifTriangles, Rows holds one answer per queried pair in query order (or
+// a single pair-less row for the unlabeled count), and Samples, APICalls,
+// BurnIn and Walkers describe the shared walk.
+type MotifResult = motif.TaskResult
 
 // CountMotifs estimates wedge or triangle counts — for any number of label
 // pairs, or the unlabeled total when pairs is empty — from ONE random walk
@@ -395,7 +313,8 @@ func CountMotifs(g *Graph, shape string, pairs []LabelPair, opts EstimateOptions
 	if errs[0] != nil {
 		return nil, errs[0]
 	}
-	return motifResult(outs[0].(motif.TaskResult), burn), nil
+	r := outs[0].(motif.TaskResult)
+	return &r, nil
 }
 
 // newTask builds the registered task of kind from p before its walk is

@@ -52,7 +52,7 @@ func TestEstimateBatchSharesOneWalk(t *testing.T) {
 			batch.APICalls, mp.APICalls)
 	}
 	gotPairs := batch.Answers[0].Pairs
-	if len(gotPairs) != 1 || gotPairs[0].Estimates[NeighborSampleHH] != mp.Pairs[0].Estimates[NeighborSampleHH] {
+	if len(gotPairs) != 1 || gotPairs[0].NS.HH != mp.Pairs[0].NS.HH {
 		t.Errorf("pairs answer differs from EstimateManyPairs: %+v vs %+v", gotPairs, mp.Pairs)
 	}
 
