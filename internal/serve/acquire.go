@@ -301,7 +301,14 @@ func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *c
 		// key on (ResumeRecording already stamps; fresh recordings here).
 		traj.GraphVersion = g.Version()
 		traj.GraphFingerprint = g.Fingerprint()
-		bytes = store.EncodedSize(traj)
+		if e.cfg.SourceFactory != nil {
+			// Bound to its recording session, the trajectory would keep the
+			// upstream source and its response cache reachable for as long
+			// as it stays cached: bind it to the labels its file embeds.
+			bytes = store.Detach(traj)
+		} else {
+			bytes = store.EncodedSize(traj)
+		}
 	}
 
 	persist := err == nil && e.cfg.Store != nil

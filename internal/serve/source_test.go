@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/graph"
 	"repro/internal/osn"
@@ -82,6 +85,67 @@ func TestEngineRecordsThroughHTTPSource(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trackedSource is an upstream a test can watch being collected.
+type trackedSource struct{ osn.GraphSource }
+
+// TestSourceRecordingsReleaseTheirSource: a cached SourceFactory recording
+// keeps the labels its .osnt would embed, not its recording session, so the
+// source each recording was handed (in production an httpsrc client and its
+// response cache) is collectable once the recording is done, and the
+// recordings still answer every label-reading kind exactly as recordings
+// of the in-memory graph do.
+func TestSourceRecordingsReleaseTheirSource(t *testing.T) {
+	g := testGraph(t, 3)
+	var mu sync.Mutex
+	var sources []weak.Pointer[trackedSource]
+	e := testEngine(t, g, Config{SourceFactory: func(g *graph.Graph) osn.Source {
+		src := &trackedSource{osn.NewGraphSource(g)}
+		mu.Lock()
+		sources = append(sources, weak.Make(src))
+		mu.Unlock()
+		return src
+	}})
+	mem := testEngine(t, g, Config{})
+	const n = 6
+	for seed := int64(1); seed <= n; seed++ {
+		batch := []Query{
+			{Kind: "pairs", Pairs: []graph.LabelPair{{T1: 0, T2: 1}, {T1: 1, T2: 1}}, Budget: 200, Seed: seed},
+			{Kind: "census", Budget: 200, Seed: seed},
+			{Kind: "motif", Motif: "triangles", Pairs: []graph.LabelPair{{T1: 0, T2: 1}}, Budget: 200, Seed: seed},
+			{Kind: "assortativity", Variant: "label", Budget: 200, Seed: seed},
+		}
+		got, err := e.EstimateBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mem.EstimateBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range batch {
+			if got[i].Err != nil || !reflect.DeepEqual(got[i].Pairs, want[i].Pairs) || !reflect.DeepEqual(got[i].Result, want[i].Result) {
+				t.Errorf("seed %d, %s: sourced answer %#v (err %v) differs from in-memory %#v",
+					seed, batch[i].Kind, got[i].Result, got[i].Err, want[i].Result)
+			}
+		}
+	}
+	if c := e.CachedTrajectories(); c != n {
+		t.Fatalf("engine caches %d trajectories, want all %d", c, n)
+	}
+	runtime.GC()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sources) != n {
+		t.Fatalf("%d recordings asked for a source, want %d", len(sources), n)
+	}
+	for i, wp := range sources {
+		if wp.Value() != nil {
+			t.Errorf("recording %d's source is still reachable from the engine cache", i)
+		}
+	}
+	runtime.KeepAlive(e) // the cache must outlive the check
 }
 
 // TestWorkspaceSourceReady: /healthz readiness follows the configured

@@ -208,6 +208,30 @@ func EncodedSize(t *core.Trajectory) int64 {
 		return 0
 	}
 	lay := computeLayout(t)
+	return lay.size()
+}
+
+// Detach binds t to the label store its .osnt file embeds, read once
+// through t's current binding, and returns EncodedSize(t). A recording made
+// through an upstream source reads its labels through the recording
+// session, which holds that source and its response cache; detached, t
+// holds only the label sets of the nodes it references, as a reload of its
+// file would, except that the store has no O(|V|) lookup index. A
+// trajectory without bound labels stays unbound.
+func Detach(t *core.Trajectory) int64 {
+	lay := computeLayout(t)
+	if t.Labels() != nil {
+		ls := &labelStore{nodes: lay.labelNodes, off: lay.labelOff, vals: make([]graph.Label, len(lay.refs))}
+		for i, ref := range lay.refs {
+			ls.vals[i] = lay.table[ref]
+		}
+		t.BindLabels(ls)
+	}
+	return lay.size()
+}
+
+// size is the exact byte length of the file lay describes.
+func (lay *layout) size() int64 {
 	return ExpectedSize(uint64(lay.walkers), uint64(lay.totalSteps), uint64(lay.totalNeighbors),
 		uint64(len(lay.labelNodes)), uint64(len(lay.table)), uint64(len(lay.refs)))
 }
@@ -585,6 +609,8 @@ type labelStore struct {
 	// the graph exceeds denseIndexMaxNodes. Label reads are the replay hot
 	// path (every census/motif step consults several), so the O(|V|) table
 	// keeps reloaded trajectories replaying at recorded-trajectory speed.
+	// Detach leaves it nil too, keeping an O(|V|) array out of every cached
+	// upstream recording; its reads fall back to binary search.
 	dense []int32
 }
 
