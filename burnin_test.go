@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -49,5 +51,39 @@ func TestDefaultBurnInHonoursCancel(t *testing.T) {
 		if fastest > 20*time.Millisecond {
 			t.Errorf("%s: returned after %v with a cancelled Ctx, want at most 20ms", name, fastest)
 		}
+	}
+}
+
+// TestEstimateSizeReadsBurnInMemo: at BurnIn 0 EstimateSize takes its
+// burn-in, the mixing time T plus 10, from the per-graph memo behind
+// walk.BurnIn, so only the first call on a graph measures T. A later call
+// allocates what the same call with its burn-in given does, instead of the
+// three |V|-length vectors a measurement iterates over.
+func TestEstimateSizeReadsBurnInMemo(t *testing.T) {
+	g, err := GenerateStandIn("pokec", 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := SizeOptions{Samples: 400, Seed: 3}
+	first, err := EstimateSize(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	given := opts
+	given.BurnIn = first.BurnIn
+	allocated := func(o SizeOptions) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := EstimateSize(g, o)
+		runtime.ReadMemStats(&after)
+		if err != nil || !reflect.DeepEqual(res, first) {
+			t.Fatalf("EstimateSize(BurnIn %d) = %+v, %v; want %+v", o.BurnIn, res, err, first)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	memo, explicit := allocated(opts), allocated(given)
+	if vec := 8 * uint64(g.NumNodes()); memo > explicit+vec {
+		t.Errorf("EstimateSize at BurnIn 0 allocated %d B, at BurnIn %d %d B: it measured the mixing time again (one |V|-length vector is %d B)",
+			memo, first.BurnIn, explicit, vec)
 	}
 }

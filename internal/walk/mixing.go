@@ -186,25 +186,34 @@ func totalVariation(a, b []float64) float64 {
 	return sum / 2
 }
 
-// BurnIn is the default burn-in of a walk on g: the mixing time T(1e-3) of
-// Section 5.1, maximized over DefaultMixingStarts(g, 4) and capped at 5,000
-// steps, floored at 10 so even fast-mixing graphs get a short burn-in. The
-// estimation entry points, the serving engine and the experiment harness
-// all resolve a zero burn-in through it. The measurement is memoized per
-// graph pointer and version, so only the first call on a graph pays for it.
-// A cancelled ctx (nil means context.Background()) returns its error, and
-// stops a measurement between power-iteration steps.
+// BurnIn is the default burn-in of a walk on g: MixingSteps(g), floored at
+// 10 so even fast-mixing graphs get a short burn-in. The estimation entry
+// points, the serving engine and the experiment harness all resolve a zero
+// burn-in through it.
 func BurnIn(ctx context.Context, g *graph.Graph) (int, error) {
+	steps, err := MixingSteps(ctx, g)
+	if err != nil {
+		return 0, err
+	}
+	return max(steps, 10), nil
+}
+
+// MixingSteps is the mixing time T(1e-3) of Section 5.1 on g, maximized over
+// DefaultMixingStarts(g, 4) and capped at 5,000 steps. The measurement is
+// memoized per graph pointer and version, so only the first call on a graph
+// pays for it. A cancelled ctx (nil means context.Background()) returns its
+// error, and stops a measurement between power-iteration steps.
+func MixingSteps(ctx context.Context, g *graph.Graph) (int, error) {
 	ctx = orBackground(ctx)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	key := burnInKey{g: weak.Make(g), version: g.Version()}
-	burnIns.Lock()
-	burn, ok := burnIns.m[key]
-	burnIns.Unlock()
+	key := mixingKey{g: weak.Make(g), version: g.Version()}
+	mixingMemo.Lock()
+	steps, ok := mixingMemo.m[key]
+	mixingMemo.Unlock()
 	if ok {
-		return burn, nil
+		return steps, nil
 	}
 	mixed, err := MixingTime(ctx, g, 1e-3, MixingOptions{
 		MaxSteps:   5000,
@@ -213,37 +222,37 @@ func BurnIn(ctx context.Context, g *graph.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	burn = max(mixed.Steps, 10)
-	burnIns.Lock()
-	defer burnIns.Unlock()
-	if _, ok := burnIns.m[key]; !ok {
-		if burnIns.m == nil {
-			burnIns.m = make(map[burnInKey]int)
+	mixingMemo.Lock()
+	defer mixingMemo.Unlock()
+	if _, ok := mixingMemo.m[key]; !ok {
+		if mixingMemo.m == nil {
+			mixingMemo.m = make(map[mixingKey]int)
 		}
-		burnIns.m[key] = burn
-		runtime.AddCleanup(g, forgetBurnIn, key)
+		mixingMemo.m[key] = mixed.Steps
+		runtime.AddCleanup(g, forgetMixing, key)
 	}
-	return burn, nil
+	return mixed.Steps, nil
 }
 
-// burnIns memoizes BurnIn. Its keys hold the graph weakly, so the memo keeps
-// no graph alive, and a cleanup drops a graph's entries once it is collected.
-var burnIns struct {
+// mixingMemo memoizes MixingSteps. Its keys hold the graph weakly, so the
+// memo keeps no graph alive, and a cleanup drops a graph's entries once it
+// is collected.
+var mixingMemo struct {
 	sync.Mutex
-	m map[burnInKey]int
+	m map[mixingKey]int
 }
 
-// burnInKey identifies one graph at one version. Graphs are immutable apart
+// mixingKey identifies one graph at one version. Graphs are immutable apart
 // from SetVersion, which snapshot loaders call before publishing one.
-type burnInKey struct {
+type mixingKey struct {
 	g       weak.Pointer[graph.Graph]
 	version uint64
 }
 
-func forgetBurnIn(key burnInKey) {
-	burnIns.Lock()
-	delete(burnIns.m, key)
-	burnIns.Unlock()
+func forgetMixing(key mixingKey) {
+	mixingMemo.Lock()
+	delete(mixingMemo.m, key)
+	mixingMemo.Unlock()
 }
 
 // DefaultMixingStarts picks a small representative set of start nodes for

@@ -116,44 +116,54 @@ func TestMixingTimeCancelled(t *testing.T) {
 	}
 }
 
-// TestBurnInMemoized: BurnIn measures a graph once per version, and its memo
-// keeps no graph alive.
+// TestBurnInMemoized: MixingSteps measures a graph once per version,
+// BurnIn floors the memoized step count at 10, and the memo keeps no graph
+// alive.
 func TestBurnInMemoized(t *testing.T) {
 	ctx := context.Background()
 	g := completeGraph(t, 20)
-	want, err := BurnIn(ctx, g)
+	want, err := MixingSteps(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := burnInKey{g: weak.Make(g), version: g.Version()}
-	burnIns.Lock()
-	got, ok := burnIns.m[key]
+	key := mixingKey{g: weak.Make(g), version: g.Version()}
+	mixingMemo.Lock()
+	got, ok := mixingMemo.m[key]
 	// A memoized graph is answered from the memo, not measured again.
-	burnIns.m[key] = want + 1
-	burnIns.Unlock()
+	mixingMemo.m[key] = want + 20
+	mixingMemo.Unlock()
 	if !ok || got != want {
-		t.Fatalf("memo holds (%d, %v) after BurnIn returned %d", got, ok, want)
+		t.Fatalf("memo holds (%d, %v) after MixingSteps returned %d", got, ok, want)
 	}
-	if b, err := BurnIn(ctx, g); err != nil || b != want+1 {
-		t.Fatalf("second BurnIn = (%d, %v), want the memoized %d", b, err, want+1)
+	if s, err := MixingSteps(ctx, g); err != nil || s != want+20 {
+		t.Fatalf("second MixingSteps = (%d, %v), want the memoized %d", s, err, want+20)
+	}
+	if b, err := BurnIn(ctx, g); err != nil || b != want+20 {
+		t.Fatalf("BurnIn = (%d, %v), want the memoized %d", b, err, want+20)
+	}
+	mixingMemo.Lock()
+	mixingMemo.m[key] = 3
+	mixingMemo.Unlock()
+	if b, err := BurnIn(ctx, g); err != nil || b != 10 {
+		t.Fatalf("BurnIn over a memoized 3 steps = (%d, %v), want the floor 10", b, err)
 	}
 	g.SetVersion(g.Version() + 1)
-	if b, err := BurnIn(ctx, g); err != nil || b != want {
-		t.Fatalf("BurnIn at a new version = (%d, %v), want a fresh measurement %d", b, err, want)
+	if s, err := MixingSteps(ctx, g); err != nil || s != want {
+		t.Fatalf("MixingSteps at a new version = (%d, %v), want a fresh measurement %d", s, err, want)
 	}
 
-	keys := []burnInKey{key, {g: weak.Make(g), version: g.Version()}}
+	keys := []mixingKey{key, {g: weak.Make(g), version: g.Version()}}
 	g = nil
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		runtime.GC()
-		burnIns.Lock()
+		mixingMemo.Lock()
 		left := 0
 		for _, k := range keys {
-			if _, ok := burnIns.m[k]; ok {
+			if _, ok := mixingMemo.m[k]; ok {
 				left++
 			}
 		}
-		burnIns.Unlock()
+		mixingMemo.Unlock()
 		if left == 0 {
 			break
 		}

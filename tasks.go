@@ -208,8 +208,9 @@ type SizeOptions struct {
 	Budget float64
 	// Samples overrides Budget with an absolute sample count when positive.
 	Samples int
-	// BurnIn is the walk burn-in in steps; 0 measures the mixing time
-	// T(1e-3) first and adds a safety margin of 10.
+	// BurnIn is the walk burn-in in steps; 0 takes the mixing time T(1e-3)
+	// that walk.BurnIn measures once per graph and adds a safety margin of
+	// 10.
 	BurnIn int
 	// CollisionGap overrides the collision-spacing gap (0 = 2.5% of the
 	// per-walker sample count, the Hardiman–Katzir default).
@@ -256,14 +257,11 @@ func EstimateSize(g *Graph, opts SizeOptions) (SizeResult, error) {
 	}
 	burn := opts.BurnIn
 	if burn <= 0 {
-		mixed, err := walk.MixingTime(opts.Ctx, g, 1e-3, walk.MixingOptions{
-			MaxSteps:   5000,
-			StartNodes: walk.DefaultMixingStarts(g, 4),
-		})
+		steps, err := walk.MixingSteps(opts.Ctx, g)
 		if err != nil {
 			return res, err
 		}
-		burn = mixed.Steps + 10
+		burn = steps + 10
 	}
 	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "size/multiwalk")
 	if err != nil {
