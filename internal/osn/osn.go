@@ -199,9 +199,6 @@ func (s *Session) Release() {
 	}
 }
 
-// Source returns the backend this session meters.
-func (s *Session) Source() Source { return s.src }
-
 // NumNodes returns |V| — prior knowledge per the paper's assumption (2).
 func (s *Session) NumNodes() int { return s.src.NumNodes() }
 

@@ -87,43 +87,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summary is a compact numerical summary of a batch of estimates, reported by
-// the experiment harness next to every NRMSE cell.
-type Summary struct {
-	N        int
-	Mean     float64
-	StdDev   float64
-	Min, Max float64
-	P50      float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.P50 = Quantile(xs, 0.5)
-	return s
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g p50=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.Max)
-}
-
 // BatchMeansSE estimates the standard error of the mean of a serially
 // correlated sequence — such as per-step estimator terms along a random
 // walk — by the method of batch means: the sequence is cut into `batches`

@@ -154,20 +154,6 @@ func TestQuantileWithinRangeProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("unexpected summary: %+v", s)
-	}
-	if s.String() == "" {
-		t.Error("Summary.String is empty")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Errorf("empty summary N = %d", empty.N)
-	}
-}
-
 func TestChebyshevSampleBound(t *testing.T) {
 	// variance 100, mean 10, eps 0.1, delta 0.1:
 	// k >= 100 / (0.01·100·0.1) = 1000.
