@@ -398,35 +398,20 @@ const (
 	NeighborExplorationRW = "NeighborExploration-RW"
 )
 
-// pairMethods lists the five estimators in answer order, each with how its
-// estimate is read off a PairEstimates.
-var pairMethods = [...]struct {
-	name string
-	of   func(*PairEstimates) float64
-}{
-	{NeighborSampleHH, func(pe *PairEstimates) float64 { return pe.NS.HH }},
-	{NeighborSampleHT, func(pe *PairEstimates) float64 { return pe.NS.HT }},
-	{NeighborExplorationHH, func(pe *PairEstimates) float64 { return pe.NE.HH }},
-	{NeighborExplorationHT, func(pe *PairEstimates) float64 { return pe.NE.HT }},
-	{NeighborExplorationRW, func(pe *PairEstimates) float64 { return pe.NE.RW }},
-}
-
 // MethodNames returns the five estimator names in answer order.
 func MethodNames() []string {
-	names := make([]string, len(pairMethods))
-	for i, m := range pairMethods {
-		names[i] = m.name
-	}
-	return names
+	return []string{NeighborSampleHH, NeighborSampleHT, NeighborExplorationHH, NeighborExplorationHT, NeighborExplorationRW}
 }
 
 // Estimates returns the pair's five estimates keyed by method name.
 func (pe *PairEstimates) Estimates() map[string]float64 {
-	est := make(map[string]float64, len(pairMethods))
-	for _, m := range pairMethods {
-		est[m.name] = m.of(pe)
+	return map[string]float64{
+		NeighborSampleHH:      pe.NS.HH,
+		NeighborSampleHT:      pe.NS.HT,
+		NeighborExplorationHH: pe.NE.HH,
+		NeighborExplorationHT: pe.NE.HT,
+		NeighborExplorationRW: pe.NE.RW,
 	}
-	return est
 }
 
 // EstimateManyPairs replays a recorded trajectory through the paper's HH/HT
