@@ -56,17 +56,13 @@ type MultiPairResult struct {
 // one shared trajectory — the recording step behind EstimateManyPairs,
 // EstimateBatch and RecordTrajectory (all derive the walk identically, so a
 // batch's trajectory is the exact walk EstimateManyPairs would record for
-// the same options).
-func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, int, error) {
+// the same options). The trajectory's BurnIn is the burn-in applied.
+func recordShared(g *Graph, opts MultiPairOptions) (*core.Trajectory, error) {
 	k, burn, err := resolveWalkPlan(opts.Ctx, g, opts.Budget, opts.Samples, opts.BurnIn)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	traj, err := record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "multipair")
-	if err != nil {
-		return nil, 0, err
-	}
-	return traj, burn, nil
+	return record(opts.Ctx, g, k, burn, opts.Walkers, opts.Seed, "multipair")
 }
 
 // record runs one burned-in recording of k samples over a fresh session —
@@ -102,7 +98,7 @@ func EstimateManyPairs(g *Graph, pairs []LabelPair, opts MultiPairOptions) (*Mul
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("repro: EstimateManyPairs needs at least one label pair")
 	}
-	traj, burn, err := recordShared(g, opts)
+	traj, err := recordShared(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +110,7 @@ func EstimateManyPairs(g *Graph, pairs []LabelPair, opts MultiPairOptions) (*Mul
 		Pairs:    prs,
 		APICalls: traj.APICalls,
 		Samples:  traj.Samples(),
-		BurnIn:   burn,
+		BurnIn:   traj.BurnIn,
 		Walkers:  traj.Walkers,
 	}, nil
 }

@@ -108,11 +108,11 @@ func EstimateBatch(g *Graph, opts MultiPairOptions, reqs ...TaskRequest) (*Batch
 	if err != nil {
 		return nil, err
 	}
-	traj, burn, err := recordShared(g, opts)
+	traj, err := recordShared(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return replayTasks(traj, burn, kinds, tasks), nil
+	return replayTasks(traj, kinds, tasks), nil
 }
 
 // buildTasks validates a request list through the estimation-task registry
@@ -147,12 +147,12 @@ func buildTasks(reqs []TaskRequest) ([]string, []core.EstimationTask, error) {
 // loaded trajectories. All tasks ride ONE fused pass over the trajectory's
 // step columns (core.RunTasksFused): N questions cost one column sweep, not
 // N full replays, with bit-identical results.
-func replayTasks(traj *core.Trajectory, burn int, kinds []string, tasks []core.EstimationTask) *BatchResult {
+func replayTasks(traj *core.Trajectory, kinds []string, tasks []core.EstimationTask) *BatchResult {
 	res := &BatchResult{
 		Answers:  make([]TaskAnswer, 0, len(tasks)),
 		APICalls: traj.APICalls,
 		Samples:  traj.Samples(),
-		BurnIn:   burn,
+		BurnIn:   traj.BurnIn,
 		Walkers:  traj.Walkers,
 	}
 	outs, errs := core.RunTasksFused(traj, tasks)

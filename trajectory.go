@@ -24,8 +24,7 @@ func RecordTrajectory(g *Graph, opts MultiPairOptions) (*Trajectory, error) {
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		return nil, fmt.Errorf("repro: graph has no edges to sample")
 	}
-	traj, _, err := recordShared(g, opts)
-	return traj, err
+	return recordShared(g, opts)
 }
 
 // ReplayBatch answers a heterogeneous batch of estimation tasks from an
@@ -42,7 +41,7 @@ func ReplayBatch(t *Trajectory, reqs ...TaskRequest) (*BatchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return replayTasks(t, t.BurnIn, kinds, tasks), nil
+	return replayTasks(t, kinds, tasks), nil
 }
 
 // SaveTrajectory writes t to path in the .osnt binary trajectory format
