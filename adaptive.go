@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/osn"
 	"repro/internal/stats"
+	"repro/internal/walk"
 )
 
 // PrecisionOptions configures EstimateToPrecision.
@@ -21,7 +22,8 @@ type PrecisionOptions struct {
 	// at worst the final sampling iteration is cut short mid-step. Cache
 	// hits are free, so a walk that has cached every friend list it can
 	// reach never spends the cap (likely once the cap is at least |V|
-	// calls); the run also stops at 50 samples per budgeted call.
+	// calls); the run also stops at the spin cap, 50 samples per call it
+	// can buy: 50 × min(cap, |V|).
 	MaxBudget float64
 	// BurnIn, Seed as in EstimateOptions.
 	BurnIn int
@@ -36,8 +38,8 @@ type PrecisionResult struct {
 	RelSE float64
 	// Reached reports whether the target precision was met within budget.
 	// When false, Estimate still carries the best (partial) answer the
-	// budget allowed: the run stopped at the MaxBudget cap, or at 50
-	// samples per budgeted call without spending it.
+	// budget allowed: the run stopped at the MaxBudget cap, or at the spin
+	// cap without spending it.
 	Reached bool
 	// Samples and APICalls account the whole run. APICalls covers the
 	// sampling phase only: burn-in is paid once, before the budget is
@@ -61,8 +63,8 @@ type PrecisionResult struct {
 // re-aggregating the Eq. 11 estimator over everything recorded so far. The
 // budget cap is enforced by the walk's meter, so the run returns a partial
 // result with Reached == false — never an error, and never an overspend —
-// when the cap lands mid-round, or when the sample count reaches 50 per
-// budgeted call first.
+// when the cap lands mid-round, or when the sample count reaches the spin
+// cap (see PrecisionOptions.MaxBudget) first.
 func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (PrecisionResult, error) {
 	var res PrecisionResult
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
@@ -113,9 +115,9 @@ func EstimateToPrecision(g *Graph, pair LabelPair, opts PrecisionOptions) (Preci
 		return nil
 	}
 	// Cache hits are free, so once the walk has cached every friend list it
-	// stands on the meter never runs out; spinCap (50 samples per budgeted
-	// call, the cap budget-driven recordings apply) ends the doubling there.
-	spinCap := 50 * int(maxCalls)
+	// stands on the meter never runs out; the spin cap budget-driven
+	// recordings apply ends the doubling there.
+	spinCap := walk.SpinCap(maxCalls, g.NumNodes())
 	for k := 64; ; k = min(2*k, spinCap) {
 		res.Rounds++
 		_, exhausted, err := rec.Extend(k - rec.Samples())

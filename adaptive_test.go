@@ -2,7 +2,11 @@ package repro
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/osn"
 )
 
 func TestEstimateToPrecisionReachesTarget(t *testing.T) {
@@ -151,8 +155,8 @@ func TestEstimateToPrecisionValidation(t *testing.T) {
 // run that never returned: with a budget of at least |V| calls the walk
 // eventually caches every friend list, cache hits are free, so the meter
 // never runs out, and an unreachable target (a pair with no target edges,
-// RelSE = +Inf) doubled the sample count forever. The run now stops at 50
-// samples per budgeted call, the spin cap budget-driven recordings apply.
+// RelSE = +Inf) doubled the sample count forever. The run now stops at the
+// spin cap budget-driven recordings apply (walk.SpinCap).
 func TestEstimateToPrecisionStopsWhenWalkIsCached(t *testing.T) {
 	g, err := GenerateStandIn("facebook", 0.15, 5)
 	if err != nil {
@@ -174,5 +178,55 @@ func TestEstimateToPrecisionStopsWhenWalkIsCached(t *testing.T) {
 	}
 	if res.APICalls > maxCalls || int64(res.Samples) > 50*maxCalls {
 		t.Errorf("run went past its caps (%d calls, %d samples): %+v", maxCalls, 50*maxCalls, res)
+	}
+}
+
+// TestSpinCapRelativeToGraph: a walk cannot buy more distinct friend lists
+// than there are nodes, so a budget above |V| buys no more steps than a
+// budget of |V|. A budget-driven recording at k = 4|V| never reaches its
+// budget, so the spin cap stops each walker at exactly 50|V| steps, for one
+// walker and for two (each with a 2|V| share). EstimateToPrecision at
+// MaxBudget 4 with an unreachable target stops within 50|V| samples too.
+func TestSpinCapRelativeToGraph(t *testing.T) {
+	g, err := GenerateStandIn("facebook", 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	for _, walkers := range []int{1, 2} {
+		s, err := osn.NewSession(g, osn.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		traj, err := core.RecordTrajectory(s, 4*n, core.Options{
+			BurnIn: 50, Rng: rand.New(rand.NewSource(3)), Start: -1,
+			BudgetDriven: true, Walkers: walkers, Seed: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traj.NumWalkers() != walkers {
+			t.Fatalf("W=%d: recorded %d walkers", walkers, traj.NumWalkers())
+		}
+		for w := 0; w < walkers; w++ {
+			if got := traj.WalkerLen(w); got != 50*n {
+				t.Errorf("W=%d walker %d: %d steps at k=4|V|, want the spin cap 50|V| = %d", walkers, w, got, 50*n)
+			}
+		}
+	}
+	res, err := EstimateToPrecision(g, LabelPair{T1: 90, T2: 91}, PrecisionOptions{
+		TargetRelSE: 0.1,
+		MaxBudget:   4,
+		BurnIn:      50,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reached {
+		t.Fatalf("a pair with no target edges cannot reach the target: %+v", res)
+	}
+	if res.Samples > 50*n {
+		t.Errorf("EstimateToPrecision took %d samples at MaxBudget 4, want at most 50|V| = %d", res.Samples, 50*n)
 	}
 }

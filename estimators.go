@@ -66,8 +66,8 @@ type EstimateOptions struct {
 	Delta float64
 	// Walkers is the number of concurrent walkers sampling inside the
 	// estimate, all metered against one shared session. 0 or 1 runs the
-	// original serial path (bit-identical for a fixed Seed); W >= 2 splits
-	// the budget into per-walker shares, scales across cores, and reports a
+	// paper's single walk on the Seed's stream; W >= 2 splits the budget
+	// into per-walker shares, scales across cores, and reports a
 	// variance-based confidence interval in Result.CI. Results are
 	// reproducible for a fixed (Seed, Walkers) regardless of scheduling.
 	Walkers int
@@ -243,7 +243,7 @@ type CensusOptions struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Walkers is the number of concurrent walkers splitting the census walk
-	// (see EstimateOptions.Walkers); 0 or 1 runs one serial walk.
+	// (see EstimateOptions.Walkers); 0 or 1 runs the paper's single walk.
 	Walkers int
 	// Ctx cancels the census in flight; nil means context.Background().
 	Ctx context.Context

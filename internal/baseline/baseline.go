@@ -59,7 +59,8 @@ type Options struct {
 	BudgetDriven bool
 	// Walkers is the number of concurrent line-graph walkers inside one
 	// estimate, sharing the session's budget and response cache. 0 or 1
-	// runs the serial path; W >= 2 requires Seed.
+	// runs one walker on Rng; W >= 2 draws each walker from a stream rooted
+	// at Seed (see core.Options.Walkers).
 	Walkers int
 	// Seed roots the per-walker RNG streams when Walkers >= 2 (see
 	// core.Options.Seed).
@@ -82,7 +83,7 @@ type Result struct {
 	// Walkers is how many concurrent walkers produced the estimate.
 	Walkers int
 	// CI is a variance-based confidence interval over the per-walker
-	// estimates; zero (Valid() == false) on serial runs.
+	// estimates; zero (Valid() == false) when Options.Walkers is 0 or 1.
 	CI estimate.CI
 }
 
@@ -99,39 +100,53 @@ func Estimate(s *osn.Session, pair graph.LabelPair, method Method, k int, opts O
 	if opts.BurnIn < 0 {
 		return res, fmt.Errorf("baseline: negative burn-in %d", opts.BurnIn)
 	}
+	walkers := max(opts.Walkers, 1)
+	tallies := make([]tally, min(walkers, k)) // RunFleet clamps the fleet to k
+	calls, err := walk.RunFleet(walk.FleetConfig[graph.Edge]{
+		Session:      s,
+		Ctx:          opts.Ctx,
+		Rng:          opts.Rng,
+		Seed:         opts.Seed,
+		Walkers:      walkers,
+		K:            k,
+		BudgetDriven: opts.BudgetDriven,
+		BurnIn:       opts.BurnIn,
+		NewWalker: func(r *walk.FleetRun[graph.Edge]) (walk.Walker[graph.Edge], error) {
+			view := linegraph.View{S: r.Meter}
+			start, err := view.RandomEdge(r.Rng)
+			if err != nil {
+				return nil, err
+			}
+			return newWalker(view, start, method, opts, r.Rng)
+		},
+		Sample: func(r *walk.FleetRun[graph.Edge]) error {
+			return tallies[r.ID].sample(r.Ctx, linegraph.View{S: r.Meter}, r.W, pair, method, r.MaxIters(), r.Budget)
+		},
+	})
+	if err != nil {
+		return res, err
+	}
+
+	// Pool the walkers' draws; their separate estimates yield the
+	// between-walker interval of a multi-walker run.
+	numEdges := float64(s.NumEdges())
+	pooled := &estimate.Reweighted{}
+	perEst := make([]float64, 0, len(calls))
+	for i, c := range calls {
+		t := &tallies[i]
+		res.Samples += t.samples
+		res.TargetHits += t.targetHits
+		res.APICalls += c
+		pooled.Merge(&t.rw)
+		if t.samples > 0 {
+			perEst = append(perEst, t.rw.Ratio()*numEdges)
+		}
+	}
+	res.Estimate = pooled.Ratio() * numEdges
 	if opts.Walkers > 1 {
-		return estimateParallel(s, pair, method, k, opts)
+		res.CI = estimate.CIFromEstimates(perEst)
 	}
-
-	view := linegraph.View{S: s}
-	start, err := view.RandomEdge(opts.Rng)
-	if err != nil {
-		return res, err
-	}
-	w, err := newWalker(view, start, method, opts, opts.Rng)
-	if err != nil {
-		return res, err
-	}
-	if err := walk.BurninCtx[graph.Edge](opts.ctx(), w, opts.BurnIn); err != nil {
-		return res, fmt.Errorf("baseline: %s burn-in: %w", method, err)
-	}
-	s.ResetAccounting()
-
-	// Budget-driven: cache hits are free, so the walk may take more steps
-	// than k; the cap prevents spinning once the whole graph is cached.
-	maxIters, budget := k, int64(0)
-	if opts.BudgetDriven {
-		maxIters, budget = 50*k, int64(k)
-	}
-	var t tally
-	if err := t.sample(opts.ctx(), view, w, pair, method, maxIters, budget); err != nil {
-		return res, err
-	}
-	res.Samples = t.samples
-	res.TargetHits = t.targetHits
-	res.Estimate = t.rw.Ratio() * float64(s.NumEdges())
-	res.APICalls = s.Calls()
-	res.Walkers = 1
+	res.Walkers = len(calls)
 	return res, nil
 }
 
@@ -142,9 +157,9 @@ type tally struct {
 	targetHits int
 }
 
-// sample is the package's one sampling loop, shared by the serial run and
-// every fleet walker: it takes up to maxIters steps of w and stops before a
-// step once the walker's bill (view.S.Calls) reaches a positive budget.
+// sample is the package's one sampling loop, run by every walker of the
+// fleet: it takes up to maxIters steps of w and stops before a step once the
+// walker's bill (view.S.Calls) reaches a positive budget.
 func (t *tally) sample(ctx context.Context, view linegraph.View, w walk.Walker[graph.Edge], pair graph.LabelPair, method Method, maxIters int, budget int64) error {
 	for i := 0; i < maxIters; i++ {
 		if err := ctx.Err(); err != nil {
@@ -172,73 +187,6 @@ func (t *tally) sample(ctx context.Context, view linegraph.View, w walk.Walker[g
 		}
 	}
 	return nil
-}
-
-// estimateParallel runs the chosen baseline with W concurrent line-graph
-// walkers over one shared session, mirroring the multi-walker engine of the
-// core algorithms: per-walker RNG streams and budget shares make the merged
-// estimate deterministic for a fixed seed, and the per-walker ratios yield
-// a variance-based confidence interval.
-func estimateParallel(s *osn.Session, pair graph.LabelPair, method Method, k int, opts Options) (Result, error) {
-	var res Result
-	W := opts.Walkers
-	if W > k {
-		W = k
-	}
-	tallies := make([]tally, W)
-
-	cfg := walk.FleetConfig[graph.Edge]{
-		Session:      s,
-		Ctx:          opts.Ctx,
-		Seed:         opts.Seed,
-		Walkers:      W,
-		K:            k,
-		BudgetDriven: opts.BudgetDriven,
-		BurnIn:       opts.BurnIn,
-		NewWalker: func(r *walk.FleetRun[graph.Edge]) (walk.Walker[graph.Edge], error) {
-			view := linegraph.View{S: r.Meter}
-			start, err := view.RandomEdge(r.Rng)
-			if err != nil {
-				return nil, err
-			}
-			return newWalker(view, start, method, opts, r.Rng)
-		},
-		Sample: func(r *walk.FleetRun[graph.Edge]) error {
-			return tallies[r.ID].sample(r.Ctx, linegraph.View{S: r.Meter}, r.W, pair, method, r.MaxIters(), r.Budget)
-		},
-	}
-	calls, err := walk.RunFleet(cfg)
-	if err != nil {
-		return res, err
-	}
-
-	numEdges := float64(s.NumEdges())
-	pooled := &estimate.Reweighted{}
-	perEst := make([]float64, 0, W)
-	for i := range tallies {
-		t := &tallies[i]
-		res.Samples += t.samples
-		res.TargetHits += t.targetHits
-		pooled.Merge(&t.rw)
-		if t.samples > 0 {
-			perEst = append(perEst, t.rw.Ratio()*numEdges)
-		}
-	}
-	res.Estimate = pooled.Ratio() * numEdges
-	res.CI = estimate.CIFromEstimates(perEst)
-	for _, c := range calls {
-		res.APICalls += c
-	}
-	res.Walkers = W
-	return res, nil
-}
-
-// ctx returns the configured context, defaulting to Background.
-func (o *Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 // newWalker builds the line-graph walker for the method, driven by rng.

@@ -85,11 +85,12 @@ type Options struct {
 	// simple random walk.
 	Walk WalkKind
 	// Walkers is the number of concurrent walkers sampling inside ONE
-	// estimate, all metered against the same shared session. 0 or 1 runs
-	// the original serial path (bit-identical for a fixed Rng); W >= 2
-	// splits the budget (or sample count) into per-walker quotas and merges
-	// the per-walker estimates, reporting a variance-based confidence
-	// interval alongside. Requires Seed for the per-walker RNG streams.
+	// estimate, all metered against the same shared session (see
+	// walk.RunFleet). 0 or 1 runs one walker on Rng, the paper's single
+	// walk; W >= 2 splits the budget (or sample count) into per-walker
+	// quotas, draws each walker from a stream rooted at Seed and leaves Rng
+	// unread, and merges the per-walker estimates, reporting a
+	// variance-based confidence interval alongside.
 	Walkers int
 	// Seed roots the per-walker RNG streams when Walkers >= 2: walker i
 	// draws from stats.Derive(Seed, "walker/i"), made distinct across the
@@ -174,25 +175,4 @@ func newWalk(s osn.API, o Options, start graph.Node, rng *rand.Rand) (walk.Walke
 	default:
 		return nil, fmt.Errorf("core: unknown walk kind %d", o.Walk)
 	}
-}
-
-// newBurnedInWalk builds the configured walk over the session and runs
-// burn-in. Accounting is reset afterwards so reported API calls cover only
-// the sampling phase, matching how the paper charges sample size
-// ("the nodes or edges encountered in the random walk before the mixing
-// time are not included in the sample set").
-func newBurnedInWalk(s *osn.Session, o Options) (walk.Walker[graph.Node], error) {
-	start, err := startNode(s, o.Start, o.Rng)
-	if err != nil {
-		return nil, err
-	}
-	w, err := newWalk(s, o, start, o.Rng)
-	if err != nil {
-		return nil, err
-	}
-	if err := walk.BurninCtx[graph.Node](o.ctx(), w, o.BurnIn); err != nil {
-		return nil, fmt.Errorf("core: burn-in: %w", err)
-	}
-	s.ResetAccounting()
-	return w, nil
 }

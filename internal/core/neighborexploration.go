@@ -10,7 +10,7 @@ import (
 type NeighborExplorationResult struct {
 	// HH is the Hansen–Hurwitz estimate of F (Eq. 11).
 	HH float64
-	// HHStdErr is a standard error for HH: batch-means on the serial path,
+	// HHStdErr is a standard error for HH: batch-means on a one-walker run,
 	// between-walker on multi-walker runs (see
 	// NeighborSampleResult.HHStdErr).
 	HHStdErr float64
@@ -33,11 +33,11 @@ type NeighborExplorationResult struct {
 	// including exploration surcharges per the cost model. For a
 	// multi-walker run this is the sum of the per-walker bills.
 	APICalls int64
-	// Walkers is how many concurrent walkers produced the sample (1 for the
-	// serial path).
+	// Walkers is how many concurrent walkers produced the sample.
 	Walkers int
 	// HHCI, HTCI and RWCI are variance-based confidence intervals computed
-	// from the per-walker estimates. Zero (Valid() == false) on serial runs.
+	// from the per-walker estimates. Zero (Valid() == false) on one-walker
+	// runs.
 	HHCI CI
 	HTCI CI
 	RWCI CI

@@ -15,7 +15,7 @@ type NeighborSampleResult struct {
 	// HH is the Hansen–Hurwitz estimate of F (Eq. 2).
 	HH float64
 	// HHStdErr is a standard error for HH, letting a caller attach an
-	// error bar without knowing the ground truth. On the serial path it is
+	// error bar without knowing the ground truth. On a one-walker run it is
 	// a batch-means SE accounting for the serial correlation of walk
 	// samples (zero when the sample is too small to batch, fewer than 40
 	// draws); on a multi-walker run it is the between-walker SE
@@ -34,11 +34,10 @@ type NeighborSampleResult struct {
 	// For a multi-walker run this is the sum of the per-walker bills (see
 	// osn.Meter for why that is the deterministic quantity).
 	APICalls int64
-	// Walkers is how many concurrent walkers produced the sample (1 for the
-	// serial path).
+	// Walkers is how many concurrent walkers produced the sample.
 	Walkers int
 	// HHCI and HTCI are variance-based confidence intervals computed from
-	// the per-walker estimates. Zero (Valid() == false) on serial runs.
+	// the per-walker estimates. Zero (Valid() == false) on one-walker runs.
 	HHCI CI
 	HTCI CI
 }

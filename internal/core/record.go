@@ -10,11 +10,11 @@ import (
 	"repro/internal/walk"
 )
 
-// This file holds the package's one sampling loop. RecordTrajectory (serial
-// and fleet), Recorder.Extend, NeighborSample and NeighborExploration all
-// walk through walkerRecording.run; the estimators differ from a plain
-// recording only in how the walk is billed (see billing), never in the walk
-// itself.
+// This file holds the package's one sampling loop. RecordTrajectory (every
+// walker of its fleet), Recorder.Extend, NeighborSample and
+// NeighborExploration all walk through walkerRecording.run; the estimators
+// differ from a plain recording only in how the walk is billed (see
+// billing), never in the walk itself.
 //
 // Each iteration moves the walker one step and then buys the arrived-at
 // node's friend list, which the next step leaves from for free (a
@@ -155,7 +155,13 @@ func RecordTrajectory(s *osn.Session, k int, opts Options) (*Trajectory, error) 
 	return record(s, k, opts, billing{})
 }
 
-// record is RecordTrajectory under any billing rule.
+// record is RecordTrajectory under any billing rule. walk.RunFleet drives
+// the walk: one walker on opts.Rng by default, or opts.Walkers walkers on
+// streams rooted at opts.Seed. Each walker runs walkerRecording.run against
+// its share of k, metered by its own osn.Meter, so for a fixed seed the
+// recorded streams are independent of scheduling. The meters are uncapped
+// (budget shares are enforced by run's budget check), so a walker stops
+// early only on a source error or a cancelled context.
 func record(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -163,42 +169,14 @@ func record(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, err
 	if k <= 0 {
 		return nil, fmt.Errorf("core: sampling needs k > 0, got %d", k)
 	}
-	if opts.Walkers > 1 {
-		return recordFleet(s, k, opts, bill)
-	}
-	w, err := newBurnedInWalk(s, opts)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newWalkerRecording(s, w, opts.ctx(), bill, k)
-	if err != nil {
-		return nil, err
-	}
-	// In budget-driven mode cache hits are free, so the walk may take more
-	// steps than k; the cap prevents spinning once the whole graph is cached.
-	maxSteps, budget := k, int64(0)
-	if opts.BudgetDriven {
-		maxSteps, budget = 50*k, int64(k)
-	}
-	if err := r.run(maxSteps, budget); err != nil {
-		return nil, fmt.Errorf("core: recording step %d: %w", len(r.steps), err)
-	}
-	return newRecording(s, []*walkerRecording{r}, []int64{s.Calls()}, opts), nil
-}
-
-// recordFleet records W concurrent walkers over one shared session. Each
-// walker runs the serial loop against its private RNG stream and its share
-// of k, metered by its own osn.Meter, so for a fixed seed the recorded
-// streams are independent of scheduling. Fleet meters are uncapped (budget
-// shares are enforced by run's budget check), so a walker stops early only
-// on a source error or a cancelled context.
-func recordFleet(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, error) {
-	recs := make([]*walkerRecording, opts.Walkers)
+	walkers := max(opts.Walkers, 1)
+	recs := make([]*walkerRecording, min(walkers, k)) // RunFleet clamps the fleet to k
 	calls, err := walk.RunFleet(walk.FleetConfig[graph.Node]{
 		Session:      s,
 		Ctx:          opts.Ctx,
+		Rng:          opts.Rng,
 		Seed:         opts.Seed,
-		Walkers:      opts.Walkers,
+		Walkers:      walkers,
 		K:            k,
 		BudgetDriven: opts.BudgetDriven,
 		BurnIn:       opts.BurnIn,
@@ -210,19 +188,25 @@ func recordFleet(s *osn.Session, k int, opts Options, bill billing) (*Trajectory
 			return newWalk(r.Meter, opts, start, r.Rng)
 		},
 		Sample: func(r *walk.FleetRun[graph.Node]) error {
-			rec, err := newWalkerRecording(r.Meter, r.W, r.Ctx, bill, r.Quota)
+			// A plain step buys at most one friend list, so a walk that
+			// spends its share takes at least that many steps, and at most
+			// the spin cap.
+			capHint := min(max(r.Quota, int(r.Budget)), r.MaxIters())
+			rec, err := newWalkerRecording(r.Meter, r.W, r.Ctx, bill, capHint)
 			if err != nil {
 				return err
 			}
 			recs[r.ID] = rec
-			return rec.run(r.MaxIters(), r.Budget)
+			if err := rec.run(r.MaxIters(), r.Budget); err != nil {
+				return fmt.Errorf("core: recording step %d: %w", len(rec.steps), err)
+			}
+			return nil
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	// RunFleet clamps the fleet to k walkers; calls has one entry per walker.
-	return newRecording(s, recs[:len(calls)], calls, opts), nil
+	return newRecording(s, recs, calls, opts), nil
 }
 
 // newRecording assembles finished walker recordings into a Trajectory.

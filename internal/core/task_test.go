@@ -218,15 +218,15 @@ func TestTrajectoryRecordsStarts(t *testing.T) {
 			t.Fatalf("walkers=%d: trajectory lacks per-walker starts", walkers)
 		}
 		for wi := 0; wi < traj.NumWalkers(); wi++ {
-			st := traj.StartAt(wi)
-			if traj.WalkerLen(wi) == 0 {
+			lo, hi := traj.WalkerSpan(wi)
+			if lo == hi {
 				continue
 			}
-			if first := traj.StepAt(wi, 0); first.Prev != st.Node {
-				t.Errorf("walker %d: first step leaves %d, start records %d", wi, first.Prev, st.Node)
+			if first, start := traj.StepPrev(lo), traj.StartNode(wi); first != start {
+				t.Errorf("walker %d: first step leaves %d, start records %d", wi, first, start)
 			}
-			if st.Degree != len(st.Neighbors) {
-				t.Errorf("walker %d: start degree %d != |neighbors| %d", wi, st.Degree, len(st.Neighbors))
+			if d, ns := traj.StartDegree(wi), traj.StartNeighbors(wi); d != len(ns) {
+				t.Errorf("walker %d: start degree %d != |neighbors| %d", wi, d, len(ns))
 			}
 		}
 	}

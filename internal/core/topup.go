@@ -29,57 +29,6 @@ type TopUpStats struct {
 	ChargedCalls int64
 }
 
-// ValidateAgainst walks the trajectory's flat prev/node/degree columns
-// against g and returns, per walker, the longest step prefix whose recorded
-// data is still exact on g: every transition edge still exists and every
-// visited node's recorded degree and neighbor list equal g's. The second
-// result is the summed prefix length. A walker whose start record is stale
-// has prefix 0.
-//
-// This is the cheap staleness probe — O(valid data) array scans, no API
-// spend. It deliberately checks full response equality, not mere edge
-// existence: a prefix is only reusable if replaying every estimator over it
-// reads byte-identical data.
-func (t *Trajectory) ValidateAgainst(g *graph.Graph) ([]int, int) {
-	sameResponse := func(u graph.Node, deg int, ns []graph.Node) bool {
-		if u < 0 || int(u) >= g.NumNodes() {
-			return false
-		}
-		if g.Degree(u) != deg || len(ns) != deg {
-			return false
-		}
-		cur := g.Neighbors(u)
-		for i, v := range ns {
-			if cur[i] != v {
-				return false
-			}
-		}
-		return true
-	}
-	w := t.NumWalkers()
-	prefixes := make([]int, w)
-	total := 0
-	for wi := 0; wi < w; wi++ {
-		if t.HasStarts() && !sameResponse(t.StartNode(wi), t.StartDegree(wi), t.StartNeighbors(wi)) {
-			continue
-		}
-		lo, hi := t.WalkerSpan(wi)
-		n := 0
-		for i := lo; i < hi; i++ {
-			if !g.HasEdge(t.StepPrev(i), t.StepNode(i)) {
-				break
-			}
-			if !sameResponse(t.StepNode(i), t.StepDegree(i), t.StepNeighbors(i)) {
-				break
-			}
-			n++
-		}
-		prefixes[wi] = n
-		total += n
-	}
-	return prefixes, total
-}
-
 // prepaidResponses collects the old trajectory's recorded responses that are
 // still exact on g — the carry-over capital a top-up redeems instead of
 // re-buying. First recording wins on duplicates (responses within one

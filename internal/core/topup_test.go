@@ -26,38 +26,6 @@ func churnedCopy(t *testing.T, g *graph.Graph, frac float64, seed int64) *graph.
 	return ng
 }
 
-func TestValidateAgainstSameGraphIsFullLength(t *testing.T) {
-	g := genderGraph(t, 31)
-	opts := Options{BurnIn: 50, Rng: rand.New(rand.NewSource(7)), Start: -1, BudgetDriven: true}
-	traj, err := RecordTrajectory(newSession(t, g), 3000, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefixes, total := traj.ValidateAgainst(g)
-	if total != traj.Samples() {
-		t.Errorf("valid prefix on the recording graph = %d, want all %d", total, traj.Samples())
-	}
-	for w, p := range prefixes {
-		if p != traj.WalkerLen(w) {
-			t.Errorf("walker %d prefix %d, want %d", w, p, traj.WalkerLen(w))
-		}
-	}
-}
-
-func TestValidateAgainstChurnedGraphShrinks(t *testing.T) {
-	g := genderGraph(t, 32)
-	opts := Options{BurnIn: 50, Rng: rand.New(rand.NewSource(9)), Start: -1, BudgetDriven: true}
-	traj, err := RecordTrajectory(newSession(t, g), 3000, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ng := churnedCopy(t, g, 0.05, 1)
-	_, total := traj.ValidateAgainst(ng)
-	if total >= traj.Samples() {
-		t.Errorf("5%% churn left the full %d-step trajectory valid", traj.Samples())
-	}
-}
-
 // resumeMatchesFresh pins the partial-invalidation invariant: a top-up on
 // the churned graph must be bit-identical — same columns, same bill — to a
 // fresh recording on that graph, while actually paying upstream only for

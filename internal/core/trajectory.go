@@ -31,9 +31,7 @@ import (
 // neighbor slices, a Trajectory holds flat prev/node/degree arrays, one
 // shared neighbor-ID arena with per-step offsets, and per-walker extents.
 // Replays iterate cache-friendly columns and allocate nothing; the .osnt
-// store (internal/store) decodes straight into the same columns. TrajStep
-// and TrajStart survive as row views over the columns (StepAt / StartAt) for
-// callers that want one step at a time.
+// store (internal/store) decodes straight into the same columns.
 
 // TrajStart is one walker's post-burn-in starting state: the node its first
 // recorded step moves from, with that node's degree and friend list.
@@ -186,27 +184,6 @@ func (t *Trajectory) StartDegree(w int) int { return int(t.startDeg[w]) }
 // must not be modified.
 func (t *Trajectory) StartNeighbors(w int) []graph.Node {
 	return t.arena[t.startOff[w]:t.startOff[w+1]]
-}
-
-// StepAt materializes walker w's i-th recorded step as a row view. The
-// Neighbors field aliases the shared arena.
-func (t *Trajectory) StepAt(w, i int) TrajStep {
-	g := t.ext[w] + int64(i)
-	return TrajStep{
-		Prev:      t.prev[g],
-		Node:      t.node[g],
-		Degree:    int(t.deg[g]),
-		Neighbors: t.arena[t.nbrOff[g]:t.nbrOff[g+1]],
-	}
-}
-
-// StartAt materializes walker w's start state as a row view.
-func (t *Trajectory) StartAt(w int) TrajStart {
-	return TrajStart{
-		Node:      t.startNode[w],
-		Degree:    int(t.startDeg[w]),
-		Neighbors: t.arena[t.startOff[w]:t.startOff[w+1]],
-	}
 }
 
 // Labels exposes the free label-read surface a replay may consult. The

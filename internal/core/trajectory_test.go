@@ -236,10 +236,11 @@ func TestRecorderResumesOneWalk(t *testing.T) {
 	if inc.Samples() != 300 || oneShot.Samples() != 300 {
 		t.Fatalf("samples: incremental %d, one-shot %d", inc.Samples(), oneShot.Samples())
 	}
-	for i := 0; i < inc.WalkerLen(0); i++ {
-		a, b := inc.StepAt(0, i), oneShot.StepAt(0, i)
-		if a.Prev != b.Prev || a.Node != b.Node || a.Degree != b.Degree {
-			t.Fatalf("step %d differs: %+v vs %+v", i, a, b)
+	for i := 0; i < inc.Samples(); i++ {
+		a := [3]int{int(inc.StepPrev(i)), int(inc.StepNode(i)), inc.StepDegree(i)}
+		b := [3]int{int(oneShot.StepPrev(i)), int(oneShot.StepNode(i)), oneShot.StepDegree(i)}
+		if a != b {
+			t.Fatalf("step %d differs: (prev, node, degree) %v vs %v", i, a, b)
 		}
 	}
 	pair := graph.LabelPair{T1: 1, T2: 2}

@@ -99,7 +99,8 @@ type RunParams struct {
 	// Algorithms 1–2) instead of the default API-call budget.
 	SampleDriven bool
 	// Walkers is the number of concurrent walkers inside each single
-	// estimate (core.Options.Walkers); 0 or 1 keeps the serial paths.
+	// estimate (core.Options.Walkers); 0 or 1 runs one walker per estimate,
+	// drawing from the repetition's Rng.
 	Walkers int
 	// Seed roots the per-walker RNG streams when Walkers >= 2. The sweep
 	// runner sets it to the cell seed, so multi-walker repetitions stay

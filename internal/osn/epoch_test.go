@@ -11,8 +11,8 @@ import (
 // TestEpochResetCycles pins the epoch-reset contract on the in-memory fast
 // path: every ResetAccounting opens a fresh accounting phase — previously
 // fetched nodes are charged again, duplicates within a phase stay free, and
-// UniqueNodes restarts from zero — for many consecutive cycles, since the
-// epoch array is never wiped between them.
+// the call counter restarts from zero — for many consecutive cycles, since
+// the epoch array is never wiped between them.
 func TestEpochResetCycles(t *testing.T) {
 	t.Run("free-duplicates", func(t *testing.T) {
 		g := completeGraph(t, 32)
@@ -32,12 +32,9 @@ func TestEpochResetCycles(t *testing.T) {
 			if got := s.Calls(); got != n {
 				t.Fatalf("cycle %d: Calls() = %d, want %d", cycle, got, n)
 			}
-			if got := s.UniqueNodes(); got != n {
-				t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, n)
-			}
 			s.ResetAccounting()
-			if s.Calls() != 0 || s.UniqueNodes() != 0 {
-				t.Fatalf("cycle %d: counters not zeroed by reset", cycle)
+			if s.Calls() != 0 {
+				t.Fatalf("cycle %d: counter not zeroed by reset", cycle)
 			}
 		}
 	})
@@ -67,9 +64,6 @@ func TestEpochResetNonGraphSource(t *testing.T) {
 		}
 		if got := s.Calls(); got != n {
 			t.Fatalf("cycle %d: Calls() = %d, want %d", cycle, got, n)
-		}
-		if got := s.UniqueNodes(); got != n {
-			t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, n)
 		}
 		s.ResetAccounting()
 	}
@@ -221,9 +215,6 @@ func TestEpochResetConcurrentWalkers(t *testing.T) {
 			for _, m := range meters {
 				m.Flush()
 			}
-			if got := s.UniqueNodes(); got != distinct {
-				t.Fatalf("cycle %d: UniqueNodes() = %d, want %d", cycle, got, distinct)
-			}
 			if got := s.Calls(); got != distinct {
 				t.Fatalf("cycle %d: Calls() = %d, want %d (schedule-independent)", cycle, got, distinct)
 			}
@@ -265,8 +256,8 @@ func TestPoolSessionReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	am.Flush()
-	if a.UniqueNodes() != 1 {
-		t.Fatalf("session A UniqueNodes = %d, want 1", a.UniqueNodes())
+	if a.Calls() != 1 {
+		t.Fatalf("session A Calls = %d, want 1", a.Calls())
 	}
 	a.Release()
 	if a.fetched != nil || am.bits != nil {
@@ -292,8 +283,8 @@ func TestPoolSessionReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	bm.Flush()
-	if b.Calls() != 1 || b.UniqueNodes() != 1 {
-		t.Fatalf("session B Calls=%d Unique=%d, want 1/1", b.Calls(), b.UniqueNodes())
+	if b.Calls() != 1 {
+		t.Fatalf("session B Calls = %d, want 1", b.Calls())
 	}
 	b.Release()
 }

@@ -42,10 +42,10 @@ const meterFlushEvery = 64
 //   - a fully walker-local fetch path: when the source is an in-memory
 //     graph, a fetch reads the response straight from the immutable graph
 //     and records it only in the local arena — zero shared-memory writes
-//     per step. The session's global accounting (Calls, UniqueNodes,
-//     PrepaidHits) is settled at Flush, which merges the local bitmap into
-//     the session's shared epoch array and counts the nodes this walker was
-//     first to fetch. Flush is idempotent and safe to call from concurrent
+//     per step. The session's global accounting (Calls, PrepaidHits) is
+//     settled at Flush, which merges the local bitmap into the session's
+//     shared epoch array and counts the nodes this walker was first to
+//     fetch. Flush is idempotent and safe to call from concurrent
 //     walkers; the fleet engine flushes every meter at each phase barrier,
 //     so session-level accounting is settled — and schedule-independent —
 //     whenever walkers are quiescent.
@@ -114,8 +114,8 @@ func (m *Meter) Reset(budget int64) {
 // Flush settles this meter's deferred global accounting: batched debits are
 // forwarded to the shared session counter, and (on the walker-local path)
 // the local fetch bitmap is merged into the session's shared epoch array so
-// Session.Calls/UniqueNodes/PrepaidHits reflect this walker's traffic. Flush
-// is idempotent — nodes already merged are not recounted — and safe to call
+// Session.Calls/PrepaidHits reflect this walker's traffic. Flush is
+// idempotent — nodes already merged are not recounted — and safe to call
 // while other walkers run. Call it before reading Session.Calls() for
 // accounting.
 func (m *Meter) Flush() {
@@ -129,14 +129,14 @@ func (m *Meter) Flush() {
 // reconcile merges the walker-local fetch bitmap into the session's shared
 // epoch-stamped array, counting exactly the nodes this walker was first
 // (across all walkers) to fetch in the current session epoch: one global
-// call, one unique node, and a prepaid hit when the node was prepaid.
+// call, and a prepaid hit when the node was prepaid.
 func (m *Meter) reconcile() {
 	if m.bits == nil {
 		return
 	}
 	s := m.s
 	ep := s.epoch.Load()
-	var uniq, prepaidHits int64
+	var first, prepaidHits int64
 	for w, stamp := range m.wordEpoch {
 		if stamp != m.epoch || m.bits[w] == 0 {
 			continue
@@ -147,16 +147,15 @@ func (m *Meter) reconcile() {
 			u := base + graph.Node(mathbits.TrailingZeros64(word))
 			word &= word - 1
 			if s.fetched[u].Swap(ep) != ep {
-				uniq++
+				first++
 				if s.prepaid != nil && s.prepaid[u].Load() {
 					prepaidHits++
 				}
 			}
 		}
 	}
-	if uniq > 0 {
-		s.unique.Add(uniq)
-		s.calls.Add(uniq)
+	if first > 0 {
+		s.calls.Add(first)
 		if prepaidHits > 0 {
 			s.prepaidHits.Add(prepaidHits)
 		}

@@ -43,9 +43,10 @@ type Config struct {
 
 // API is the access surface shared by Session and Meter: everything the
 // estimation algorithms are allowed to touch. Walkers and estimators are
-// written against this interface, so a serial run (one Session) and one
-// stream of a multi-walker run (one Meter per goroutine over a shared
-// Session) execute identical code.
+// written against this interface. Every sampling walk runs on a Meter (one
+// per walker over a shared Session); Session's own charged methods serve
+// the k-restart ablation (core.NeighborSampleIndependent), which meters
+// the whole session.
 type API interface {
 	NumNodes() int
 	NumEdges() int64
@@ -83,12 +84,11 @@ type Session struct {
 
 	// graphFast short-circuits the response cache when the Source is an
 	// in-memory GraphSource: responses are read straight from the immutable
-	// graph and only the fetched bitmap is kept, preserving the serial hot
-	// path's speed.
+	// graph and only the fetched bitmap is kept, preserving the hot path's
+	// speed.
 	graphFast *graph.Graph
 
-	calls  atomic.Int64
-	unique atomic.Int64
+	calls atomic.Int64
 
 	// epoch is the current accounting epoch. fetched[u] == epoch marks u's
 	// response as available locally — the crawl cache membership bit, which
@@ -260,7 +260,6 @@ func (s *Session) redeemPrepaid(u graph.Node) ([]graph.Node, bool) {
 		sh.mu.Unlock()
 	}
 	if ep := s.epoch.Load(); s.fetched[u].Swap(ep) != ep {
-		s.unique.Add(1)
 		s.prepaidHits.Add(1)
 	}
 	return adj, true
@@ -295,9 +294,7 @@ func (s *Session) fill(u graph.Node) ([]graph.Node, error) {
 		sh.m[u] = adj
 		sh.mu.Unlock()
 	}
-	if ep := s.epoch.Load(); s.fetched[u].Swap(ep) != ep {
-		s.unique.Add(1)
-	}
+	s.fetched[u].Store(s.epoch.Load())
 	return adj, nil
 }
 
@@ -356,9 +353,6 @@ func (s *Session) RandomNode(rng *rand.Rand) graph.Node {
 // Calls returns the number of charged API calls so far.
 func (s *Session) Calls() int64 { return s.calls.Load() }
 
-// UniqueNodes returns how many distinct nodes have been queried.
-func (s *Session) UniqueNodes() int64 { return s.unique.Load() }
-
 // ResetAccounting zeroes the call counter and crawl cache, e.g. after
 // burn-in when only the sampling phase should be billed. The crawl-cache
 // bitmap is invalidated in O(1) by bumping the accounting epoch — stale
@@ -368,7 +362,6 @@ func (s *Session) UniqueNodes() int64 { return s.unique.Load() }
 // all walkers between burn-in and sampling before resetting).
 func (s *Session) ResetAccounting() {
 	s.calls.Store(0)
-	s.unique.Store(0)
 	s.prepaidHits.Store(0)
 	s.epoch.Store(nextEpoch(s.epoch.Load(), func() { clearEpochs(s.fetched) }))
 	if s.graphFast == nil {

@@ -28,8 +28,8 @@ func completeGraph(t testing.TB, n int) *graph.Graph {
 }
 
 // TestSessionConcurrentDedup checks that concurrent goroutines fetching
-// overlapping node sets bill each node at most once per goroutine and keep
-// unique-node accounting consistent.
+// overlapping node sets bill each node at most once per goroutine and leave
+// every node in the crawl cache.
 func TestSessionConcurrentDedup(t *testing.T) {
 	const goroutines = 8
 	g := completeGraph(t, 32)
@@ -54,8 +54,10 @@ func TestSessionConcurrentDedup(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.UniqueNodes(); got != n {
-		t.Errorf("UniqueNodes = %d, want %d", got, n)
+	for i := 0; i < g.NumNodes(); i++ {
+		if _, hit := s.cached(graph.Node(i)); !hit {
+			t.Errorf("node %d missing from the crawl cache", i)
+		}
 	}
 	// At least one charge per distinct node; racing first-fetches may each
 	// bill, but never more than one per goroutine per node.

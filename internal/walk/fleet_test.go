@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/osn"
 	"repro/internal/stats"
@@ -335,8 +338,8 @@ func TestRunFleetClampsWalkers(t *testing.T) {
 
 // TestRunFleetPhase1ErrorSettlesAccounting checks the phase-1 failure path
 // flushes every meter before returning: burn-in traffic billed through
-// walker-local fast paths must be visible in Session.Calls() and
-// UniqueNodes() even when the fleet never reaches sampling.
+// walker-local fast paths must be visible in Session.Calls() even when the
+// fleet never reaches sampling.
 func TestRunFleetPhase1ErrorSettlesAccounting(t *testing.T) {
 	g := fleetGraph(t)
 	s, err := osn.NewSession(g, osn.Config{})
@@ -376,9 +379,6 @@ func TestRunFleetPhase1ErrorSettlesAccounting(t *testing.T) {
 	if got := s.Calls(); got < prefetch {
 		t.Errorf("Session.Calls() = %d after phase-1 error, want >= %d (meters not flushed)", got, prefetch)
 	}
-	if got := s.UniqueNodes(); got < prefetch {
-		t.Errorf("Session.UniqueNodes() = %d after phase-1 error, want >= %d", got, prefetch)
-	}
 }
 
 // TestRunFleetPropagatesWalkerError checks one failing walker cancels the
@@ -412,6 +412,129 @@ func TestRunFleetPropagatesWalkerError(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Errorf("cancellation masked the real failure: %v", err)
+	}
+}
+
+// TestRunFleetOfOne pins the fleet-of-one rule. A fleet asked for one
+// walker is the paper's single walk: the walker draws from the caller's
+// stream itself, so it walks, bills and leaves that stream exactly as a
+// hand-driven Simple walk on the same stream over a Meter does, and RunFleet
+// derives no stream of its own. Without a caller's stream it must refuse to
+// run. A fleet of two or more draws from derived streams and leaves the
+// caller's stream unread.
+func TestRunFleetOfOne(t *testing.T) {
+	g, err := gen.BarabasiAlbert(60, 2, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, k, burnIn = 77, 50, 20
+	// handWalk is the single walk driven by hand: burn in on an unlimited
+	// meter, wipe the burn-in charges as the barrier does, then step until
+	// the quota is drawn or the budget spent.
+	handWalk := func(t *testing.T, budgetDriven bool) (path []graph.Node, calls, next int64) {
+		s, err := osn.NewSession(g, osn.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		m := s.Meter(0)
+		w := NewSimple[graph.Node](NodeSpace{S: m}, graph.Node(rng.Intn(g.NumNodes())), rng)
+		if err := BurninCtx[graph.Node](context.Background(), w, burnIn); err != nil {
+			t.Fatal(err)
+		}
+		s.ResetAccounting()
+		m.Reset(0)
+		maxIters := k
+		if budgetDriven {
+			maxIters = SpinCap(k, g.NumNodes())
+		}
+		for n := 0; n < maxIters && !(budgetDriven && m.Calls() >= k); n++ {
+			u, err := w.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path = append(path, u)
+		}
+		return path, m.Calls(), rng.Int63()
+	}
+	cases := []struct {
+		name         string
+		walkers      int
+		budgetDriven bool
+		noStream     bool
+	}{
+		{name: "one walker/samples", walkers: 1},
+		{name: "one walker/budget", walkers: 1, budgetDriven: true},
+		{name: "one walker/no stream", walkers: 1, noStream: true},
+		{name: "two walkers/samples", walkers: 2},
+		{name: "four walkers/budget", walkers: 4, budgetDriven: true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := osn.NewSession(g, osn.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			caller := rand.New(rand.NewSource(seed))
+			cfg := FleetConfig[graph.Node]{
+				Session: s, Rng: caller, Seed: 9, Walkers: c.walkers,
+				K: k, BudgetDriven: c.budgetDriven, BurnIn: burnIn,
+			}
+			if c.noStream {
+				cfg.Rng = nil
+			}
+			streams := make([]*rand.Rand, c.walkers)
+			paths := make([][]graph.Node, c.walkers)
+			cfg.NewWalker = func(r *FleetRun[graph.Node]) (Walker[graph.Node], error) {
+				streams[r.ID] = r.Rng
+				return NewSimple[graph.Node](NodeSpace{S: r.Meter}, graph.Node(r.Rng.Intn(g.NumNodes())), r.Rng), nil
+			}
+			cfg.Sample = func(r *FleetRun[graph.Node]) error {
+				for n := 0; n < r.MaxIters() && !done(r, n); n++ {
+					u, err := r.W.Step()
+					if err != nil {
+						return err
+					}
+					paths[r.ID] = append(paths[r.ID], u)
+				}
+				return nil
+			}
+			calls, err := RunFleet(cfg)
+			if c.noStream {
+				if err == nil {
+					t.Fatal("a one-walker fleet without the caller's stream ran")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := caller.Int63()
+			if c.walkers > 1 {
+				for i, st := range streams {
+					if st == caller {
+						t.Errorf("walker %d of %d draws from the caller's stream", i, c.walkers)
+					}
+				}
+				if want := rand.New(rand.NewSource(seed)).Int63(); next != want {
+					t.Errorf("a %d-walker fleet read the caller's stream", c.walkers)
+				}
+				return
+			}
+			if streams[0] != caller {
+				t.Fatal("the one walker does not draw from the caller's stream")
+			}
+			path, wantCalls, wantNext := handWalk(t, c.budgetDriven)
+			if !slices.Equal(paths[0], path) {
+				t.Errorf("fleet of one walked %v,\nhand-driven walk %v", paths[0], path)
+			}
+			if len(calls) != 1 || calls[0] != wantCalls || s.Calls() != wantCalls {
+				t.Errorf("fleet of one billed %v (session %d), hand-driven walk %d", calls, s.Calls(), wantCalls)
+			}
+			if next != wantNext {
+				t.Errorf("caller's next draw %d after the fleet, %d after the hand-driven walk", next, wantNext)
+			}
+		})
 	}
 }
 

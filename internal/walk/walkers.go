@@ -21,15 +21,10 @@ type Walker[N comparable] interface {
 	StationaryWeight(n N) (float64, error)
 }
 
-// Burnin advances w for steps transitions, discarding the visited states.
-// The paper discards everything before the measured mixing time.
-func Burnin[N comparable](w Walker[N], steps int) error {
-	return BurninCtx[N](context.Background(), w, steps)
-}
-
-// BurninCtx is Burnin with cancellation: it aborts (returning ctx.Err())
-// as soon as ctx is done, so a multi-walker estimate can tear down every
-// goroutine the moment one fails or the caller gives up.
+// BurninCtx advances w for steps transitions, discarding the visited
+// states: the paper discards everything before the measured mixing time.
+// It aborts (returning ctx.Err()) as soon as ctx is done, so a fleet can
+// tear down every walker the moment one fails or the caller gives up.
 func BurninCtx[N comparable](ctx context.Context, w Walker[N], steps int) error {
 	for i := 0; i < steps; i++ {
 		if err := ctx.Err(); err != nil {

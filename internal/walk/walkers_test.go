@@ -1,6 +1,7 @@
 package walk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -229,7 +230,7 @@ func TestBurninAdvances(t *testing.T) {
 	g := starPlusTriangle(t)
 	sp := GraphSpace{G: g}
 	w := NewSimple[graph.Node](sp, 1, rand.New(rand.NewSource(10)))
-	if err := Burnin[graph.Node](w, 50); err != nil {
+	if err := BurninCtx[graph.Node](context.Background(), w, 50); err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 is a leaf: after ≥1 step from it, the walk cannot still be at
