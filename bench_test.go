@@ -1,11 +1,11 @@
-// Benchmarks: one per table and figure of the paper's evaluation (see
-// DESIGN.md §4 for the experiment index), plus ablation benches for the
-// design choices DESIGN.md §8 calls out and micro-benches for the hot
-// paths. Each table/figure bench executes one full repetition of the
-// corresponding experiment cell — every algorithm the table compares, at
-// the paper's largest budget (5%·|V| API calls) — so ns/op tracks the cost
-// of regenerating one NRMSE sample for that artifact. cmd/reproduce renders
-// the full tables.
+// Benchmarks: one per table and figure of the paper's evaluation, in the
+// paper's numbering as experiment.Suite uses it, plus ablation benches for
+// the design choices experiment.Suite.AblationReport studies and
+// micro-benches for the hot paths. Each table/figure bench executes one full
+// repetition of the corresponding experiment cell — every algorithm the
+// table compares, at the paper's largest budget (5%·|V| API calls) — so
+// ns/op tracks the cost of regenerating one NRMSE sample for that artifact.
+// cmd/reproduce renders the full tables.
 package repro
 
 import (
@@ -101,7 +101,6 @@ func BenchmarkTable01Datasets(b *testing.B) {
 		for _, name := range gen.StandIns() {
 			g, _ := benchGraph(b, name)
 			_ = exact.MaxDegree(g)
-			_ = exact.DegreeHistogram(g)
 		}
 	}
 }
@@ -227,7 +226,7 @@ func BenchmarkMixingTime(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §8) ---
+// --- Ablations (experiment.Suite.AblationReport) ---
 
 // BenchmarkAblationSingleWalk vs BenchmarkAblationIndependentRestarts:
 // the API cost of the paper's single-walk optimization against textbook
@@ -337,43 +336,6 @@ func BenchmarkAblationWalkKind(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationWeightedChoice compares the alias method against a
-// linear cumulative scan for weighted category sampling — the generator
-// hot path the alias table exists for.
-func BenchmarkAblationWeightedChoice(b *testing.B) {
-	const n = 1000
-	weights := make([]float64, n)
-	var total float64
-	for i := range weights {
-		weights[i] = float64(i + 1)
-		total += weights[i]
-	}
-	b.Run("alias", func(b *testing.B) {
-		alias, err := stats.NewAlias(weights)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = alias.Draw(rng)
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := rng.Float64() * total
-			idx := 0
-			for r > weights[idx] && idx < n-1 {
-				r -= weights[idx]
-				idx++
-			}
-			_ = idx
-		}
-	})
-}
-
 // BenchmarkAblationCostModel compares NeighborExploration accuracy under
 // the three exploration billing models at a fixed API budget.
 func BenchmarkAblationCostModel(b *testing.B) {
@@ -470,22 +432,6 @@ func BenchmarkTargetDegree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.TargetDegree(graph.Node(i%g.NumNodes()), pairs[0])
-	}
-}
-
-func BenchmarkAliasSampler(b *testing.B) {
-	weights := make([]float64, 1000)
-	for i := range weights {
-		weights[i] = float64(i + 1)
-	}
-	alias, err := stats.NewAlias(weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = alias.Draw(rng)
 	}
 }
 

@@ -6,7 +6,7 @@
 //	reproduce -table 4              # one table (1, 3, 4..26)
 //	reproduce -figure 1             # one figure (1, 2)
 //	reproduce -mixing               # the Section 5.1 mixing-time numbers
-//	reproduce -ablations            # the DESIGN.md §8 ablation studies
+//	reproduce -ablations            # the four design-choice ablation studies
 //	reproduce -all                  # everything, in paper order
 //	reproduce -all -reps 200 -scale 1.0   # paper-strength settings (slow)
 //
@@ -29,7 +29,7 @@ func main() {
 		table   = flag.Int("table", 0, "paper table number to regenerate (1-26)")
 		figure  = flag.Int("figure", 0, "paper figure number to regenerate (1-2)")
 		mixing  = flag.Bool("mixing", false, "print the mixing-time measurements")
-		ablate  = flag.Bool("ablations", false, "run the DESIGN.md §8 ablation studies")
+		ablate  = flag.Bool("ablations", false, "run the design-choice ablations: single walk, HT thinning, exploration billing, walk kind")
 		all     = flag.Bool("all", false, "regenerate every table and figure")
 		reps    = flag.Int("reps", 50, "independent simulations per NRMSE cell (paper: 200)")
 		scale   = flag.Float64("scale", 0.5, "stand-in scale factor (1.0 = default sizes)")

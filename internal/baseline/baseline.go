@@ -159,11 +159,15 @@ type tally struct {
 
 // sample is the package's one sampling loop, run by every walker of the
 // fleet: it takes up to maxIters steps of w and stops before a step once the
-// walker's bill (view.S.Calls) reaches a positive budget.
+// walker's bill (view.S.Calls) reaches a positive budget. Cancellation is
+// polled on the Done channel, as in walk.BurninCtx.
 func (t *tally) sample(ctx context.Context, view linegraph.View, w walk.Walker[graph.Edge], pair graph.LabelPair, method Method, maxIters int, budget int64) error {
+	done := ctx.Done()
 	for i := 0; i < maxIters; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		if budget > 0 && view.S.Calls() >= budget {
 			return nil

@@ -10,7 +10,9 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/linegraph"
 	"repro/internal/osn"
+	"repro/internal/walk"
 )
 
 func parallelSession(t testing.TB) (*osn.Session, *graph.Graph) {
@@ -110,5 +112,43 @@ func TestEstimateParallelCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
+	}
+}
+
+// cancelingWalker cancels its context as it takes step n.
+type cancelingWalker struct {
+	walk.Walker[graph.Edge]
+	n, steps int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelingWalker) Step() (graph.Edge, error) {
+	c.steps++
+	if c.steps == c.n {
+		c.cancel()
+	}
+	return c.Walker.Step()
+}
+
+// TestSampleCancelMidLoop cancels the context from inside the sampling loop
+// and checks that it stops before the next step with context.Canceled.
+func TestSampleCancelMidLoop(t *testing.T) {
+	s, _ := parallelSession(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rng := rand.New(rand.NewSource(3))
+	view := linegraph.View{S: s.Meter(0)}
+	start, err := view.RandomEdge(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 7
+	w := &cancelingWalker{Walker: walk.NewSimple[graph.Edge](view, start, rng), n: n, cancel: cancel}
+	var tl tally
+	if err := tl.sample(ctx, view, w, graph.LabelPair{T1: 1, T2: 2}, RW, 100, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sample = %v, want context.Canceled", err)
+	}
+	if w.steps != n || tl.samples != n {
+		t.Errorf("sampled %d of %d steps, want %d", tl.samples, w.steps, n)
 	}
 }

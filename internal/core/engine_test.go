@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/osn"
 	"repro/internal/stats"
+	"repro/internal/walk"
 )
 
 func engineGraph(t testing.TB) *graph.Graph {
@@ -206,6 +207,62 @@ func TestSerialCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
+}
+
+// cancelingWalker cancels its context as it takes step n.
+type cancelingWalker struct {
+	walk.Walker[graph.Node]
+	n, steps int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelingWalker) Step() (graph.Node, error) {
+	c.steps++
+	if c.steps == c.n {
+		c.cancel()
+	}
+	return c.Walker.Step()
+}
+
+// TestCancelMidLoopStopsAtNextStep cancels the context from inside the walk,
+// as a failing fleet sibling or a departing caller does, and checks that the
+// burn-in and the sampling loop each stop before the next step with
+// context.Canceled.
+func TestCancelMidLoopStopsAtNextStep(t *testing.T) {
+	g := engineGraph(t)
+	const n = 7
+	newWalker := func(t *testing.T) (*cancelingWalker, context.Context, osn.API) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		m := engineSession(t, g).Meter(0)
+		w, err := newWalk(m, Options{}, 0, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &cancelingWalker{Walker: w, n: n, cancel: cancel}, ctx, m
+	}
+	t.Run("burn-in", func(t *testing.T) {
+		w, ctx, _ := newWalker(t)
+		if err := walk.BurninCtx[graph.Node](ctx, w, 100); !errors.Is(err, context.Canceled) {
+			t.Fatalf("BurninCtx = %v, want context.Canceled", err)
+		}
+		if w.steps != n {
+			t.Errorf("burn-in took %d steps, want %d", w.steps, n)
+		}
+	})
+	t.Run("recording", func(t *testing.T) {
+		w, ctx, m := newWalker(t)
+		r, err := newWalkerRecording(m, w, ctx, billing{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.run(100, 0); !errors.Is(err, context.Canceled) {
+			t.Fatalf("run = %v, want context.Canceled", err)
+		}
+		if w.steps != n || len(r.steps) != n {
+			t.Errorf("recording took %d steps and kept %d, want %d", w.steps, len(r.steps), n)
+		}
+	})
 }
 
 // TestWalkersClampedToK asserts that more walkers than samples degrades

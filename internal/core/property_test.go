@@ -56,11 +56,11 @@ func TestNeighborExplorationEstimatesNonNegativeProperty(t *testing.T) {
 		if lcc.NumEdges() == 0 {
 			return true
 		}
-		zl, err := gen.NewZipfLocationLabeler(5, 1.1, rng)
-		if err != nil {
-			return false
-		}
-		g, err := gen.Apply(lcc, zl)
+		// Zipf-skewed location labels over 5 locations, label 1 the largest.
+		zipf := rand.NewZipf(rng, 1.1, 1, 4)
+		g, err := graph.ReplaceLabels(lcc, func(graph.Node) []graph.Label {
+			return []graph.Label{graph.Label(zipf.Uint64() + 1)}
+		})
 		if err != nil {
 			return false
 		}

@@ -98,10 +98,14 @@ func (r *walkerRecording) calls() int64 { return r.api.Calls() - r.ahead }
 // one-iteration overshoot the budget checks have always allowed). run
 // returns the error that ended the walk early; osn.ErrBudgetExhausted is a
 // Recorder whose armed meter ran out, a normal stop (see Recorder.Extend).
+// Cancellation is polled on the Done channel, as in walk.BurninCtx.
 func (r *walkerRecording) run(maxSteps int, budget int64) error {
+	done := r.ctx.Done()
 	for n := 0; n < maxSteps; n++ {
-		if err := r.ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return r.ctx.Err()
+		default:
 		}
 		if budget > 0 && len(r.steps) > 0 && r.calls() >= budget {
 			return nil

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // CountTargetEdges returns F, the exact number of target edges for pair p:
@@ -81,15 +80,6 @@ func LabelFrequencies(g *graph.Graph) map[graph.Label]int64 {
 		}
 	}
 	return freq
-}
-
-// DegreeHistogram returns the exact degree histogram of g.
-func DegreeHistogram(g *graph.Graph) *stats.IntHistogram {
-	h := stats.NewIntHistogram()
-	for u := graph.Node(0); int(u) < g.NumNodes(); u++ {
-		h.Add(g.Degree(u))
-	}
-	return h
 }
 
 // MaxDegree returns the maximum degree of g (0 for an empty graph). The

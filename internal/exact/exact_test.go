@@ -111,15 +111,8 @@ func TestLabelFrequencies(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramAndMaxDegree(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	g := labeledTriangleTail(t)
-	h := DegreeHistogram(g)
-	if h.Total() != 4 {
-		t.Errorf("total = %d, want 4", h.Total())
-	}
-	if h.Count(2) != 2 || h.Count(3) != 1 || h.Count(1) != 1 {
-		t.Errorf("histogram wrong: %s", h)
-	}
 	if MaxDegree(g) != 3 {
 		t.Errorf("MaxDegree = %d, want 3", MaxDegree(g))
 	}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/stats"
 )
 
-// AblationReport runs the four design-choice ablations of DESIGN.md §8 on
-// the Facebook stand-in and renders them as text. Each study answers a
+// AblationReport runs four design-choice ablations on the Facebook stand-in
+// and renders them as text. Each study answers a
 // question the paper leaves open or implicit:
 //
 //   - single-walk vs independent restarts: the API cost of ignoring the

@@ -91,9 +91,10 @@ type RunParams struct {
 	Delta      float64 // GMD control, Li et al. suggest [0.3, 0.7]
 	MaxDegreeG int     // prior knowledge for MDRW/GMD
 	ThinGap    int     // HT thinning (0 = use every sample; see core.Options)
-	// Cost is NeighborExploration's exploration billing model. The harness
-	// defaults to core.ExplorePerNode: one profile fetch per explored node,
-	// so the budget axis means the same thing for every algorithm.
+	// Cost is NeighborExploration's exploration billing model. RunSweep
+	// defaults it to core.ExplorePerNode: one profile fetch per explored
+	// node, so the budget axis means the same thing for every algorithm.
+	// RunFrequencySweep accepts only the zero value, core.ExploreFree.
 	Cost core.CostModel
 	// SampleDriven switches k back to "number of samples" (the literal
 	// Algorithms 1–2) instead of the default API-call budget.

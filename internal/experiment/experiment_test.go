@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -110,13 +111,6 @@ func TestRunSweepEndToEnd(t *testing.T) {
 	alg, v := res.Best(1)
 	if alg == "" || v <= 0 {
 		t.Errorf("Best = %q/%g", alg, v)
-	}
-	algP, vP := res.BestProposed(1)
-	if !IsProposed(algP) {
-		t.Errorf("BestProposed returned %q", algP)
-	}
-	if vP < v {
-		t.Errorf("BestProposed %g better than global best %g", vP, v)
 	}
 }
 
@@ -287,6 +281,29 @@ func TestRunFrequencySweepValidation(t *testing.T) {
 	g := genderGraph(t, 8)
 	if _, err := RunFrequencySweep(FrequencySweepConfig{Graph: g}); err == nil {
 		t.Error("want error for no pairs")
+	}
+	// Each repetition replays one shared simple walk, so neither an EX-*
+	// baseline nor billed exploration can be swept; both are refused.
+	valid := FrequencySweepConfig{
+		Graph:    g,
+		Pairs:    []graph.LabelPair{{T1: 1, T2: 2}},
+		Fraction: 0.05,
+		Reps:     2,
+		Params:   RunParams{BurnIn: 20},
+		Seed:     1,
+	}
+	if _, err := RunFrequencySweep(valid); err != nil {
+		t.Fatalf("valid config: %v", err)
+	}
+	ex := valid
+	ex.Algorithms = []Algorithm{NSHH, EXRW}
+	if _, err := RunFrequencySweep(ex); err == nil {
+		t.Error("want error for an EX-* algorithm")
+	}
+	billed := valid
+	billed.Params.Cost = core.ExplorePerNode
+	if _, err := RunFrequencySweep(billed); err == nil {
+		t.Error("want error for Params.Cost = core.ExplorePerNode")
 	}
 }
 

@@ -26,7 +26,9 @@ type FrequencyPoint struct {
 }
 
 // FrequencySweepConfig describes a Figure 1/2 experiment: NRMSE at a fixed
-// sample fraction as the relative count of target edges varies.
+// sample fraction as the relative count of target edges varies. Every
+// repetition replays one shared simple walk, so RunFrequencySweep refuses
+// EX-* algorithms and any Params.Cost but core.ExploreFree, the zero value.
 type FrequencySweepConfig struct {
 	Graph *graph.Graph
 	// Pairs are the label pairs to evaluate; use SelectPairsSpanning to pick
@@ -50,18 +52,15 @@ type FrequencySweepConfig struct {
 // RunFrequencySweep evaluates every pair at the fixed fraction and returns
 // one point per pair.
 //
-// When every requested algorithm belongs to the paper's NS/NE families (the
-// default — the paper's figures omit the baselines), the sweep runs on the
-// shared-trajectory engine: each repetition records ONE walk and replays it
-// through the estimators for every pair, so P pairs cost one walk's API
-// budget per repetition instead of P walks'. The shared walk evaluates the
-// ExploreFree accounting (the literal Algorithm 2, where the friend-list
-// response carries the labels a replay needs, whatever the pair); a caller
-// who explicitly sets Params.Cost to a billed exploration model keeps the
-// historical per-pair sweep, whose budget axis charges exploration — billed
-// exploration is inherently per-pair and cannot ride a shared walk. EX-*
-// baselines cannot replay a recorded simple walk either (their chains
-// differ), so their presence also falls back to the per-pair sweep.
+// The sweep runs on the shared-trajectory engine: each repetition records
+// ONE walk and replays it through the estimators for every pair, so P pairs
+// cost one walk's API budget per repetition instead of P walks'. The shared
+// walk evaluates the ExploreFree accounting (the literal Algorithm 2, where
+// the friend-list response carries the labels a replay needs, whatever the
+// pair). A config that sets Params.Cost to a billed exploration model, or
+// asks for an EX-* baseline, is refused: billed exploration is per-pair and
+// cannot ride a shared walk, and the baselines' chains differ from the
+// recorded simple walk. RunSweep evaluates both, one pair at a time.
 func RunFrequencySweep(cfg FrequencySweepConfig) ([]FrequencyPoint, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("experiment: FrequencySweepConfig.Graph is required")
@@ -72,31 +71,23 @@ func RunFrequencySweep(cfg FrequencySweepConfig) ([]FrequencyPoint, error) {
 	if cfg.Fraction <= 0 {
 		cfg.Fraction = 0.05
 	}
+	if cfg.Reps <= 0 {
+		return nil, fmt.Errorf("experiment: need Reps > 0, got %d", cfg.Reps)
+	}
+	if cfg.Params.Cost != core.ExploreFree {
+		return nil, fmt.Errorf("experiment: frequency sweep cannot bill exploration (Params.Cost must be core.ExploreFree); use RunSweep per pair")
+	}
 	algs := cfg.Algorithms
 	if len(algs) == 0 {
 		algs = ProposedAlgorithms()
 	}
-	shared := cfg.Params.Cost == core.ExploreFree
 	for _, a := range algs {
 		if !IsProposed(a) {
-			shared = false
-			break
+			return nil, fmt.Errorf("experiment: frequency sweep replays a simple walk and cannot run %s; use RunSweep per pair", a)
 		}
 	}
-	if shared {
-		return runFrequencySweepShared(cfg, algs)
-	}
-	return runFrequencySweepPerPair(cfg, algs)
-}
-
-// runFrequencySweepShared is the shared-trajectory inner loop: one recorded
-// walk per repetition answers every pair.
-func runFrequencySweepShared(cfg FrequencySweepConfig, algs []Algorithm) ([]FrequencyPoint, error) {
 	g := cfg.Graph
 	numEdges := float64(g.NumEdges())
-	if cfg.Reps <= 0 {
-		return nil, fmt.Errorf("experiment: need Reps > 0, got %d", cfg.Reps)
-	}
 	truths := make([]int64, len(cfg.Pairs))
 	for i, pair := range cfg.Pairs {
 		truths[i] = exact.CountTargetEdges(g, pair)
@@ -230,42 +221,6 @@ func runSharedRep(cfg FrequencySweepConfig, algs []Algorithm, k, rep int, seed i
 		}
 	}
 	return nil
-}
-
-// runFrequencySweepPerPair is the historical inner loop: one full sweep per
-// pair, each paying its own walks. Only baseline-bearing algorithm sets need
-// it.
-func runFrequencySweepPerPair(cfg FrequencySweepConfig, algs []Algorithm) ([]FrequencyPoint, error) {
-	numEdges := float64(cfg.Graph.NumEdges())
-	points := make([]FrequencyPoint, 0, len(cfg.Pairs))
-	for i, pair := range cfg.Pairs {
-		sw, err := RunSweep(SweepConfig{
-			Graph:      cfg.Graph,
-			Pair:       pair,
-			Fractions:  []float64{cfg.Fraction},
-			Reps:       cfg.Reps,
-			Algorithms: algs,
-			Params:     cfg.Params,
-			Seed:       cfg.Seed + int64(i),
-			Workers:    cfg.Workers,
-			Walkers:    cfg.Walkers,
-			Ctx:        cfg.Ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: frequency sweep pair %v: %w", pair, err)
-		}
-		pt := FrequencyPoint{
-			Pair:          pair,
-			Count:         sw.Truth,
-			RelativeCount: float64(sw.Truth) / numEdges,
-			NRMSE:         make(map[Algorithm]float64, len(algs)),
-		}
-		for _, a := range algs {
-			pt.NRMSE[a] = sw.NRMSE[a][0]
-		}
-		points = append(points, pt)
-	}
-	return points, nil
 }
 
 // SelectPairsSpanning picks count label pairs spanning the frequency

@@ -252,20 +252,3 @@ func (r *SweepResult) Best(fi int) (Algorithm, float64) {
 	}
 	return bestAlg, best
 }
-
-// BestProposed is Best restricted to the paper's own five estimators.
-func (r *SweepResult) BestProposed(fi int) (Algorithm, float64) {
-	bestAlg := Algorithm("")
-	best := math.Inf(1)
-	for _, a := range ProposedAlgorithms() {
-		row, ok := r.NRMSE[a]
-		if !ok || fi >= len(row) {
-			continue
-		}
-		if row[fi] < best {
-			best = row[fi]
-			bestAlg = a
-		}
-	}
-	return bestAlg, best
-}

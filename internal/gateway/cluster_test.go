@@ -36,6 +36,54 @@ func closeEnough(got, want int64) bool {
 	return diff >= -spendTolerance && diff <= spendTolerance
 }
 
+// TestFlightTableBounded routes more distinct keys than the single-flight
+// table's cap through a one-replica gateway, first one at a time and then
+// from cap concurrent clients. The table never grows past the cap, and a
+// key whose memo entry was dropped still answers: it routes as a fresh
+// flight to its owner, which replays the trajectory it cached.
+func TestFlightTableBounded(t *testing.T) {
+	const limit = 4
+	defer gateway.SetMaxFlights(limit)()
+	g := clustertest.TestGraph(t, 42)
+	c := clustertest.NewCluster(t, 1, "g", g, gateway.Config{})
+	route := func(seed int64) *clustertest.EstimateAnswer {
+		req := baseRequest
+		req.Budget, req.Seed = 60, seed
+		ans := clustertest.Estimate(t, c.Front.URL, req)
+		if ans.Status != http.StatusOK {
+			t.Errorf("seed %d: status %d, error %q", seed, ans.Status, ans.Error)
+		}
+		if n := c.Gateway.Stats().Flights; n > limit {
+			t.Errorf("after seed %d the flight table holds %d entries, cap %d", seed, n, limit)
+		}
+		return ans
+	}
+
+	first := route(1)
+	for seed := int64(2); seed <= 3*limit; seed++ {
+		route(seed)
+	}
+	again := route(1) // dropped when seed 5 found the table full
+	if !again.CacheHit {
+		t.Errorf("dropped key was not answered from the replica's cache")
+	}
+	if got, want := fingerprint(t, again), fingerprint(t, first); got != want {
+		t.Errorf("dropped key answered differently:\n%s\n%s", got, want)
+	}
+
+	var wg sync.WaitGroup
+	for w := int64(0); w < limit; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 3; i++ {
+				route(100 + 3*w + i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestClusterSingleFlightColdKey: 50 concurrent requests for one cold key
 // across a 3-replica cluster trigger exactly one recording — the cluster's
 // total upstream spend equals a solo replica's — and every answer carries

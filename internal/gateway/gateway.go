@@ -109,7 +109,8 @@ type Stats struct {
 	// Rejoins counts replicas restored to the ring after recovery.
 	Rejoins int64 `json:"rejoins"`
 	// Flights is the current single-flight table size (completed keys
-	// included — the table doubles as the key-location memo).
+	// included — the table doubles as the key-location memo, capped at
+	// maxFlights).
 	Flights int `json:"flights"`
 }
 
@@ -272,6 +273,18 @@ func (m estimateMeta) graphName() string {
 	return ""
 }
 
+// maxFlights caps the single-flight table. Completed flights stay in it as
+// their keys' location memo, so without a cap it gains one entry per
+// distinct key ever routed, and traffic that asks a never-seen seed per
+// request grows it without bound. An entry measured about 320 bytes
+// (go1.24, amd64), so a full table holds about 21 MB; a key set smaller
+// than the cap keeps its memo whole. Past the cap, claim drops every
+// completed entry. A key whose entry was dropped routes as a fresh flight
+// to its current owner, which answers it from its cache or store or
+// records it; the memo only spares a re-recording after ring ownership
+// moves. It is a variable only so tests can lower it.
+var maxFlights = 1 << 16
+
 // claim resolves key's flight: the caller either becomes the recorder
 // (creator=true, a fresh flight it MUST complete or fail), joins a finished
 // flight (creator=false), or — having parked on an in-flight recording that
@@ -281,6 +294,9 @@ func (g *Gateway) claim(ctx context.Context, key string) (f *flight, creator boo
 		g.mu.Lock()
 		f = g.flights[key]
 		if f == nil {
+			if len(g.flights) >= maxFlights {
+				g.dropCompletedLocked()
+			}
 			f = &flight{done: make(chan struct{})}
 			g.flights[key] = f
 			g.mu.Unlock()
@@ -306,12 +322,24 @@ func (g *Gateway) claim(ctx context.Context, key string) (f *flight, creator boo
 
 // completeFlight publishes a successful recording: holder has the finished
 // trajectory under trajectoryKey. The flight stays in the table as the key's
-// location memo.
+// location memo until the table passes maxFlights.
 func (g *Gateway) completeFlight(f *flight, holder, graph, trajectoryKey string) {
 	f.holder = holder
 	f.graph = graph
 	f.trajectoryKey = trajectoryKey
 	close(f.done)
+}
+
+// dropCompletedLocked empties the table of completed flights. In-flight
+// entries stay, because parked requests hold them.
+func (g *Gateway) dropCompletedLocked() {
+	for key, f := range g.flights {
+		select {
+		case <-f.done:
+			delete(g.flights, key)
+		default:
+		}
+	}
 }
 
 // failFlight retracts a flight whose recording did not finish (transport

@@ -11,17 +11,21 @@ import (
 
 // StandIn names the five synthetic stand-ins for the paper's datasets
 // (Table 1). Each stand-in reproduces the dataset's *label mechanics* and a
-// heavy-tailed or community-structured topology at a laptop-feasible size;
-// see DESIGN.md §5 for the substitution argument.
+// heavy-tailed or community-structured topology at a laptop-feasible size.
+// The real graphs are not bundled. The estimators' error depends on the
+// degree distribution and on how the target labels spread over the edges,
+// not on who the users are, so a graph that keeps those two properties
+// exercises the same regime; `reproduce -table 1` prints each stand-in's
+// size beside the paper's.
 type StandIn string
 
 // The five stand-ins, in the paper's order.
 const (
-	Facebook    StandIn = "facebook"    // BA graph, balanced gender labels (1,2)
-	GooglePlus  StandIn = "googleplus"  // larger BA graph, skewed gender labels
-	Pokec       StandIn = "pokec"       // SBM communities, Zipf location labels
-	Orkut       StandIn = "orkut"       // erased configuration model, degree-bucket labels
-	Livejournal StandIn = "livejournal" // BA graph, degree-bucket labels
+	Facebook    StandIn = "facebook"    // ego-network community graph, community-skewed gender labels (1,2)
+	GooglePlus  StandIn = "googleplus"  // denser ego-network community graph, more skewed gender labels
+	Pokec       StandIn = "pokec"       // degree-corrected community graph, community-correlated location labels
+	Orkut       StandIn = "orkut"       // erased configuration model, exact-degree labels
+	Livejournal StandIn = "livejournal" // BA graph, exact-degree labels
 )
 
 // StandIns returns all stand-in names in the paper's presentation order.
@@ -117,8 +121,9 @@ func Build(name StandIn, scale float64, seed int64) (*graph.Graph, error) {
 	}
 
 	// Label before LCC extraction (labels travel with nodes; Pokec labels
-	// depend on the pre-LCC numbering). The gender-mixed generators label
-	// during construction, signalled by a nil labeler.
+	// depend on the pre-LCC numbering). The ego-network generator of
+	// facebook and googleplus labels during construction, signalled by a nil
+	// labeler.
 	labeled := g
 	if labeler != nil {
 		labeled, err = Apply(g, labeler)

@@ -1,11 +1,9 @@
 package gen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 // Labeler assigns a label set to every node of a graph. The three concrete
@@ -42,34 +40,10 @@ func (gl *GenderLabeler) Label(_ *graph.Graph, _ graph.Node) []graph.Label {
 	return []graph.Label{2}
 }
 
-// ZipfLocationLabeler assigns each node one location label drawn from a Zipf
-// distribution over NumLocations ranks: label 1 is the biggest city, label
-// NumLocations the smallest village. This reproduces the Pokec setting where
-// target-edge frequencies for different location pairs span four orders of
-// magnitude.
-type ZipfLocationLabeler struct {
-	zipf *stats.Zipf
-	rng  *rand.Rand
-}
-
-// NewZipfLocationLabeler builds a location labeler over numLocations labels
-// with Zipf exponent s.
-func NewZipfLocationLabeler(numLocations int, s float64, rng *rand.Rand) (*ZipfLocationLabeler, error) {
-	z, err := stats.NewZipf(numLocations, s)
-	if err != nil {
-		return nil, fmt.Errorf("gen: location labeler: %w", err)
-	}
-	return &ZipfLocationLabeler{zipf: z, rng: rng}, nil
-}
-
-// Label implements Labeler. Labels start at 1.
-func (zl *ZipfLocationLabeler) Label(_ *graph.Graph, _ graph.Node) []graph.Label {
-	return []graph.Label{graph.Label(zl.zipf.Draw(zl.rng) + 1)}
-}
-
 // CommunityLocationLabeler assigns the node's community index (plus optional
-// noise) as its location label, so that location labels correlate with SBM
-// structure the way real locations correlate with friendship communities.
+// noise) as its location label, so that location labels follow the
+// communities of a CommunityGraph the way real locations follow friendship
+// communities.
 type CommunityLocationLabeler struct {
 	Community []int   // node -> community id
 	PNoise    float64 // probability of relabeling uniformly at random
@@ -86,16 +60,6 @@ func (cl *CommunityLocationLabeler) Label(_ *graph.Graph, u graph.Node) []graph.
 	return []graph.Label{graph.Label(c + 1)}
 }
 
-// DegreeBucketLabeler labels each node with its base-2 logarithmic degree
-// bucket, matching the paper's use of node degree as the label for Orkut and
-// Livejournal ("the node degree is considered as the node label").
-type DegreeBucketLabeler struct{}
-
-// Label implements Labeler.
-func (DegreeBucketLabeler) Label(g *graph.Graph, u graph.Node) []graph.Label {
-	return []graph.Label{graph.Label(stats.LogBucket(g.Degree(u)))}
-}
-
 // ExactDegreeLabeler labels each node with its exact degree, the literal
 // reading of the paper's degree-label convention. Only sensible on graphs
 // where many nodes share each degree value.
@@ -104,18 +68,4 @@ type ExactDegreeLabeler struct{}
 // Label implements Labeler.
 func (ExactDegreeLabeler) Label(g *graph.Graph, u graph.Node) []graph.Label {
 	return []graph.Label{graph.Label(g.Degree(u))}
-}
-
-// MultiLabeler concatenates the outputs of several labelers, producing
-// multi-label nodes (e.g. gender + location), which the problem definition
-// explicitly allows ("Each user/node in V has a set of labels").
-type MultiLabeler []Labeler
-
-// Label implements Labeler.
-func (m MultiLabeler) Label(g *graph.Graph, u graph.Node) []graph.Label {
-	var out []graph.Label
-	for _, l := range m {
-		out = append(out, l.Label(g, u)...)
-	}
-	return out
 }

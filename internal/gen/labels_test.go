@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 func testGraph(t *testing.T, n int) *graph.Graph {
@@ -48,7 +47,7 @@ func TestGenderLabelerSplit(t *testing.T) {
 
 func TestApplyPreservesStructure(t *testing.T) {
 	g := testGraph(t, 300)
-	labeled, err := Apply(g, DegreeBucketLabeler{})
+	labeled, err := Apply(g, ExactDegreeLabeler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,35 +59,6 @@ func TestApplyPreservesStructure(t *testing.T) {
 		if labeled.Degree(u) != g.Degree(u) {
 			t.Fatalf("degree of %d changed", u)
 		}
-	}
-}
-
-func TestZipfLocationLabelerSkew(t *testing.T) {
-	g := testGraph(t, 3000)
-	zl, err := NewZipfLocationLabeler(50, 1.2, rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	labeled, err := Apply(g, zl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[graph.Label]int)
-	for u := graph.Node(0); int(u) < labeled.NumNodes(); u++ {
-		ls := labeled.Labels(u)
-		if len(ls) != 1 || ls[0] < 1 || ls[0] > 50 {
-			t.Fatalf("node %d labels %v out of range", u, ls)
-		}
-		counts[ls[0]]++
-	}
-	if counts[1] <= counts[50]*3 {
-		t.Errorf("label 1 count %d not dominant over label 50 count %d", counts[1], counts[50])
-	}
-}
-
-func TestZipfLocationLabelerErrors(t *testing.T) {
-	if _, err := NewZipfLocationLabeler(0, 1, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("want error for zero locations")
 	}
 }
 
@@ -142,20 +112,6 @@ func TestCommunityLocationLabelerNoise(t *testing.T) {
 	}
 }
 
-func TestDegreeBucketLabeler(t *testing.T) {
-	g := testGraph(t, 500)
-	labeled, err := Apply(g, DegreeBucketLabeler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := graph.Node(0); int(u) < labeled.NumNodes(); u++ {
-		want := graph.Label(stats.LogBucket(g.Degree(u)))
-		if !labeled.HasLabel(u, want) {
-			t.Fatalf("node %d (degree %d) missing bucket label %d", u, g.Degree(u), want)
-		}
-	}
-}
-
 func TestExactDegreeLabeler(t *testing.T) {
 	g := testGraph(t, 200)
 	labeled, err := Apply(g, ExactDegreeLabeler{})
@@ -167,38 +123,4 @@ func TestExactDegreeLabeler(t *testing.T) {
 			t.Fatalf("node %d missing exact-degree label", u)
 		}
 	}
-}
-
-func TestMultiLabelerConcatenates(t *testing.T) {
-	g := testGraph(t, 200)
-	ml := MultiLabeler{
-		&GenderLabeler{PFemale: 0.5, Rng: rand.New(rand.NewSource(5))},
-		offsetLabeler{DegreeBucketLabeler{}, 100},
-	}
-	labeled, err := Apply(g, ml)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := graph.Node(0); int(u) < labeled.NumNodes(); u++ {
-		ls := labeled.Labels(u)
-		if len(ls) != 2 {
-			t.Fatalf("node %d has %d labels, want 2 (gender + offset bucket)", u, len(ls))
-		}
-	}
-}
-
-// offsetLabeler shifts another labeler's output into a disjoint label space,
-// the pattern MultiLabeler callers use to avoid collisions.
-type offsetLabeler struct {
-	inner  Labeler
-	offset graph.Label
-}
-
-func (o offsetLabeler) Label(g *graph.Graph, u graph.Node) []graph.Label {
-	ls := o.inner.Label(g, u)
-	out := make([]graph.Label, len(ls))
-	for i, l := range ls {
-		out[i] = l + o.offset
-	}
-	return out
 }

@@ -35,15 +35,6 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
-// NumNodes returns the node count the builder was created with.
-func (b *Builder) NumNodes() int { return b.n }
-
-// Grow pre-allocates capacity for the given number of additional edges, so
-// a generator that knows its edge count up front avoids append re-growth.
-func (b *Builder) Grow(edges int) {
-	b.edges = slices.Grow(b.edges, edges)
-}
-
 // AddEdge records an undirected edge. Self-loops and duplicates are accepted
 // here and removed at Build time, matching the dataset cleanup in the paper.
 func (b *Builder) AddEdge(u, v Node) error {

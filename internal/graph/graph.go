@@ -5,7 +5,7 @@
 // random-walk engine hits billions of times per experiment.
 //
 // Node labels follow the paper's model (Section 3): each node carries a set
-// of integer labels (gender, location, degree bucket, ...). An edge (u, v)
+// of integer labels (gender, location, degree, ...). An edge (u, v)
 // carries label pair (a, b) if u has a and v has b, or v has a and u has b.
 //
 // Graphs are produced by a streaming Builder (counting-sort packing, flat

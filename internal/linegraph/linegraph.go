@@ -22,9 +22,6 @@ type View struct {
 	S osn.API
 }
 
-// NumNodes returns |H| = |E(G)|, prior knowledge inherited from the session.
-func (v View) NumNodes() int64 { return v.S.NumEdges() }
-
 // Degree returns deg_G'(e) = d(u) + d(v) − 2 for e = (u, v).
 func (v View) Degree(e graph.Edge) (int, error) {
 	du, err := v.S.Degree(e.U)

@@ -63,14 +63,6 @@ func TestLineGraphDegree(t *testing.T) {
 	}
 }
 
-func TestLineGraphNumNodes(t *testing.T) {
-	g := triangleTail(t)
-	v := View{S: session(t, g)}
-	if v.NumNodes() != 4 {
-		t.Errorf("|H| = %d, want 4", v.NumNodes())
-	}
-}
-
 func TestLineGraphNeighborEnumeration(t *testing.T) {
 	g := triangleTail(t)
 	v := View{S: session(t, g)}

@@ -268,23 +268,6 @@ func (c *Client) Stats() Stats {
 // replica surfaces as /healthz readiness.
 func (c *Client) Healthy() bool { return !c.unhealthy.Load() }
 
-// Ping fetches the upstream /meta and verifies its size still matches the
-// client's priors — the readiness probe's active check.
-func (c *Client) Ping(ctx context.Context) error {
-	var meta struct {
-		Nodes int   `json:"nodes"`
-		Edges int64 `json:"edges"`
-	}
-	if err := c.getCtx(ctx, "meta", &meta); err != nil {
-		return err
-	}
-	if meta.Nodes != c.nodes || meta.Edges != c.edges {
-		return fmt.Errorf("httpsrc: upstream changed size: was %d nodes/%d edges, now %d/%d",
-			c.nodes, c.edges, meta.Nodes, meta.Edges)
-	}
-	return nil
-}
-
 // PrimeSession implements osn.SessionPrimer: it registers every cached
 // neighbor response on s via Prepay, so redeeming them is billed like a
 // fresh fetch but costs the upstream nothing. Call before any metered

@@ -89,7 +89,8 @@ func healthzReady(t *testing.T, base string) bool {
 func TestTrajectoryExportImportRoundtrip(t *testing.T) {
 	g := testGraph(t, 21)
 	recorder := testWorkspace(t, WorkspaceConfig{Store: testStore(t)}, "g", g, GraphOptions{BurnIn: 40})
-	peer := testWorkspace(t, WorkspaceConfig{Store: testStore(t)}, "g", g, GraphOptions{BurnIn: 40})
+	peerStore := testStore(t)
+	peer := testWorkspace(t, WorkspaceConfig{Store: peerStore}, "g", g, GraphOptions{BurnIn: 40})
 
 	ans, err := recorder.Estimate(context.Background(), "g", trajQuery)
 	if err != nil {
@@ -141,7 +142,7 @@ func TestTrajectoryExportImportRoundtrip(t *testing.T) {
 	}
 
 	// The imported bytes persisted verbatim, so a restart warm-starts them.
-	if _, err := peer.Store().Stat("g", mustKey(t, ans.StoreKey)); err != nil {
+	if _, err := peerStore.Stat("g", mustKey(t, ans.StoreKey)); err != nil {
 		t.Errorf("imported trajectory not persisted to the peer store: %v", err)
 	}
 }

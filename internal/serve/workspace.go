@@ -106,9 +106,6 @@ func NewWorkspace(cfg WorkspaceConfig) (*Workspace, error) {
 	return &Workspace{cfg: cfg, graphs: make(map[string]*Engine), loading: make(map[string]bool)}, nil
 }
 
-// Store returns the workspace's trajectory store (nil when memory-only).
-func (w *Workspace) Store() *store.Dir { return w.cfg.Store }
-
 // GraphsDir returns the snapshot directory admin loads resolve names in.
 func (w *Workspace) GraphsDir() string { return w.cfg.GraphsDir }
 

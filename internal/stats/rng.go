@@ -1,6 +1,6 @@
 // Package stats provides the statistical building blocks shared by the
 // estimators, generators and experiment harness: reproducible random number
-// generation, discrete samplers, and summary statistics such as NRMSE.
+// generation and summary statistics such as NRMSE.
 package stats
 
 import (

@@ -68,54 +68,6 @@ func TestDeriveEmptyTag(t *testing.T) {
 	}
 }
 
-func TestLogBucket(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 0}, {-5, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3}, {1024, 10}, {1025, 10},
-	}
-	for _, c := range cases {
-		if got := LogBucket(c.in); got != c.want {
-			t.Errorf("LogBucket(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestIntHistogram(t *testing.T) {
-	h := NewIntHistogram()
-	h.Add(3)
-	h.Add(3)
-	h.Add(1)
-	h.AddN(7, 5)
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	if h.Count(3) != 2 || h.Count(1) != 1 || h.Count(7) != 5 {
-		t.Errorf("unexpected counts: 3->%d 1->%d 7->%d", h.Count(3), h.Count(1), h.Count(7))
-	}
-	if got := h.Values(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 7 {
-		t.Errorf("Values = %v", got)
-	}
-	if h.Max() != 7 {
-		t.Errorf("Max = %d, want 7", h.Max())
-	}
-	wantMean := float64(3*2+1+7*5) / 8
-	if got := h.Mean(); got != wantMean {
-		t.Errorf("Mean = %g, want %g", got, wantMean)
-	}
-	if h.String() == "" {
-		t.Error("String is empty")
-	}
-}
-
-func TestIntHistogramEmpty(t *testing.T) {
-	h := NewIntHistogram()
-	if h.Total() != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Error("empty histogram has non-zero aggregates")
-	}
-	if len(h.Values()) != 0 {
-		t.Error("empty histogram has values")
-	}
-}
-
 // newTestRand returns a deterministic generator for the stats tests.
 func newTestRand(seed int64) *mathrand.Rand {
 	return mathrand.New(mathrand.NewSource(seed))

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -32,9 +31,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // NRMSE computes the normalized root mean square error of the estimates
 // against the ground truth, exactly as defined in Eq. (24) of the paper:
 //
@@ -61,30 +57,6 @@ func RelativeBias(estimates []float64, truth float64) float64 {
 		return math.NaN()
 	}
 	return (Mean(estimates) - truth) / truth
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between closest ranks. xs does not have to be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // BatchMeansSE estimates the standard error of the mean of a serially
@@ -115,28 +87,4 @@ func BatchMeansSE(xs []float64, batches int) (float64, error) {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(batches-1) / float64(batches)), nil
-}
-
-// ChebyshevSampleBound returns the generic Chebyshev sample-size bound
-// ceil(variance / (eps² · mean² · delta)) used throughout Section 4 of the
-// paper: with k at least this large, the sample mean of k iid draws is an
-// (eps, delta)-approximation of the true mean (Appendix A).
-func ChebyshevSampleBound(variance, mean, eps, delta float64) (int64, error) {
-	if eps <= 0 || eps > 1 {
-		return 0, fmt.Errorf("stats: eps must be in (0,1], got %g", eps)
-	}
-	if delta <= 0 || delta >= 1 {
-		return 0, fmt.Errorf("stats: delta must be in (0,1), got %g", delta)
-	}
-	if mean == 0 {
-		return 0, fmt.Errorf("stats: Chebyshev bound undefined for zero mean")
-	}
-	if variance < 0 {
-		return 0, fmt.Errorf("stats: negative variance %g", variance)
-	}
-	k := variance / (eps * eps * mean * mean * delta)
-	if k < 1 {
-		k = 1
-	}
-	return int64(math.Ceil(k)), nil
 }

@@ -52,13 +52,6 @@ func TestVarianceBasic(t *testing.T) {
 	}
 }
 
-func TestStdDevIsSqrtVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 100}
-	if got, want := StdDev(xs), math.Sqrt(Variance(xs)); !almostEqual(got, want, 1e-12) {
-		t.Errorf("StdDev = %g, want %g", got, want)
-	}
-}
-
 func TestNRMSEUnbiasedEstimates(t *testing.T) {
 	// All estimates exactly equal to truth: NRMSE 0.
 	if got := NRMSE([]float64{10, 10, 10}, 10); got != 0 {
@@ -114,89 +107,6 @@ func TestRelativeBias(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2} // unsorted on purpose
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if got := Quantile(nil, 0.5); !math.IsNaN(got) {
-		t.Errorf("Quantile of empty = %g, want NaN", got)
-	}
-}
-
-func TestQuantileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Quantile mutated its input: %v", xs)
-	}
-}
-
-func TestQuantileWithinRangeProperty(t *testing.T) {
-	f := func(xs []float64, q float64) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		q = math.Abs(math.Mod(q, 1))
-		v := Quantile(xs, q)
-		lo, hi := Quantile(xs, 0), Quantile(xs, 1)
-		return v >= lo && v <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestChebyshevSampleBound(t *testing.T) {
-	// variance 100, mean 10, eps 0.1, delta 0.1:
-	// k >= 100 / (0.01·100·0.1) = 1000.
-	k, err := ChebyshevSampleBound(100, 10, 0.1, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1000 {
-		t.Errorf("bound = %d, want 1000", k)
-	}
-}
-
-func TestChebyshevSampleBoundClampsToOne(t *testing.T) {
-	k, err := ChebyshevSampleBound(0, 10, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 1 {
-		t.Errorf("zero-variance bound = %d, want 1", k)
-	}
-}
-
-func TestChebyshevSampleBoundErrors(t *testing.T) {
-	cases := []struct {
-		name                       string
-		variance, mean, eps, delta float64
-	}{
-		{"zero eps", 1, 1, 0, 0.1},
-		{"eps above one", 1, 1, 1.5, 0.1},
-		{"zero delta", 1, 1, 0.1, 0},
-		{"delta one", 1, 1, 0.1, 1},
-		{"zero mean", 1, 0, 0.1, 0.1},
-		{"negative variance", -1, 1, 0.1, 0.1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := ChebyshevSampleBound(c.variance, c.mean, c.eps, c.delta); err == nil {
-				t.Error("want error, got nil")
-			}
-		})
-	}
-}
-
 func TestBatchMeansSEErrors(t *testing.T) {
 	if _, err := BatchMeansSE([]float64{1, 2, 3, 4}, 1); err == nil {
 		t.Error("want error for 1 batch")
@@ -217,7 +127,7 @@ func TestBatchMeansSEIIDMatchesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic := StdDev(xs) / math.Sqrt(float64(len(xs)))
+	classic := math.Sqrt(Variance(xs)) / math.Sqrt(float64(len(xs)))
 	if se < classic/2 || se > classic*2 {
 		t.Errorf("batch-means SE %g vs classic %g: off by more than 2x on iid data", se, classic)
 	}
@@ -237,7 +147,7 @@ func TestBatchMeansSEDetectsCorrelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	classic := StdDev(xs) / math.Sqrt(float64(len(xs)))
+	classic := math.Sqrt(Variance(xs)) / math.Sqrt(float64(len(xs)))
 	if se < 2*classic {
 		t.Errorf("batch-means SE %g did not exceed naive %g on correlated data", se, classic)
 	}

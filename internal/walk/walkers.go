@@ -23,12 +23,17 @@ type Walker[N comparable] interface {
 
 // BurninCtx advances w for steps transitions, discarding the visited
 // states: the paper discards everything before the measured mixing time.
-// It aborts (returning ctx.Err()) as soon as ctx is done, so a fleet can
-// tear down every walker the moment one fails or the caller gives up.
+// It aborts (returning ctx.Err()) at the first step after ctx is done, so a
+// fleet can tear down every walker the moment one fails or the caller gives
+// up. Each step polls the Done channel, read once: ctx.Err() on a
+// cancelable context takes its mutex, which a fleet's walkers share.
 func BurninCtx[N comparable](ctx context.Context, w Walker[N], steps int) error {
+	done := ctx.Done()
 	for i := 0; i < steps; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		if _, err := w.Step(); err != nil {
 			return fmt.Errorf("walk: burn-in step %d: %w", i, err)
