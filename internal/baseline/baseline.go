@@ -83,7 +83,7 @@ type Result struct {
 	// Walkers is how many concurrent walkers produced the estimate.
 	Walkers int
 	// CI is a variance-based confidence interval over the per-walker
-	// estimates; zero (Valid() == false) when Options.Walkers is 0 or 1.
+	// estimates; zero when one walker produced the estimate.
 	CI estimate.CI
 }
 
@@ -131,21 +131,17 @@ func Estimate(s *osn.Session, pair graph.LabelPair, method Method, k int, opts O
 	// between-walker interval of a multi-walker run.
 	numEdges := float64(s.NumEdges())
 	pooled := &estimate.Reweighted{}
-	perEst := make([]float64, 0, len(calls))
+	perEst := estimate.NewWalkerSeries(len(calls))
 	for i, c := range calls {
 		t := &tallies[i]
 		res.Samples += t.samples
 		res.TargetHits += t.targetHits
 		res.APICalls += c
 		pooled.Merge(&t.rw)
-		if t.samples > 0 {
-			perEst = append(perEst, t.rw.Ratio()*numEdges)
-		}
+		perEst.Add(t.samples, t.rw.Ratio()*numEdges)
 	}
 	res.Estimate = pooled.Ratio() * numEdges
-	if opts.Walkers > 1 {
-		res.CI = estimate.CIFromEstimates(perEst)
-	}
+	res.CI = perEst.CI()
 	res.Walkers = len(calls)
 	return res, nil
 }

@@ -11,17 +11,19 @@ import (
 // NeighborExploration as streaming accumulators: the pairs replay feeds one
 // recorded step at a time and reads the finished result at the end, so a
 // standalone estimate, a per-pair replay and the fused multi-query replay
-// pass all drive the exact same arithmetic in the exact same order. The
-// serial mode (one walker) keeps the historical single-walk arithmetic
-// operation for operation — the golden serial test pins it — and the
-// parallel mode merges per-walker streams. Walker boundaries are explicit
-// (beginWalker/endWalker) so the per-walker sub-estimates behind the
-// confidence intervals accumulate walker by walker.
+// pass all drive the exact same arithmetic in the exact same order. Every
+// walker count runs the same accumulation: each estimator pools the whole
+// pass and keeps a sub-estimate per walker (beginWalker/endWalker). The
+// sub-estimates give a fleet of two or more its between-walker intervals;
+// a lone walker's HH standard error comes from the batch means that
+// estimate.FleetHH streams, and its answers are the single walk's, bit for
+// bit (the golden serial test pins them).
 //
 // The Horvitz–Thompson dedup is precomputed per trajectory (replaycols.go):
-// addStep receives whether the step survives the thinning gap and whether it
-// is the first retained occurrence of its unit, so the HT sums receive the
-// same y/π terms in the same order a dedup map would give them.
+// addStep receives whether the step is the first retained occurrence of its
+// unit in the pass and in its walker, so the HT sums receive the same y/π
+// terms in the same order a dedup map would give them; both flags are false
+// at steps the thinning gap drops.
 
 // CI is the variance-based confidence interval attached to multi-walker
 // results (alias of estimate.CI).
@@ -54,68 +56,45 @@ func retainedTotal(perCounts []int, gap int) (int, error) {
 type nsAgg struct {
 	numEdges float64
 	thinGap  int
-	serial   bool
-	walkers  int
 
-	incl    float64 // pooled HT inclusion probability
-	hh      *estimate.HansenHurwitz
-	ht      *estimate.HorvitzThompson[graph.Edge]
-	hhTerms []float64 // serial only: feeds the batch-means SE
-	perHH   []float64 // parallel only: per-walker estimates for the CIs
-	perHT   []float64
+	hh      estimate.FleetHH
+	ht, wht estimate.HorvitzThompson[graph.Edge] // pooled, current walker's
+	incl    float64                              // pooled HT inclusion probability
+	wincl   float64                              // the current walker's
+	perHT   estimate.WalkerSeries
 
 	samples    int
 	targetHits int
-
-	// current-walker state
-	whh   *estimate.HansenHurwitz
-	wht   *estimate.HorvitzThompson[graph.Edge]
-	wincl float64
-	wn    int // sample count of the current walker
 }
 
 // newNSAgg sizes a NeighborSample accumulator for the per-walker sample
-// counts (the walker extents of the replayed trajectory). serial selects the
-// single-walk aggregation; otherwise the multi-walker merging is used with
-// len(perCounts) walkers.
-func newNSAgg(numEdges float64, thinGap int, serial bool, perCounts []int) (*nsAgg, error) {
+// counts (the walker extents of the replayed trajectory).
+func newNSAgg(numEdges float64, thinGap int, perCounts []int) (*nsAgg, error) {
 	retained, err := retainedTotal(perCounts, thinGap)
 	if err != nil {
 		return nil, err
 	}
-	a := &nsAgg{
+	return &nsAgg{
 		numEdges: numEdges,
 		thinGap:  thinGap,
-		serial:   serial,
-		walkers:  len(perCounts),
+		hh:       estimate.NewFleetHH(len(perCounts)),
 		incl:     estimate.InclusionProbability(1/numEdges, retained),
-		hh:       &estimate.HansenHurwitz{},
-		ht:       &estimate.HorvitzThompson[graph.Edge]{},
-	}
-	if serial {
-		a.hhTerms = make([]float64, 0, perCounts[0])
-	} else {
-		a.perHH = make([]float64, 0, len(perCounts))
-		a.perHT = make([]float64, 0, len(perCounts))
-	}
-	return a, nil
+		perHT:    estimate.NewWalkerSeries(len(perCounts)),
+	}, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *nsAgg) beginWalker(n int) {
-	a.wn = n
-	if !a.serial {
-		a.whh = &estimate.HansenHurwitz{}
-		a.wht = &estimate.HorvitzThompson[graph.Edge]{}
-		a.wincl = estimate.InclusionProbability(1/a.numEdges, retainedCount(n, a.thinGap))
-	}
+	a.hh.BeginWalker(n)
+	a.wht = estimate.HorvitzThompson[graph.Edge]{}
+	a.wincl = estimate.InclusionProbability(1/a.numEdges, retainedCount(n, a.thinGap))
 }
 
 // addStep streams one walk transition: target reports whether the edge
-// carries the pair, retained whether the step survives the thinning gap, and
-// first / firstW whether it is the first retained occurrence of its
-// canonical edge in the pooled / per-walker stream.
-func (a *nsAgg) addStep(target bool, retained, first, firstW bool) error {
+// carries the pair, and first / firstW whether the step is the first
+// retained occurrence of its canonical edge in the pooled / per-walker
+// stream.
+func (a *nsAgg) addStep(target, first, firstW bool) error {
 	a.samples++
 	indicator := 0.0
 	if target {
@@ -123,122 +102,78 @@ func (a *nsAgg) addStep(target bool, retained, first, firstW bool) error {
 		a.targetHits++
 	}
 	// HH term: I(X_i)/π(X_i) with π = 1/|E| (uniform edge sample).
-	term := indicator * a.numEdges
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	a.hh.AddUnit(term)
-	if !a.serial {
-		a.whh.AddUnit(term)
-	}
-	if retained {
-		if first {
-			if err := a.ht.AddFirst(indicator, a.incl); err != nil {
-				return err
-			}
+	a.hh.Add(indicator * a.numEdges)
+	if first {
+		if err := a.ht.AddFirst(indicator, a.incl); err != nil {
+			return err
 		}
-		if !a.serial && firstW {
-			if err := a.wht.AddFirst(indicator, a.wincl); err != nil {
-				return err
-			}
-		}
+	}
+	if firstW {
+		return a.wht.AddFirst(indicator, a.wincl)
 	}
 	return nil
 }
 
-// endWalker closes the current walker, folding its sub-estimates into the
-// per-walker series behind the confidence intervals.
-func (a *nsAgg) endWalker() {
-	if !a.serial && a.wn > 0 {
-		a.perHH = append(a.perHH, a.whh.Estimate())
-		a.perHT = append(a.perHT, a.wht.Estimate())
-	}
+// endWalker closes the current walker of n samples, folding its
+// sub-estimates into the per-walker series.
+func (a *nsAgg) endWalker(n int) {
+	a.hh.EndWalker()
+	a.perHT.Add(n, a.wht.Estimate())
 }
 
 // finishInto writes the finished estimators into res (every field except
-// APICalls).
+// APICalls and Walkers, which the pairs replay fills in).
 func (a *nsAgg) finishInto(res *NeighborSampleResult) {
 	res.Samples = a.samples
 	res.TargetHits = a.targetHits
-	res.HH = a.hh.Estimate()
+	res.HH, res.HHCI, res.HHStdErr = a.hh.Result()
 	res.HT = a.ht.Estimate()
+	res.HTCI = a.perHT.CI()
 	res.DistinctEdges = a.ht.Distinct()
-	if a.serial {
-		res.HHStdErr = batchSE(a.hhTerms)
-		res.Walkers = 1
-		return
-	}
-	res.HHCI = estimate.CIFromEstimates(a.perHH)
-	res.HTCI = estimate.CIFromEstimates(a.perHT)
-	res.HHStdErr = res.HHCI.StdErr
-	res.Walkers = a.walkers
 }
 
 // neAgg streams node samples into the NeighborExploration estimators.
 type neAgg struct {
 	numEdges float64
 	numNodes float64
-	serial   bool
-	walkers  int
 
-	hh      *estimate.HansenHurwitz
-	ht      *estimate.HorvitzThompson[graph.Node]
-	rw      *estimate.Reweighted
-	hhTerms []float64
-	perHH   []float64
-	perHT   []float64
-	perRW   []float64
+	hh           estimate.FleetHH
+	ht, wht      estimate.HorvitzThompson[graph.Node] // pooled, current walker's
+	rw, wrw      estimate.Reweighted                  // pooled, current walker's
+	perHT, perRW estimate.WalkerSeries
 
 	samples        int
 	targetEdgeMass int64
-
-	// current-walker state
-	whh *estimate.HansenHurwitz
-	wht *estimate.HorvitzThompson[graph.Node]
-	wrw *estimate.Reweighted
-	wn  int
 }
 
 // newNEAgg sizes a NeighborExploration accumulator; see newNSAgg. The HT
 // inclusion probabilities arrive per step (replayCols), so only the
 // thinning check needs the gap here.
-func newNEAgg(numEdges, numNodes float64, thinGap int, serial bool, perCounts []int) (*neAgg, error) {
+func newNEAgg(numEdges, numNodes float64, thinGap int, perCounts []int) (*neAgg, error) {
 	if _, err := retainedTotal(perCounts, thinGap); err != nil {
 		return nil, err
 	}
-	a := &neAgg{
+	W := len(perCounts)
+	return &neAgg{
 		numEdges: numEdges,
 		numNodes: numNodes,
-		serial:   serial,
-		walkers:  len(perCounts),
-		hh:       &estimate.HansenHurwitz{},
-		ht:       &estimate.HorvitzThompson[graph.Node]{},
-		rw:       &estimate.Reweighted{},
-	}
-	if serial {
-		a.hhTerms = make([]float64, 0, perCounts[0])
-	} else {
-		a.perHH = make([]float64, 0, len(perCounts))
-		a.perHT = make([]float64, 0, len(perCounts))
-		a.perRW = make([]float64, 0, len(perCounts))
-	}
-	return a, nil
+		hh:       estimate.NewFleetHH(W),
+		perHT:    estimate.NewWalkerSeries(W),
+		perRW:    estimate.NewWalkerSeries(W),
+	}, nil
 }
 
 // beginWalker opens the next walker's sample stream of n samples.
 func (a *neAgg) beginWalker(n int) {
-	a.wn = n
-	if !a.serial {
-		a.whh = &estimate.HansenHurwitz{}
-		a.wht = &estimate.HorvitzThompson[graph.Node]{}
-		a.wrw = &estimate.Reweighted{}
-	}
+	a.hh.BeginWalker(n)
+	a.wht = estimate.HorvitzThompson[graph.Node]{}
+	a.wrw = estimate.Reweighted{}
 }
 
-// addStep streams one walk position: t = T(u) and d = d(u), the thinning and
-// first-visit flags as for nsAgg.addStep, incl / inclW the step's pooled and
-// per-walker HT inclusion probabilities, and invD = 1/d.
-func (a *neAgg) addStep(t, d int, retained, first, firstW bool, incl, inclW, invD float64) error {
+// addStep streams one walk position: t = T(u) and d = d(u), the
+// first-occurrence flags as for nsAgg.addStep, incl / inclW the step's
+// pooled and per-walker HT inclusion probabilities, and invD = 1/d.
+func (a *neAgg) addStep(t, d int, first, firstW bool, incl, inclW, invD float64) error {
 	a.samples++
 	a.targetEdgeMass += int64(t)
 	// HH (Eq. 11): average of |E|·T(u)/d(u); |E|/d(u) is the 1/(2·π(u))
@@ -249,68 +184,42 @@ func (a *neAgg) addStep(t, d int, retained, first, firstW bool, incl, inclW, inv
 		// changes no bits.
 		term = float64(t) * a.numEdges / float64(d)
 	}
-	if a.serial {
-		a.hhTerms = append(a.hhTerms, term)
-	}
-	a.hh.AddUnit(term)
-	if !a.serial {
-		a.whh.AddUnit(term)
-	}
+	a.hh.Add(term)
 	// RW (Eq. 19): ratio of Σ T/d to 2·Σ 1/d, scaled by |V|.
-	rw := a.rw
-	if !a.serial {
-		rw = a.wrw
-	}
-	if err := rw.AddInv(float64(t), float64(d), invD); err != nil {
+	if err := a.wrw.AddInv(float64(t), float64(d), invD); err != nil {
 		return err
 	}
 	// HT (Eq. 13): distinct nodes, inclusion 1−(1−d(u)/2|E|)^m.
-	if retained {
-		if first {
-			if err := a.ht.AddFirst(float64(t), incl); err != nil {
-				return err
-			}
+	if first {
+		if err := a.ht.AddFirst(float64(t), incl); err != nil {
+			return err
 		}
-		if !a.serial && firstW {
-			if err := a.wht.AddFirst(float64(t), inclW); err != nil {
-				return err
-			}
-		}
+	}
+	if firstW {
+		return a.wht.AddFirst(float64(t), inclW)
 	}
 	return nil
 }
 
-// endWalker closes the current walker, merging its RW draws into the pooled
-// ratio and recording its sub-estimates for the confidence intervals.
-func (a *neAgg) endWalker() {
-	if a.serial {
-		return
-	}
-	a.rw.Merge(a.wrw)
-	if a.wn > 0 {
-		a.perHH = append(a.perHH, a.whh.Estimate())
-		a.perHT = append(a.perHT, a.wht.Estimate()/2)
-		a.perRW = append(a.perRW, a.wrw.Ratio()*a.numNodes/2)
-	}
+// endWalker closes the current walker of n samples, merging its RW draws
+// into the pooled ratio and folding its sub-estimates into the per-walker
+// series.
+func (a *neAgg) endWalker(n int) {
+	a.hh.EndWalker()
+	a.rw.Merge(&a.wrw)
+	a.perHT.Add(n, a.wht.Estimate()/2)
+	a.perRW.Add(n, a.wrw.Ratio()*a.numNodes/2)
 }
 
 // finishInto writes the finished estimators into res (every field except
-// APICalls and Explorations, which the pairs replay fills in).
+// APICalls, Walkers and Explorations, which the pairs replay fills in).
 func (a *neAgg) finishInto(res *NeighborExplorationResult) {
 	res.Samples = a.samples
 	res.TargetEdgeMass = a.targetEdgeMass
-	res.HH = a.hh.Estimate()
+	res.HH, res.HHCI, res.HHStdErr = a.hh.Result()
 	res.HT = a.ht.Estimate() / 2
+	res.HTCI = a.perHT.CI()
 	res.RW = a.rw.Ratio() * a.numNodes / 2
+	res.RWCI = a.perRW.CI()
 	res.DistinctNodes = a.ht.Distinct()
-	if a.serial {
-		res.HHStdErr = batchSE(a.hhTerms)
-		res.Walkers = 1
-		return
-	}
-	res.HHCI = estimate.CIFromEstimates(a.perHH)
-	res.HTCI = estimate.CIFromEstimates(a.perHT)
-	res.RWCI = estimate.CIFromEstimates(a.perRW)
-	res.HHStdErr = res.HHCI.StdErr
-	res.Walkers = a.walkers
 }

@@ -151,17 +151,16 @@ func (v *assortVisitor) Result() (any, error) {
 	}
 	res.Coefficient = coeff
 	res.Used = used
-	if W := len(v.walkers); W > 1 {
-		// Leave-one-walker-out jackknife (see estimate.JackknifeCI): the
-		// coefficient is a ratio statistic.
-		lo := make([]float64, 0, W)
-		for wi := 0; wi < W; wi++ {
-			if c, _, ok := v.pooled(wi); ok {
-				lo = append(lo, c)
-			}
+	// Leave-one-walker-out jackknife (see estimate.JackknifeCI): the
+	// coefficient is a ratio statistic. Leaving out a lone walker leaves no
+	// samples, so one walker gets the zero CI.
+	lo := make([]float64, 0, len(v.walkers))
+	for wi := range v.walkers {
+		if c, _, ok := v.pooled(wi); ok {
+			lo = append(lo, c)
 		}
-		res.CI = estimate.JackknifeCI(coeff, lo)
 	}
+	res.CI = estimate.JackknifeCI(coeff, lo)
 	return res, nil
 }
 

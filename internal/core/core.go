@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/osn"
-	"repro/internal/stats"
 	"repro/internal/walk"
 )
 
@@ -149,20 +148,6 @@ func startNode(s osn.API, start graph.Node, rng *rand.Rand) (graph.Node, error) 
 		}
 	}
 	return 0, fmt.Errorf("core: could not find a non-isolated start node")
-}
-
-// batchSE computes a batch-means standard error over per-sample estimator
-// terms, returning 0 when the sample is too small to batch reliably.
-func batchSE(terms []float64) float64 {
-	const batches = 20
-	if len(terms) < 2*batches {
-		return 0
-	}
-	se, err := stats.BatchMeansSE(terms, batches)
-	if err != nil {
-		return 0
-	}
-	return se
 }
 
 // newWalk builds the configured walk kind over any access handle.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -320,13 +321,14 @@ func TestBindLabelsDropsLabelMemo(t *testing.T) {
 	}
 }
 
-// TestWarmReplayAllocsFlatInSteps gates the memoized label columns on a
-// counter: once a trajectory has been replayed, replaying the same 8-pair
-// pairs task and top-10 census again allocates the same bytes whatever the
-// trajectory's length. Reading labels per replay instead allocates a T(u)
-// column per pair per replay, 8 × 4 B per step, which at the 3,500-step
-// difference below is about 112 KB. W=2 keeps the aggregators' own
-// allocations per walker rather than per sample.
+// TestWarmReplayAllocsFlatInSteps gates the memoized label columns and the
+// streaming accumulators on a counter: once a trajectory has been replayed,
+// replaying the same 8-pair pairs task and top-10 census again allocates the
+// same bytes whatever the trajectory's length, at one walker and at two.
+// Reading labels per replay instead allocates a T(u) column per pair per
+// replay, 8 × 4 B per step, which at the 3,500-step difference below is
+// about 112 KB; keeping every HH term for a lone walker's standard error
+// instead of running batch sums allocates 8 B per step per estimator.
 func TestWarmReplayAllocsFlatInSteps(t *testing.T) {
 	g := manyLabelGraph(t)
 	pairs := frequentPairs(g, 8, 8)
@@ -341,30 +343,34 @@ func TestWarmReplayAllocsFlatInSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	tasks := []EstimationTask{pt, ct}
-	perReplay := func(k int) float64 {
-		traj := manyLabelTrajectory(t, g, k, 2)
-		replay := func() {
-			_, errs := RunTasksFused(traj, tasks)
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
+	for _, walkers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W=%d", walkers), func(t *testing.T) {
+			perReplay := func(k int) float64 {
+				traj := manyLabelTrajectory(t, g, k, walkers)
+				replay := func() {
+					_, errs := RunTasksFused(traj, tasks)
+					for _, err := range errs {
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
+				replay() // warm
+				const runs = 20
+				runtime.GC()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					replay()
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.TotalAlloc-before.TotalAlloc) / runs
 			}
-		}
-		replay() // warm
-		const runs = 20
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			replay()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
-	}
-	short, long := perReplay(500), perReplay(4000)
-	t.Logf("bytes per warm replay: %.0f at k=500, %.0f at k=4000", short, long)
-	if long > short+4096 {
-		t.Errorf("a warm replay of the k=4000 trajectory allocates %.0f B, %.0f B more than the k=500 one: label columns are rebuilt per replay", long, long-short)
+			short, long := perReplay(500), perReplay(4000)
+			t.Logf("bytes per warm replay: %.0f at k=500, %.0f at k=4000", short, long)
+			if long > short+4096 {
+				t.Errorf("a warm replay of the k=4000 trajectory allocates %.0f B, %.0f B more than the k=500 one: the replay allocates per step", long, long-short)
+			}
+		})
 	}
 }

@@ -117,7 +117,6 @@ type pairsVisitor struct {
 	t  *Trajectory
 	ns *nsCols // nil when NeighborSample does not run
 	ne *neCols // nil when NeighborExploration does not run
-	lo int     // first global step of the current walker
 	ps []pairReplayState
 }
 
@@ -133,7 +132,6 @@ func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 	if pt.only != onlyNS {
 		v.ne = t.neColumns()
 	}
-	serial := t.Walkers <= 1
 	counts := make([]int, t.NumWalkers())
 	for w := range counts {
 		counts[w] = t.WalkerLen(w)
@@ -144,13 +142,13 @@ func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 		p.pair = pair
 		var err error
 		if v.ns != nil {
-			if p.ns, err = newNSAgg(numEdges, t.ThinGap, serial, counts); err != nil {
+			if p.ns, err = newNSAgg(numEdges, t.ThinGap, counts); err != nil {
 				return nil, err
 			}
 			p.target = t.targetFlags(pair)
 		}
 		if v.ne != nil {
-			if p.ne, err = newNEAgg(numEdges, numNodes, t.ThinGap, serial, counts); err != nil {
+			if p.ne, err = newNEAgg(numEdges, numNodes, t.ThinGap, counts); err != nil {
 				return nil, err
 			}
 			p.tt = t.TargetDegrees(pair)
@@ -160,7 +158,6 @@ func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 }
 
 func (v *pairsVisitor) BeginWalker(w, n int) error {
-	v.lo, _ = v.t.WalkerSpan(w)
 	for k := range v.ps {
 		p := &v.ps[k]
 		if p.ns != nil {
@@ -177,30 +174,26 @@ func (v *pairsVisitor) VisitStep(i int) error {
 	// The HT dedup outcome, the NE inclusion probability and 1/d are
 	// pair-independent — read once from the precomputed columns and share
 	// them across every queried pair.
-	retained := (i-v.lo)%v.t.thinStride() == 0
 	if c := v.ns; c != nil {
-		first, firstW := c.edgeFirst[i], c.edgeFirstW != nil && c.edgeFirstW[i]
+		first, firstW := c.edgeFirst[i], c.edgeFirstW[i]
 		for k := range v.ps {
 			p := &v.ps[k]
-			if err := p.ns.addStep(p.target[i], retained, first, firstW); err != nil {
+			if err := p.ns.addStep(p.target[i], first, firstW); err != nil {
 				return err
 			}
 		}
 	}
 	if c := v.ne; c != nil {
 		d := int(v.t.deg[i])
-		first, firstAllW, incl, invD := c.nodeFirst[i], c.nodeFirstAllW[i], c.incl[i], c.invDeg[i]
-		firstW, inclW := false, 0.0
-		if c.nodeFirstW != nil {
-			firstW, inclW = c.nodeFirstW[i], c.inclW[i]
-		}
+		first, firstW, firstAllW := c.nodeFirst[i], c.nodeFirstW[i], c.nodeFirstAllW[i]
+		incl, inclW, invD := c.incl[i], c.inclW[i], c.invDeg[i]
 		for k := range v.ps {
 			p := &v.ps[k]
 			tt := p.tt[i]
 			if tt >= 0 && firstAllW {
 				p.explorations++
 			}
-			if err := p.ne.addStep(int(max(tt, 0)), d, retained, first, firstW, incl, inclW, invD); err != nil {
+			if err := p.ne.addStep(int(max(tt, 0)), d, first, firstW, incl, inclW, invD); err != nil {
 				return err
 			}
 		}
@@ -209,13 +202,14 @@ func (v *pairsVisitor) VisitStep(i int) error {
 }
 
 func (v *pairsVisitor) EndWalker(w int) error {
+	n := v.t.WalkerLen(w)
 	for k := range v.ps {
 		p := &v.ps[k]
 		if p.ns != nil {
-			p.ns.endWalker()
+			p.ns.endWalker(n)
 		}
 		if p.ne != nil {
-			p.ne.endWalker()
+			p.ne.endWalker(n)
 		}
 	}
 	return nil
@@ -230,11 +224,11 @@ func (v *pairsVisitor) Result() (any, error) {
 		pe.Pair = p.pair
 		if p.ns != nil {
 			p.ns.finishInto(&pe.NS)
-			pe.NS.APICalls = v.t.APICalls
+			pe.NS.APICalls, pe.NS.Walkers = v.t.APICalls, v.t.NumWalkers()
 		}
 		if p.ne != nil {
 			p.ne.finishInto(&pe.NE)
-			pe.NE.APICalls = v.t.APICalls
+			pe.NE.APICalls, pe.NE.Walkers = v.t.APICalls, v.t.NumWalkers()
 			pe.NE.Explorations = p.explorations
 		}
 	}

@@ -23,14 +23,14 @@ import (
 // so a replay pays only for what it reads. All groups derive from the step
 // columns and recording parameters, not from labels, so BindLabels keeps
 // them. Flags are false and inclusion probabilities zero at steps the
-// thinning gap drops, because the HT estimators never see those steps.
+// thinning gap drops, so the HT estimators skip those steps.
 
 // nsCols are NeighborSample's HT dedup flags. edgeFirst flags the first
 // retained occurrence of the step's canonical edge across the whole pass, in
 // global step order — the H(· ∈ S) indicator of the pooled HT estimator;
 // edgeFirstW flags first retained occurrences within the owning walker, the
 // indicator of the per-walker sub-estimates behind the confidence intervals
-// (nil for serial trajectories).
+// (the edgeFirst column itself for a lone walker; see walkerCol).
 type nsCols struct {
 	edgeFirst, edgeFirstW []bool
 }
@@ -47,7 +47,7 @@ type neCols struct {
 	nodeFirstAllW []bool
 	// incl[i] is InclusionProbability(d(u_i)/2|E|, retainedTotal), the HT
 	// inclusion probability of step i; inclW uses the owning walker's
-	// retained count (nil for serial trajectories).
+	// retained count (the incl column itself for a lone walker).
 	incl, inclW []float64
 	// invDeg[i] is 1/d(u_i), shared by every pair's re-weighted estimator.
 	invDeg []float64
@@ -273,39 +273,40 @@ func (s *nodeSet) add(u graph.Node) bool {
 // step of each walker, counted from its first.
 func (t *Trajectory) thinStride() int { return max(t.ThinGap, 1) }
 
+// walkerCol returns the column of a per-walker flag or probability that
+// shadows the pooled column. A lone walker's first occurrences and retained
+// count are the pass's own, so its column is the pooled one; a fleet's is
+// its own.
+func walkerCol[T any](t *Trajectory, pooled []T) []T {
+	if t.NumWalkers() == 1 {
+		return pooled
+	}
+	return make([]T, len(pooled))
+}
+
 // buildNSCols replays the edge dedup the NeighborSample HT estimators would
 // do over the retained steps and freezes the outcome into flag columns.
 func buildNSCols(t *Trajectory) *nsCols {
 	S := t.Samples()
 	c := &nsCols{edgeFirst: make([]bool, S)}
-	if t.Walkers > 1 {
-		c.edgeFirstW = make([]bool, S)
-	}
-	seen := make(map[graph.Edge]struct{}, S)
+	c.edgeFirstW = walkerCol(t, c.edgeFirst)
+	// last maps each retained edge to the last walker that retained it: an
+	// edge is new to the pass when absent, and new to walker w when absent
+	// or last retained by an earlier walker.
+	last := make(map[graph.Edge]int32, S)
 	for w := 0; w < t.NumWalkers(); w++ {
 		lo, hi := t.WalkerSpan(w)
-		var seenW map[graph.Edge]struct{}
-		if c.edgeFirstW != nil {
-			seenW = make(map[graph.Edge]struct{}, hi-lo)
-		}
 		for i := lo; i < hi; i += t.thinStride() {
 			e := graph.Edge{U: t.prev[i], V: t.node[i]}.Canonical()
-			c.edgeFirst[i] = firstSeen(seen, e)
-			if seenW != nil {
-				c.edgeFirstW[i] = firstSeen(seenW, e)
+			lw, seen := last[e]
+			c.edgeFirst[i] = !seen
+			c.edgeFirstW[i] = !seen || lw != int32(w)
+			if c.edgeFirstW[i] {
+				last[e] = int32(w)
 			}
 		}
 	}
 	return c
-}
-
-// firstSeen inserts e into seen and reports whether it was new.
-func firstSeen(seen map[graph.Edge]struct{}, e graph.Edge) bool {
-	if _, dup := seen[e]; dup {
-		return false
-	}
-	seen[e] = struct{}{}
-	return true
 }
 
 // buildNECols scans the step columns once for the NeighborExploration
@@ -313,17 +314,13 @@ func firstSeen(seen map[graph.Edge]struct{}, e graph.Edge) bool {
 func buildNECols(t *Trajectory) *neCols {
 	S := t.Samples()
 	W := t.NumWalkers()
-	serial := t.Walkers <= 1
 	c := &neCols{
 		nodeFirst:     make([]bool, S),
 		nodeFirstAllW: make([]bool, S),
 		incl:          make([]float64, S),
 		invDeg:        make([]float64, S),
 	}
-	if !serial {
-		c.nodeFirstW = make([]bool, S)
-		c.inclW = make([]float64, S)
-	}
+	c.nodeFirstW, c.inclW = walkerCol(t, c.nodeFirst), walkerCol(t, c.incl)
 	// Retained-sample counts, exactly as the aggregators size them: the
 	// pooled count feeds incl, the per-walker counts feed inclW.
 	retTotal := 0
@@ -336,11 +333,7 @@ func buildNECols(t *Trajectory) *neCols {
 	seen := newNodeSet(t.NumNodes)
 	for w := 0; w < W; w++ {
 		lo, hi := t.WalkerSpan(w)
-		seenAll := newNodeSet(t.NumNodes)
-		var seenW *nodeSet
-		if !serial {
-			seenW = newNodeSet(t.NumNodes)
-		}
+		seenAll, seenW := newNodeSet(t.NumNodes), newNodeSet(t.NumNodes)
 		for i := lo; i < hi; i++ {
 			u, d := t.node[i], float64(t.deg[i])
 			c.invDeg[i] = 1 / d
@@ -350,10 +343,8 @@ func buildNECols(t *Trajectory) *neCols {
 			}
 			c.nodeFirst[i] = seen.add(u)
 			c.incl[i] = estimate.InclusionProbability(d/(2*numEdges), retTotal)
-			if !serial {
-				c.nodeFirstW[i] = seenW.add(u)
-				c.inclW[i] = estimate.InclusionProbability(d/(2*numEdges), retW[w])
-			}
+			c.nodeFirstW[i] = seenW.add(u)
+			c.inclW[i] = estimate.InclusionProbability(d/(2*numEdges), retW[w])
 		}
 	}
 	return c

@@ -395,10 +395,8 @@ func (pe *PairEstimates) Estimates() map[string]float64 {
 // (and, for NeighborExploration, RW) aggregators for every given label pair,
 // at zero additional API cost, in one fused pass over the step columns (all
 // pairs' aggregators advance together; each still receives exactly the
-// sample sequence a per-pair replay would feed it). Serial trajectories
-// replay through the serial aggregation (batch-means standard errors); fleet
-// trajectories through the multi-walker merging (between-walker confidence
-// intervals).
+// sample sequence a per-pair replay would feed it). Every walker count runs
+// the same aggregation (aggregate.go).
 func EstimateManyPairs(t *Trajectory, pairs []graph.LabelPair) ([]PairEstimates, error) {
 	if t == nil || t.Samples() == 0 {
 		return nil, fmt.Errorf("core: EstimateManyPairs needs a recorded trajectory")

@@ -16,7 +16,20 @@ type quotas struct {
 	burst   float64
 	tenants map[string]*bucket
 	now     func() time.Time
+	// fullUntil is, while the table is full, the earliest instant one of
+	// its buckets can have refilled, so that new tenants arriving at a full
+	// table rescan it once per refill rather than once each.
+	fullUntil time.Time
 }
+
+// maxTenants caps the bucket table. Without a cap it gains a bucket for
+// every distinct tenant header ever seen. A bucket that has refilled to
+// burst carries no state, so a new tenant that finds the table full drops
+// every such bucket; if none has refilled, the new tenant is refused until
+// the first one does. Quotas trust the header: they bound honest tenants,
+// not a client that rotates it. It is a variable only so tests can lower
+// it.
+var maxTenants = 1 << 16
 
 // bucket is one tenant's token balance at its last refill instant.
 type bucket struct {
@@ -40,6 +53,12 @@ func (q *quotas) allow(tenant string) (bool, time.Duration) {
 	now := q.now()
 	b := q.tenants[tenant]
 	if b == nil {
+		if len(q.tenants) >= maxTenants && !now.Before(q.fullUntil) {
+			q.fullUntil = q.dropRefilledLocked(now)
+		}
+		if len(q.tenants) >= maxTenants {
+			return false, q.fullUntil.Sub(now)
+		}
 		b = &bucket{tokens: q.burst, last: now}
 		q.tenants[tenant] = b
 	}
@@ -53,4 +72,24 @@ func (q *quotas) allow(tenant string) (bool, time.Duration) {
 	}
 	wait := time.Duration((1 - b.tokens) / q.rate * float64(time.Second))
 	return false, wait
+}
+
+// dropRefilledLocked deletes the buckets that have refilled to burst by now
+// and returns when the first remaining one will have. Until some bucket is
+// dropped no bucket joins the full table, and spending only delays a
+// refill, so no bucket refills before that instant.
+func (q *quotas) dropRefilledLocked(now time.Time) time.Time {
+	soonest := math.Inf(1)
+	for tenant, b := range q.tenants {
+		left := (q.burst-b.tokens)/q.rate - now.Sub(b.last).Seconds()
+		if left <= 0 {
+			delete(q.tenants, tenant)
+			continue
+		}
+		soonest = math.Min(soonest, left)
+	}
+	if len(q.tenants) < maxTenants {
+		return now
+	}
+	return now.Add(time.Duration(math.Ceil(soonest * float64(time.Second))))
 }

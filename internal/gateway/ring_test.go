@@ -103,6 +103,54 @@ func TestQuotaTokenBucket(t *testing.T) {
 	}
 }
 
+// TestQuotaTenantTableBounded routes more distinct tenants than a lowered
+// cap through the quotas at 1 req/s and burst 2, one new tenant a second.
+// Each new tenant's bucket has refilled by the time the table next fills,
+// so it is dropped and the table stays at the cap, while a tenant kept
+// throttled keeps its empty bucket. When no bucket has refilled, a new
+// tenant is refused until the first one does.
+func TestQuotaTenantTableBounded(t *testing.T) {
+	const limit = 4
+	defer func(old int) { maxTenants = old }(maxTenants)
+	maxTenants = limit
+	clock := time.Unix(1000, 0)
+	q := newQuotas(1, 2, func() time.Time { return clock })
+	admit := func(tenant string, want bool) {
+		t.Helper()
+		if ok, _ := q.allow(tenant); ok != want {
+			t.Fatalf("at %s tenant %s admitted %v, want %v", clock.Format(time.TimeOnly), tenant, ok, want)
+		}
+		if n := len(q.tenants); n > limit {
+			t.Fatalf("tenant table holds %d buckets, cap %d", n, limit)
+		}
+	}
+	admit("hog", true)
+	admit("hog", true)
+	admit("hog", false)
+	for i := range 3 * limit {
+		clock = clock.Add(time.Second)
+		admit("hog", true) // spends the token that just accrued
+		admit(fmt.Sprintf("t%d", i), true)
+	}
+	admit("hog", false) // a fresh bucket would admit a burst
+
+	// Fill the table with buckets that have not refilled: the next new
+	// tenant is refused until the first of them has.
+	late := ""
+	for i := 0; late == ""; i++ {
+		if ok, wait := q.allow(fmt.Sprintf("f%d", i)); !ok {
+			late = fmt.Sprintf("f%d", i)
+			if wait != time.Second || len(q.tenants) != limit {
+				t.Fatalf("%s refused with wait %s and %d buckets, want 1s and %d", late, wait, len(q.tenants), limit)
+			}
+			clock = clock.Add(wait)
+		}
+	}
+	admit(late, true)
+	admit("hog", true) // its own token, accrued in the same second
+	admit("hog", false)
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string

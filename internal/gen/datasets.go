@@ -47,8 +47,8 @@ type Spec struct {
 // Specs returns the spec for every stand-in.
 func Specs() map[StandIn]Spec {
 	return map[StandIn]Spec{
-		Facebook:    {Name: Facebook, PaperNodes: 4.0e3, PaperEdges: 8.82e4, LabelScheme: "gender (1=female, 2=male), P(female)=0.30", BaseNodes: 4000},
-		GooglePlus:  {Name: GooglePlus, PaperNodes: 1.08e5, PaperEdges: 1.22e7, LabelScheme: "gender (1=female, 2=male), P(female)=0.16", BaseNodes: 12000},
+		Facebook:    {Name: Facebook, PaperNodes: 4.0e3, PaperEdges: 8.82e4, LabelScheme: "gender (1=female, 2=male); a community's P(female) is 0.12 with weight 0.45, else 0.52", BaseNodes: 4000},
+		GooglePlus:  {Name: GooglePlus, PaperNodes: 1.08e5, PaperEdges: 1.22e7, LabelScheme: "gender (1=female, 2=male); a community's P(female) is 0.03 with weight 0.40, else 0.18", BaseNodes: 12000},
 		Pokec:       {Name: Pokec, PaperNodes: 1.6e6, PaperEdges: 2.23e7, LabelScheme: "Zipf location labels over 150 regions, community-correlated", BaseNodes: 20000},
 		Orkut:       {Name: Orkut, PaperNodes: 3.08e6, PaperEdges: 1.17e8, LabelScheme: "exact node degree as label", BaseNodes: 24000},
 		Livejournal: {Name: Livejournal, PaperNodes: 4.8e6, PaperEdges: 4.28e7, LabelScheme: "exact node degree as label", BaseNodes: 30000},

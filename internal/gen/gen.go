@@ -4,8 +4,9 @@
 // so this package provides generators whose outputs exercise the same code
 // paths: heavy-tailed degree distributions (preferential attachment,
 // configuration model), community structure (stochastic block model,
-// Watts–Strogatz), and the three label mechanics the paper uses — balanced
-// gender labels, Zipf-skewed location labels, and degree-derived labels.
+// Watts–Strogatz), and the three label mechanics the paper uses — two-way
+// gender labels whose female share varies by community, Zipf-skewed
+// location labels, and degree-derived labels.
 //
 // All generators are deterministic given a seed and always return a graph;
 // callers that require connectivity compose with graph.LargestComponent, the

@@ -8,8 +8,10 @@ import (
 
 // Labeler assigns a label set to every node of a graph. The three concrete
 // labelers mirror the three label mechanics of the paper's evaluation:
-// gender (balanced two-way split; Facebook, Google+), location (skewed
-// categorical; Pokec), and degree (structural; Orkut, Livejournal).
+// gender (a two-way split; the Facebook and Google+ stand-ins draw each
+// community's female share from a bimodal mixture instead, see
+// CommunityGenderGraph), location (skewed categorical; Pokec), and degree
+// (structural; Orkut, Livejournal).
 type Labeler interface {
 	// Label returns the labels for node u of g.
 	Label(g *graph.Graph, u graph.Node) []graph.Label

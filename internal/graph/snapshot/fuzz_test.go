@@ -23,10 +23,10 @@ func resealed(raw []byte) []byte {
 
 // FuzzLoad feeds mutated .osnb snapshots to Load through a file, the way
 // every tool's -graph flag reads them. Load must return a graph or an error,
-// never panic. It does not assert graph.Validate on what loads: Load checks
-// neighbor and label-ref ranges but not, for one, that a node's label set is
-// sorted (see ROADMAP item 8). The seed is a fresh encoding of a small
-// random graph.
+// never panic, and every node of a graph it returns has strictly increasing
+// labels. It does not assert graph.Validate on what loads: Load checks
+// neighbor ranges but not yet adjacency order (see ROADMAP item 8). The
+// seed is a fresh encoding of a small random graph.
 func FuzzLoad(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Write(&buf, randomGraph(f, rand.New(rand.NewSource(5)), 8, 12, 2)); err != nil {
@@ -38,7 +38,18 @@ func FuzzLoad(f *testing.F) {
 		if err := os.WriteFile(path, resealed(raw), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = Load(path) // an error is a valid outcome; only a panic fails
+		g, err := Load(path)
+		if err != nil {
+			return // an error is a valid outcome
+		}
+		for u := range g.NumNodes() {
+			ls := g.Labels(graph.Node(u))
+			for i := 1; i < len(ls); i++ {
+				if ls[i] <= ls[i-1] {
+					t.Fatalf("node %d loaded with labels %v, not strictly increasing", u, ls)
+				}
+			}
+		}
 	})
 }
 

@@ -206,13 +206,22 @@ func Read(r io.Reader) (*graph.Graph, error) {
 	}
 
 	// Resolve interned label refs back to label values in place-adjacent
-	// storage.
+	// storage, and refuse a node whose labels are not strictly increasing:
+	// HasLabel binary-searches them. u is the node whose label set holds
+	// ref i (NewFromCSR below refuses offsets that are not monotone).
 	labelVal := make([]graph.Label, len(refs))
+	u := 0
 	for i, ref := range refs {
 		if int(ref) >= len(table) {
 			return nil, fmt.Errorf("snapshot: label ref %d out of table range [0,%d)", ref, len(table))
 		}
 		labelVal[i] = table[ref]
+		for u < int(numNodes) && int(labelOff[u+1]) <= i {
+			u++
+		}
+		if i > 0 && int(labelOff[u]) < i && labelVal[i] <= labelVal[i-1] {
+			return nil, fmt.Errorf("snapshot: labels of node %d not strictly increasing", u)
+		}
 	}
 
 	g, err := graph.NewFromCSR(off, adj, labelOff, labelVal)

@@ -267,6 +267,44 @@ func TestReadRejectsOutOfRangeNeighbor(t *testing.T) {
 	}
 }
 
+// TestReadRejectsUnsortedLabels covers the other malformed-but-checksummed
+// case: node 0 of a 3-node graph holds labels {5, 9, 20}, and its label refs
+// are swapped to read [20 9 5] with the CRC resealed. HasLabel
+// binary-searches a node's labels, so such a file would miss all three;
+// Read must refuse it.
+func TestReadRejectsUnsortedLabels(t *testing.T) {
+	b := graph.NewBuilder(3)
+	for _, e := range [][2]graph.Node{{0, 1}, {1, 2}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for u, ls := range [][]graph.Label{{5, 9, 20}, {9}, {5}} {
+		if err := b.SetLabels(graph.Node(u), ls...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := snapshotBytes(t, g)
+	if _, err := Read(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("sorted original refused: %v", err)
+	}
+	refs := len(raw) - 4 - 4*int(binary.LittleEndian.Uint64(raw[32:40]))
+	first, third := raw[refs:refs+4], raw[refs+8:refs+12]
+	var tmp [4]byte
+	copy(tmp[:], first)
+	copy(first, third)
+	copy(third, tmp[:])
+	reseal(raw)
+	_, err = Read(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "labels of node 0 not strictly increasing") {
+		t.Fatalf("want node 0's label-order error, got %v", err)
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	if _, err := Load(filepath.Join(t.TempDir(), "absent.osnb")); err == nil {
 		t.Fatal("loading a missing file succeeded")

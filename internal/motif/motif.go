@@ -40,48 +40,28 @@ type rowVisitor interface {
 	row() TaskRow
 }
 
-// rowHH is one row's Hansen–Hurwitz estimator, pooled over the whole
-// trajectory and kept per walker for the between-walker interval. Walker
-// streams pool in walker order, so serial replays are bit-identical to the
-// historical sampling loops.
+// rowHH is one row's Hansen–Hurwitz estimator over the trajectory's
+// walker streams: pooled in walker order, so serial replays are
+// bit-identical to the historical sampling loops, and kept per walker for
+// the between-walker interval.
 type rowHH struct {
-	t         *core.Trajectory
-	pair      *graph.LabelPair
-	numEdges  float64
-	hh        estimate.HansenHurwitz
-	whh       estimate.HansenHurwitz
-	perWalker []float64
-	wn        int
+	t        *core.Trajectory
+	pair     *graph.LabelPair
+	numEdges float64
+	hh       estimate.FleetHH
 }
 
 func newRowHH(t *core.Trajectory, pair *graph.LabelPair) rowHH {
-	return rowHH{t: t, pair: pair, numEdges: float64(t.NumEdges), perWalker: make([]float64, 0, t.NumWalkers())}
+	return rowHH{t: t, pair: pair, numEdges: float64(t.NumEdges), hh: estimate.NewFleetHH(t.NumWalkers())}
 }
 
-func (r *rowHH) beginWalker(w, n int) {
-	r.whh = estimate.HansenHurwitz{}
-	r.wn = n
-}
+func (r *rowHH) beginWalker(w, n int) { r.hh.BeginWalker(n) }
 
-// add feeds one sample's HH term (value / π) to the pooled and the
-// walker's estimator.
-func (r *rowHH) add(term float64) {
-	r.hh.AddUnit(term)
-	r.whh.AddUnit(term)
-}
-
-func (r *rowHH) endWalker() {
-	if r.wn > 0 {
-		r.perWalker = append(r.perWalker, r.whh.Estimate())
-	}
-}
+func (r *rowHH) endWalker() { r.hh.EndWalker() }
 
 func (r *rowHH) row() TaskRow {
-	row := TaskRow{Pair: r.pair, Estimate: r.hh.Estimate()}
-	if r.t.Walkers > 1 {
-		row.CI = estimate.CIFromEstimates(r.perWalker)
-	}
-	return row
+	est, ci, _ := r.hh.Result()
+	return TaskRow{Pair: r.pair, Estimate: est, CI: ci}
 }
 
 // wedgeVisitor streams the wedge estimator over a trajectory's step columns.
@@ -116,7 +96,7 @@ func (v *wedgeVisitor) visitStep(i int) {
 	}
 	wedges := float64(tt) * float64(tt-1) / 2
 	// HH term: value / π(u) with π(u) = d(u)/2|E|.
-	v.add(wedges * 2 * v.numEdges / float64(d))
+	v.hh.Add(wedges * 2 * v.numEdges / float64(d))
 }
 
 // triangleVisitor streams the triangle estimator over a trajectory's step
@@ -171,7 +151,7 @@ func (tv *triangleVisitor) visitStep(i int) {
 		tv.prevNeighbors = nbrs
 	}
 	// Sampled edge is uniform over E: π = 1/|E|.
-	tv.add(value * tv.numEdges)
+	tv.hh.Add(value * tv.numEdges)
 }
 
 // triangleCredit returns Σ_{w ∈ N(u)∩N(v)} 1/t(u,v,w), where t counts the

@@ -65,25 +65,76 @@ func RelativeBias(estimates []float64, truth float64) float64 {
 // contiguous batches, and the sample standard deviation of the batch means,
 // divided by sqrt(batches), estimates the SE of the overall mean including
 // autocorrelation. Walk-based estimators underestimate their error badly if
-// naive iid formulas are used; batch means is the standard fix.
+// naive iid formulas are used; batch means is the standard fix. Each batch
+// holds len(xs)/batches terms, and the len(xs) mod batches tail is dropped.
 func BatchMeansSE(xs []float64, batches int) (float64, error) {
+	var s BatchMeans
+	s.Reset(len(xs), batches)
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s.SE()
+}
+
+// BatchMeans is BatchMeansSE as a stream: Reset announces n terms, Add
+// takes them in order, and SE reads the result. It keeps one running sum
+// per batch, not the terms, and sums each batch from zero in order as Mean
+// does, so SE is bit-identical to BatchMeansSE over the same terms.
+type BatchMeans struct {
+	sums []float64 // running sum of each batch
+	n    int       // terms announced by Reset
+	size int       // terms per batch, n / len(sums)
+	b    int       // the batch the next term falls in
+	left int       // terms batch b still takes
+}
+
+// Reset readies s for n terms cut into batches contiguous batches, reusing
+// its storage.
+func (s *BatchMeans) Reset(n, batches int) {
+	batches = max(batches, 0)
+	if cap(s.sums) < batches {
+		s.sums = make([]float64, batches)
+	}
+	s.sums = s.sums[:batches]
+	clear(s.sums)
+	s.n, s.size, s.b = n, n/max(batches, 1), 0
+	s.left = s.size
+}
+
+// Add takes the next term. Terms past the last full batch are dropped.
+func (s *BatchMeans) Add(x float64) {
+	if s.b == len(s.sums) {
+		return
+	}
+	s.sums[s.b] += x
+	s.left--
+	if s.left == 0 {
+		s.b++
+		s.left = s.size
+	}
+}
+
+// SE returns the batch-means standard error of the n terms Reset announced,
+// once Add has taken them.
+func (s *BatchMeans) SE() (float64, error) {
+	batches := len(s.sums)
 	if batches < 2 {
 		return 0, fmt.Errorf("stats: batch means needs >= 2 batches, got %d", batches)
 	}
-	if len(xs) < 2*batches {
+	if s.n < 2*batches {
 		return 0, fmt.Errorf("stats: need at least %d observations for %d batches, got %d",
-			2*batches, batches, len(xs))
-	}
-	size := len(xs) / batches
-	means := make([]float64, batches)
-	for b := 0; b < batches; b++ {
-		means[b] = Mean(xs[b*size : (b+1)*size])
+			2*batches, batches, s.n)
 	}
 	// Sample (n-1) variance of the batch means.
-	m := Mean(means)
+	size := float64(s.size)
+	var m float64
+	for _, sum := range s.sums {
+		m += sum / size
+	}
+	m /= float64(batches)
 	var sum float64
-	for _, v := range means {
-		d := v - m
+	for _, v := range s.sums {
+		d := v/size - m
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(batches-1) / float64(batches)), nil

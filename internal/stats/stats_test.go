@@ -116,6 +116,59 @@ func TestBatchMeansSEErrors(t *testing.T) {
 	}
 }
 
+// TestBatchMeansStreamMatchesTwoPass checks the stream against the
+// two-pass arithmetic written out here: cut the terms into batches of
+// n/batches, drop the tail, average each batch with Mean, then take the
+// sample standard deviation of the batch means over √batches. The results
+// must agree bit for bit, including around the 2·batches floor, and one
+// stream is reused across every case.
+func TestBatchMeansStreamMatchesTwoPass(t *testing.T) {
+	twoPass := func(xs []float64, batches int) (float64, bool) {
+		if len(xs) < 2*batches {
+			return 0, false
+		}
+		size := len(xs) / batches
+		means := make([]float64, batches)
+		for b := range means {
+			means[b] = Mean(xs[b*size : (b+1)*size])
+		}
+		m := Mean(means)
+		var ss float64
+		for _, v := range means {
+			ss += (v - m) * (v - m)
+		}
+		return math.Sqrt(ss / float64(batches-1) / float64(batches)), true
+	}
+	rng := newTestRand(11)
+	var s BatchMeans
+	for _, batches := range []int{20, 7} {
+		for _, n := range []int{39, 40, 41, 1019} {
+			xs := make([]float64, n)
+			state := 0.0
+			for i := range xs {
+				state = 0.9*state + rng.NormFloat64()
+				xs[i] = 1e3 * state
+			}
+			s.Reset(n, batches)
+			for _, x := range xs {
+				s.Add(x)
+			}
+			got, err := s.SE()
+			want, ok := twoPass(xs, batches)
+			if (err == nil) != ok {
+				t.Errorf("n=%d batches=%d: stream error %v, two-pass ok %v", n, batches, err, ok)
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("n=%d batches=%d: stream SE %v, two-pass %v", n, batches, got, want)
+			}
+			if bm, _ := BatchMeansSE(xs, batches); math.Float64bits(bm) != math.Float64bits(got) {
+				t.Errorf("n=%d batches=%d: BatchMeansSE %v, stream %v", n, batches, bm, got)
+			}
+		}
+	}
+}
+
 func TestBatchMeansSEIIDMatchesClassic(t *testing.T) {
 	// For iid data, batch means should approximate sd/sqrt(n).
 	rng := newTestRand(7)
