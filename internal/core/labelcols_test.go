@@ -90,36 +90,91 @@ func censusAnswer(t testing.TB, traj *Trajectory, top int) CensusResult {
 	return out.(CensusResult)
 }
 
-// TestLabelColumnsMatchPerStepReads checks the memoized columns against
-// direct reads through the LabelReader, at every step of a trajectory that
-// references more than 64 distinct labels.
-func TestLabelColumnsMatchPerStepReads(t *testing.T) {
-	g := manyLabelGraph(t)
-	traj := manyLabelTrajectory(t, g, 400, 2)
-	if n := referencedLabelCount(traj); n <= 64 {
-		t.Fatalf("trajectory references %d distinct labels, want more than 64", n)
+// perStepTargetDegree computes T(u) for a recorded step from the step's
+// friend list, reading each label through HasLabel; explores reports whether
+// the node carries a target label (Algorithm 2 line 4).
+func perStepTargetDegree(labels LabelReader, u graph.Node, nbrs []graph.Node, pair graph.LabelPair) (tt int, explores bool) {
+	hasT1 := labels.HasLabel(u, pair.T1)
+	hasT2 := labels.HasLabel(u, pair.T2)
+	if !hasT1 && !hasT2 {
+		return 0, false
 	}
-	for _, pair := range frequentPairs(g, 8, 8) {
-		flags := traj.targetFlags(pair)
-		swapped := graph.LabelPair{T1: pair.T2, T2: pair.T1}
-		for i := range traj.Samples() {
-			a, b := traj.StepPrev(i), traj.StepNode(i)
-			want := g.HasLabel(a, pair.T1) && g.HasLabel(b, pair.T2) || g.HasLabel(a, pair.T2) && g.HasLabel(b, pair.T1)
-			if flags[i] != want {
-				t.Fatalf("pair %v step %d: target flag %v, per-step read %v", pair, i, flags[i], want)
-			}
-			wantT := int32(-1)
-			if d, explores := ReplayTargetDegree(g, TrajStep{Node: b, Neighbors: traj.StepNeighbors(i)}, pair); explores {
-				wantT = int32(d)
-			}
-			for _, p := range []graph.LabelPair{pair, swapped} {
-				if gotT := traj.TargetDegrees(p)[i]; gotT != wantT {
-					t.Fatalf("pair %v step %d: TargetDegrees %d, ReplayTargetDegree %d", p, i, gotT, wantT)
-				}
-			}
+	for _, v := range nbrs {
+		if hasT1 && labels.HasLabel(v, pair.T2) || hasT2 && labels.HasLabel(v, pair.T1) {
+			tt++
 		}
 	}
+	return tt, true
+}
 
+// TestLabelColumnsMatchPerStepReads checks the memoized columns against
+// direct reads through the LabelReader, at every step of a trajectory that
+// references more than 64 distinct labels. Each case asks a fresh recording
+// for its pair sets in turn: one pair at a time, all 8 at once, a set that
+// repeats a pair (once in the other orientation), and a set past
+// maxMemoPairs. Equal pairs in one set must share one column.
+func TestLabelColumnsMatchPerStepReads(t *testing.T) {
+	g := manyLabelGraph(t)
+	pairs := frequentPairs(g, 8, 8)
+	swap := func(p graph.LabelPair) graph.LabelPair { return graph.LabelPair{T1: p.T2, T2: p.T1} }
+	single := make([][]graph.LabelPair, len(pairs))
+	for k, p := range pairs {
+		single[k] = []graph.LabelPair{p}
+	}
+	cases := []struct {
+		name string
+		sets [][]graph.LabelPair
+	}{
+		{"one pair at a time", single},
+		{"all 8 at once", [][]graph.LabelPair{pairs}},
+		{"repeated pair", [][]graph.LabelPair{{pairs[0], pairs[1], pairs[0], swap(pairs[1])}}},
+		{"past maxMemoPairs", [][]graph.LabelPair{frequentPairs(g, maxMemoPairs+4, 2)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			traj := manyLabelTrajectory(t, g, 400, 2)
+			if n := referencedLabelCount(traj); n <= 64 {
+				t.Fatalf("trajectory references %d distinct labels, want more than 64", n)
+			}
+			for _, set := range tc.sets {
+				ps := make([]pairReplayState, len(set))
+				for k, p := range set {
+					ps[k].pair = p
+				}
+				traj.pairLabelColumns(ps, true, true)
+				for k, pair := range set {
+					flags := ps[k].target
+					byOrder := [][]int32{traj.TargetDegrees(pair), traj.TargetDegrees(swap(pair))}
+					for j := range k {
+						if set[j].Canonical() == pair.Canonical() && (&ps[j].target[0] != &flags[0] || &ps[j].tt[0] != &ps[k].tt[0]) {
+							t.Fatalf("pair %v at %d and %d of one set got separate columns", pair, j, k)
+						}
+					}
+					for i := range traj.Samples() {
+						a, b := traj.StepPrev(i), traj.StepNode(i)
+						want := g.HasLabel(a, pair.T1) && g.HasLabel(b, pair.T2) || g.HasLabel(a, pair.T2) && g.HasLabel(b, pair.T1)
+						if flags[i] != want {
+							t.Fatalf("pair %v step %d: target flag %v, per-step read %v", pair, i, flags[i], want)
+						}
+						wantT := int32(-1)
+						if d, explores := perStepTargetDegree(g, b, traj.StepNeighbors(i), pair); explores {
+							wantT = int32(d)
+						}
+						if gotT := ps[k].tt[i]; gotT != wantT {
+							t.Fatalf("pair %v step %d: T(u) column %d, per-step read %d", pair, i, gotT, wantT)
+						}
+						for _, tt := range byOrder {
+							if gotT := tt[i]; gotT != wantT {
+								t.Fatalf("pair %v step %d: TargetDegrees %d in either order, per-step read %d", pair, i, gotT, wantT)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+
+	traj := manyLabelTrajectory(t, g, 400, 2)
 	hits := referenceCensus(traj, g)
 	full := censusAnswer(t, traj, 0)
 	if len(full.Pairs) != len(hits) {

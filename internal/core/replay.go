@@ -145,15 +145,14 @@ func newPairsVisitor(t *Trajectory, pt pairsTask) (*pairsVisitor, error) {
 			if p.ns, err = newNSAgg(numEdges, t.ThinGap, counts); err != nil {
 				return nil, err
 			}
-			p.target = t.targetFlags(pair)
 		}
 		if v.ne != nil {
 			if p.ne, err = newNEAgg(numEdges, numNodes, t.ThinGap, counts); err != nil {
 				return nil, err
 			}
-			p.tt = t.TargetDegrees(pair)
 		}
 	}
+	t.pairLabelColumns(v.ps, v.ns != nil, v.ne != nil)
 	return v, nil
 }
 

@@ -425,26 +425,3 @@ func estimatePair(s *osn.Session, pair graph.LabelPair, k int, opts Options, bil
 	}
 	return out.([]PairEstimates)[0], nil
 }
-
-// ReplayTargetDegree recomputes T(u) for a recorded step from the step's
-// stored friend list, without any API access. The boolean reports whether
-// the node carries a target label (i.e. whether NeighborExploration explores
-// its neighborhood, Algorithm 2 line 4).
-func ReplayTargetDegree(labels LabelReader, st TrajStep, pair graph.LabelPair) (int, bool) {
-	hasT1 := labels.HasLabel(st.Node, pair.T1)
-	hasT2 := labels.HasLabel(st.Node, pair.T2)
-	if !hasT1 && !hasT2 {
-		return 0, false
-	}
-	tt := 0
-	for _, v := range st.Neighbors {
-		if hasT1 && labels.HasLabel(v, pair.T2) {
-			tt++
-			continue
-		}
-		if hasT2 && labels.HasLabel(v, pair.T1) {
-			tt++
-		}
-	}
-	return tt, true
-}

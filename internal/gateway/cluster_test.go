@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/gateway/clustertest"
+	"repro/internal/gen"
 )
 
 // baseRequest is the cold-key query the cluster tests hammer.
@@ -34,6 +35,34 @@ const spendTolerance = 2 // == baseRequest.Walkers
 func closeEnough(got, want int64) bool {
 	diff := got - want
 	return diff >= -spendTolerance && diff <= spendTolerance
+}
+
+// TestBudgetBeyondReachRefused sends a budget of 10^6, far above what two
+// walkers can spend on the facebook stand-in (3,966 nodes), straight to a
+// replica and through the gateway: each answers 400 within 100 ms, and the
+// replica records nothing.
+func TestBudgetBeyondReachRefused(t *testing.T) {
+	g, err := gen.Build(gen.Facebook, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := clustertest.NewCluster(t, 1, "fb", g, gateway.Config{})
+	engine, err := c.Replicas[0].Workspace.Graph("fb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{c.Replicas[0].URL(), c.Front.URL} {
+		req := baseRequest
+		req.Graph, req.Budget = "fb", 1_000_000
+		start := time.Now()
+		ans := clustertest.Estimate(t, base, req)
+		if took := time.Since(start); ans.Status != http.StatusBadRequest || took > 100*time.Millisecond {
+			t.Errorf("%s: budget 10^6 answered %d in %v (%q), want 400 within 100 ms", base, ans.Status, took, ans.Error)
+		}
+	}
+	if st := engine.Stats(); st.Recordings != 0 || st.StoreLoads != 0 {
+		t.Errorf("refused budgets reached the engine: %d recordings, %d store loads", st.Recordings, st.StoreLoads)
+	}
 }
 
 // TestFlightTableBounded routes more distinct keys than the single-flight

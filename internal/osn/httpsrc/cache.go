@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/atomicfile"
@@ -155,6 +156,8 @@ func (c *Cache) load(f *os.File) error {
 			for i, v := range vals {
 				adj[i] = graph.Node(v)
 			}
+			// An older build cached lists in the upstream's order.
+			slices.Sort(adj)
 			c.neighbors[node] = adj
 		case recLabels:
 			ls := make([]graph.Label, len(vals))

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +41,11 @@ type Fault struct {
 	Hang time.Duration
 	// Malformed answers 200 with syntactically invalid JSON.
 	Malformed bool
+	// Friends, when set, rewrites the friend list a neighbors answer
+	// carries: it gets node u and a copy of u's sorted list, and returns
+	// the list to send — reversed, as an upstream listing friends by
+	// recency would, or malformed.
+	Friends func(u graph.Node, adj []graph.Node) []graph.Node
 }
 
 // Ledger is the upstream's request accounting: what the client actually
@@ -187,6 +193,9 @@ func (u *Upstream) handle(w http.ResponseWriter, r *http.Request) {
 		payload = map[string]any{"nodes": u.g.NumNodes(), "edges": u.g.NumEdges()}
 	case "neighbors":
 		adj := u.g.Neighbors(node)
+		if fault != nil && fault.Friends != nil {
+			adj = fault.Friends(node, slices.Clone(adj))
+		}
 		if adj == nil {
 			adj = []graph.Node{}
 		}

@@ -18,6 +18,13 @@
 //	GET {base}/degree/{id}    -> {"degree": d}
 //	GET {base}/labels/{id}    -> {"labels": [l, ...]}
 //
+// A friend list may come in any order (an API may list friends by recency,
+// say). The client sorts each one before caching it, and sorts the lists it
+// reads back from an .osnc, because osn.Source promises strictly increasing
+// lists and the estimators' list merges rely on it. A list naming a node
+// outside [0, N), the same friend twice or the node itself is malformed, and
+// is retried like malformed JSON.
+//
 // The faultsim subpackage is the test double of that contract: an httptest
 // upstream with scriptable fault schedules and a call/byte ledger, used by
 // the fault-drill suite and reusable by any test that needs a misbehaving
@@ -33,6 +40,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -289,9 +297,7 @@ func (c *Client) Neighbors(u graph.Node) ([]graph.Node, error) {
 		c.stats.hits.Add(1)
 		return adj, nil
 	}
-	var resp struct {
-		Neighbors []graph.Node `json:"neighbors"`
-	}
+	resp := friendList{u: u, nodes: c.nodes}
 	if err := c.get(fmt.Sprintf("neighbors/%d", u), &resp); err != nil {
 		return nil, err
 	}
@@ -306,6 +312,30 @@ func (c *Client) Neighbors(u graph.Node) ([]graph.Node, error) {
 		return adj, nil
 	}
 	return adj, nil
+}
+
+// friendList is a /neighbors response for node u of an nodes-node graph.
+type friendList struct {
+	Neighbors []graph.Node `json:"neighbors"`
+	u         graph.Node
+	nodes     int
+}
+
+// check sorts the list and refuses one that names a node outside the graph,
+// the same friend twice, or u itself.
+func (f *friendList) check() error {
+	slices.Sort(f.Neighbors)
+	for i, v := range f.Neighbors {
+		switch {
+		case v < 0 || int(v) >= f.nodes:
+			return fmt.Errorf("friend %d of node %d is outside [0,%d)", v, f.u, f.nodes)
+		case v == f.u:
+			return fmt.Errorf("node %d lists itself as a friend", f.u)
+		case i > 0 && v == f.Neighbors[i-1]:
+			return fmt.Errorf("node %d lists friend %d twice", f.u, v)
+		}
+	}
+	return nil
 }
 
 // Degree implements osn.Source, served from a cached friend list when one
@@ -407,8 +437,9 @@ func (c *Client) getCtx(ctx context.Context, endpoint string, out any) error {
 }
 
 // attempt issues one HTTP request. retryable marks failures worth another
-// attempt (transport errors, 5xx, 429, malformed JSON); retryAfter carries
-// the upstream's Retry-After wish on 429/503.
+// attempt (transport errors, 5xx, 429, malformed JSON, or a decoded out
+// whose check method refuses it); retryAfter carries the upstream's
+// Retry-After wish on 429/503.
 func (c *Client) attempt(ctx context.Context, endpoint string, out any) (err error, retryable bool, retryAfter time.Duration) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
@@ -433,6 +464,11 @@ func (c *Client) attempt(ctx context.Context, endpoint string, out any) (err err
 	case resp.StatusCode == http.StatusOK:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("httpsrc: %s: malformed response: %w", endpoint, err), true, 0
+		}
+		if v, ok := out.(interface{ check() error }); ok {
+			if err := v.check(); err != nil {
+				return fmt.Errorf("httpsrc: %s: malformed response: %w", endpoint, err), true, 0
+			}
 		}
 		return nil, false, 0
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -117,6 +118,13 @@ func TestClientCacheAvoidsUpstream(t *testing.T) {
 	}
 }
 
+// reverseFriends lists friends in descending order, as an upstream that
+// lists them by recency might.
+func reverseFriends(_ graph.Node, adj []graph.Node) []graph.Node {
+	slices.Reverse(adj)
+	return adj
+}
+
 // TestClientFaultTable is the table-driven fault matrix: each row scripts
 // one upstream misbehavior and pins the client's reaction.
 func TestClientFaultTable(t *testing.T) {
@@ -167,6 +175,31 @@ func TestClientFaultTable(t *testing.T) {
 			name:       "malformed JSON then recovery",
 			schedule:   failFirst(2, faultsim.Fault{Malformed: true}),
 			minRetries: 2,
+		},
+		{
+			name:     "friends listed in reverse are sorted, not retried",
+			schedule: failFirst(1000, faultsim.Fault{Friends: reverseFriends}),
+		},
+		{
+			name: "repeated friend then recovery",
+			schedule: failFirst(1, faultsim.Fault{Friends: func(_ graph.Node, adj []graph.Node) []graph.Node {
+				return append(adj, adj[0])
+			}}),
+			minRetries: 1,
+		},
+		{
+			name: "node listed as its own friend then recovery",
+			schedule: failFirst(1, faultsim.Fault{Friends: func(u graph.Node, adj []graph.Node) []graph.Node {
+				return append(adj, u)
+			}}),
+			minRetries: 1,
+		},
+		{
+			name: "friend outside the graph then recovery",
+			schedule: failFirst(1, faultsim.Fault{Friends: func(_ graph.Node, adj []graph.Node) []graph.Node {
+				return append(adj, 1<<20)
+			}}),
+			minRetries: 1,
 		},
 		{
 			name:       "hang past deadline then recovery",

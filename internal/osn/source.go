@@ -22,8 +22,12 @@ type Source interface {
 	NumNodes() int
 	// NumEdges returns |E| — prior knowledge per the paper's assumption (2).
 	NumEdges() int64
-	// Neighbors returns the friend list of u. The returned slice is shared
-	// and must not be modified.
+	// Neighbors returns the friend list of u, strictly increasing by node
+	// ID: no repeats, and never u itself. The returned slice is shared and
+	// must not be modified. Replays merge lists on the order (the
+	// common-neighbour column, motif's triangle credit), and a walk picks a
+	// friend by its index in the list, so an adapter whose upstream lists
+	// friends in another order sorts them (see httpsrc).
 	Neighbors(u graph.Node) ([]graph.Node, error)
 	// Degree returns d(u). The metering Session currently serves degree
 	// queries from the cached friend list (len(Neighbors)) rather than

@@ -47,6 +47,9 @@ func (e *Engine) EstimateBatch(ctx context.Context, qs []Query) ([]*Answer, erro
 			maxCost = q.MaxCost
 		}
 	}
+	if err := e.checkBudget(key); err != nil {
+		return nil, err
+	}
 
 	ent, hit, err := e.acquire(ctx, Query{MaxCost: maxCost}, key)
 	if err != nil {
@@ -119,6 +122,22 @@ func buildTask(q Query) (string, core.EstimationTask, error) {
 		return "", nil, fmt.Errorf("%w: negative Budget/Walkers/MaxCost", ErrBadQuery)
 	}
 	return kind, task, nil
+}
+
+// checkBudget refuses a key whose budget no recording could spend. A walker
+// cannot buy more distinct friend lists than the graph has nodes, and each
+// of the key's W walkers is billed on its own share of about budget/W, so a
+// budget above W·|V| would only run every walker to its spin cap. The
+// engine's default budget is never refused.
+func (e *Engine) checkBudget(key store.Key) error {
+	if key.Budget == e.cfg.Budget {
+		return nil
+	}
+	if n := int64(e.Graph().NumNodes()); int64(key.Budget) > int64(key.Walkers)*n {
+		return fmt.Errorf("%w: budget %d exceeds %d walker(s) × %d nodes, the most distinct friend lists the walk can buy",
+			ErrBadQuery, key.Budget, key.Walkers, n)
+	}
+	return nil
 }
 
 // resolveKey maps a query onto its trajectory cache key, applying the

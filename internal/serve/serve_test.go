@@ -181,6 +181,39 @@ func TestEngineBudgetRejection(t *testing.T) {
 	}
 }
 
+// TestEngineBudgetBeyondReach: an explicit budget above W·|V|, more
+// distinct friend lists than W walkers can buy, is a bad query refused
+// before anything records, while W·|V| itself and the engine default (here
+// above |V|) still answer.
+func TestEngineBudgetBeyondReach(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g0, err := gen.BarabasiAlbert(40, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.Apply(g0, &gen.GenderLabeler{PFemale: 0.3, Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine(t, g, Config{BurnIn: 10})
+	pair := []graph.LabelPair{{T1: 1, T2: 2}}
+	n := g.NumNodes()
+	for _, walkers := range []int{1, 2} {
+		_, err := e.Estimate(context.Background(), Query{Pairs: pair, Budget: walkers*n + 1, Walkers: walkers})
+		if !errors.Is(err, ErrBadQuery) {
+			t.Errorf("budget %d at %d walkers on a %d-node graph: got %v, want ErrBadQuery", walkers*n+1, walkers, n, err)
+		}
+	}
+	if st := e.Stats(); st.Recordings != 0 || st.UpstreamCalls != 0 {
+		t.Errorf("refused queries recorded: %+v", st)
+	}
+	for _, q := range []Query{{Pairs: pair, Budget: 2 * n, Walkers: 2}, {Pairs: pair}} {
+		if _, err := e.Estimate(context.Background(), q); err != nil {
+			t.Errorf("budget %d (engine default %d), %d walkers: %v", q.Budget, e.cfg.Budget, q.Walkers, err)
+		}
+	}
+}
+
 // upstream is a SourceFactory over the in-memory graph: recordings through
 // it count as upstream recordings, so Config.TTL applies to them.
 func upstream(g *graph.Graph) osn.Source { return osn.NewGraphSource(g) }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
@@ -89,6 +90,62 @@ func TestEngineRecordsThroughHTTPSource(t *testing.T) {
 
 // trackedSource is an upstream a test can watch being collected.
 type trackedSource struct{ osn.GraphSource }
+
+// TestUpstreamListOrderDoesNotMoveAnswers records through an upstream that
+// lists every node's friends in reverse order. The client sorts each list
+// as it arrives, so the walk, the pairs answer and motif's triangle counts
+// (labeled and not) equal the in-memory source's: the triangle estimators
+// merge the recorded lists, and a walk picks a friend by its index in the
+// list.
+func TestUpstreamListOrderDoesNotMoveAnswers(t *testing.T) {
+	g := testGraph(t, 3)
+	up := faultsim.New(g)
+	defer up.Close()
+	up.SetSchedule(func(_ int64, endpoint string, _ graph.Node) *faultsim.Fault {
+		if endpoint != "neighbors" {
+			return nil
+		}
+		return &faultsim.Fault{Friends: func(_ graph.Node, adj []graph.Node) []graph.Node {
+			slices.Reverse(adj)
+			return adj
+		}}
+	})
+	c, err := httpsrc.New(httpsrc.Config{BaseURL: up.URL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pairs := []graph.LabelPair{{T1: 1, T2: 2}, {T1: 1, T2: 1}, {T1: 2, T2: 2}}
+	batch := []Query{
+		{Pairs: pairs, Budget: 300, Seed: 5},
+		{Kind: "motif", Motif: "triangles", Pairs: pairs, Budget: 300, Seed: 5},
+		{Kind: "motif", Motif: "triangles", Budget: 300, Seed: 5},
+	}
+	answers := func(e *Engine) []*Answer {
+		t.Helper()
+		out, err := e.EstimateBatch(context.Background(), batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range out {
+			if a.Err != nil {
+				t.Fatal(a.Err)
+			}
+		}
+		return out
+	}
+	got := answers(testEngine(t, g, Config{SourceFactory: func(*graph.Graph) osn.Source { return c }}))
+	want := answers(testEngine(t, g, Config{}))
+	if l := up.Ledger(); l.Neighbors == 0 {
+		t.Fatal("the recording fetched no friend list from the upstream")
+	}
+	for i := range batch {
+		if !reflect.DeepEqual(got[i].Pairs, want[i].Pairs) || !reflect.DeepEqual(got[i].Result, want[i].Result) {
+			t.Errorf("query %d (%s, %d vs %d samples): the reversed-list upstream's answer differs from the in-memory source's",
+				i, got[i].Kind, got[i].Samples, want[i].Samples)
+		}
+	}
+}
 
 // TestSourceRecordingsReleaseTheirSource: a cached SourceFactory recording
 // keeps the labels its .osnt would embed, not its recording session, so the

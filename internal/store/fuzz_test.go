@@ -37,9 +37,12 @@ var fuzzPairs = []graph.LabelPair{{T1: 1, T2: 1}, {T1: 1, T2: 2}}
 // FuzzDecode feeds mutated .osnt images to Decode, the entry point of Load
 // and of the replication pull path. The trailing CRC is recomputed so that
 // mutations reach the parser instead of stopping at the checksum. Decode
-// must return an error or a trajectory, and a decoded trajectory must replay
-// every kind through RunTasksFused; a replay may fail, but only with an
-// error. The seeds are fresh encodings of a few hundred bytes.
+// must return an error or a trajectory. Whatever it accepts, the reference
+// decoder (reference_test.go) must accept too, with equal header fields,
+// columns and label reads; every record must be one a walk could have
+// recorded (walkViolation); and the trajectory must replay every kind
+// through RunTasksFused, where a replay may fail, but only with an error.
+// The seeds are fresh encodings of a few hundred bytes.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	g0, err := gen.BarabasiAlbert(30, 2, rng)
@@ -79,6 +82,16 @@ func FuzzDecode(f *testing.F) {
 		traj, err := Decode(raw)
 		if err != nil {
 			return
+		}
+		ref, err := referenceDecode(raw)
+		if err != nil {
+			t.Fatalf("Decode accepts an image the reference decoder refuses: %v", err)
+		}
+		if d := sameDecode(traj, ref); d != "" {
+			t.Fatalf("Decode and the reference decoder disagree: %s", d)
+		}
+		if v := walkViolation(traj); v != "" {
+			t.Fatalf("Decode accepted an impossible record: %s", v)
 		}
 		tasks := make([]core.EstimationTask, len(fuzzReplays))
 		for i, r := range fuzzReplays {

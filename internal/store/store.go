@@ -61,7 +61,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
@@ -334,14 +336,19 @@ func Write(w io.Writer, t *core.Trajectory) error {
 // trajectory, bound to the label store the file carries. Every count and
 // node ID is validated before use, and the trailing CRC must match, so a
 // truncated, bit-flipped or hostile image fails fast instead of replaying
-// garbage. Load decodes files through it; the replication pull path decodes
-// (and thereby verifies) a peer's bytes before admitting them to the local
-// store.
+// garbage. Every record must also be one a walk could have recorded: each
+// friend list is as long as its record's degree and strictly increasing,
+// and each step leaves from its walker's previous node (the start node, for
+// its first step) to a node in that node's friend list. Load decodes files
+// through it; the replication pull path decodes (and thereby verifies) a
+// peer's bytes before admitting them to the local store.
 //
-// The image is checksummed in a single crc32 pass and parsed with a
-// bounds-checked cursor rather than word by word off a stream, which keeps
-// reloading a persisted trajectory cheaper than re-recording it (the
-// evict-reload workload in bench/README.md measures it).
+// The image's length is checked against the header's section counts, and
+// its CRC over the whole image, before any section is parsed; so each
+// section parses as one loop over its bytes, writing the preallocated
+// columns by index, and only a record's own list length needs a bound of its
+// own. Decode copies everything it keeps and does not retain raw, so the
+// caller may reuse the buffer.
 func Decode(raw []byte) (*core.Trajectory, error) {
 	if len(raw) < headerSize+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a .osnt file", len(raw))
@@ -391,41 +398,33 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	if got, want := crc32.ChecksumIEEE(raw[:len(raw)-4]), binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != want {
 		return nil, fmt.Errorf("store: checksum mismatch (file %08x, computed %08x): corrupt trajectory", want, got)
 	}
-	dec := &cursor{buf: raw[headerSize : len(raw)-4]}
-
-	checkNode := func(u uint32, what string) (graph.Node, error) {
-		if uint64(u) >= numNodes {
-			return 0, fmt.Errorf("store: %s ID %d out of range [0,%d)", what, u, numNodes)
-		}
-		return graph.Node(u), nil
-	}
+	// body is exactly the sections the header counts: every fixed-size
+	// section below is in bounds by the size check above.
+	body := raw[headerSize : len(raw)-4]
 
 	W := int(walkers)
 	perCalls := make([]int64, W)
 	for i := range perCalls {
-		perCalls[i] = int64(dec.u64())
+		perCalls[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	stepCounts := make([]uint32, W)
-	var sumSteps uint64
-	for i := range stepCounts {
-		stepCounts[i] = dec.u32()
-		sumSteps += uint64(stepCounts[i])
+	body = body[8*W:]
+	ext := make([]int64, W+1)
+	for w := 0; w < W; w++ {
+		ext[w+1] = ext[w] + int64(binary.LittleEndian.Uint32(body[4*w:]))
 	}
-	if dec.err != nil {
-		return nil, fmt.Errorf("store: reading accounting sections: %w", dec.err)
-	}
-	if sumSteps != totalSteps {
-		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", sumSteps, totalSteps)
+	body = body[4*W:]
+	if uint64(ext[W]) != totalSteps {
+		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", ext[W], totalSteps)
 	}
 
 	// Decode straight into the trajectory's columnar layout: the file's
 	// record order (start lists first, then step lists walker-major) IS the
-	// arena order, so every neighbor entry appends to one preallocated arena
-	// and the whole decode is a fixed number of allocations regardless of
-	// trajectory length (pinned by TestLoadAllocsPerStep).
+	// arena order, so every list lands in one preallocated arena and the
+	// whole decode is a fixed number of allocations regardless of trajectory
+	// length (pinned by TestLoadAllocsPerStep).
 	S := int(totalSteps)
 	data := core.TrajectoryData{
-		Ext:         make([]int64, W+1),
+		Ext:         ext,
 		Prev:        make([]graph.Node, S),
 		Node:        make([]graph.Node, S),
 		Degree:      make([]int32, S),
@@ -433,122 +432,109 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 		StartNode:   make([]graph.Node, W),
 		StartDegree: make([]int32, W),
 		StartOff:    make([]int64, W+1),
-		Arena:       make([]graph.Node, 0, totalNeighbors),
+		Arena:       make([]graph.Node, totalNeighbors),
 	}
+	rr := records{buf: body, arena: data.Arena, numNodes: numNodes}
 	for w := 0; w < W; w++ {
-		data.Ext[w+1] = data.Ext[w] + int64(stepCounts[w])
-	}
-
-	// neighborsLeft caps arena appends by the header's global total, so a
-	// corrupt per-record length cannot overrun the preallocated arena.
-	neighborsLeft := totalNeighbors
-	readNeighbors := func(n uint32) error {
-		if uint64(n) > neighborsLeft {
-			return fmt.Errorf("store: neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, neighborsLeft)
+		rec := rr.next(12)
+		node, degree, n := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]), binary.LittleEndian.Uint32(rec[8:])
+		if uint64(node) >= numNodes {
+			return nil, fmt.Errorf("store: start node ID %d out of range [0,%d)", node, numNodes)
 		}
-		neighborsLeft -= uint64(n)
-		for i := uint32(0); i < n; i++ {
-			v, err := checkNode(dec.u32(), "neighbor")
-			if err != nil {
-				return err
-			}
-			data.Arena = append(data.Arena, v)
-		}
-		return nil
-	}
-
-	for w := 0; w < W; w++ {
-		node, err := checkNode(dec.u32(), "start node")
-		if err != nil {
-			return nil, err
-		}
-		degree := dec.u32()
-		nbrLen := dec.u32()
-		if dec.err != nil {
-			return nil, fmt.Errorf("store: reading start record %d: %w", w, dec.err)
-		}
-		data.StartNode[w] = node
+		data.StartNode[w] = graph.Node(node)
 		data.StartDegree[w] = int32(degree)
-		data.StartOff[w] = int64(len(data.Arena))
-		if err := readNeighbors(nbrLen); err != nil {
-			return nil, err
+		data.StartOff[w] = int64(rr.fill)
+		if _, err := rr.list(n, degree); err != nil {
+			return nil, fmt.Errorf("store: start record %d: %w", w, err)
 		}
 	}
-	data.StartOff[W] = int64(len(data.Arena))
+	data.StartOff[W] = int64(rr.fill)
 
-	for i := 0; i < S; i++ {
-		prev, err := checkNode(dec.u32(), "step prev")
-		if err != nil {
-			return nil, err
-		}
-		node, err := checkNode(dec.u32(), "step node")
-		if err != nil {
-			return nil, err
-		}
-		degree := dec.u32()
-		nbrLen := dec.u32()
-		if dec.err != nil {
-			return nil, fmt.Errorf("store: reading step %d: %w", i, dec.err)
-		}
-		data.Prev[i] = prev
-		data.Node[i] = node
-		data.Degree[i] = int32(degree)
-		data.NbrOff[i] = int64(len(data.Arena))
-		if err := readNeighbors(nbrLen); err != nil {
-			return nil, err
+	// Each step must leave from where its walker stands and move to a node
+	// in that node's friend list, which the previous record (the start
+	// record, for a walker's first step) has just checked sorted.
+	for w := 0; w < W; w++ {
+		at := data.StartNode[w]
+		atList := data.Arena[data.StartOff[w]:data.StartOff[w+1]]
+		for i := ext[w]; i < ext[w+1]; i++ {
+			rec := rr.next(16)
+			prev, node := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
+			degree, n := binary.LittleEndian.Uint32(rec[8:]), binary.LittleEndian.Uint32(rec[12:])
+			if uint64(prev) >= numNodes {
+				return nil, fmt.Errorf("store: step prev ID %d out of range [0,%d)", prev, numNodes)
+			}
+			if uint64(node) >= numNodes {
+				return nil, fmt.Errorf("store: step node ID %d out of range [0,%d)", node, numNodes)
+			}
+			if graph.Node(prev) != at {
+				return nil, fmt.Errorf("store: step %d leaves from node %d, but walker %d stands at %d (corrupt file?)", i, prev, w, at)
+			}
+			if _, ok := slices.BinarySearch(atList, graph.Node(node)); !ok {
+				return nil, fmt.Errorf("store: step %d moves to node %d, which is not in node %d's friend list (corrupt file?)", i, node, prev)
+			}
+			data.Prev[i] = graph.Node(prev)
+			data.Node[i] = graph.Node(node)
+			data.Degree[i] = int32(degree)
+			data.NbrOff[i] = int64(rr.fill)
+			list, err := rr.list(n, degree)
+			if err != nil {
+				return nil, fmt.Errorf("store: step %d: %w", i, err)
+			}
+			at, atList = graph.Node(node), list
 		}
 	}
-	data.NbrOff[S] = int64(len(data.Arena))
-	if neighborsLeft != 0 {
-		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", neighborsLeft)
+	data.NbrOff[S] = int64(rr.fill)
+	if left := len(data.Arena) - rr.fill; left != 0 {
+		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", left)
 	}
+	body = body[rr.pos:]
 
+	L := int(labelNodes)
 	ls := &labelStore{
-		nodes: make([]graph.Node, labelNodes),
-		off:   make([]uint32, labelNodes+1),
+		nodes: make([]graph.Node, L),
+		off:   make([]uint32, L+1),
 		vals:  make([]graph.Label, labelRefs),
 	}
+	if numNodes <= denseIndexMaxNodes {
+		ls.indexNodes = int(numNodes)
+	}
 	for i := range ls.nodes {
-		u, err := checkNode(dec.u32(), "labeled node")
-		if err != nil {
-			return nil, err
+		u := binary.LittleEndian.Uint32(body[4*i:])
+		if uint64(u) >= numNodes {
+			return nil, fmt.Errorf("store: labeled node ID %d out of range [0,%d)", u, numNodes)
 		}
-		if i > 0 && u <= ls.nodes[i-1] {
+		if i > 0 && graph.Node(u) <= ls.nodes[i-1] {
 			return nil, fmt.Errorf("store: labeled node IDs not strictly increasing at index %d (corrupt file?)", i)
 		}
-		ls.nodes[i] = u
+		ls.nodes[i] = graph.Node(u)
 	}
+	body = body[4*L:]
 	for i := range ls.off {
-		ls.off[i] = dec.u32()
+		ls.off[i] = binary.LittleEndian.Uint32(body[4*i:])
 		if i > 0 && ls.off[i] < ls.off[i-1] {
 			return nil, fmt.Errorf("store: label offsets decrease at index %d (corrupt file?)", i)
 		}
 	}
-	if dec.err == nil && (ls.off[0] != 0 || uint64(ls.off[labelNodes]) != labelRefs) {
+	body = body[4*(L+1):]
+	if ls.off[0] != 0 || uint64(ls.off[L]) != labelRefs {
 		return nil, fmt.Errorf("store: label offsets span [%d,%d], refs section has %d (corrupt file?)",
-			ls.off[0], ls.off[labelNodes], labelRefs)
+			ls.off[0], ls.off[L], labelRefs)
 	}
 	table := make([]graph.Label, labelTable)
 	for i := range table {
-		table[i] = graph.Label(dec.u32())
+		table[i] = graph.Label(binary.LittleEndian.Uint32(body[4*i:]))
 	}
+	body = body[4*len(table):]
 	for i := range ls.vals {
-		ref := dec.u32()
-		if dec.err != nil {
-			break
-		}
+		ref := binary.LittleEndian.Uint32(body[4*i:])
 		if uint64(ref) >= labelTable {
 			return nil, fmt.Errorf("store: label ref %d out of table range [0,%d)", ref, labelTable)
 		}
 		ls.vals[i] = table[ref]
 	}
-	if dec.err != nil {
-		return nil, fmt.Errorf("store: reading label sections: %w", dec.err)
+	if rest := len(body) - 4*len(ls.vals); rest != 0 {
+		return nil, fmt.Errorf("store: %d unparsed payload bytes (corrupt file?)", rest)
 	}
-	if dec.off != len(dec.buf) {
-		return nil, fmt.Errorf("store: %d unparsed payload bytes (corrupt file?)", len(dec.buf)-dec.off)
-	}
-	ls.buildDense(int(numNodes))
 
 	t := &core.Trajectory{
 		Walkers:          W,
@@ -569,6 +555,55 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	return t, nil
 }
 
+// records reads the start and step records in file order, copying each
+// friend list into the arena.
+type records struct {
+	buf      []byte // the record sections, from the first start record on
+	pos      int    // read offset into buf
+	arena    []graph.Node
+	fill     int // arena entries filled so far
+	numNodes uint64
+}
+
+// next returns the next n bytes of record header. The record sections hold
+// one header per start and per step, and each list is bounded by the arena
+// entries left, so a header read never passes the sections' end.
+func (r *records) next(n int) []byte {
+	rec := r.buf[r.pos : r.pos+n]
+	r.pos += n
+	return rec
+}
+
+// list copies the next n-entry friend list into the arena and returns it,
+// refusing a list whose length is not its record's degree, that overruns
+// the header's neighbor total, that holds an ID outside the graph, or that
+// is not strictly increasing.
+func (r *records) list(n, degree uint32) ([]graph.Node, error) {
+	if n != degree {
+		return nil, fmt.Errorf("friend list of %d entries, but degree %d (corrupt file?)", n, degree)
+	}
+	if left := len(r.arena) - r.fill; uint64(n) > uint64(left) {
+		return nil, fmt.Errorf("neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, left)
+	}
+	dst := r.arena[r.fill : r.fill+int(n)]
+	src := r.buf[r.pos : r.pos+4*int(n)]
+	last := int64(-1)
+	for j := range dst {
+		v := binary.LittleEndian.Uint32(src[4*j:])
+		if uint64(v) >= r.numNodes {
+			return nil, fmt.Errorf("neighbor ID %d out of range [0,%d)", v, r.numNodes)
+		}
+		if int64(v) <= last {
+			return nil, fmt.Errorf("friend list not strictly increasing at entry %d (corrupt file?)", j)
+		}
+		last = int64(v)
+		dst[j] = graph.Node(v)
+	}
+	r.pos += 4 * int(n)
+	r.fill += int(n)
+	return dst, nil
+}
+
 // Save writes t to path through atomicfile.Write (temp file, fsync, rename,
 // directory fsync), so a crash mid-write never leaves a truncated trajectory
 // behind, a concurrent Load sees either the previous complete file or the
@@ -577,13 +612,29 @@ func Save(path string, t *core.Trajectory) error {
 	return atomicfile.Write(path, func(w io.Writer) error { return Write(w, t) })
 }
 
-// Load reads the trajectory at path in one slurp. The decoder cross-checks
-// the header's section sizes against the actual byte count before parsing,
-// so a truncated or size-inconsistent file fails fast.
+// Load reads the trajectory at path into a pooled buffer, sized from the
+// open file's length, and decodes it. The decoder cross-checks the header's
+// section sizes against the byte count before parsing, so a truncated or
+// size-inconsistent file fails fast; and since it keeps no reference to the
+// bytes, the buffer goes back to the pool for the next reload.
 func Load(path string) (*core.Trajectory, error) {
-	raw, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	bp := readBufs.Get().(*[]byte)
+	defer readBufs.Put(bp)
+	if int64(cap(*bp)) < fi.Size() {
+		*bp = make([]byte, fi.Size())
+	}
+	raw := (*bp)[:fi.Size()]
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
 	t, err := Decode(raw)
 	if err != nil {
@@ -591,6 +642,11 @@ func Load(path string) (*core.Trajectory, error) {
 	}
 	return t, nil
 }
+
+// readBufs holds Load's read buffers. Reloads run on every evicted key's
+// next request, and a pooled buffer turns each one's file-sized garbage
+// into a reuse.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // denseIndexMaxNodes bounds the graphs for which a loaded label store
 // builds its O(1) node → label-set index (4 bytes per graph node). Beyond
@@ -605,32 +661,36 @@ type labelStore struct {
 	nodes []graph.Node // sorted distinct labeled nodes
 	off   []uint32     // len(nodes)+1 offsets into vals
 	vals  []graph.Label
-	// dense maps node ID → index into nodes/off (-1 = unlabeled); nil when
-	// the graph exceeds denseIndexMaxNodes. Label reads are the replay hot
-	// path (every census/motif step consults several), so the O(|V|) table
-	// keeps reloaded trajectories replaying at recorded-trajectory speed.
-	// Detach leaves it nil too, keeping an O(|V|) array out of every cached
-	// upstream recording; its reads fall back to binary search.
+	// indexNodes is the node count of the O(1) node → label-set index
+	// (dense) that the first label read builds; 0 builds none, and reads
+	// binary-search nodes. Label reads are the replay hot path (every
+	// census/motif step consults several), so a loaded store indexes a
+	// graph up to denseIndexMaxNodes nodes; built on first read, the index
+	// costs nothing for a reload the serving engine rebinds to its graph's
+	// labels before any replay. Detach leaves indexNodes 0, keeping an
+	// O(|V|) array out of every cached upstream recording.
+	indexNodes int
+	indexOnce  sync.Once
+	// dense maps node ID → index into nodes/off (-1 = unlabeled).
 	dense []int32
 }
 
-// buildDense materializes the O(1) lookup table when affordable.
-func (ls *labelStore) buildDense(numNodes int) {
-	if numNodes > denseIndexMaxNodes {
-		return
-	}
-	ls.dense = make([]int32, numNodes)
-	for i := range ls.dense {
-		ls.dense[i] = -1
+// buildDense materializes the O(1) lookup table.
+func (ls *labelStore) buildDense() {
+	dense := make([]int32, ls.indexNodes)
+	for i := range dense {
+		dense[i] = -1
 	}
 	for i, u := range ls.nodes {
-		ls.dense[u] = int32(i)
+		dense[u] = int32(i)
 	}
+	ls.dense = dense
 }
 
 // find returns the index of u in the sorted node table, or -1.
 func (ls *labelStore) find(u graph.Node) int {
-	if ls.dense != nil {
+	if ls.indexNodes > 0 {
+		ls.indexOnce.Do(ls.buildDense)
 		if int(u) >= len(ls.dense) || u < 0 {
 			return -1
 		}
@@ -692,39 +752,4 @@ func (e *encoder) nodes(ns []graph.Node) {
 	for _, v := range ns {
 		e.u32(uint32(v))
 	}
-}
-
-// cursor reads little-endian words straight out of an in-memory payload;
-// the first out-of-bounds read sticks as an error. The checksum was already
-// verified over the whole buffer, so reads are plain slice indexing.
-type cursor struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.buf) {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.buf[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+8 > len(c.buf) {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.buf[c.off:])
-	c.off += 8
-	return v
 }
