@@ -314,7 +314,7 @@ func (c *Client) Neighbors(u graph.Node) ([]graph.Node, error) {
 	return adj, nil
 }
 
-// friendList is a /neighbors response for node u of an nodes-node graph.
+// friendList is the /neighbors response for node u; nodes is |V|.
 type friendList struct {
 	Neighbors []graph.Node `json:"neighbors"`
 	u         graph.Node
