@@ -187,7 +187,9 @@ func TestDecodeRefusesImpossibleRecords(t *testing.T) {
 
 // TestConcurrentLoadsMatchSerial loads distinct files from several
 // goroutines at once, all through Load's pooled read buffers, and checks
-// each result against a serial Load of the same file.
+// each result against a serial Load of the same file. Every goroutine also
+// reads the labels of one shared loaded trajectory, so the first round
+// races the first build of its label index.
 func TestConcurrentLoadsMatchSerial(t *testing.T) {
 	g := testGraph(t, 11)
 	dir := t.TempDir()
@@ -204,6 +206,8 @@ func TestConcurrentLoadsMatchSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	shared := want[0]
+	wantLabels := make([][]graph.Label, len(shared.Data().Node))
 	var wg sync.WaitGroup
 	got := make([]*core.Trajectory, files)
 	errs := make([]error, files)
@@ -213,6 +217,11 @@ func TestConcurrentLoadsMatchSerial(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				got[i], errs[i] = Load(paths[i])
+				for j, u := range shared.Data().Node {
+					if ls := shared.Labels().Labels(u); round > 0 && !slices.Equal(ls, wantLabels[j]) {
+						t.Errorf("round %d: node %d labels %v, want %v", round, u, ls, wantLabels[j])
+					}
+				}
 			}()
 		}
 		wg.Wait()
@@ -223,6 +232,9 @@ func TestConcurrentLoadsMatchSerial(t *testing.T) {
 			if d := sameDecode(got[i], want[i]); d != "" {
 				t.Fatalf("round %d file %d: concurrent Load differs from serial: %s", round, i, d)
 			}
+		}
+		for j, u := range shared.Data().Node {
+			wantLabels[j] = g.Labels(u)
 		}
 	}
 }
