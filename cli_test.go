@@ -123,13 +123,12 @@ func TestCLIFlagValidation(t *testing.T) {
 	runExpectUsageError(t, serve, "-labels", "-graph", "x.osnb", "-labels", "x.labels")
 
 	// gateway (PR 8) validates its routing tier flags up front: a missing or
-	// malformed replica list, nonsense ring/probe/quota settings, all exit 2
+	// malformed replica list, nonsense probe/quota settings, all exit 2
 	// with a message naming the flag.
 	runExpectUsageError(t, gateway, "-replicas") // required
 	runExpectUsageError(t, gateway, "-replicas", "-replicas", "http://a:8080,,http://b:8080")
 	runExpectUsageError(t, gateway, "-replicas", "-replicas", "ftp://a:8080")
 	runExpectUsageError(t, gateway, "-replicas", "-replicas", "http://a:8080,http://a:8080")
-	runExpectUsageError(t, gateway, "-vnodes", "-replicas", "http://a:8080", "-vnodes", "0")
 	runExpectUsageError(t, gateway, "-probe-interval", "-replicas", "http://a:8080", "-probe-interval", "-1s")
 	runExpectUsageError(t, gateway, "-probe-failures", "-replicas", "http://a:8080", "-probe-failures", "0")
 	runExpectUsageError(t, gateway, "-quota-rate", "-replicas", "http://a:8080", "-quota-rate", "-5")

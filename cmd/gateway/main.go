@@ -48,7 +48,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8081", "listen address")
 		replicas      = flag.String("replicas", "", "comma-separated serve replica base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
-		vnodes        = flag.Int("vnodes", 64, "virtual nodes per replica on the consistent-hash ring")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "replica health-probe period (0 disables background probing)")
 		probeFailures = flag.Int("probe-failures", 2, "consecutive probe failures before a replica is evicted from the ring")
 		quotaRate     = flag.Float64("quota-rate", 0, "per-tenant request rate in req/s (0 disables admission control)")
@@ -73,9 +72,6 @@ func main() {
 			fail("-replicas has an empty entry; want comma-separated base URLs like http://10.0.0.1:8080")
 		}
 		urls = append(urls, u)
-	}
-	if *vnodes < 1 {
-		fail("-vnodes must be at least 1, got %d", *vnodes)
 	}
 	if *probeInterval < 0 {
 		fail("-probe-interval must be non-negative, got %s", *probeInterval)
@@ -106,7 +102,6 @@ func main() {
 
 	gw, err := gateway.New(gateway.Config{
 		Replicas:      urls,
-		VNodes:        *vnodes,
 		ProbeInterval: *probeInterval,
 		ProbeFailures: *probeFailures,
 		QuotaRate:     *quotaRate,
@@ -143,8 +138,8 @@ func main() {
 	}
 
 	log.Printf("routing across %d replicas: %s", len(urls), strings.Join(urls, ", "))
-	log.Printf("vnodes=%d probe=%s/%d quota=%g req/s burst=%g tenant-header=%s",
-		*vnodes, *probeInterval, *probeFailures, *quotaRate, *quotaBurst, *tenantHeader)
+	log.Printf("probe=%s/%d quota=%g req/s burst=%g tenant-header=%s",
+		*probeInterval, *probeFailures, *quotaRate, *quotaBurst, *tenantHeader)
 	log.Printf("listening on %s", ln.Addr())
 	if err := serve.Run(ctx, ln, gw.Handler(), nil, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "gateway:", err)

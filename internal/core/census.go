@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -14,6 +15,12 @@ type PairEstimate struct {
 	Estimate float64 `json:"estimate"`
 	// Hits is how many sampled edges carried the pair.
 	Hits int `json:"hits"`
+}
+
+// String prints the row's pair with its estimate and hit count; without
+// it, fmt would print the embedded pair's String alone.
+func (r PairEstimate) String() string {
+	return fmt.Sprintf("%v: estimate %g, %d hits", r.Pair, r.Estimate, r.Hits)
 }
 
 // CensusResult is the result type of task kind "census": the counts of ALL

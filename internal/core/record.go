@@ -53,8 +53,9 @@ type walkerRecording struct {
 	// deferred is that purchase's error (look-ahead rule only).
 	ahead    int64
 	deferred error
-	// explored marks the nodes whose exploration surcharge this walker paid.
-	explored map[graph.Node]bool
+	// explored marks the nodes whose exploration surcharge this walker paid;
+	// nil under ExploreFree, which charges none.
+	explored graph.NodeSet
 }
 
 // newWalkerRecording starts recording w from its current node, buying that
@@ -62,7 +63,7 @@ type walkerRecording struct {
 func newWalkerRecording(api osn.API, w walk.Walker[graph.Node], ctx context.Context, bill billing, capHint int) (*walkerRecording, error) {
 	r := &walkerRecording{api: api, w: w, ctx: ctx, bill: bill, steps: make([]TrajStep, 0, capHint)}
 	if bill.cost != ExploreFree {
-		r.explored = make(map[graph.Node]bool)
+		r.explored = graph.NewNodeSet(api.NumNodes())
 	}
 	u := w.Current()
 	d, ns, err := r.buy(u)
@@ -135,10 +136,10 @@ func (r *walkerRecording) run(maxSteps int, budget int64) error {
 // node carrying a target label. ExplorePerNeighbor charges all d(u) friends.
 func (r *walkerRecording) surcharge(u graph.Node, d int) error {
 	pair := r.bill.pair
-	if r.explored == nil || r.explored[u] || !r.api.HasLabel(u, pair.T1) && !r.api.HasLabel(u, pair.T2) {
+	if r.explored == nil || r.explored.Has(u) || !r.api.HasLabel(u, pair.T1) && !r.api.HasLabel(u, pair.T2) {
 		return nil
 	}
-	r.explored[u] = true
+	r.explored.Add(u)
 	n := int64(1)
 	if r.bill.cost == ExplorePerNeighbor {
 		n = int64(d)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/estimate"
@@ -54,14 +55,15 @@ type neCols struct {
 }
 
 // OccurrenceIndex groups the trajectory's arrivals by node: Nodes lists the
-// distinct arrival nodes in first-visit order, and node j's occurrences are
+// distinct arrival nodes in ascending order, and node j's occurrences are
 // the index range Off[j]..Off[j+1] into the Walker / Pos columns (owning
 // walker and walker-local sample position, in global step order — so each
 // node's occurrences are sorted by walker, then by position). Collision
 // counting (sizeest) derives its same-node pair counts from this index
 // instead of rebuilding per-walker position maps on every replay; the
-// counts are integer sums over unordered pairs, so the grouping changes
-// no result bits.
+// counts are integer sums over unordered pairs, and the per-step label
+// columns write each node's steps wherever it is listed, so neither the
+// grouping nor the order of Nodes changes any result bit.
 type OccurrenceIndex struct {
 	Nodes  []graph.Node
 	Off    []int32
@@ -123,150 +125,42 @@ func (t *Trajectory) EdgeCommonNeighbors() []int32 {
 	return t.replay().common.get(func() []int32 { return buildCommonNeighbors(t) })
 }
 
-// buildCommonNeighbors counts each step's endpoint-common neighbors. With a
-// bounded node universe it runs an epoch-stamped membership scan — two flat
-// passes per friend list instead of a branchy sorted merge — and because the
-// prev list at step i+1 is exactly step i's friend list, each list is marked
-// once. The count is an integer either way, so the algorithm choice changes
-// no result bits.
+// buildCommonNeighbors counts each step's endpoint-common neighbors. The
+// prev list at step i+1 is exactly step i's friend list, so one node set
+// holds the previous endpoint's friends: each step counts its own friends in
+// the set, then its list replaces the previous one there.
 func buildCommonNeighbors(t *Trajectory) []int32 {
 	if !t.HasStarts() {
 		return nil
 	}
-	S := t.Samples()
-	W := t.NumWalkers()
-	cn := make([]int32, S)
-	dense := denseScratch(t.NumNodes, len(t.arena))
-	if dense {
-		// Arena entries outside [0, NumNodes) would overflow the stamp
-		// array; fall back to merging if any exist (a malformed header).
-		for _, v := range t.arena {
-			if int(v) < 0 || int(v) >= t.NumNodes {
-				dense = false
-				break
-			}
-		}
-	}
-	if dense {
-		stamp := make([]int32, t.NumNodes)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		epoch := int32(0)
-		for w := 0; w < W; w++ {
-			for _, v := range t.StartNeighbors(w) {
-				stamp[v] = epoch
-			}
-			lo, hi := t.WalkerSpan(w)
-			for i := lo; i < hi; i++ {
-				nbrs := t.arena[t.nbrOff[i]:t.nbrOff[i+1]]
-				c := int32(0)
-				for _, v := range nbrs {
-					if stamp[v] == epoch {
-						c++
-					}
-				}
-				cn[i] = c
-				epoch++
-				for _, v := range nbrs {
-					stamp[v] = epoch
-				}
-			}
-			epoch++
-		}
-		return cn
-	}
-	for w := 0; w < W; w++ {
+	cn := make([]int32, t.Samples())
+	in := graph.NewNodeSet(t.NumNodes)
+	for w := 0; w < t.NumWalkers(); w++ {
 		prev := t.StartNeighbors(w)
+		for _, v := range prev {
+			in.Add(v)
+		}
 		lo, hi := t.WalkerSpan(w)
 		for i := lo; i < hi; i++ {
-			nbrs := t.arena[t.nbrOff[i]:t.nbrOff[i+1]]
-			cn[i] = int32(commonSorted(prev, nbrs))
+			nbrs := t.StepNeighbors(i)
+			for _, v := range nbrs {
+				if in.Has(v) {
+					cn[i]++
+				}
+			}
+			for _, v := range prev {
+				in.Remove(v)
+			}
+			for _, v := range nbrs {
+				in.Add(v)
+			}
 			prev = nbrs
+		}
+		for _, v := range prev {
+			in.Remove(v)
 		}
 	}
 	return cn
-}
-
-// commonSorted merge-counts the intersection of two sorted node lists.
-func commonSorted(nu, nv []graph.Node) int {
-	common, i, j := 0, 0, 0
-	for i < len(nu) && j < len(nv) {
-		switch {
-		case nu[i] < nv[j]:
-			i++
-		case nu[i] > nv[j]:
-			j++
-		default:
-			common++
-			i++
-			j++
-		}
-	}
-	return common
-}
-
-// denseScratchMaxNodes bounds the O(numNodes) scratch arrays of the column
-// builds; graphs past it use maps keyed by node instead.
-const denseScratchMaxNodes = 1 << 24
-
-// denseScratch decides whether an O(numNodes) build-time scratch array is
-// worth allocating for a column build that touches at most touched distinct
-// nodes. Small graphs always take the dense array (cheap, fastest); larger
-// graphs take it only when the workload is within a constant factor of the
-// graph size, so a few-hundred-step trajectory over a million-node graph
-// builds through sparse maps and the per-estimate allocation cost stays
-// independent of |V|. Both paths produce identical columns.
-func denseScratch(numNodes, touched int) bool {
-	if numNodes <= 0 || numNodes > denseScratchMaxNodes {
-		return false
-	}
-	return numNodes <= denseScratchMinNodes || numNodes/denseScratchFactor <= touched
-}
-
-const (
-	// denseScratchMinNodes is the graph size below which dense scratch is
-	// unconditional: a few KB of arrays beat any map.
-	denseScratchMinNodes = 1 << 12
-	// denseScratchFactor is how many times larger than the touched-node
-	// bound the graph must be before sparse scratch wins.
-	denseScratchFactor = 8
-)
-
-// nodeSet is a visited-node set: a bitmap when the node universe is bounded,
-// a map otherwise.
-type nodeSet struct {
-	bits []uint64
-	m    map[graph.Node]struct{}
-}
-
-func newNodeSet(numNodes int) *nodeSet {
-	if numNodes > 0 {
-		return &nodeSet{bits: make([]uint64, (numNodes+63)/64)}
-	}
-	return &nodeSet{m: make(map[graph.Node]struct{})}
-}
-
-// add inserts u and reports whether it was new.
-func (s *nodeSet) add(u graph.Node) bool {
-	if s.bits != nil {
-		w, b := uint(u)>>6, uint64(1)<<(uint(u)&63)
-		if int(w) < len(s.bits) {
-			if s.bits[w]&b != 0 {
-				return false
-			}
-			s.bits[w] |= b
-			return true
-		}
-	}
-	if s.m == nil {
-		s.m = make(map[graph.Node]struct{})
-	}
-	if _, ok := s.m[u]; ok {
-		return false
-	}
-	s.m[u] = struct{}{}
-	return true
 }
 
 // thinStride is the step stride of the HT-retained samples: every ThinGap-th
@@ -330,89 +224,60 @@ func buildNECols(t *Trajectory) *neCols {
 		retTotal += retW[w]
 	}
 	numEdges := float64(t.NumEdges)
-	seen := newNodeSet(t.NumNodes)
+	seen := graph.NewNodeSet(t.NumNodes)
 	for w := 0; w < W; w++ {
 		lo, hi := t.WalkerSpan(w)
-		seenAll, seenW := newNodeSet(t.NumNodes), newNodeSet(t.NumNodes)
+		seenAll, seenW := graph.NewNodeSet(t.NumNodes), graph.NewNodeSet(t.NumNodes)
 		for i := lo; i < hi; i++ {
 			u, d := t.node[i], float64(t.deg[i])
 			c.invDeg[i] = 1 / d
-			c.nodeFirstAllW[i] = seenAll.add(u)
+			c.nodeFirstAllW[i] = seenAll.Add(u)
 			if (i-lo)%t.thinStride() != 0 {
 				continue
 			}
-			c.nodeFirst[i] = seen.add(u)
+			c.nodeFirst[i] = seen.Add(u)
 			c.incl[i] = estimate.InclusionProbability(d/(2*numEdges), retTotal)
-			c.nodeFirstW[i] = seenW.add(u)
+			c.nodeFirstW[i] = seenW.Add(u)
 			c.inclW[i] = estimate.InclusionProbability(d/(2*numEdges), retW[w])
 		}
 	}
 	return c
 }
 
-// buildOccurrences assembles the node-occurrence index in two passes: the
-// first assigns each distinct arrival node a group in first-visit order and
-// counts occurrences, the second fills the grouped columns.
+// buildOccurrences assembles the node-occurrence index: a node set lists
+// the distinct arrival nodes in ascending order, and each step finds its
+// node's group as the node's rank in the set, once to count the group and
+// once to fill it.
 func buildOccurrences(t *Trajectory) *OccurrenceIndex {
 	S := t.Samples()
-	W := t.NumWalkers()
-	slotOf := func() func(u graph.Node, assign bool) int32 {
-		if denseScratch(t.NumNodes, S) {
-			slots := make([]int32, t.NumNodes)
-			for i := range slots {
-				slots[i] = -1
-			}
-			next := int32(0)
-			return func(u graph.Node, assign bool) int32 {
-				if s := slots[u]; s >= 0 || !assign {
-					return s
-				}
-				slots[u] = next
-				next++
-				return slots[u]
-			}
+	arrived := graph.NewNodeSet(t.NumNodes)
+	distinct := 0
+	for _, u := range t.node {
+		if arrived.Add(u) {
+			distinct++
 		}
-		m := make(map[graph.Node]int32, S)
-		return func(u graph.Node, assign bool) int32 {
-			if s, ok := m[u]; ok {
-				return s
-			}
-			if !assign {
-				return -1
-			}
-			s := int32(len(m))
-			m[u] = s
-			return s
-		}
-	}()
-
+	}
+	group := arrived.Ranks()
 	occ := &OccurrenceIndex{
+		Nodes:  arrived.AppendTo(make([]graph.Node, 0, distinct)),
+		Off:    make([]int32, distinct+1),
 		Walker: make([]int32, S),
 		Pos:    make([]int32, S),
 	}
-	counts := make([]int32, 0, S)
 	for _, u := range t.node {
-		s := slotOf(u, true)
-		if int(s) == len(counts) {
-			occ.Nodes = append(occ.Nodes, u)
-			counts = append(counts, 0)
-		}
-		counts[s]++
+		occ.Off[group(u)+1]++
 	}
-	occ.Off = make([]int32, len(counts)+1)
-	for j, c := range counts {
-		occ.Off[j+1] = occ.Off[j] + c
+	for j := range distinct {
+		occ.Off[j+1] += occ.Off[j]
 	}
-	fill := make([]int32, len(counts))
-	copy(fill, occ.Off[:len(counts)])
-	for w := 0; w < W; w++ {
+	fill := slices.Clone(occ.Off[:distinct])
+	for w := 0; w < t.NumWalkers(); w++ {
 		lo, hi := t.WalkerSpan(w)
 		for i := lo; i < hi; i++ {
-			s := slotOf(t.node[i], false)
-			at := fill[s]
-			fill[s]++
-			occ.Walker[at] = int32(w)
-			occ.Pos[at] = int32(i - lo)
+			j := group(t.node[i])
+			occ.Walker[fill[j]] = int32(w)
+			occ.Pos[fill[j]] = int32(i - lo)
+			fill[j]++
 		}
 	}
 	return occ

@@ -191,7 +191,7 @@ type Cluster struct {
 
 // NewCluster builds k replicas serving g under graphName behind a gateway
 // with the given extra configuration applied (Replicas is always the
-// harness's own list; VNodes defaults to 64).
+// harness's own list).
 func NewCluster(t testing.TB, k int, graphName string, g *graph.Graph, cfg gateway.Config) *Cluster {
 	t.Helper()
 	c := &Cluster{GraphName: graphName, Graph: g}

@@ -37,9 +37,6 @@ type Config struct {
 	// Replicas are the base URLs of the serve replicas to route across
 	// (e.g. "http://10.0.0.1:8080"). At least one is required.
 	Replicas []string
-	// VNodes is the virtual-node count per replica on the hash ring; more
-	// vnodes spread keys more evenly at slightly more memory. 0 means 64.
-	VNodes int
 	// ProbeInterval is how often the background prober checks replica
 	// /healthz; 0 disables background probing (the proxy still evicts on
 	// transport errors, and ProbeOnce can be driven manually).
@@ -146,12 +143,6 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		seen[u] = true
 	}
-	if cfg.VNodes < 0 {
-		return nil, fmt.Errorf("gateway: negative vnodes %d", cfg.VNodes)
-	}
-	if cfg.VNodes == 0 {
-		cfg.VNodes = 64
-	}
 	if cfg.ProbeFailures < 0 {
 		return nil, fmt.Errorf("gateway: negative probe-failure threshold %d", cfg.ProbeFailures)
 	}
@@ -176,7 +167,7 @@ func New(cfg Config) (*Gateway, error) {
 	return &Gateway{
 		cfg:     cfg,
 		client:  cfg.Client,
-		ring:    newRing(cfg.Replicas, cfg.VNodes),
+		ring:    newRing(cfg.Replicas),
 		quotas:  newQuotas(cfg.QuotaRate, cfg.QuotaBurst, cfg.now),
 		flights: make(map[string]*flight),
 	}, nil

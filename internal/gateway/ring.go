@@ -33,6 +33,10 @@ type point struct {
 	idx  int
 }
 
+// vnodes is the number of virtual points each alive replica owns on the
+// hash ring; more spread keys more evenly at slightly more memory.
+const vnodes = 64
+
 // ring is a consistent-hash ring over the configured replicas with vnodes
 // virtual points per ALIVE replica. Membership is fixed at construction;
 // liveness changes (probe evictions, proxy transport errors, rejoins)
@@ -42,12 +46,11 @@ type ring struct {
 	mu       sync.Mutex
 	replicas []*replica
 	points   []point
-	vnodes   int
 }
 
 // newRing builds a ring with every replica initially alive.
-func newRing(urls []string, vnodes int) *ring {
-	r := &ring{vnodes: vnodes}
+func newRing(urls []string) *ring {
+	r := &ring{}
 	for _, u := range urls {
 		r.replicas = append(r.replicas, &replica{url: u, alive: true})
 	}
@@ -63,7 +66,7 @@ func (r *ring) rebuildLocked() {
 		if !rep.alive {
 			continue
 		}
-		for v := 0; v < r.vnodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, point{hash: fnv64(rep.url + "#" + strconv.Itoa(v)), idx: idx})
 		}
 	}

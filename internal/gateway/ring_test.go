@@ -9,7 +9,7 @@ import (
 
 func TestRingOwnershipStableAndConsistent(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(urls, 64)
+	r := newRing(urls)
 
 	// Same key, same owner, every time.
 	keys := make([]string, 0, 200)
@@ -161,7 +161,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad scheme", Config{Replicas: []string{"ftp://a:1"}}, "http"},
 		{"no host", Config{Replicas: []string{"http://"}}, "host"},
 		{"duplicate", Config{Replicas: []string{"http://a:1", "http://a:1"}}, "duplicate"},
-		{"negative vnodes", Config{Replicas: []string{"http://a:1"}, VNodes: -1}, "vnodes"},
 		{"negative quota", Config{Replicas: []string{"http://a:1"}, QuotaRate: -1}, "quota"},
 		{"negative probe failures", Config{Replicas: []string{"http://a:1"}, ProbeFailures: -2}, "probe"},
 	} {

@@ -53,8 +53,8 @@ type LabelPair struct {
 
 // Pair is LabelPair under the field name answer rows embed it by: an
 // embedded Pair keeps the row's .Pair field and flattens to "t1"/"t2" in
-// JSON (a nil *Pair drops both keys). Embedding also promotes String, so a
-// row formatted whole with %v prints only its pair.
+// JSON (a nil *Pair drops both keys). Embedding also promotes String, so
+// each row type defines its own String, which prints its estimates too.
 type Pair = LabelPair
 
 // Canonical returns the pair ordered so that T1 <= T2.

@@ -19,6 +19,21 @@ type TaskRow struct {
 	CI core.CI `json:"ci,omitzero"`
 }
 
+// String prints the row's pair, or "unlabeled", with its estimate and any
+// valid interval; without it, fmt would print the embedded pair's String
+// alone, through a nil pointer for the unlabeled row.
+func (r TaskRow) String() string {
+	pair := "unlabeled"
+	if r.Pair != nil {
+		pair = r.Pair.String()
+	}
+	s := fmt.Sprintf("%s: estimate %g", pair, r.Estimate)
+	if r.CI.Valid() {
+		s += fmt.Sprintf(", %g%% CI [%g, %g]", 100*r.CI.Level, r.CI.Low, r.CI.High)
+	}
+	return s
+}
+
 // TaskResult is the result type of task kind "motif": one row per queried
 // pair (or a single unlabeled row), all replayed from the same trajectory.
 type TaskResult struct {

@@ -148,7 +148,7 @@ func (m *Meter) reconcile() {
 			word &= word - 1
 			if s.fetched[u].Swap(ep) != ep {
 				first++
-				if s.prepaid != nil && s.prepaid[u].Load() {
+				if s.prepaid.Has(u) {
 					prepaidHits++
 				}
 			}

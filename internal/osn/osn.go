@@ -115,8 +115,10 @@ type Session struct {
 	// prepaidHits, so callers can report the calls that cost nothing
 	// upstream. The bits are never cleared on redemption:
 	// once-per-accounting-phase semantics come from the fetched bitmap,
-	// which ResetAccounting wipes at the burn-in/sampling barrier.
-	prepaid []atomic.Bool
+	// which ResetAccounting wipes at the burn-in/sampling barrier. Only
+	// Prepay writes the set, and it must not race with fetches, so the
+	// walkers read it without atomics.
+	prepaid graph.NodeSet
 	// prepaidResp holds the carried-over responses when the Source is not
 	// an in-memory graph; read-only after Prepay.
 	prepaidResp map[graph.Node][]graph.Node
@@ -219,12 +221,13 @@ func (s *Session) Prepay(resp map[graph.Node][]graph.Node) {
 	if len(resp) == 0 {
 		return
 	}
+	n := s.src.NumNodes()
 	if s.prepaid == nil {
-		s.prepaid = make([]atomic.Bool, s.src.NumNodes())
+		s.prepaid = graph.NewNodeSet(n)
 	}
 	for u := range resp {
-		if u >= 0 && int(u) < len(s.prepaid) {
-			s.prepaid[u].Store(true)
+		if u >= 0 && int(u) < n {
+			s.prepaid.Add(u)
 		}
 	}
 	if s.graphFast == nil {
@@ -246,7 +249,7 @@ func (s *Session) PrepaidHits() int64 { return s.prepaidHits.Load() }
 // populating the crawl cache like fill does. Callers charge first, so
 // accounting is identical to a fresh fetch.
 func (s *Session) redeemPrepaid(u graph.Node) ([]graph.Node, bool) {
-	if s.prepaid == nil || !s.prepaid[u].Load() {
+	if !s.prepaid.Has(u) {
 		return nil, false
 	}
 	var adj []graph.Node

@@ -161,8 +161,10 @@ func (e *Engine) loadEntry(key store.Key) (*core.Trajectory, fs.FileInfo) {
 // admit is the identity check every trajectory that was not recorded here
 // passes before it is served — a store reload, a warm start or a peer's
 // import. It returns an error wrapping ErrBadTrajectory unless traj was
-// recorded on g, the served graph, at this engine's burn-in; an admitted
-// trajectory is bound to g's labels.
+// recorded on g, the served graph, at this engine's burn-in. An engine that
+// records g itself binds an admitted trajectory to g's labels; one that
+// records through a SourceFactory leaves it bound to the labels its file
+// carries.
 func (e *Engine) admit(traj *core.Trajectory, g *graph.Graph) error {
 	if traj.GraphVersion != g.Version() || traj.GraphFingerprint != g.Fingerprint() {
 		// Hard identity check: the header's delta-log version and content
@@ -180,10 +182,15 @@ func (e *Engine) admit(traj *core.Trajectory, g *graph.Graph) error {
 		return fmt.Errorf("%w: recorded burn-in %d, this engine records at %d",
 			ErrBadTrajectory, traj.BurnIn, e.burnIn)
 	}
-	// Rebind the trajectory to the served graph's labels — the exact source
-	// the recording read (deltas touch edges, never labels) — so replays run
-	// at CSR speed instead of through the file's self-contained label store.
-	traj.BindLabels(g)
+	// An in-memory engine's recordings read g's own labels (deltas touch
+	// edges, never labels), so rebinding to them lets replays run at CSR
+	// speed instead of through the file's label store. An upstream's
+	// recordings read the upstream's labels, which g, a skeleton that only
+	// has to match its node count, need not carry: those keep the labels
+	// their file embeds, as store.Detach leaves a fresh recording.
+	if e.cfg.SourceFactory == nil {
+		traj.BindLabels(g)
+	}
 	return nil
 }
 

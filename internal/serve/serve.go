@@ -190,6 +190,10 @@ type PairAnswer struct {
 	Estimates map[string]float64 `json:"estimates"`
 }
 
+// String prints the row's pair with its estimates; without it, fmt would
+// print the embedded pair's String alone.
+func (r PairAnswer) String() string { return fmt.Sprintf("%v: estimates %v", r.Pair, r.Estimates) }
+
 // Answer is the engine's response to one Query.
 type Answer struct {
 	// Kind echoes the task kind that produced the answer.

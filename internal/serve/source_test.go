@@ -9,6 +9,7 @@ import (
 	"testing"
 	"weak"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/osn"
 	"repro/internal/osn/httpsrc"
@@ -86,6 +87,78 @@ func TestEngineRecordsThroughHTTPSource(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUpstreamTrajectoriesKeepTheirLabels: under a SourceFactory the
+// recording reads the upstream's labels and its .osnt embeds them, while the
+// served graph only has to match the upstream's node count; here it carries
+// no labels at all. A reload after eviction, a warm start and a peer's
+// import keep the labels the file carries, so each answers the key as the
+// fresh recording did.
+func TestUpstreamTrajectoriesKeepTheirLabels(t *testing.T) {
+	g := testGraph(t, 3)
+	up := faultsim.New(g)
+	defer up.Close()
+	c, err := httpsrc.New(httpsrc.Config{BaseURL: up.URL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	skeleton := graph.StripLabels(g)
+	opts := GraphOptions{BurnIn: 50, SourceFactory: func(*graph.Graph) osn.Source { return c }}
+	q := Query{Pairs: []graph.LabelPair{{T1: 1, T2: 2}}, Budget: 300, Seed: 5}
+	ctx := context.Background()
+	dir := testStore(t)
+	same := func(path string, a *Answer, fresh []PairAnswer) {
+		t.Helper()
+		if !a.CacheHit || !reflect.DeepEqual(a.Pairs, fresh) {
+			t.Errorf("%s: cache hit %v, rows %v; the fresh recording answered %v", path, a.CacheHit, a.Pairs, fresh)
+		}
+	}
+
+	// A one-byte cache evicts every trajectory once its query is answered.
+	ws := testWorkspace(t, WorkspaceConfig{Store: dir, CacheBytes: 1}, "g", skeleton, opts)
+	fresh, err := ws.Estimate(ctx, "g", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.CacheHit || fresh.Pairs[0].Estimates[core.NeighborSampleHH] == 0 {
+		t.Fatalf("fresh recording: cache hit %v, rows %v; want a recorded, nonzero answer", fresh.CacheHit, fresh.Pairs)
+	}
+	reloaded, err := ws.Estimate(ctx, "g", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("reload after eviction", reloaded, fresh.Pairs)
+
+	warm := testWorkspace(t, WorkspaceConfig{Store: dir}, "g", skeleton, opts)
+	we, _ := warm.Graph("g")
+	if st := we.Stats(); st.StoreLoads != 1 {
+		t.Fatalf("warm start loaded %d trajectories, want 1", st.StoreLoads)
+	}
+	a, err := warm.Estimate(ctx, "g", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("warm start", a, fresh.Pairs)
+
+	names := we.TrajectoryKeys()
+	if len(names) != 1 {
+		t.Fatalf("store holds %v, want one trajectory", names)
+	}
+	raw, recorded, err := we.ExportTrajectory(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := testEngine(t, skeleton, Config{BurnIn: 50, SourceFactory: opts.SourceFactory})
+	if err := peer.ImportTrajectory(names[0], raw, recorded); err != nil {
+		t.Fatal(err)
+	}
+	a, err = peer.Estimate(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("import", a, fresh.Pairs)
 }
 
 // trackedSource is an upstream a test can watch being collected.

@@ -338,3 +338,23 @@ func TestHTTPKindDispatch(t *testing.T) {
 		t.Errorf("tasks_by_kind = %v", byKind)
 	}
 }
+
+// TestAnswerRowsPrintTheirFields: each answer row type, formatted whole,
+// prints its estimate as well as its pair, and the unlabeled motif row, whose
+// Pair is nil, prints without panicking.
+func TestAnswerRowsPrintTheirFields(t *testing.T) {
+	pair := graph.LabelPair{T1: 1, T2: 2}
+	ci := core.CI{Low: 2000, High: 3700, Level: 0.95, Walkers: 2}
+	for _, row := range []any{
+		core.PairEstimate{Pair: pair, Estimate: 2850.5, Hits: 3},
+		motif.TaskRow{Pair: &pair, Estimate: 2850.5, CI: ci},
+		motif.TaskRow{Estimate: 2850.5},
+		PairAnswer{Pair: pair, Estimates: map[string]float64{core.NeighborSampleHH: 2850.5}},
+	} {
+		for _, verb := range []string{"%v", "%+v"} {
+			if got := fmt.Sprintf(verb, row); !strings.Contains(got, "2850.5") || strings.Contains(got, "PANIC") {
+				t.Errorf("%s of a %T prints %q", verb, row, got)
+			}
+		}
+	}
+}

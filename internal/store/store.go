@@ -106,81 +106,72 @@ type layout struct {
 	walkers        int
 	totalSteps     int64
 	totalNeighbors int64
-	// labelNodes holds the sorted distinct referenced nodes that carry at
-	// least one label; labelOff/labelRefs index their label sets into table.
+	// labelNodes holds the distinct referenced nodes that carry at least
+	// one label, ascending; node i's label set is vals[labelOff[i]:
+	// labelOff[i+1]], and refs[j] is vals[j]'s index into the sorted table.
 	labelNodes []graph.Node
 	labelOff   []uint32
+	vals       []graph.Label
 	table      []graph.Label
 	refs       []uint32
 }
 
 // computeLayout scans t once: section totals for the header, plus the
-// interned label store covering every node the trajectory references. The
-// columnar layout makes the scan four flat slice sweeps: every neighbor list
-// (starts and steps alike) lives in the shared arena, so the neighbor total
-// is just the arena length.
+// interned label store covering every node the trajectory references. Every
+// neighbor list (starts and steps alike) lives in the shared arena, so the
+// neighbor total is the arena length, and one node set marks the referenced
+// nodes, listing them in ascending order.
 func computeLayout(t *core.Trajectory) layout {
-	var lay layout
 	d := t.Data()
-	lay.walkers = t.NumWalkers()
-	lay.totalSteps = int64(t.Samples())
-	lay.totalNeighbors = int64(len(d.Arena))
-
-	referenced := make(map[graph.Node]struct{})
-	ref := func(u graph.Node) { referenced[u] = struct{}{} }
-	for _, u := range d.StartNode {
-		ref(u)
+	lay := layout{
+		walkers:        t.NumWalkers(),
+		totalSteps:     int64(t.Samples()),
+		totalNeighbors: int64(len(d.Arena)),
+		// The label offsets section always carries its leading 0, even for a
+		// trajectory with no bound labels — ExpectedSize counts (L+1) offsets
+		// unconditionally, and Write must agree with it byte for byte.
+		labelOff: []uint32{0},
 	}
-	for _, u := range d.Prev {
-		ref(u)
-	}
-	for _, u := range d.Node {
-		ref(u)
-	}
-	for _, u := range d.Arena {
-		ref(u)
-	}
-
-	// The label offsets section always carries its leading 0, even for a
-	// trajectory with no bound labels — ExpectedSize counts (L+1) offsets
-	// unconditionally, and Write must agree with it byte for byte.
-	lay.labelOff = []uint32{0}
 	labels := t.Labels()
 	if labels == nil {
 		return lay
 	}
-	nodes := make([]graph.Node, 0, len(referenced))
-	for u := range referenced {
-		nodes = append(nodes, u)
+	referenced := graph.NewNodeSet(t.NumNodes)
+	n := 0
+	for _, col := range [][]graph.Node{d.StartNode, d.Prev, d.Node, d.Arena} {
+		for _, u := range col {
+			if referenced.Add(u) {
+				n++
+			}
+		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-
-	distinct := make(map[graph.Label]struct{})
-	perNode := make([][]graph.Label, 0, len(nodes))
-	lay.labelNodes = nodes[:0]
+	// index maps each distinct label to its place in the sorted table.
+	index := make(map[graph.Label]uint32)
+	nodes := referenced.AppendTo(make([]graph.Node, 0, n))
+	lay.labelNodes = nodes[:0] // filtered in place: entry i is read before it is written
 	for _, u := range nodes {
 		ls := labels.Labels(u)
 		if len(ls) == 0 {
 			continue // unlabeled nodes are represented by absence
 		}
 		lay.labelNodes = append(lay.labelNodes, u)
-		perNode = append(perNode, ls)
+		lay.vals = append(lay.vals, ls...)
+		lay.labelOff = append(lay.labelOff, uint32(len(lay.vals)))
 		for _, l := range ls {
-			distinct[l] = struct{}{}
+			index[l] = 0
 		}
 	}
-	lay.table = make([]graph.Label, 0, len(distinct))
-	for l := range distinct {
+	lay.table = make([]graph.Label, 0, len(index))
+	for l := range index {
 		lay.table = append(lay.table, l)
 	}
-	sort.Slice(lay.table, func(i, j int) bool { return lay.table[i] < lay.table[j] })
-
-	for _, ls := range perNode {
-		for _, l := range ls {
-			idx := sort.Search(len(lay.table), func(j int) bool { return lay.table[j] >= l })
-			lay.refs = append(lay.refs, uint32(idx))
-		}
-		lay.labelOff = append(lay.labelOff, uint32(len(lay.refs)))
+	slices.Sort(lay.table)
+	for i, l := range lay.table {
+		index[l] = uint32(i)
+	}
+	lay.refs = make([]uint32, len(lay.vals))
+	for j, l := range lay.vals {
+		lay.refs[j] = index[l]
 	}
 	return lay
 }
@@ -223,11 +214,9 @@ func EncodedSize(t *core.Trajectory) int64 {
 func Detach(t *core.Trajectory) int64 {
 	lay := computeLayout(t)
 	if t.Labels() != nil {
-		ls := &labelStore{nodes: lay.labelNodes, off: lay.labelOff, vals: make([]graph.Label, len(lay.refs))}
-		for i, ref := range lay.refs {
-			ls.vals[i] = lay.table[ref]
-		}
-		t.BindLabels(ls)
+		// The clone drops the label values' append slack: the store lives as
+		// long as the cached trajectory.
+		t.BindLabels(&labelStore{nodes: lay.labelNodes, off: lay.labelOff, vals: slices.Clone(lay.vals)})
 	}
 	return lay.size()
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"os"
@@ -14,14 +15,18 @@ import (
 	"repro/internal/store"
 )
 
-// BenchmarkReloadStages times the stages of a store reload, the path every
-// evicted trajectory's next request takes, on the serving benchmark's
-// trajectory shape: the pokec stand-in at scale 5 (graph seed 2018), budget
-// 1000, two walkers, burn-in 300, recorded and persisted by a serve.Engine.
-// The replayed batch is the benchmark's mixed batch: 8 label pairs (every
-// 8th of the 64 most frequent), size, census top 10, unlabeled wedges and
-// degree assortativity. -short uses the scale-1 graph. Sub-benchmarks:
+// BenchmarkReloadStages times the stages of persisting and reloading a
+// trajectory: a fresh recording pays the first two before its request
+// returns, and every evicted trajectory's next request pays the rest. It
+// runs on the serving benchmark's trajectory shape: the pokec stand-in at
+// scale 5 (graph seed 2018), budget 1000, two walkers, burn-in 300, recorded
+// and persisted by a serve.Engine. The replayed batch is the benchmark's
+// mixed batch: 8 label pairs (every 8th of the 64 most frequent), size,
+// census top 10, unlabeled wedges and degree assortativity. -short uses the
+// scale-1 graph. Sub-benchmarks:
 //
+//   - layout: store.EncodedSize, the cache weight of a fresh recording;
+//   - write: store.Write into a reused buffer;
 //   - read: the file into a reused buffer, as store.Load reads it;
 //   - decode: store.Decode of the image;
 //   - first-replay: the batch on a freshly decoded trajectory rebound to
@@ -29,7 +34,9 @@ import (
 //     replay and label columns;
 //   - warm-replay: the batch again on that trajectory.
 //
-// A full reload costs read + decode + first-replay. Run it with
+// The layout and write stages run on the decoded trajectory rebound to the
+// graph, as a fresh in-memory recording is bound. A full reload costs read +
+// decode + first-replay. Run it with
 //
 //	go test -bench BenchmarkReloadStages -benchmem -run '^$' .
 func BenchmarkReloadStages(b *testing.B) {
@@ -78,6 +85,27 @@ func BenchmarkReloadStages(b *testing.B) {
 	}
 	b.Logf("trajectory file: %d bytes", len(raw))
 
+	fresh := decode()
+	fresh.BindLabels(g)
+	b.Run("layout", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if n := store.EncodedSize(fresh); n != int64(len(raw)) {
+				b.Fatalf("EncodedSize %d, the file holds %d bytes", n, len(raw))
+			}
+		}
+	})
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf bytes.Buffer
+		buf.Grow(len(raw))
+		for range b.N {
+			buf.Reset()
+			if err := store.Write(&buf, fresh); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("read", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]byte, len(raw))
