@@ -259,8 +259,8 @@ func TestCancelMidLoopStopsAtNextStep(t *testing.T) {
 		if err := r.run(100, 0); !errors.Is(err, context.Canceled) {
 			t.Fatalf("run = %v, want context.Canceled", err)
 		}
-		if w.steps != n || len(r.steps) != n {
-			t.Errorf("recording took %d steps and kept %d, want %d", w.steps, len(r.steps), n)
+		if w.steps != n || len(r.node) != n {
+			t.Errorf("recording took %d steps and kept %d, want %d", w.steps, len(r.node), n)
 		}
 	})
 }

@@ -53,7 +53,7 @@ type pairCols struct {
 }
 
 // labelColumns returns the trajectory's memo. Trajectories assembled
-// without SetData, NewTrajectoryFromSteps or BindLabels get an unshared one.
+// without SetData, a recording or BindLabels get an unshared one.
 func (t *Trajectory) labelColumns() *labelMemo {
 	if t.labelH == nil {
 		return &labelMemo{}

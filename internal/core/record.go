@@ -18,10 +18,12 @@ import (
 //
 // Each iteration moves the walker one step and then buys the arrived-at
 // node's friend list, which the next step leaves from for free (a
-// crawl-cache hit). The recording therefore stores every list a replay of
+// crawl-cache hit). The recording therefore holds every list a replay of
 // any task reads, and the start list prepays the first step's fetch, so a
 // plain recording bills exactly what a live ExploreFree NeighborExploration
-// walk bills: one call per distinct node the walk stands on.
+// walk bills: one call per distinct node the walk stands on. Every visit of
+// a node reads that one response, so the assembled trajectory copies each
+// node's list once (newTrajectory).
 
 // billing is the charging rule of one recording. The zero value is the plain
 // rule of RecordTrajectory.
@@ -43,12 +45,18 @@ type billing struct {
 
 // walkerRecording is one walker's recording in progress.
 type walkerRecording struct {
-	api   osn.API
-	w     walk.Walker[graph.Node]
-	ctx   context.Context
-	bill  billing
-	start TrajStart
-	steps []TrajStep
+	api  osn.API
+	w    walk.Walker[graph.Node]
+	ctx  context.Context
+	bill billing
+	// start is the node the walker started from and startList its friend
+	// list; prev, node and lists are the steps so far, lists[i] being step
+	// i's friend list as the session returned it (not a copy).
+	start     graph.Node
+	startList []graph.Node
+	prev      []graph.Node
+	node      []graph.Node
+	lists     [][]graph.Node
 	// ahead is what buying the current arrival's friend list charged, and
 	// deferred is that purchase's error (look-ahead rule only).
 	ahead    int64
@@ -61,33 +69,31 @@ type walkerRecording struct {
 // newWalkerRecording starts recording w from its current node, buying that
 // node's friend list: the charge the first step would otherwise pay.
 func newWalkerRecording(api osn.API, w walk.Walker[graph.Node], ctx context.Context, bill billing, capHint int) (*walkerRecording, error) {
-	r := &walkerRecording{api: api, w: w, ctx: ctx, bill: bill, steps: make([]TrajStep, 0, capHint)}
+	r := &walkerRecording{api: api, w: w, ctx: ctx, bill: bill,
+		prev: make([]graph.Node, 0, capHint), node: make([]graph.Node, 0, capHint), lists: make([][]graph.Node, 0, capHint)}
 	if bill.cost != ExploreFree {
 		r.explored = graph.NewNodeSet(api.NumNodes())
 	}
 	u := w.Current()
-	d, ns, err := r.buy(u)
+	ns, err := r.buy(u)
 	if err != nil {
 		return nil, fmt.Errorf("core: recording start node %d: %w", u, err)
 	}
-	r.start = TrajStart{Node: u, Degree: d, Neighbors: ns}
+	r.start, r.startList = u, ns
 	return r, nil
 }
 
 // buy fetches u's friend list, holding the charge and any error apart under
-// the look-ahead rule.
-func (r *walkerRecording) buy(u graph.Node) (int, []graph.Node, error) {
+// the look-ahead rule. The list's length is d(u): the access model serves
+// the degree on the friend list's endpoint (osn.Session.Degree).
+func (r *walkerRecording) buy(u graph.Node) ([]graph.Node, error) {
 	before := r.api.Calls()
-	d, err := r.api.Degree(u)
-	var ns []graph.Node
-	if err == nil {
-		ns, err = r.api.Neighbors(u) // crawl-cache hit after Degree: free
-	}
+	ns, err := r.api.Neighbors(u)
 	if r.bill.lookAhead {
 		r.ahead, r.deferred = r.api.Calls()-before, err
-		return d, ns, nil
+		return ns, nil
 	}
-	return d, ns, err
+	return ns, err
 }
 
 // calls is the walker's bill so far under its rule.
@@ -108,7 +114,7 @@ func (r *walkerRecording) run(maxSteps int, budget int64) error {
 			return r.ctx.Err()
 		default:
 		}
-		if budget > 0 && len(r.steps) > 0 && r.calls() >= budget {
+		if budget > 0 && len(r.node) > 0 && r.calls() >= budget {
 			return nil
 		}
 		if err := r.deferred; err != nil {
@@ -120,14 +126,16 @@ func (r *walkerRecording) run(maxSteps int, budget int64) error {
 		if err != nil {
 			return err
 		}
-		d, ns, err := r.buy(cur)
+		ns, err := r.buy(cur)
 		if err != nil {
 			return err
 		}
-		if err := r.surcharge(cur, d); err != nil {
+		if err := r.surcharge(cur, len(ns)); err != nil {
 			return err
 		}
-		r.steps = append(r.steps, TrajStep{Prev: prev, Node: cur, Degree: d, Neighbors: ns})
+		r.prev = append(r.prev, prev)
+		r.node = append(r.node, cur)
+		r.lists = append(r.lists, ns)
 	}
 	return nil
 }
@@ -203,7 +211,7 @@ func record(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, err
 			}
 			recs[r.ID] = rec
 			if err := rec.run(r.MaxIters(), r.Budget); err != nil {
-				return fmt.Errorf("core: recording step %d: %w", len(rec.steps), err)
+				return fmt.Errorf("core: recording step %d: %w", len(rec.node), err)
 			}
 			return nil
 		},
@@ -218,15 +226,12 @@ func record(s *osn.Session, k int, opts Options, bill billing) (*Trajectory, err
 // calls[w] is walker w's metered spend; the trajectory bills it under the
 // recording's rule.
 func newRecording(s *osn.Session, recs []*walkerRecording, calls []int64, opts Options) *Trajectory {
-	steps := make([][]TrajStep, len(recs))
-	starts := make([]TrajStart, len(recs))
 	var total int64
 	for w, r := range recs {
-		steps[w], starts[w] = r.steps, r.start
 		calls[w] -= r.ahead
 		total += calls[w]
 	}
-	t := NewTrajectoryFromSteps(steps, starts)
+	t := newTrajectory(s.NumNodes(), recs)
 	t.Walkers = len(recs)
 	t.APICalls = total
 	t.PerWalkerCalls = calls
@@ -236,6 +241,81 @@ func newRecording(s *osn.Session, recs []*walkerRecording, calls []int64, opts O
 	t.BurnIn = opts.BurnIn
 	t.BudgetDriven = opts.BudgetDriven
 	t.BindLabels(s)
+	return t
+}
+
+// newTrajectory copies the walkers' steps into the columns and each
+// distinct node's friend list into the arena, once, in node order: a node
+// set over the n-node graph collects the start and step nodes, and each
+// step finds its node's list by the node's rank in the set. Every visit of
+// a node within one recording reads the same crawl-cache response, so the
+// first visit's list is every visit's.
+func newTrajectory(n int, recs []*walkerRecording) *Trajectory {
+	W := len(recs)
+	S := 0
+	stood := graph.NewNodeSet(n)
+	L := 0
+	for _, r := range recs {
+		S += len(r.node)
+		if stood.Add(r.start) {
+			L++
+		}
+		for _, u := range r.node {
+			if stood.Add(u) {
+				L++
+			}
+		}
+	}
+	rank := stood.Ranks()
+	t := &Trajectory{
+		ext:       make([]int64, W+1),
+		prev:      make([]graph.Node, 0, S),
+		node:      make([]graph.Node, 0, S),
+		deg:       make([]int32, S),
+		stepList:  make([]int32, S),
+		startNode: make([]graph.Node, W),
+		startDeg:  make([]int32, W),
+		startList: make([]int32, W),
+		listNode:  stood.AppendTo(make([]graph.Node, 0, L)),
+		listOff:   make([]int64, L+1),
+		labelH:    &labelMemo{},
+		replayH:   &replayHolder{},
+	}
+	// lists[j] is listNode[j]'s friend list as its first visit read it.
+	lists := make([][]graph.Node, L)
+	visit := func(u graph.Node, ns []graph.Node) int32 {
+		j := rank(u)
+		if lists[j] == nil {
+			lists[j] = ns
+		}
+		return int32(j)
+	}
+	i := 0
+	for w, r := range recs {
+		t.startNode[w] = r.start
+		t.startList[w] = visit(r.start, r.startList)
+		t.ext[w] = int64(i)
+		t.prev = append(t.prev, r.prev...)
+		t.node = append(t.node, r.node...)
+		for k, u := range r.node {
+			t.stepList[i] = visit(u, r.lists[k])
+			i++
+		}
+	}
+	t.ext[W] = int64(i)
+	for j, ns := range lists {
+		t.listOff[j+1] = t.listOff[j] + int64(len(ns))
+	}
+	t.arena = make([]graph.Node, t.listOff[L])
+	for j, ns := range lists {
+		copy(t.arena[t.listOff[j]:], ns)
+	}
+	for w, j := range t.startList {
+		t.startDeg[w] = int32(t.listOff[j+1] - t.listOff[j])
+	}
+	for i, j := range t.stepList {
+		t.deg[i] = int32(t.listOff[j+1] - t.listOff[j])
+	}
 	return t
 }
 
@@ -289,9 +369,9 @@ func NewRecorder(s *osn.Session, budget int64, opts Options) (*Recorder, error) 
 // whether the budget stopped the walk (which is a normal completion, not an
 // error).
 func (r *Recorder) Extend(k int) (added int, exhausted bool, err error) {
-	before := len(r.r.steps)
+	before := len(r.r.node)
 	err = r.r.run(k, 0)
-	added = len(r.r.steps) - before
+	added = len(r.r.node) - before
 	if errors.Is(err, osn.ErrBudgetExhausted) {
 		return added, true, nil
 	}
@@ -308,11 +388,12 @@ func (r *Recorder) Calls() int64 {
 }
 
 // Samples returns the cumulative recorded sample count.
-func (r *Recorder) Samples() int { return len(r.r.steps) }
+func (r *Recorder) Samples() int { return len(r.r.node) }
 
 // Trajectory snapshots the recording so far as a replayable Trajectory. The
-// snapshot copies the recorded rows into fresh columns (an O(samples) copy),
-// so it stays valid — and immutable — across later Extend calls.
+// snapshot copies the recorded steps and lists into fresh columns (an
+// O(samples + distinct lists) copy), so it stays valid — and immutable —
+// across later Extend calls.
 func (r *Recorder) Trajectory() *Trajectory {
 	return newRecording(r.s, []*walkerRecording{r.r}, []int64{r.Calls()}, r.opts)
 }

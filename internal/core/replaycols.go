@@ -91,7 +91,7 @@ type replayHolder struct {
 }
 
 // replay returns the trajectory's column holder. Trajectories assembled
-// without SetData or NewTrajectoryFromSteps get an unshared one.
+// neither by a recording nor through SetData get an unshared one.
 func (t *Trajectory) replay() *replayHolder {
 	if t.replayH == nil {
 		return &replayHolder{}
@@ -244,40 +244,44 @@ func buildNECols(t *Trajectory) *neCols {
 	return c
 }
 
-// buildOccurrences assembles the node-occurrence index: a node set lists
-// the distinct arrival nodes in ascending order, and each step finds its
-// node's group as the node's rank in the set, once to count the group and
-// once to fill it.
+// buildOccurrences assembles the node-occurrence index from the steps'
+// list indices: the list nodes are ascending, so the ones some step arrives
+// at, in list order, are the distinct arrival nodes in ascending order, and
+// a count per list groups the steps by node.
 func buildOccurrences(t *Trajectory) *OccurrenceIndex {
 	S := t.Samples()
-	arrived := graph.NewNodeSet(t.NumNodes)
+	// group[j] counts the steps at list j, then becomes list j's group
+	// among the arrival nodes.
+	group := make([]int32, len(t.listNode))
 	distinct := 0
-	for _, u := range t.node {
-		if arrived.Add(u) {
+	for _, j := range t.stepList {
+		if group[j] == 0 {
 			distinct++
 		}
+		group[j]++
 	}
-	group := arrived.Ranks()
 	occ := &OccurrenceIndex{
-		Nodes:  arrived.AppendTo(make([]graph.Node, 0, distinct)),
-		Off:    make([]int32, distinct+1),
+		Nodes:  make([]graph.Node, 0, distinct),
+		Off:    make([]int32, 1, distinct+1),
 		Walker: make([]int32, S),
 		Pos:    make([]int32, S),
 	}
-	for _, u := range t.node {
-		occ.Off[group(u)+1]++
+	for j, n := range group {
+		if n == 0 {
+			continue
+		}
+		group[j] = int32(len(occ.Nodes))
+		occ.Nodes = append(occ.Nodes, t.listNode[j])
+		occ.Off = append(occ.Off, occ.Off[len(occ.Off)-1]+n)
 	}
-	for j := range distinct {
-		occ.Off[j+1] += occ.Off[j]
-	}
-	fill := slices.Clone(occ.Off[:distinct])
+	fill := slices.Clone(occ.Off[:len(occ.Nodes)])
 	for w := 0; w < t.NumWalkers(); w++ {
 		lo, hi := t.WalkerSpan(w)
 		for i := lo; i < hi; i++ {
-			j := group(t.node[i])
-			occ.Walker[fill[j]] = int32(w)
-			occ.Pos[fill[j]] = int32(i - lo)
-			fill[j]++
+			g := group[t.stepList[i]]
+			occ.Walker[fill[g]] = int32(w)
+			occ.Pos[fill[g]] = int32(i - lo)
+			fill[g]++
 		}
 	}
 	return occ

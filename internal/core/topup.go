@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/osn"
@@ -31,32 +32,17 @@ type TopUpStats struct {
 
 // prepaidResponses collects the old trajectory's recorded responses that are
 // still exact on g — the carry-over capital a top-up redeems instead of
-// re-buying. First recording wins on duplicates (responses within one
-// recording are identical anyway).
+// re-buying. It walks the old trajectory's distinct nodes: each start and
+// step node's friend list is stored once.
 func prepaidResponses(old *Trajectory, g *graph.Graph) map[graph.Node][]graph.Node {
-	resp := make(map[graph.Node][]graph.Node)
-	consider := func(u graph.Node, deg int, ns []graph.Node) {
-		if _, seen := resp[u]; seen {
-			return
+	resp := make(map[graph.Node][]graph.Node, len(old.listNode))
+	for j, u := range old.listNode {
+		if u < 0 || int(u) >= g.NumNodes() {
+			continue
 		}
-		if u < 0 || int(u) >= g.NumNodes() || g.Degree(u) != deg || len(ns) != deg {
-			return
+		if cur := g.Neighbors(u); slices.Equal(old.list(int32(j)), cur) {
+			resp[u] = cur // share g's backing array, not the old arena
 		}
-		cur := g.Neighbors(u)
-		for i, v := range ns {
-			if cur[i] != v {
-				return
-			}
-		}
-		resp[u] = cur // share g's backing array, not the old arena
-	}
-	if old.HasStarts() {
-		for w := 0; w < old.NumWalkers(); w++ {
-			consider(old.StartNode(w), old.StartDegree(w), old.StartNeighbors(w))
-		}
-	}
-	for i := 0; i < old.Samples(); i++ {
-		consider(old.StepNode(i), old.StepDegree(i), old.StepNeighbors(i))
 	}
 	return resp
 }

@@ -27,43 +27,15 @@ import (
 // for bit, and matches NeighborSample in sample-driven mode in every field
 // but the bill, which includes the last arrival's list.
 //
-// Storage is columnar: instead of per-step structs carrying their own
-// neighbor slices, a Trajectory holds flat prev/node/degree arrays, one
-// shared neighbor-ID arena with per-step offsets, and per-walker extents.
-// Replays iterate cache-friendly columns and allocate nothing; the .osnt
-// store (internal/store) decodes straight into the same columns.
-
-// TrajStart is one walker's post-burn-in starting state: the node its first
-// recorded step moves from, with that node's degree and friend list.
-// Recording it lets replays that need BOTH endpoints' neighborhoods (e.g.
-// triangle counting) process the first step too. Fetching it prepays the
-// first step's neighbor-list charge, so the recording bill is unchanged.
-type TrajStart struct {
-	// Node is the walker's position when sampling began.
-	Node graph.Node
-	// Degree is d(Node).
-	Degree int
-	// Neighbors is Node's friend list. Shared with the trajectory's arena
-	// (or, during recording, the session's response store); must not be
-	// modified.
-	Neighbors []graph.Node
-}
-
-// TrajStep is one recorded post-burn-in walk transition: the traversed edge,
-// plus the arrived-at node's degree and friend list so every estimator of
-// both algorithms can be replayed without further API access.
-type TrajStep struct {
-	// Prev is the node the walk moved from.
-	Prev graph.Node
-	// Node is the node the walk arrived at.
-	Node graph.Node
-	// Degree is d(Node).
-	Degree int
-	// Neighbors is Node's friend list. The slice is shared with the
-	// trajectory's arena (or, during recording, the session's response
-	// store) and must not be modified.
-	Neighbors []graph.Node
-}
+// Storage is columnar and node-keyed: a Trajectory holds flat
+// prev/node/degree step columns and per-walker extents, and one friend list
+// per distinct node the walkers stand on, in an arena ordered by node ID.
+// A walk revisits nodes in proportion to their degree, so storing a list at
+// every step would store the hubs' long lists many times over; within one
+// recording every visit of a node reads the same crawl-cache response, so
+// one copy serves them all. Replays iterate cache-friendly columns and
+// allocate nothing; the .osnt store (internal/store) decodes straight into
+// the same columns.
 
 // LabelReader is the free slice of the access model a replay needs: label
 // reads cost nothing (see the osn package comment), so replaying a
@@ -80,28 +52,29 @@ type LabelReader interface {
 //
 // The sample stream lives in flat columns — prev[i], node[i], degree[i] for
 // global step index i, with walker w owning the contiguous index range
-// WalkerSpan(w). Every neighbor list (the W start lists first, then the step
-// lists in walker-major step order) is a subslice of one shared arena, so a
-// loaded or recorded trajectory is a fixed number of allocations regardless
-// of length, and replays touch memory sequentially.
+// WalkerSpan(w). Each walker's start node and every step's node has its
+// friend list stored once, in an arena ordered by node ID; a step's or a
+// start's list is a view of its node's list. A loaded or recorded
+// trajectory is a fixed number of allocations regardless of length, and
+// its lists take at most 2|E| entries whatever the budget.
 type Trajectory struct {
 	// ext[w]..ext[w+1] is walker w's global step-index range; len W+1.
 	ext []int64
-	// prev, node and deg are the step columns; len Samples().
-	prev []graph.Node
-	node []graph.Node
-	deg  []int32
-	// nbrOff[i]..nbrOff[i+1] is step i's neighbor range in arena; len S+1.
-	// nbrOff[0] == startOff[W]: step lists follow the start lists.
-	nbrOff []int64
-	// startNode, startDeg and startOff are the per-walker start columns;
-	// startOff[w]..startOff[w+1] is start w's neighbor range in arena.
+	// prev, node and deg are the step columns; len Samples(). stepList[i]
+	// is the index of node[i]'s friend list in listNode.
+	prev     []graph.Node
+	node     []graph.Node
+	deg      []int32
+	stepList []int32
+	// startNode, startDeg and startList are the per-walker start columns.
 	startNode []graph.Node
 	startDeg  []int32
-	startOff  []int64
-	// arena holds every neighbor list back to back: the W start lists in
-	// walker order, then the step lists in walker-major step order.
-	arena []graph.Node
+	startList []int32
+	// listNode holds every start and step node once, ascending;
+	// listOff[j]..listOff[j+1] is listNode[j]'s friend list in arena.
+	listNode []graph.Node
+	listOff  []int64
+	arena    []graph.Node
 
 	// Walkers is the fleet size the trajectory was recorded with.
 	Walkers int
@@ -163,11 +136,9 @@ func (t *Trajectory) StepNode(i int) graph.Node { return t.node[i] }
 // StepDegree returns d(StepNode(i)).
 func (t *Trajectory) StepDegree(i int) int { return int(t.deg[i]) }
 
-// StepNeighbors returns step i's recorded friend list as a view into the
-// shared arena; it must not be modified.
-func (t *Trajectory) StepNeighbors(i int) []graph.Node {
-	return t.arena[t.nbrOff[i]:t.nbrOff[i+1]]
-}
+// StepNeighbors returns step i's recorded friend list, a view of its node's
+// list in the arena; it must not be modified.
+func (t *Trajectory) StepNeighbors(i int) []graph.Node { return t.list(t.stepList[i]) }
 
 // HasStarts reports whether the trajectory records one start state per
 // walker. Replays that need both endpoints of each walker's first edge
@@ -180,11 +151,12 @@ func (t *Trajectory) StartNode(w int) graph.Node { return t.startNode[w] }
 // StartDegree returns d(StartNode(w)).
 func (t *Trajectory) StartDegree(w int) int { return int(t.startDeg[w]) }
 
-// StartNeighbors returns walker w's start friend list as an arena view; it
-// must not be modified.
-func (t *Trajectory) StartNeighbors(w int) []graph.Node {
-	return t.arena[t.startOff[w]:t.startOff[w+1]]
-}
+// StartNeighbors returns walker w's start friend list, a view of its node's
+// list in the arena; it must not be modified.
+func (t *Trajectory) StartNeighbors(w int) []graph.Node { return t.list(t.startList[w]) }
+
+// list returns the arena view of friend list j.
+func (t *Trajectory) list(j int32) []graph.Node { return t.arena[t.listOff[j]:t.listOff[j+1]] }
 
 // Labels exposes the free label-read surface a replay may consult. The
 // estimation tasks registered in other packages (size, motif) replay through
@@ -211,61 +183,6 @@ func (t *Trajectory) BindLabels(lr LabelReader) {
 	}
 }
 
-// NewTrajectoryFromSteps assembles the columnar sample stream from row-form
-// recorded steps, copying every neighbor list into one shared arena (the
-// rows may alias session-owned response slices; the result is
-// self-contained). Metadata fields (Walkers, APICalls, ...) are left zero
-// for the caller to fill, and labels are bound with BindLabels.
-func NewTrajectoryFromSteps(perSteps [][]TrajStep, perStarts []TrajStart) *Trajectory {
-	W := len(perSteps)
-	S := 0
-	nbrs := 0
-	for _, start := range perStarts {
-		nbrs += len(start.Neighbors)
-	}
-	for _, steps := range perSteps {
-		S += len(steps)
-		for _, st := range steps {
-			nbrs += len(st.Neighbors)
-		}
-	}
-	t := &Trajectory{
-		ext:       make([]int64, W+1),
-		prev:      make([]graph.Node, S),
-		node:      make([]graph.Node, S),
-		deg:       make([]int32, S),
-		nbrOff:    make([]int64, S+1),
-		startNode: make([]graph.Node, len(perStarts)),
-		startDeg:  make([]int32, len(perStarts)),
-		startOff:  make([]int64, len(perStarts)+1),
-		arena:     make([]graph.Node, 0, nbrs),
-		labelH:    &labelMemo{},
-		replayH:   &replayHolder{},
-	}
-	for w, start := range perStarts {
-		t.startOff[w] = int64(len(t.arena))
-		t.arena = append(t.arena, start.Neighbors...)
-		t.startNode[w] = start.Node
-		t.startDeg[w] = int32(start.Degree)
-	}
-	t.startOff[len(perStarts)] = int64(len(t.arena))
-	i := 0
-	for w, steps := range perSteps {
-		t.ext[w] = int64(i)
-		for _, st := range steps {
-			t.prev[i] = st.Prev
-			t.node[i] = st.Node
-			t.deg[i] = int32(st.Degree)
-			t.nbrOff[i] = int64(len(t.arena))
-			t.arena = append(t.arena, st.Neighbors...)
-			i++
-		}
-	}
-	t.ext[W] = int64(i)
-	t.nbrOff[S] = int64(len(t.arena))
-	return t
-}
-
 // TrajectoryData is the raw columnar layout of a Trajectory — the exchange
 // format between the core and the .osnt persistence layer, which decodes a
 // file straight into these columns (no per-step allocation) and hands them
@@ -274,21 +191,23 @@ type TrajectoryData struct {
 	// Ext is the per-walker extent prefix (len W+1, Ext[0] == 0): walker w
 	// owns global steps Ext[w]..Ext[w+1].
 	Ext []int64
-	// Prev, Node and Degree are the step columns (len S).
-	Prev   []graph.Node
-	Node   []graph.Node
-	Degree []int32
-	// NbrOff is the per-step arena offset prefix (len S+1); NbrOff[0] must
-	// equal StartOff[W] (step lists follow the start lists in the arena).
-	NbrOff []int64
-	// StartNode, StartDegree and StartOff are the per-walker start columns
-	// (len W; StartOff has len W+1 with StartOff[0] == 0).
+	// Prev, Node and Degree are the step columns (len S); StepList[i] is
+	// the index in ListNode of Node[i]'s friend list.
+	Prev     []graph.Node
+	Node     []graph.Node
+	Degree   []int32
+	StepList []int32
+	// StartNode, StartDegree and StartList are the per-walker start columns
+	// (len W), StartList indexing ListNode as StepList does.
 	StartNode   []graph.Node
 	StartDegree []int32
-	StartOff    []int64
-	// Arena holds every neighbor list back to back: start lists first, then
-	// step lists in walker-major step order.
-	Arena []graph.Node
+	StartList   []int32
+	// ListNode holds the nodes that have a friend list, strictly ascending;
+	// ListOff (len len(ListNode)+1, ListOff[0] == 0) tiles Arena into their
+	// lists, ListNode[j]'s at Arena[ListOff[j]:ListOff[j+1]].
+	ListNode []graph.Node
+	ListOff  []int64
+	Arena    []graph.Node
 }
 
 // Data returns zero-copy views of the trajectory's columns. The views are
@@ -299,55 +218,83 @@ func (t *Trajectory) Data() TrajectoryData {
 		Prev:        t.prev,
 		Node:        t.node,
 		Degree:      t.deg,
-		NbrOff:      t.nbrOff,
+		StepList:    t.stepList,
 		StartNode:   t.startNode,
 		StartDegree: t.startDeg,
-		StartOff:    t.startOff,
+		StartList:   t.startList,
+		ListNode:    t.listNode,
+		ListOff:     t.listOff,
 		Arena:       t.arena,
 	}
 }
 
 // SetData installs raw columns into t, taking ownership of every slice. It
-// validates the structural invariants (consistent lengths, monotone extents
-// and offsets, arena coverage) but not graph-level semantics — the store
-// layer checks node ranges against its header before calling this.
+// validates the structural invariants — consistent lengths, monotone
+// extents and offsets tiling the arena, list nodes strictly ascending, and
+// every step's and every start's list being its own node's list, as long as
+// its degree — but not graph-level semantics: the store layer checks node
+// ranges, the walk's chain and each list's order before calling this.
 func (t *Trajectory) SetData(d TrajectoryData) error {
 	W := len(d.StartNode)
 	S := len(d.Prev)
+	L := len(d.ListNode)
 	switch {
-	case len(d.Node) != S || len(d.Degree) != S:
-		return fmt.Errorf("core: trajectory data: step columns disagree (%d/%d/%d)", S, len(d.Node), len(d.Degree))
-	case len(d.NbrOff) != S+1:
-		return fmt.Errorf("core: trajectory data: NbrOff len %d, want %d", len(d.NbrOff), S+1)
-	case len(d.StartDegree) != W:
-		return fmt.Errorf("core: trajectory data: start columns disagree (%d/%d)", W, len(d.StartDegree))
-	case len(d.StartOff) != W+1:
-		return fmt.Errorf("core: trajectory data: StartOff len %d, want %d", len(d.StartOff), W+1)
+	case len(d.Node) != S || len(d.Degree) != S || len(d.StepList) != S:
+		return fmt.Errorf("core: trajectory data: step columns disagree (%d/%d/%d/%d)", S, len(d.Node), len(d.Degree), len(d.StepList))
+	case len(d.StartDegree) != W || len(d.StartList) != W:
+		return fmt.Errorf("core: trajectory data: start columns disagree (%d/%d/%d)", W, len(d.StartDegree), len(d.StartList))
 	case len(d.Ext) != W+1:
 		return fmt.Errorf("core: trajectory data: Ext len %d, want %d", len(d.Ext), W+1)
 	case d.Ext[0] != 0 || d.Ext[W] != int64(S):
 		return fmt.Errorf("core: trajectory data: Ext spans [%d,%d], want [0,%d]", d.Ext[0], d.Ext[W], S)
-	case d.StartOff[0] != 0 || d.NbrOff[0] != d.StartOff[W] || d.NbrOff[S] != int64(len(d.Arena)):
-		return fmt.Errorf("core: trajectory data: arena offsets do not tile the arena")
+	case len(d.ListOff) != L+1:
+		return fmt.Errorf("core: trajectory data: ListOff len %d, want %d", len(d.ListOff), L+1)
+	case d.ListOff[0] != 0 || d.ListOff[L] != int64(len(d.Arena)):
+		return fmt.Errorf("core: trajectory data: list offsets do not tile the arena")
 	}
 	for w := 0; w < W; w++ {
-		if d.Ext[w+1] < d.Ext[w] || d.StartOff[w+1] < d.StartOff[w] {
-			return fmt.Errorf("core: trajectory data: walker %d extent or start offset decreases", w)
+		if d.Ext[w+1] < d.Ext[w] {
+			return fmt.Errorf("core: trajectory data: walker %d extent decreases", w)
+		}
+	}
+	for j := 0; j < L; j++ {
+		if d.ListOff[j+1] < d.ListOff[j] {
+			return fmt.Errorf("core: trajectory data: list %d offset decreases", j)
+		}
+		if j > 0 && d.ListNode[j] <= d.ListNode[j-1] {
+			return fmt.Errorf("core: trajectory data: list nodes not strictly ascending at %d", j)
+		}
+	}
+	// ownList reports why list j is not node u's list of degree entries.
+	ownList := func(u graph.Node, degree int32, j int32) string {
+		if j < 0 || int(j) >= L || d.ListNode[j] != u {
+			return "does not refer to its node's friend list"
+		}
+		if d.ListOff[j+1]-d.ListOff[j] != int64(degree) {
+			return fmt.Sprintf("has degree %d but a %d-entry friend list", degree, d.ListOff[j+1]-d.ListOff[j])
+		}
+		return ""
+	}
+	for w := 0; w < W; w++ {
+		if why := ownList(d.StartNode[w], d.StartDegree[w], d.StartList[w]); why != "" {
+			return fmt.Errorf("core: trajectory data: start %d at node %d %s", w, d.StartNode[w], why)
 		}
 	}
 	for i := 0; i < S; i++ {
-		if d.NbrOff[i+1] < d.NbrOff[i] {
-			return fmt.Errorf("core: trajectory data: step %d neighbor offset decreases", i)
+		if why := ownList(d.Node[i], d.Degree[i], d.StepList[i]); why != "" {
+			return fmt.Errorf("core: trajectory data: step %d at node %d %s", i, d.Node[i], why)
 		}
 	}
 	t.ext = d.Ext
 	t.prev = d.Prev
 	t.node = d.Node
 	t.deg = d.Degree
-	t.nbrOff = d.NbrOff
+	t.stepList = d.StepList
 	t.startNode = d.StartNode
 	t.startDeg = d.StartDegree
-	t.startOff = d.StartOff
+	t.startList = d.StartList
+	t.listNode = d.ListNode
+	t.listOff = d.ListOff
 	t.arena = d.Arena
 	t.labelH = &labelMemo{}
 	t.replayH = &replayHolder{}

@@ -302,7 +302,9 @@ func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *c
 		// stay valid after Release (and queries rebind to the graph anyway).
 		s.Release()
 	}
-	var bytes int64
+	// enc is the recording's .osnt layout: its size is the cache weight,
+	// and the eager save below writes it without computing it again.
+	var enc *store.Encoding
 	if err == nil {
 		// Stamp the graph identity the file header and the staleness checks
 		// key on (ResumeRecording already stamps; fresh recordings here).
@@ -312,9 +314,9 @@ func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *c
 			// Bound to its recording session, the trajectory would keep the
 			// upstream source and its response cache reachable for as long
 			// as it stays cached: bind it to the labels its file embeds.
-			bytes = store.Detach(traj)
+			enc = store.Detach(traj)
 		} else {
-			bytes = store.EncodedSize(traj)
+			enc = store.Encode(traj)
 		}
 	}
 
@@ -324,7 +326,7 @@ func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *c
 	ent.err = err
 	ent.lastUsed = e.cfg.now()
 	if err == nil {
-		ent.bytes = bytes
+		ent.bytes = enc.Size()
 		ent.dirty = persist
 		ent.recorded = ent.lastUsed
 		e.stats.Recordings++
@@ -351,7 +353,7 @@ func (e *Engine) record(ctx context.Context, key store.Key, ent *entry, stale *c
 		if persist {
 			// Persist eagerly so even an ungraceful death keeps the walk;
 			// failures stay dirty and are retried by Flush at shutdown.
-			if e.saveItem(key, ent) == nil {
+			if e.saveItem(key, ent, enc) == nil {
 				// The new version's file supersedes the older ones it was (or
 				// could have been) topped up from; only now is it safe to
 				// retire them.

@@ -133,7 +133,7 @@ func (v victim) evict() {
 	dirty := v.ent.dirty
 	e.mu.Unlock()
 	if dirty {
-		_ = e.saveItem(v.key, v.ent) // failure is counted in StoreErrors
+		_ = e.saveItem(v.key, v.ent, nil) // failure is counted in StoreErrors
 	}
 }
 
@@ -156,7 +156,7 @@ func (e *Engine) Flush() error {
 	e.mu.Unlock()
 	var firstErr error
 	for k, ent := range dirty {
-		if err := e.saveItem(k, ent); err != nil && firstErr == nil {
+		if err := e.saveItem(k, ent, nil); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -165,10 +165,15 @@ func (e *Engine) Flush() error {
 
 // saveItem persists one completed dirty trajectory and clears its dirty
 // mark. The file is keyed by the graph version the trajectory was recorded
-// on, which may be older than the engine's current graph.
-func (e *Engine) saveItem(key store.Key, ent *entry) error {
+// on, which may be older than the engine's current graph. enc is the
+// trajectory's layout when the caller holds it (a fresh recording's eager
+// save), or nil to compute it.
+func (e *Engine) saveItem(key store.Key, ent *entry, enc *store.Encoding) error {
 	key.GraphVersion = ent.traj.GraphVersion
-	err := e.cfg.Store.Save(e.cfg.Name, key, ent.traj)
+	if enc == nil {
+		enc = store.Encode(ent.traj)
+	}
+	err := e.cfg.Store.Save(e.cfg.Name, key, enc)
 	e.mu.Lock()
 	if err != nil {
 		e.stats.StoreErrors++

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -105,74 +106,173 @@ func reseal(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 }
 
-// recordOffsets returns the byte offsets of a well-formed image's start
-// records and step records, in file order.
-func recordOffsets(raw []byte) (starts, steps []int) {
+// image locates the sections of a well-formed v3 image: the offset of the
+// start nodes, and of each node record and each step record, in file order.
+type image struct {
+	raw          []byte
+	starts       int
+	nodes, steps []int
+}
+
+func parseImage(raw []byte) image {
 	w := int(binary.LittleEndian.Uint32(raw[8:]))
 	s := int(binary.LittleEndian.Uint64(raw[48:]))
-	off := headerSize + 12*w
-	for range w {
-		starts = append(starts, off)
+	m := int(binary.LittleEndian.Uint64(raw[56:]))
+	im := image{raw: raw, starts: headerSize + 12*w}
+	off := im.starts + 4*w
+	for range m {
+		im.nodes = append(im.nodes, off)
 		off += 12 + 4*int(binary.LittleEndian.Uint32(raw[off+8:]))
 	}
 	for range s {
-		steps = append(steps, off)
-		off += 16 + 4*int(binary.LittleEndian.Uint32(raw[off+12:]))
+		im.steps = append(im.steps, off)
+		off += 8
+	}
+	return im
+}
+
+func (im image) u32(off int) uint32 { return binary.LittleEndian.Uint32(im.raw[off:]) }
+
+// record returns the offset of node u's record, or -1.
+func (im image) record(u uint32) int {
+	for _, off := range im.nodes {
+		if im.u32(off) == u {
+			return off
+		}
+	}
+	return -1
+}
+
+// visits counts the walkers' visits of node u, starts included.
+func (im image) visits(u uint32) (starts, steps int) {
+	for w := range int(binary.LittleEndian.Uint32(im.raw[8:])) {
+		if im.u32(im.starts+4*w) == u {
+			starts++
+		}
+	}
+	for _, off := range im.steps {
+		if im.u32(off+4) == u {
+			steps++
+		}
 	}
 	return starts, steps
 }
 
+// splice returns a copy of the image with the bytes [at, at+cut) replaced
+// by ins, the header's node-record and neighbor totals moved by dm and dn,
+// and the CRC resealed.
+func (im image) splice(at, cut int, ins []byte, dm, dn int) []byte {
+	b := slices.Concat(im.raw[:at], ins, im.raw[at+cut:])
+	binary.LittleEndian.PutUint64(b[56:], uint64(int(binary.LittleEndian.Uint64(b[56:]))+dm))
+	binary.LittleEndian.PutUint64(b[64:], uint64(int(binary.LittleEndian.Uint64(b[64:]))+dn))
+	reseal(b)
+	return b
+}
+
 // TestDecodeRefusesImpossibleRecords mutates one record of a valid image at
 // a time, reseals the CRC, and checks that Decode refuses each fault the
-// reference decoder lets through: a list whose length is not its record's
-// degree, a list out of order, a step that does not leave from where its
-// walker stands, and a step to a node that is not a friend of its
-// predecessor.
+// reference decoder lets through: a friend list whose length is not its
+// record's degree (the start's node's, then a step's node's), a list out
+// of order, a step that does not leave from where its walker stands, a step
+// to a node that is not a friend of its predecessor, a node listed twice,
+// node records out of order, a start or a step node without a list, and a
+// listed node that no walker stands on.
 func TestDecodeRefusesImpossibleRecords(t *testing.T) {
 	g := testGraph(t, 3)
 	raw := encode(t, record(t, g, 2, 5))
-	starts, steps := recordOffsets(raw)
-	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+	im := parseImage(raw)
 	put := func(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
-	// mid is a step with a friend list of at least two entries and a
-	// successor in the same walker.
-	mid := -1
-	for i := 1; i+1 < len(steps) && mid < 0; i++ {
-		if u32(raw, steps[i]+12) >= 2 && u32(raw, steps[i+1]) == u32(raw, steps[i]+4) {
-			mid = steps[i]
+	// mid is a step whose node has a friend list of at least two entries,
+	// is no walker's start, and is visited once; it has a successor in the
+	// same walker.
+	mid, midNode := -1, -1
+	for i := 1; i+1 < len(im.steps) && mid < 0; i++ {
+		u := im.u32(im.steps[i] + 4)
+		rec := im.record(u)
+		if starts, steps := im.visits(u); starts == 0 && steps == 1 && im.u32(rec+8) >= 2 && im.u32(im.steps[i+1]) == u {
+			mid, midNode = im.steps[i], rec
 		}
 	}
 	if mid < 0 {
-		t.Fatal("no step with a two-entry list and a successor")
+		t.Fatal("no once-visited step with a two-entry list and a successor")
 	}
+	start1 := im.record(im.u32(im.starts + 4))
+	// unvisited is a node no walker stands on, and ins the offset of the
+	// first node record above it.
+	unvisited := uint32(0)
+	for im.record(unvisited) >= 0 {
+		unvisited++
+	}
+	ins := im.steps[0]
+	for _, off := range im.nodes {
+		if im.u32(off) > unvisited {
+			ins = off
+			break
+		}
+	}
+	size := func(off int) int { return 12 + 4*int(im.u32(off+8)) }
 	cases := []struct {
 		name, want string
-		mutate     func(b []byte)
+		image      func() []byte
 	}{
-		{"start degree differs from its list", "degree", func(b []byte) { put(b, starts[1]+4, u32(b, starts[1]+4)+1) }},
-		{"step degree differs from its list", "degree", func(b []byte) { put(b, mid+8, u32(b, mid+8)-1) }},
-		{"step list out of order", "not strictly increasing", func(b []byte) {
-			x, y := u32(b, mid+16), u32(b, mid+20)
-			put(b, mid+16, y)
-			put(b, mid+20, x)
+		{"start degree differs from its list", "degree", func() []byte {
+			b := slices.Clone(raw)
+			put(b, start1+4, im.u32(start1+4)+1)
+			return b
 		}},
-		{"step leaves from elsewhere", "leaves from", func(b []byte) {
-			put(b, mid, (u32(b, mid)+1)%uint32(g.NumNodes()))
+		{"step degree differs from its list", "degree", func() []byte {
+			b := slices.Clone(raw)
+			put(b, midNode+4, im.u32(midNode+4)-1)
+			return b
 		}},
-		{"step to a non-friend", "not in node", func(b []byte) {
-			prev := graph.Node(u32(b, mid))
+		{"step list out of order", "not strictly increasing", func() []byte {
+			b := slices.Clone(raw)
+			put(b, midNode+12, im.u32(midNode+16))
+			put(b, midNode+16, im.u32(midNode+12))
+			return b
+		}},
+		{"step leaves from elsewhere", "leaves from", func() []byte {
+			b := slices.Clone(raw)
+			put(b, mid, (im.u32(mid)+1)%uint32(g.NumNodes()))
+			return b
+		}},
+		{"step to a non-friend", "not in node", func() []byte {
+			b := slices.Clone(raw)
+			prev := graph.Node(im.u32(mid))
 			for v := graph.Node(0); int(v) < g.NumNodes(); v++ {
 				if v != prev && !slices.Contains(g.Neighbors(prev), v) {
 					put(b, mid+4, uint32(v))
-					return
+					break
 				}
 			}
+			return b
+		}},
+		{"node listed twice", "listed twice", func() []byte {
+			b := slices.Clone(raw)
+			put(b, im.nodes[1], im.u32(im.nodes[0]))
+			return b
+		}},
+		{"node records out of order", "out of order", func() []byte {
+			b := slices.Clone(raw)
+			put(b, im.nodes[0], im.u32(im.nodes[1]))
+			put(b, im.nodes[1], im.u32(im.nodes[0]))
+			return b
+		}},
+		{"start node without a list", "no friend list", func() []byte {
+			return im.splice(start1, size(start1), nil, -1, -int(im.u32(start1+8)))
+		}},
+		{"step node without a list", "no friend list", func() []byte {
+			return im.splice(midNode, size(midNode), nil, -1, -int(im.u32(midNode+8)))
+		}},
+		{"listed node without a walker", "no walker stands on it", func() []byte {
+			rec := binary.LittleEndian.AppendUint32(nil, unvisited)
+			rec = binary.LittleEndian.AppendUint64(rec, 0) // degree 0, no entries
+			return im.splice(ins, 0, rec, 1, 0)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := slices.Clone(raw)
-			tc.mutate(bad)
+			bad := tc.image()
 			reseal(bad)
 			if _, err := referenceDecode(bad); err != nil {
 				t.Fatalf("the reference decoder refuses the mutation too, so it does not reach the new checks: %v", err)
@@ -182,6 +282,16 @@ func TestDecodeRefusesImpossibleRecords(t *testing.T) {
 				t.Fatalf("Decode: %v, want a refusal mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadRefusesVersion2 loads a file the version 2 writer saved (a
+// two-walker recording on a 30-node graph, in testdata) and checks that the
+// refusal names the version.
+func TestLoadRefusesVersion2(t *testing.T) {
+	_, err := Load("testdata/v2.osnt")
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("Load of a version 2 file: %v, want a refusal naming version 2", err)
 	}
 }
 
@@ -257,8 +367,8 @@ func TestLoadThenRebindBuildsNoLabelIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := loaded.Data()
-	columns := 8*(len(d.Ext)+len(d.NbrOff)+len(d.StartOff)+len(loaded.PerWalkerCalls)) +
-		4*(len(d.Prev)+len(d.Node)+len(d.Degree)+len(d.StartNode)+len(d.StartDegree)+len(d.Arena))
+	columns := 8*(len(d.Ext)+len(d.ListOff)+len(loaded.PerWalkerCalls)) +
+		4*(len(d.Prev)+len(d.Node)+len(d.Degree)+len(d.StepList)+len(d.StartNode)+len(d.StartDegree)+len(d.StartList)+len(d.ListNode)+len(d.Arena))
 	const runs = 5
 	runtime.GC()
 	var before, after runtime.MemStats
@@ -302,5 +412,69 @@ func TestDecodeKeepsNoReferenceToItsInput(t *testing.T) {
 	clear(raw)
 	if d := sameDecode(kept, want); d != "" {
 		t.Fatalf("decoded trajectory changed with its input: %s", d)
+	}
+}
+
+// TestListIndexFindsEveryNode checks the list index against a binary
+// search over the same ascending nodes: every node ID of the graph, listed
+// or not, on sets that are dense, sparse, clustered at either end of the ID
+// space, or a single node.
+func TestListIndexFindsEveryNode(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name  string
+		n     int
+		nodes func() []graph.Node
+	}{
+		{"single", 1, func() []graph.Node { return []graph.Node{0} }},
+		{"one of many", 1000, func() []graph.Node { return []graph.Node{999} }},
+		{"dense", 500, func() []graph.Node {
+			var ns []graph.Node
+			for u := range graph.Node(500) {
+				if u%3 != 0 {
+					ns = append(ns, u)
+				}
+			}
+			return ns
+		}},
+		{"sparse", 100_000, func() []graph.Node {
+			set := map[graph.Node]bool{}
+			for len(set) < 300 {
+				set[graph.Node(rng.Intn(100_000))] = true
+			}
+			var ns []graph.Node
+			for u := range set {
+				ns = append(ns, u)
+			}
+			slices.Sort(ns)
+			return ns
+		}},
+		{"clustered low", 100_000, func() []graph.Node {
+			var ns []graph.Node
+			for u := range graph.Node(64) {
+				ns = append(ns, u)
+			}
+			return ns
+		}},
+		{"clustered high", 100_000, func() []graph.Node {
+			var ns []graph.Node
+			for u := graph.Node(100_000 - 64); u < 100_000; u++ {
+				ns = append(ns, u)
+			}
+			return ns
+		}},
+	} {
+		nodes := tc.nodes()
+		x := newListIndex(nodes, uint64(tc.n))
+		if len(x.first) > len(nodes)+2 {
+			t.Errorf("%s: %d buckets for %d list nodes", tc.name, len(x.first)-1, len(nodes))
+		}
+		for u := range graph.Node(tc.n) {
+			j, ok := x.find(u)
+			wantJ, wantOK := slices.BinarySearch(nodes, u)
+			if ok != wantOK || ok && j != wantJ {
+				t.Fatalf("%s: find(%d) = %d, %v; want %d, %v", tc.name, u, j, ok, wantJ, wantOK)
+			}
+		}
 	}
 }

@@ -103,14 +103,15 @@ func (d *Dir) Path(graphName string, k Key) (string, error) {
 	return filepath.Join(d.root, graphName, k.Filename()), nil
 }
 
-// Save persists t as the (graph, key) trajectory, atomically replacing any
-// previous file for the same key.
-func (d *Dir) Save(graphName string, k Key, t *core.Trajectory) error {
+// Save persists e's trajectory as the (graph, key) trajectory, atomically
+// replacing any previous file for the same key. It writes e without
+// computing the layout again.
+func (d *Dir) Save(graphName string, k Key, e *Encoding) error {
 	path, err := d.createPath(graphName, k)
 	if err != nil {
 		return err
 	}
-	return Save(path, t)
+	return atomicfile.Write(path, e.write)
 }
 
 // createPath returns the file path a (graph, key) trajectory persists at,

@@ -164,7 +164,7 @@ func TestWriteBytesPinned(t *testing.T) {
 	if err := Write(&buf, recordFrom(t, g, hub, 2)); err != nil {
 		t.Fatal(err)
 	}
-	const want = "8a0a7fead56dafe9046ceade3362a3d151febcf7ee2f4d9797ca460c065f69ac"
+	const want = "3d4caa60cb930c0d4de6cf067951c491a71ee1861246dfaa8adde3134365de72"
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("Write produced %d bytes with SHA-256 %s, want %s", buf.Len(), got, want)

@@ -6,18 +6,24 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
-// This file keeps the word-at-a-time .osnt decoder that Decode replaced, as
-// the reference FuzzDecode compares Decode against: whatever Decode accepts,
-// referenceDecode must accept with equal header fields, columns and label
-// reads. referenceDecode checks ranges, counts, label order and the CRC, but
-// not the per-record checks Decode adds (list length against degree, sorted
-// lists, the prev chain and step adjacency), so it may accept more.
+// This file keeps a plain .osnt v3 decoder as the reference FuzzDecode
+// compares Decode against: whatever Decode accepts, referenceDecode must
+// accept with equal header fields, columns and label reads. It reads one
+// word per call through a bounds-checked cursor and keeps the friend lists
+// in a map from node to list. It checks ranges, counts, label order and the
+// CRC, but none of the record checks Decode makes (list length against
+// degree, sorted lists, node records in ascending order, the prev chain,
+// step adjacency, and every start and step node having a list and every
+// listed node a walker on it), so it accepts more: a node listed twice
+// keeps its last list, a start or step node without a list gets an empty
+// one, and a step's degree is its list's length.
 
 // referenceDecode parses a .osnt image through a bounds-checked cursor, one
 // word per call, and binds the result to an eagerly indexed label store.
@@ -40,12 +46,13 @@ func referenceDecode(raw []byte) (*core.Trajectory, error) {
 	numEdges := binary.LittleEndian.Uint64(hdr[32:40])
 	apiCalls := binary.LittleEndian.Uint64(hdr[40:48])
 	totalSteps := binary.LittleEndian.Uint64(hdr[48:56])
-	totalNeighbors := binary.LittleEndian.Uint64(hdr[56:64])
-	labelNodes := binary.LittleEndian.Uint64(hdr[64:72])
-	labelTable := binary.LittleEndian.Uint64(hdr[72:80])
-	labelRefs := binary.LittleEndian.Uint64(hdr[80:88])
-	graphVersion := binary.LittleEndian.Uint64(hdr[88:96])
-	graphFP := binary.LittleEndian.Uint64(hdr[96:104])
+	listNodes := binary.LittleEndian.Uint64(hdr[56:64])
+	totalNeighbors := binary.LittleEndian.Uint64(hdr[64:72])
+	labelNodes := binary.LittleEndian.Uint64(hdr[72:80])
+	labelTable := binary.LittleEndian.Uint64(hdr[80:88])
+	labelRefs := binary.LittleEndian.Uint64(hdr[88:96])
+	graphVersion := binary.LittleEndian.Uint64(hdr[96:104])
+	graphFP := binary.LittleEndian.Uint64(hdr[104:112])
 
 	if walkers == 0 || walkers > maxSaneWalkers {
 		return nil, fmt.Errorf("store: implausible walker count %d in header (corrupt file?)", walkers)
@@ -53,18 +60,15 @@ func referenceDecode(raw []byte) (*core.Trajectory, error) {
 	if numNodes > math.MaxInt32 {
 		return nil, fmt.Errorf("store: %d nodes exceed the int32 node ID space", numNodes)
 	}
-	for _, c := range []uint64{numEdges, apiCalls, totalSteps, totalNeighbors, labelNodes, labelTable, labelRefs} {
+	for _, c := range []uint64{numEdges, apiCalls, totalSteps, listNodes, totalNeighbors, labelNodes, labelTable, labelRefs} {
 		if c > maxSaneCount {
 			return nil, fmt.Errorf("store: implausible section size %d in header (corrupt file?)", c)
 		}
 	}
-	if labelNodes > numNodes || labelRefs < labelNodes {
-		if labelNodes > numNodes {
-			return nil, fmt.Errorf("store: %d labeled nodes exceed the %d-node graph", labelNodes, numNodes)
-		}
-		return nil, fmt.Errorf("store: %d label refs cannot cover %d labeled nodes", labelRefs, labelNodes)
+	if listNodes > numNodes || labelNodes > numNodes || labelRefs < labelNodes {
+		return nil, fmt.Errorf("store: section counts %d/%d/%d do not fit a %d-node graph", listNodes, labelNodes, labelRefs, numNodes)
 	}
-	if want := ExpectedSize(uint64(walkers), totalSteps, totalNeighbors, labelNodes, labelTable, labelRefs); int64(len(raw)) != want {
+	if want := ExpectedSize(uint64(walkers), totalSteps, listNodes, totalNeighbors, labelNodes, labelTable, labelRefs); int64(len(raw)) != want {
 		return nil, fmt.Errorf("store: file is %d bytes, header implies %d (truncated or corrupt)", len(raw), want)
 	}
 	if got, want := crc32.ChecksumIEEE(raw[:len(raw)-4]), binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != want {
@@ -84,102 +88,104 @@ func referenceDecode(raw []byte) (*core.Trajectory, error) {
 	for i := range perCalls {
 		perCalls[i] = int64(dec.u64())
 	}
-	stepCounts := make([]uint32, W)
-	var sumSteps uint64
-	for i := range stepCounts {
-		stepCounts[i] = dec.u32()
-		sumSteps += uint64(stepCounts[i])
+	ext := make([]int64, W+1)
+	for w := 0; w < W; w++ {
+		ext[w+1] = ext[w] + int64(dec.u32())
 	}
 	if dec.err != nil {
 		return nil, fmt.Errorf("store: reading accounting sections: %w", dec.err)
 	}
-	if sumSteps != totalSteps {
-		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", sumSteps, totalSteps)
+	if uint64(ext[W]) != totalSteps {
+		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", ext[W], totalSteps)
+	}
+	starts := make([]graph.Node, W)
+	for w := range starts {
+		u, err := checkNode(dec.u32(), "start node")
+		if err != nil {
+			return nil, err
+		}
+		starts[w] = u
 	}
 
-	// Decode straight into the trajectory's columnar layout: the file's
-	// record order (start lists first, then step lists walker-major) IS the
-	// arena order, so every neighbor entry appends to one preallocated arena
-	// and the whole decode is a fixed number of allocations regardless of
-	// trajectory length (pinned by TestLoadAllocsPerStep).
-	S := int(totalSteps)
-	data := core.TrajectoryData{
-		Ext:         make([]int64, W+1),
-		Prev:        make([]graph.Node, S),
-		Node:        make([]graph.Node, S),
-		Degree:      make([]int32, S),
-		NbrOff:      make([]int64, S+1),
-		StartNode:   make([]graph.Node, W),
-		StartDegree: make([]int32, W),
-		StartOff:    make([]int64, W+1),
-		Arena:       make([]graph.Node, 0, totalNeighbors),
-	}
-	for w := 0; w < W; w++ {
-		data.Ext[w+1] = data.Ext[w] + int64(stepCounts[w])
-	}
-
-	// neighborsLeft caps arena appends by the header's global total, so a
-	// corrupt per-record length cannot overrun the preallocated arena.
+	// lists maps each listed node to its friend list; neighborsLeft caps
+	// the lists by the header's total.
+	lists := make(map[graph.Node][]graph.Node)
 	neighborsLeft := totalNeighbors
-	readNeighbors := func(n uint32) error {
+	for j := uint64(0); j < listNodes; j++ {
+		u, err := checkNode(dec.u32(), "listed node")
+		if err != nil {
+			return nil, err
+		}
+		dec.u32() // degree: a list's length is its node's degree here
+		n := dec.u32()
+		if dec.err != nil {
+			return nil, fmt.Errorf("store: reading node record %d: %w", j, dec.err)
+		}
 		if uint64(n) > neighborsLeft {
-			return fmt.Errorf("store: neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, neighborsLeft)
+			return nil, fmt.Errorf("store: neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, neighborsLeft)
 		}
 		neighborsLeft -= uint64(n)
-		for i := uint32(0); i < n; i++ {
-			v, err := checkNode(dec.u32(), "neighbor")
-			if err != nil {
-				return err
+		list := make([]graph.Node, n)
+		for k := range list {
+			if list[k], err = checkNode(dec.u32(), "neighbor"); err != nil {
+				return nil, err
 			}
-			data.Arena = append(data.Arena, v)
 		}
-		return nil
+		lists[u] = list
 	}
 
-	for w := 0; w < W; w++ {
-		node, err := checkNode(dec.u32(), "start node")
-		if err != nil {
-			return nil, err
-		}
-		degree := dec.u32()
-		nbrLen := dec.u32()
-		if dec.err != nil {
-			return nil, fmt.Errorf("store: reading start record %d: %w", w, dec.err)
-		}
-		data.StartNode[w] = node
-		data.StartDegree[w] = int32(degree)
-		data.StartOff[w] = int64(len(data.Arena))
-		if err := readNeighbors(nbrLen); err != nil {
-			return nil, err
-		}
-	}
-	data.StartOff[W] = int64(len(data.Arena))
-
+	S := int(totalSteps)
+	prev, node := make([]graph.Node, S), make([]graph.Node, S)
 	for i := 0; i < S; i++ {
-		prev, err := checkNode(dec.u32(), "step prev")
-		if err != nil {
+		var err error
+		if prev[i], err = checkNode(dec.u32(), "step prev"); err != nil {
 			return nil, err
 		}
-		node, err := checkNode(dec.u32(), "step node")
-		if err != nil {
-			return nil, err
-		}
-		degree := dec.u32()
-		nbrLen := dec.u32()
-		if dec.err != nil {
-			return nil, fmt.Errorf("store: reading step %d: %w", i, dec.err)
-		}
-		data.Prev[i] = prev
-		data.Node[i] = node
-		data.Degree[i] = int32(degree)
-		data.NbrOff[i] = int64(len(data.Arena))
-		if err := readNeighbors(nbrLen); err != nil {
+		if node[i], err = checkNode(dec.u32(), "step node"); err != nil {
 			return nil, err
 		}
 	}
-	data.NbrOff[S] = int64(len(data.Arena))
-	if neighborsLeft != 0 {
-		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", neighborsLeft)
+	if dec.err != nil {
+		return nil, fmt.Errorf("store: reading step records: %w", dec.err)
+	}
+
+	// The columns: every listed, start and step node's list in ascending
+	// node order, each start and step pointing at its node's.
+	for _, col := range [][]graph.Node{starts, node} {
+		for _, u := range col {
+			if _, ok := lists[u]; !ok {
+				lists[u] = nil
+			}
+		}
+	}
+	data := core.TrajectoryData{
+		Ext:         ext,
+		Prev:        prev,
+		Node:        node,
+		Degree:      make([]int32, S),
+		StepList:    make([]int32, S),
+		StartNode:   starts,
+		StartDegree: make([]int32, W),
+		StartList:   make([]int32, W),
+		ListNode:    make([]graph.Node, 0, len(lists)),
+		ListOff:     []int64{0},
+		Arena:       make([]graph.Node, 0, totalNeighbors),
+	}
+	for u := range lists {
+		data.ListNode = append(data.ListNode, u)
+	}
+	slices.Sort(data.ListNode)
+	index := make(map[graph.Node]int32, len(lists))
+	for j, u := range data.ListNode {
+		index[u] = int32(j)
+		data.Arena = append(data.Arena, lists[u]...)
+		data.ListOff = append(data.ListOff, int64(len(data.Arena)))
+	}
+	for w, u := range starts {
+		data.StartList[w], data.StartDegree[w] = index[u], int32(len(lists[u]))
+	}
+	for i, u := range node {
+		data.StepList[i], data.Degree[i] = index[u], int32(len(lists[u]))
 	}
 
 	ls := &refLabelStore{

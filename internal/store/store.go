@@ -7,15 +7,16 @@
 // byte-equal estimates, so a restarted server answers previously cached
 // queries with zero API spend.
 //
-// # Format (version 2)
+// # Format (version 3)
 //
 // All integers are little-endian and unsigned on the wire. A file is a
-// fixed header, the per-walker accounting arrays, one start and one step
-// stream per walker, an interned label store, and a trailing CRC:
+// fixed header, the per-walker arrays, one friend list per distinct node
+// the walkers stand on, the step stream, an interned label store, and a
+// trailing CRC:
 //
 //	offset  size              field
 //	0       4                 magic "OSNT"
-//	4       4                 format version (2)
+//	4       4                 format version (3)
 //	8       4                 walkers (W)
 //	12      4                 HT thinning gap
 //	16      4                 flags (bit 0: budget-driven recording)
@@ -24,21 +25,28 @@
 //	32      8                 numEdges  (graph prior |E|)
 //	40      8                 apiCalls  (total billed recording cost)
 //	48      8                 totalSteps (S, summed across walkers)
-//	56      8                 totalNeighbors (N, neighbor entries across all starts and steps)
-//	64      8                 labelNodes (L, distinct labeled nodes referenced)
-//	72      8                 labelTable (T, distinct label values)
-//	80      8                 labelRefs  (R, total per-node label references)
-//	88      8                 graphVersion (delta-log version of the recording graph)
-//	96      8                 graphFingerprint (content hash of the recording graph)
-//	104     W*8               per-walker billed calls
+//	56      8                 listNodes (M, distinct start and step nodes)
+//	64      8                 totalNeighbors (N, friend-list entries across the M lists)
+//	72      8                 labelNodes (L, distinct labeled nodes referenced)
+//	80      8                 labelTable (T, distinct label values)
+//	88      8                 labelRefs  (R, total per-node label references)
+//	96      8                 graphVersion (delta-log version of the recording graph)
+//	104     8                 graphFingerprint (content hash of the recording graph)
+//	112     W*8               per-walker billed calls
 //	...     W*4               per-walker step counts
-//	...     variable          W start records:  node, degree, nbrLen, nbrLen neighbors (u32 each)
-//	...     variable          S step records:   prev, node, degree, nbrLen, nbrLen neighbors (u32 each), walker-major
+//	...     W*4               per-walker start nodes
+//	...     variable          M node records: node, degree, nbrLen, nbrLen neighbors (u32 each), ascending node
+//	...     S*8               S step records: prev, node (u32 each), walker-major
 //	...     L*4               labeled node IDs, sorted ascending
 //	...     (L+1)*4           label offsets into the refs array
 //	...     T*4               label table: sorted distinct label values
 //	...     R*4               label refs: indices into the label table
 //	...     4                 CRC-32 (IEEE) of everything before it
+//
+// A walk revisits nodes in proportion to their degree, and every visit of
+// a node within one recording reads the same crawl-cache response, so a
+// node's friend list is stored once, in its node record, and a start or a
+// step carries only its node ID. A step's degree is its node's.
 //
 // The label sections make a .osnt self-contained: the file stores, for every
 // node the trajectory references (start nodes, step endpoints and all their
@@ -60,6 +68,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -78,13 +87,17 @@ const Magic = "OSNT"
 // added the recording graph's delta-log version and content fingerprint to
 // the header, so the serving layer can tell exactly which graph state a
 // persisted trajectory replays — and top up stale ones incrementally.
-const Version = 2
+// Version 3 stores each distinct node's friend list once instead of at
+// every step. A version 2 file is refused like any unknown version; the
+// serving engine counts it in store_errors and records the trajectory
+// again.
+const Version = 3
 
 // Ext is the conventional file extension for trajectory files.
 const Ext = ".osnt"
 
-// headerSize is the fixed byte length of the v2 header.
-const headerSize = 104
+// headerSize is the fixed byte length of the v3 header.
+const headerSize = 112
 
 // maxSaneCount guards the reader's allocations against a corrupt or hostile
 // header: no section may claim more than 2^35 elements, far beyond any
@@ -105,6 +118,7 @@ const flagBudgetDriven = 1 << 0
 type layout struct {
 	walkers        int
 	totalSteps     int64
+	listNodes      int64
 	totalNeighbors int64
 	// labelNodes holds the distinct referenced nodes that carry at least
 	// one label, ascending; node i's label set is vals[labelOff[i]:
@@ -116,16 +130,18 @@ type layout struct {
 	refs       []uint32
 }
 
-// computeLayout scans t once: section totals for the header, plus the
-// interned label store covering every node the trajectory references. Every
-// neighbor list (starts and steps alike) lives in the shared arena, so the
-// neighbor total is the arena length, and one node set marks the referenced
-// nodes, listing them in ascending order.
+// computeLayout scans t's distinct nodes once: section totals for the
+// header, plus the interned label store covering every node the trajectory
+// references. Each start and step node has its one friend list in the
+// arena, so the list nodes and the arena's entries are every node a replay
+// reads (a step's prev is its walker's previous node); one node set marks
+// them and lists them in ascending order.
 func computeLayout(t *core.Trajectory) layout {
 	d := t.Data()
 	lay := layout{
 		walkers:        t.NumWalkers(),
 		totalSteps:     int64(t.Samples()),
+		listNodes:      int64(len(d.ListNode)),
 		totalNeighbors: int64(len(d.Arena)),
 		// The label offsets section always carries its leading 0, even for a
 		// trajectory with no bound labels — ExpectedSize counts (L+1) offsets
@@ -138,7 +154,7 @@ func computeLayout(t *core.Trajectory) layout {
 	}
 	referenced := graph.NewNodeSet(t.NumNodes)
 	n := 0
-	for _, col := range [][]graph.Node{d.StartNode, d.Prev, d.Node, d.Arena} {
+	for _, col := range [][]graph.Node{d.ListNode, d.Arena} {
 		for _, u := range col {
 			if referenced.Add(u) {
 				n++
@@ -176,16 +192,17 @@ func computeLayout(t *core.Trajectory) layout {
 	return lay
 }
 
-// ExpectedSize returns the exact byte length of a v2 trajectory file with
+// ExpectedSize returns the exact byte length of a v3 trajectory file with
 // the given header counts. Exposed for tests and integrity tooling; the
 // reader cross-checks it against the actual byte count before parsing.
-func ExpectedSize(walkers, totalSteps, totalNeighbors, labelNodes, labelTable, labelRefs uint64) int64 {
+func ExpectedSize(walkers, totalSteps, listNodes, totalNeighbors, labelNodes, labelTable, labelRefs uint64) int64 {
 	return int64(headerSize) +
 		int64(walkers)*8 + // per-walker calls
 		int64(walkers)*4 + // per-walker step counts
-		int64(walkers)*12 + // start records (node, degree, nbrLen)
-		int64(totalSteps)*16 + // step records (prev, node, degree, nbrLen)
-		int64(totalNeighbors)*4 + // all neighbor entries (starts + steps)
+		int64(walkers)*4 + // per-walker start nodes
+		int64(listNodes)*12 + // node records (node, degree, nbrLen)
+		int64(totalNeighbors)*4 + // the node records' friend lists
+		int64(totalSteps)*8 + // step records (prev, node)
 		int64(labelNodes)*4 + // labeled node IDs
 		int64(labelNodes+1)*4 + // label offsets
 		int64(labelTable)*4 + // label table
@@ -193,44 +210,71 @@ func ExpectedSize(walkers, totalSteps, totalNeighbors, labelNodes, labelTable, l
 		4 // CRC
 }
 
+// Encoding is a trajectory's .osnt layout: the section counts and the
+// interned label store that writing the file encodes. Computing it is most
+// of a write's cost, so a caller that needs the file's size before it
+// writes the file (the serving engine weighs a fresh recording in its cache
+// before persisting it) computes it once and hands it to Dir.Save. The
+// trajectory must not change while its Encoding is in use.
+type Encoding struct {
+	t   *core.Trajectory
+	lay layout
+}
+
+// Encode computes t's .osnt layout.
+func Encode(t *core.Trajectory) *Encoding {
+	e := &Encoding{t: t}
+	if t != nil {
+		e.lay = computeLayout(t)
+	}
+	return e
+}
+
+// Size returns the exact byte length of the encoded file; 0 for a nil
+// trajectory.
+func (e *Encoding) Size() int64 {
+	if e.t == nil {
+		return 0
+	}
+	return e.lay.size()
+}
+
 // EncodedSize returns the exact .osnt byte length Write would produce for t.
 // The serving layer uses it as the trajectory's cache weight, so the byte
 // budget it enforces in memory equals the bytes the store holds on disk.
-func EncodedSize(t *core.Trajectory) int64 {
-	if t == nil {
-		return 0
-	}
-	lay := computeLayout(t)
-	return lay.size()
-}
+func EncodedSize(t *core.Trajectory) int64 { return Encode(t).Size() }
 
 // Detach binds t to the label store its .osnt file embeds, read once
-// through t's current binding, and returns EncodedSize(t). A recording made
+// through t's current binding, and returns t's Encoding. A recording made
 // through an upstream source reads its labels through the recording
 // session, which holds that source and its response cache; detached, t
 // holds only the label sets of the nodes it references, as a reload of its
 // file would, except that the store has no O(|V|) lookup index. A
 // trajectory without bound labels stays unbound.
-func Detach(t *core.Trajectory) int64 {
-	lay := computeLayout(t)
+func Detach(t *core.Trajectory) *Encoding {
+	e := Encode(t)
 	if t.Labels() != nil {
 		// The clone drops the label values' append slack: the store lives as
 		// long as the cached trajectory.
-		t.BindLabels(&labelStore{nodes: lay.labelNodes, off: lay.labelOff, vals: slices.Clone(lay.vals)})
+		t.BindLabels(&labelStore{nodes: e.lay.labelNodes, off: e.lay.labelOff, vals: slices.Clone(e.lay.vals)})
 	}
-	return lay.size()
+	return e
 }
 
 // size is the exact byte length of the file lay describes.
 func (lay *layout) size() int64 {
-	return ExpectedSize(uint64(lay.walkers), uint64(lay.totalSteps), uint64(lay.totalNeighbors),
+	return ExpectedSize(uint64(lay.walkers), uint64(lay.totalSteps), uint64(lay.listNodes), uint64(lay.totalNeighbors),
 		uint64(len(lay.labelNodes)), uint64(len(lay.table)), uint64(len(lay.refs)))
 }
 
 // Write serializes t to w in .osnt format. The write streams through a
 // buffered writer; memory overhead beyond the trajectory itself is the
 // interned label store (one entry per distinct referenced node).
-func Write(w io.Writer, t *core.Trajectory) error {
+func Write(w io.Writer, t *core.Trajectory) error { return Encode(t).write(w) }
+
+// write serializes e's trajectory to w.
+func (e *Encoding) write(w io.Writer) error {
+	t, lay := e.t, &e.lay
 	if t == nil || t.NumWalkers() == 0 {
 		return fmt.Errorf("store: cannot write an empty trajectory")
 	}
@@ -239,7 +283,6 @@ func Write(w io.Writer, t *core.Trajectory) error {
 		return fmt.Errorf("store: trajectory has %d step streams but %d starts and %d per-walker bills",
 			t.NumWalkers(), len(d.StartNode), len(t.PerWalkerCalls))
 	}
-	lay := computeLayout(t)
 
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
@@ -259,19 +302,20 @@ func Write(w io.Writer, t *core.Trajectory) error {
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(t.NumEdges))
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(t.APICalls))
 	binary.LittleEndian.PutUint64(hdr[48:56], uint64(lay.totalSteps))
-	binary.LittleEndian.PutUint64(hdr[56:64], uint64(lay.totalNeighbors))
-	binary.LittleEndian.PutUint64(hdr[64:72], uint64(len(lay.labelNodes)))
-	binary.LittleEndian.PutUint64(hdr[72:80], uint64(len(lay.table)))
-	binary.LittleEndian.PutUint64(hdr[80:88], uint64(len(lay.refs)))
-	binary.LittleEndian.PutUint64(hdr[88:96], t.GraphVersion)
-	binary.LittleEndian.PutUint64(hdr[96:104], t.GraphFingerprint)
+	binary.LittleEndian.PutUint64(hdr[56:64], uint64(lay.listNodes))
+	binary.LittleEndian.PutUint64(hdr[64:72], uint64(lay.totalNeighbors))
+	binary.LittleEndian.PutUint64(hdr[72:80], uint64(len(lay.labelNodes)))
+	binary.LittleEndian.PutUint64(hdr[80:88], uint64(len(lay.table)))
+	binary.LittleEndian.PutUint64(hdr[88:96], uint64(len(lay.refs)))
+	binary.LittleEndian.PutUint64(hdr[96:104], t.GraphVersion)
+	binary.LittleEndian.PutUint64(hdr[104:112], t.GraphFingerprint)
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
 
-	// The columns serialize without any row materialization: the arena holds
-	// start lists first, then step lists in walker-major order — exactly the
-	// file's record order — so every neighbor list is a contiguous subslice.
+	// The columns serialize without any row materialization: the arena
+	// holds one friend list per list node, in ascending node order, which
+	// is the node records' order.
 	enc := encoder{w: bw}
 	for _, calls := range t.PerWalkerCalls {
 		enc.u64(uint64(calls))
@@ -280,18 +324,17 @@ func Write(w io.Writer, t *core.Trajectory) error {
 	for wi := 0; wi < W; wi++ {
 		enc.u32(uint32(t.WalkerLen(wi)))
 	}
-	for wi := 0; wi < W; wi++ {
-		enc.u32(uint32(d.StartNode[wi]))
-		enc.u32(uint32(d.StartDegree[wi]))
-		enc.u32(uint32(d.StartOff[wi+1] - d.StartOff[wi]))
-		enc.nodes(d.Arena[d.StartOff[wi]:d.StartOff[wi+1]])
+	enc.nodes(d.StartNode)
+	for j, u := range d.ListNode {
+		list := d.Arena[d.ListOff[j]:d.ListOff[j+1]]
+		enc.u32(uint32(u))
+		enc.u32(uint32(len(list)))
+		enc.u32(uint32(len(list)))
+		enc.nodes(list)
 	}
-	for i := 0; i < len(d.Prev); i++ {
+	for i := range d.Prev {
 		enc.u32(uint32(d.Prev[i]))
 		enc.u32(uint32(d.Node[i]))
-		enc.u32(uint32(d.Degree[i]))
-		enc.u32(uint32(d.NbrOff[i+1] - d.NbrOff[i]))
-		enc.nodes(d.Arena[d.NbrOff[i]:d.NbrOff[i+1]])
 	}
 	for _, u := range lay.labelNodes {
 		enc.u32(uint32(u))
@@ -326,18 +369,21 @@ func Write(w io.Writer, t *core.Trajectory) error {
 // node ID is validated before use, and the trailing CRC must match, so a
 // truncated, bit-flipped or hostile image fails fast instead of replaying
 // garbage. Every record must also be one a walk could have recorded: each
-// friend list is as long as its record's degree and strictly increasing,
-// and each step leaves from its walker's previous node (the start node, for
-// its first step) to a node in that node's friend list. Load decodes files
-// through it; the replication pull path decodes (and thereby verifies) a
-// peer's bytes before admitting them to the local store.
+// node's friend list is as long as its record's degree and strictly
+// increasing; the node records are in strictly ascending node order; every
+// start and step node has one, and every listed node is a start or step
+// node; and each step leaves from its walker's previous node (the start
+// node, for its first step) to a node in that node's friend list. Load
+// decodes files through it; the replication pull path decodes (and thereby
+// verifies) a peer's bytes before admitting them to the local store.
 //
 // The image's length is checked against the header's section counts, and
 // its CRC over the whole image, before any section is parsed; so each
 // section parses as one loop over its bytes, writing the preallocated
 // columns by index, and only a record's own list length needs a bound of its
-// own. Decode copies everything it keeps and does not retain raw, so the
-// caller may reuse the buffer.
+// own. A start or a step finds its node's list by binary search over the
+// ascending list nodes. Decode copies everything it keeps and does not
+// retain raw, so the caller may reuse the buffer.
 func Decode(raw []byte) (*core.Trajectory, error) {
 	if len(raw) < headerSize+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a .osnt file", len(raw))
@@ -357,12 +403,13 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	numEdges := binary.LittleEndian.Uint64(hdr[32:40])
 	apiCalls := binary.LittleEndian.Uint64(hdr[40:48])
 	totalSteps := binary.LittleEndian.Uint64(hdr[48:56])
-	totalNeighbors := binary.LittleEndian.Uint64(hdr[56:64])
-	labelNodes := binary.LittleEndian.Uint64(hdr[64:72])
-	labelTable := binary.LittleEndian.Uint64(hdr[72:80])
-	labelRefs := binary.LittleEndian.Uint64(hdr[80:88])
-	graphVersion := binary.LittleEndian.Uint64(hdr[88:96])
-	graphFP := binary.LittleEndian.Uint64(hdr[96:104])
+	listNodes := binary.LittleEndian.Uint64(hdr[56:64])
+	totalNeighbors := binary.LittleEndian.Uint64(hdr[64:72])
+	labelNodes := binary.LittleEndian.Uint64(hdr[72:80])
+	labelTable := binary.LittleEndian.Uint64(hdr[80:88])
+	labelRefs := binary.LittleEndian.Uint64(hdr[88:96])
+	graphVersion := binary.LittleEndian.Uint64(hdr[96:104])
+	graphFP := binary.LittleEndian.Uint64(hdr[104:112])
 
 	if walkers == 0 || walkers > maxSaneWalkers {
 		return nil, fmt.Errorf("store: implausible walker count %d in header (corrupt file?)", walkers)
@@ -370,18 +417,20 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	if numNodes > math.MaxInt32 {
 		return nil, fmt.Errorf("store: %d nodes exceed the int32 node ID space", numNodes)
 	}
-	for _, c := range []uint64{numEdges, apiCalls, totalSteps, totalNeighbors, labelNodes, labelTable, labelRefs} {
+	for _, c := range []uint64{numEdges, apiCalls, totalSteps, listNodes, totalNeighbors, labelNodes, labelTable, labelRefs} {
 		if c > maxSaneCount {
 			return nil, fmt.Errorf("store: implausible section size %d in header (corrupt file?)", c)
 		}
 	}
-	if labelNodes > numNodes || labelRefs < labelNodes {
-		if labelNodes > numNodes {
-			return nil, fmt.Errorf("store: %d labeled nodes exceed the %d-node graph", labelNodes, numNodes)
-		}
+	switch {
+	case listNodes > numNodes:
+		return nil, fmt.Errorf("store: %d friend lists exceed the %d-node graph", listNodes, numNodes)
+	case labelNodes > numNodes:
+		return nil, fmt.Errorf("store: %d labeled nodes exceed the %d-node graph", labelNodes, numNodes)
+	case labelRefs < labelNodes:
 		return nil, fmt.Errorf("store: %d label refs cannot cover %d labeled nodes", labelRefs, labelNodes)
 	}
-	if want := ExpectedSize(uint64(walkers), totalSteps, totalNeighbors, labelNodes, labelTable, labelRefs); int64(len(raw)) != want {
+	if want := ExpectedSize(uint64(walkers), totalSteps, listNodes, totalNeighbors, labelNodes, labelTable, labelRefs); int64(len(raw)) != want {
 		return nil, fmt.Errorf("store: file is %d bytes, header implies %d (truncated or corrupt)", len(raw), want)
 	}
 	if got, want := crc32.ChecksumIEEE(raw[:len(raw)-4]), binary.LittleEndian.Uint32(raw[len(raw)-4:]); got != want {
@@ -391,64 +440,92 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	// section below is in bounds by the size check above.
 	body := raw[headerSize : len(raw)-4]
 
-	W := int(walkers)
-	perCalls := make([]int64, W)
+	// Decode straight into the trajectory's columnar layout, carving the
+	// columns of each element type out of one allocation: the whole decode
+	// is a fixed number of allocations regardless of trajectory length
+	// (pinned by TestLoadAllocsPerStep).
+	W, S, M := int(walkers), int(totalSteps), int(listNodes)
+	var data core.TrajectoryData
+	i64 := make([]int64, W+(W+1)+(M+1))
+	perCalls := carve(&i64, W)
+	data.Ext = carve(&i64, W+1)
+	data.ListOff = carve(&i64, M+1)
+	i32 := make([]int32, 2*S+2*W)
+	data.Degree, data.StepList = carve(&i32, S), carve(&i32, S)
+	data.StartDegree, data.StartList = carve(&i32, W), carve(&i32, W)
+	ids := make([]graph.Node, 2*S+W+M+int(totalNeighbors))
+	data.Prev, data.Node = carve(&ids, S), carve(&ids, S)
+	data.StartNode, data.ListNode = carve(&ids, W), carve(&ids, M)
+	data.Arena = ids
+
 	for i := range perCalls {
 		perCalls[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	body = body[8*W:]
-	ext := make([]int64, W+1)
 	for w := 0; w < W; w++ {
-		ext[w+1] = ext[w] + int64(binary.LittleEndian.Uint32(body[4*w:]))
+		data.Ext[w+1] = data.Ext[w] + int64(binary.LittleEndian.Uint32(body[4*w:]))
 	}
 	body = body[4*W:]
-	if uint64(ext[W]) != totalSteps {
-		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", ext[W], totalSteps)
+	if uint64(data.Ext[W]) != totalSteps {
+		return nil, fmt.Errorf("store: per-walker step counts sum to %d, header says %d (corrupt file?)", data.Ext[W], totalSteps)
 	}
-
-	// Decode straight into the trajectory's columnar layout: the file's
-	// record order (start lists first, then step lists walker-major) IS the
-	// arena order, so every list lands in one preallocated arena and the
-	// whole decode is a fixed number of allocations regardless of trajectory
-	// length (pinned by TestLoadAllocsPerStep).
-	S := int(totalSteps)
-	data := core.TrajectoryData{
-		Ext:         ext,
-		Prev:        make([]graph.Node, S),
-		Node:        make([]graph.Node, S),
-		Degree:      make([]int32, S),
-		NbrOff:      make([]int64, S+1),
-		StartNode:   make([]graph.Node, W),
-		StartDegree: make([]int32, W),
-		StartOff:    make([]int64, W+1),
-		Arena:       make([]graph.Node, totalNeighbors),
-	}
-	rr := records{buf: body, arena: data.Arena, numNodes: numNodes}
 	for w := 0; w < W; w++ {
-		rec := rr.next(12)
-		node, degree, n := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]), binary.LittleEndian.Uint32(rec[8:])
-		if uint64(node) >= numNodes {
-			return nil, fmt.Errorf("store: start node ID %d out of range [0,%d)", node, numNodes)
+		u := binary.LittleEndian.Uint32(body[4*w:])
+		if uint64(u) >= numNodes {
+			return nil, fmt.Errorf("store: start node ID %d out of range [0,%d)", u, numNodes)
 		}
-		data.StartNode[w] = graph.Node(node)
-		data.StartDegree[w] = int32(degree)
-		data.StartOff[w] = int64(rr.fill)
-		if _, err := rr.list(n, degree); err != nil {
-			return nil, fmt.Errorf("store: start record %d: %w", w, err)
-		}
+		data.StartNode[w] = graph.Node(u)
 	}
-	data.StartOff[W] = int64(rr.fill)
+	body = body[4*W:]
 
+	// The node records: each start and step node once, in ascending order,
+	// with its friend list.
+	rr := records{buf: body, arena: data.Arena, numNodes: numNodes}
+	for j := 0; j < M; j++ {
+		rec := rr.next(12)
+		u, degree, n := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]), binary.LittleEndian.Uint32(rec[8:])
+		if uint64(u) >= numNodes {
+			return nil, fmt.Errorf("store: listed node ID %d out of range [0,%d)", u, numNodes)
+		}
+		if j > 0 && graph.Node(u) <= data.ListNode[j-1] {
+			if graph.Node(u) == data.ListNode[j-1] {
+				return nil, fmt.Errorf("store: node %d is listed twice (corrupt file?)", u)
+			}
+			return nil, fmt.Errorf("store: node %d is listed out of order, after node %d (corrupt file?)", u, data.ListNode[j-1])
+		}
+		data.ListNode[j] = graph.Node(u)
+		if err := rr.list(n, degree); err != nil {
+			return nil, fmt.Errorf("store: node %d: %w", u, err)
+		}
+		data.ListOff[j+1] = int64(rr.fill)
+	}
+	if left := len(data.Arena) - rr.fill; left != 0 {
+		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", left)
+	}
+	// stood marks the lists a walker stands on; each must be.
+	stood := make([]bool, M)
+	index := newListIndex(data.ListNode, numNodes)
+	listOf := func(u graph.Node) (int32, []graph.Node, bool) {
+		j, ok := index.find(u)
+		if !ok {
+			return 0, nil, false
+		}
+		stood[j] = true
+		return int32(j), data.Arena[data.ListOff[j]:data.ListOff[j+1]], true
+	}
 	// Each step must leave from where its walker stands and move to a node
-	// in that node's friend list, which the previous record (the start
-	// record, for a walker's first step) has just checked sorted.
+	// in that node's friend list, which the node records have checked
+	// sorted.
 	for w := 0; w < W; w++ {
 		at := data.StartNode[w]
-		atList := data.Arena[data.StartOff[w]:data.StartOff[w+1]]
-		for i := ext[w]; i < ext[w+1]; i++ {
-			rec := rr.next(16)
+		j, atList, ok := listOf(at)
+		if !ok {
+			return nil, fmt.Errorf("store: walker %d starts at node %d, which has no friend list (corrupt file?)", w, at)
+		}
+		data.StartList[w], data.StartDegree[w] = j, int32(len(atList))
+		for i := data.Ext[w]; i < data.Ext[w+1]; i++ {
+			rec := rr.next(8)
 			prev, node := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
-			degree, n := binary.LittleEndian.Uint32(rec[8:]), binary.LittleEndian.Uint32(rec[12:])
 			if uint64(prev) >= numNodes {
 				return nil, fmt.Errorf("store: step prev ID %d out of range [0,%d)", prev, numNodes)
 			}
@@ -461,20 +538,16 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 			if _, ok := slices.BinarySearch(atList, graph.Node(node)); !ok {
 				return nil, fmt.Errorf("store: step %d moves to node %d, which is not in node %d's friend list (corrupt file?)", i, node, prev)
 			}
-			data.Prev[i] = graph.Node(prev)
-			data.Node[i] = graph.Node(node)
-			data.Degree[i] = int32(degree)
-			data.NbrOff[i] = int64(rr.fill)
-			list, err := rr.list(n, degree)
-			if err != nil {
-				return nil, fmt.Errorf("store: step %d: %w", i, err)
+			at = graph.Node(node)
+			if j, atList, ok = listOf(at); !ok {
+				return nil, fmt.Errorf("store: step %d moves to node %d, which has no friend list (corrupt file?)", i, at)
 			}
-			at, atList = graph.Node(node), list
+			data.Prev[i], data.Node[i] = graph.Node(prev), at
+			data.StepList[i], data.Degree[i] = j, int32(len(atList))
 		}
 	}
-	data.NbrOff[S] = int64(rr.fill)
-	if left := len(data.Arena) - rr.fill; left != 0 {
-		return nil, fmt.Errorf("store: %d neighbor entries promised by the header were never consumed (corrupt file?)", left)
+	if j := slices.Index(stood, false); j >= 0 {
+		return nil, fmt.Errorf("store: node %d has a friend list, but no walker stands on it (corrupt file?)", data.ListNode[j])
 	}
 	body = body[rr.pos:]
 
@@ -487,15 +560,18 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	if numNodes <= denseIndexMaxNodes {
 		ls.indexNodes = int(numNodes)
 	}
+	last := int64(-1)
 	for i := range ls.nodes {
-		u := binary.LittleEndian.Uint32(body[4*i:])
-		if uint64(u) >= numNodes {
-			return nil, fmt.Errorf("store: labeled node ID %d out of range [0,%d)", u, numNodes)
-		}
-		if i > 0 && graph.Node(u) <= ls.nodes[i-1] {
+		u := int64(binary.LittleEndian.Uint32(body[4*i:]))
+		if u <= last {
 			return nil, fmt.Errorf("store: labeled node IDs not strictly increasing at index %d (corrupt file?)", i)
 		}
+		last = u
 		ls.nodes[i] = graph.Node(u)
+	}
+	// Strictly increasing IDs are in range when the last one is.
+	if last >= int64(numNodes) {
+		return nil, fmt.Errorf("store: labeled node ID %d out of range [0,%d)", last, numNodes)
 	}
 	body = body[4*L:]
 	for i := range ls.off {
@@ -509,17 +585,15 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 		return nil, fmt.Errorf("store: label offsets span [%d,%d], refs section has %d (corrupt file?)",
 			ls.off[0], ls.off[L], labelRefs)
 	}
-	table := make([]graph.Label, labelTable)
-	for i := range table {
-		table[i] = graph.Label(binary.LittleEndian.Uint32(body[4*i:]))
-	}
-	body = body[4*len(table):]
+	// The refs index the table section in place.
+	table := body[:4*labelTable]
+	body = body[4*labelTable:]
 	for i := range ls.vals {
 		ref := binary.LittleEndian.Uint32(body[4*i:])
 		if uint64(ref) >= labelTable {
 			return nil, fmt.Errorf("store: label ref %d out of table range [0,%d)", ref, labelTable)
 		}
-		ls.vals[i] = table[ref]
+		ls.vals[i] = graph.Label(binary.LittleEndian.Uint32(table[4*ref:]))
 	}
 	if rest := len(body) - 4*len(ls.vals); rest != 0 {
 		return nil, fmt.Errorf("store: %d unparsed payload bytes (corrupt file?)", rest)
@@ -544,10 +618,59 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	return t, nil
 }
 
-// records reads the start and step records in file order, copying each
-// friend list into the arena.
+// listIndex finds a node among the ascending list nodes of an image. It
+// splits the node IDs [0, numNodes) into at most as many equal buckets as
+// there are list nodes and keeps where each bucket's list nodes begin, so a
+// lookup binary-searches one bucket, about one list node on average, in
+// memory proportional to the list nodes rather than to the graph, whatever
+// numNodes a header claims.
+type listIndex struct {
+	nodes []graph.Node
+	shift uint
+	// first[b] is the index of the first list node at or above b<<shift;
+	// the last entry is len(nodes).
+	first []int32
+}
+
+func newListIndex(nodes []graph.Node, numNodes uint64) listIndex {
+	x := listIndex{nodes: nodes, shift: 63}
+	top := max(numNodes, 1) - 1 // the highest node ID
+	if len(nodes) > 0 {
+		x.shift = uint(bits.Len64(top / uint64(len(nodes))))
+	}
+	buckets := int(top>>x.shift) + 1
+	x.first = make([]int32, buckets+1)
+	j := 0
+	for b := range buckets {
+		for j < len(nodes) && uint64(nodes[j])>>x.shift < uint64(b) {
+			j++
+		}
+		x.first[b] = int32(j)
+	}
+	x.first[buckets] = int32(len(nodes))
+	return x
+}
+
+// find returns u's index among the list nodes; u must be below numNodes.
+func (x listIndex) find(u graph.Node) (int, bool) {
+	b := uint64(u) >> x.shift
+	lo, hi := int(x.first[b]), int(x.first[b+1])
+	j, ok := slices.BinarySearch(x.nodes[lo:hi], u)
+	return lo + j, ok
+}
+
+// carve cuts the first n elements off *buf as a column of its own, capped
+// so that it cannot grow into the next one.
+func carve[T any](buf *[]T, n int) []T {
+	col := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return col
+}
+
+// records reads the node records and then the step records in file order,
+// copying each friend list into the arena.
 type records struct {
-	buf      []byte // the record sections, from the first start record on
+	buf      []byte // the record sections, from the first node record on
 	pos      int    // read offset into buf
 	arena    []graph.Node
 	fill     int // arena entries filled so far
@@ -555,7 +678,7 @@ type records struct {
 }
 
 // next returns the next n bytes of record header. The record sections hold
-// one header per start and per step, and each list is bounded by the arena
+// one header per node and per step, and each list is bounded by the arena
 // entries left, so a header read never passes the sections' end.
 func (r *records) next(n int) []byte {
 	rec := r.buf[r.pos : r.pos+n]
@@ -563,34 +686,35 @@ func (r *records) next(n int) []byte {
 	return rec
 }
 
-// list copies the next n-entry friend list into the arena and returns it,
-// refusing a list whose length is not its record's degree, that overruns
-// the header's neighbor total, that holds an ID outside the graph, or that
-// is not strictly increasing.
-func (r *records) list(n, degree uint32) ([]graph.Node, error) {
+// list copies the next n-entry friend list into the arena, refusing a list
+// whose length is not its record's degree, that overruns the header's
+// neighbor total, that holds an ID outside the graph, or that is not
+// strictly increasing.
+func (r *records) list(n, degree uint32) error {
 	if n != degree {
-		return nil, fmt.Errorf("friend list of %d entries, but degree %d (corrupt file?)", n, degree)
+		return fmt.Errorf("friend list of %d entries, but degree %d (corrupt file?)", n, degree)
 	}
 	if left := len(r.arena) - r.fill; uint64(n) > uint64(left) {
-		return nil, fmt.Errorf("neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, left)
+		return fmt.Errorf("neighbor list of %d entries exceeds the header's remaining total %d (corrupt file?)", n, left)
 	}
 	dst := r.arena[r.fill : r.fill+int(n)]
 	src := r.buf[r.pos : r.pos+4*int(n)]
 	last := int64(-1)
 	for j := range dst {
-		v := binary.LittleEndian.Uint32(src[4*j:])
-		if uint64(v) >= r.numNodes {
-			return nil, fmt.Errorf("neighbor ID %d out of range [0,%d)", v, r.numNodes)
+		v := int64(binary.LittleEndian.Uint32(src[4*j:]))
+		if v <= last {
+			return fmt.Errorf("friend list not strictly increasing at entry %d (corrupt file?)", j)
 		}
-		if int64(v) <= last {
-			return nil, fmt.Errorf("friend list not strictly increasing at entry %d (corrupt file?)", j)
-		}
-		last = int64(v)
+		last = v
 		dst[j] = graph.Node(v)
+	}
+	// A strictly increasing list is in range when its last entry is.
+	if last >= int64(r.numNodes) {
+		return fmt.Errorf("neighbor ID %d out of range [0,%d)", last, r.numNodes)
 	}
 	r.pos += 4 * int(n)
 	r.fill += int(n)
-	return dst, nil
+	return nil
 }
 
 // Save writes t to path through atomicfile.Write (temp file, fsync, rename,

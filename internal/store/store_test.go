@@ -247,7 +247,7 @@ func TestDirLayout(t *testing.T) {
 	k1 := Key{Budget: 150, Walkers: 1, Seed: 31}
 	k2 := Key{Budget: 150, Walkers: 1, Seed: -4}
 	for _, k := range []Key{k1, k2} {
-		if err := d.Save("pokec", k, traj); err != nil {
+		if err := d.Save("pokec", k, Encode(traj)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,12 +326,22 @@ func TestKeyNameRoundTrip(t *testing.T) {
 // size matches EncodedSize and loads back — regression for the layout
 // omitting the mandatory leading label offset when labels were nil.
 func TestNilLabelRoundTrip(t *testing.T) {
-	traj := core.NewTrajectoryFromSteps(
-		[][]core.TrajStep{{
-			{Prev: 0, Node: 1, Degree: 2, Neighbors: []graph.Node{0, 2}},
-		}},
-		[]core.TrajStart{{Node: 0, Degree: 1, Neighbors: []graph.Node{1}}},
-	)
+	traj := &core.Trajectory{}
+	if err := traj.SetData(core.TrajectoryData{
+		Ext:         []int64{0, 1},
+		Prev:        []graph.Node{0},
+		Node:        []graph.Node{1},
+		Degree:      []int32{2},
+		StepList:    []int32{1},
+		StartNode:   []graph.Node{0},
+		StartDegree: []int32{1},
+		StartList:   []int32{0},
+		ListNode:    []graph.Node{0, 1},
+		ListOff:     []int64{0, 1, 3},
+		Arena:       []graph.Node{1, 0, 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	traj.Walkers = 1
 	traj.APICalls = 3
 	traj.PerWalkerCalls = []int64{3}

@@ -28,7 +28,8 @@ import (
 //   - layout: store.EncodedSize, the cache weight of a fresh recording;
 //   - write: store.Write into a reused buffer;
 //   - read: the file into a reused buffer, as store.Load reads it;
-//   - decode: store.Decode of the image;
+//   - decode: store.Decode of the image; it also reports the file's bytes
+//     (file-B) and the friend-list entries the file stores (list-entries);
 //   - first-replay: the batch on a freshly decoded trajectory rebound to
 //     the graph's labels, as the engine admits a reload; it builds the
 //     replay and label columns;
@@ -133,6 +134,8 @@ func BenchmarkReloadStages(b *testing.B) {
 		for range b.N {
 			decode()
 		}
+		b.ReportMetric(float64(len(raw)), "file-B")
+		b.ReportMetric(float64(len(fresh.Data().Arena)), "list-entries")
 	})
 	b.Run("first-replay", func(b *testing.B) {
 		b.ReportAllocs()
