@@ -178,9 +178,9 @@ func buildTargetFlags(t *Trajectory, pairs []graph.LabelPair) [][]bool {
 // the distinct arrival nodes, through the occurrence index. Each node reads
 // its own labels and each friend's labels once, counts T(u) for only the
 // pairs whose labels it carries (the pairs it explores), and spreads the
-// counts over its steps. A node's friend list is the same at each of its
-// steps — one recording reads one graph version — so every column holds
-// T(u) as the step's own friend list gives it.
+// counts over its steps. Each node's friend list is stored once and every
+// one of its steps views it, so every column holds T(u) as the step's own
+// friend list gives it.
 func buildTargetDegrees(t *Trajectory, pairs []graph.LabelPair) [][]int32 {
 	if len(pairs) == 0 {
 		return nil

@@ -574,11 +574,14 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 		return nil, fmt.Errorf("store: labeled node ID %d out of range [0,%d)", last, numNodes)
 	}
 	body = body[4*L:]
+	lastOff := uint32(0)
 	for i := range ls.off {
-		ls.off[i] = binary.LittleEndian.Uint32(body[4*i:])
-		if i > 0 && ls.off[i] < ls.off[i-1] {
+		off := binary.LittleEndian.Uint32(body[4*i:])
+		if off < lastOff {
 			return nil, fmt.Errorf("store: label offsets decrease at index %d (corrupt file?)", i)
 		}
+		lastOff = off
+		ls.off[i] = off
 	}
 	body = body[4*(L+1):]
 	if ls.off[0] != 0 || uint64(ls.off[L]) != labelRefs {
