@@ -18,25 +18,30 @@ import (
 
 // oneListPerNode returns "" when every visit of a node in t carries an
 // equal friend list, whichever walker stands on it and whether as a start
-// or a step, or else the first visit whose list differs from the node's
-// first one.
-func oneListPerNode(t *core.Trajectory) string {
+// or a step, and that list is the node's friend list in g, the graph the
+// recording read. Otherwise it describes the first visit whose list differs
+// from the node's first visit's or from g's.
+func oneListPerNode(t *core.Trajectory, g *graph.Graph) string {
 	lists := map[graph.Node][]graph.Node{}
-	differs := func(u graph.Node, ns []graph.Node) bool {
+	differs := func(u graph.Node, ns []graph.Node) string {
 		first, seen := lists[u]
-		if !seen {
-			lists[u] = ns
+		switch {
+		case seen && !slices.Equal(first, ns):
+			return "differs from the node's earlier visit"
+		case !slices.Equal(ns, g.Neighbors(u)):
+			return "is not the node's friend list in the graph"
 		}
-		return seen && !slices.Equal(first, ns)
+		lists[u] = ns
+		return ""
 	}
 	for w := range t.NumWalkers() {
-		if differs(t.StartNode(w), t.StartNeighbors(w)) {
-			return fmt.Sprintf("walker %d's start at node %d", w, t.StartNode(w))
+		if why := differs(t.StartNode(w), t.StartNeighbors(w)); why != "" {
+			return fmt.Sprintf("walker %d's start at node %d carries a friend list that %s", w, t.StartNode(w), why)
 		}
 		lo, hi := t.WalkerSpan(w)
 		for i := lo; i < hi; i++ {
-			if differs(t.StepNode(i), t.StepNeighbors(i)) {
-				return fmt.Sprintf("step %d at node %d", i, t.StepNode(i))
+			if why := differs(t.StepNode(i), t.StepNeighbors(i)); why != "" {
+				return fmt.Sprintf("step %d at node %d carries a friend list that %s", i, t.StepNode(i), why)
 			}
 		}
 	}
@@ -47,7 +52,9 @@ func oneListPerNode(t *core.Trajectory) string {
 // trajectory store each node's friend list once: within one recording,
 // every visit of a node, by any walker, as a start or a step, carries an
 // equal friend list, because every visit reads the session's one
-// crawl-cache response for the node. It records through each path that
+// crawl-cache response for the node; and that list is the node's friend
+// list in the graph the recording read, which a trajectory that stores one
+// copy per node must keep intact. It records through each path that
 // produces a trajectory: an in-memory graph source at one and at three
 // walkers; an HTTP source against an upstream that answers 503 to the first
 // friend-list requests (retried) and lists every node's friends in reverse;
@@ -69,13 +76,13 @@ func TestEveryVisitCarriesOneFriendList(t *testing.T) {
 		}
 		return s
 	}
-	check := func(name string, traj *core.Trajectory) {
+	check := func(name string, traj *core.Trajectory, g *graph.Graph) {
 		t.Helper()
 		if traj.Samples() < 100 {
 			t.Fatalf("%s: only %d steps", name, traj.Samples())
 		}
-		if v := oneListPerNode(traj); v != "" {
-			t.Errorf("%s: %s carries a friend list that differs from the node's earlier visit", name, v)
+		if v := oneListPerNode(traj, g); v != "" {
+			t.Errorf("%s: %s", name, v)
 		}
 	}
 
@@ -84,7 +91,7 @@ func TestEveryVisitCarriesOneFriendList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("graph source, %d walkers", walkers), traj)
+		check(fmt.Sprintf("graph source, %d walkers", walkers), traj, g)
 	}
 
 	up := faultsim.New(g)
@@ -111,7 +118,7 @@ func TestEveryVisitCarriesOneFriendList(t *testing.T) {
 	if l := up.Ledger(); l.Neighbors <= int64(len(l.PerNode)) {
 		t.Errorf("the upstream saw %d friend-list requests for %d nodes: no 503 was retried", l.Neighbors, len(l.PerNode))
 	}
-	check("HTTP source", traj)
+	check("HTTP source", traj, g)
 
 	old, err := core.RecordTrajectory(session(osn.NewGraphSource(g)), g.NumNodes(), opts(2))
 	if err != nil {
@@ -132,7 +139,7 @@ func TestEveryVisitCarriesOneFriendList(t *testing.T) {
 	if st.StaleSteps == 0 || st.InheritedSteps == 0 {
 		t.Errorf("top-up inherited %d steps and re-recorded %d; the test needs both", st.InheritedSteps, st.StaleSteps)
 	}
-	check("top-up", topped)
+	check("top-up", topped, g1)
 
 	rec, err := core.NewRecorder(session(osn.NewGraphSource(g)), 0, opts(1))
 	if err != nil {
@@ -142,7 +149,7 @@ func TestEveryVisitCarriesOneFriendList(t *testing.T) {
 		if _, _, err := rec.Extend(300); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("recorder after %d extensions", call), rec.Trajectory())
+		check(fmt.Sprintf("recorder after %d extensions", call), rec.Trajectory(), g)
 	}
 }
 

@@ -144,7 +144,7 @@ func (e *Engine) loadEntry(key store.Key) (*core.Trajectory, fs.FileInfo) {
 	if e.expired(fi.ModTime()) {
 		return nil, nil // the caller re-records from the upstream instead
 	}
-	traj, err := e.cfg.Store.Load(e.cfg.Name, key)
+	traj, err := e.cfg.Store.Load(e.cfg.Name, key, e.ownLabels(g))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			e.countStoreError()
@@ -182,16 +182,26 @@ func (e *Engine) admit(traj *core.Trajectory, g *graph.Graph) error {
 		return fmt.Errorf("%w: recorded burn-in %d, this engine records at %d",
 			ErrBadTrajectory, traj.BurnIn, e.burnIn)
 	}
-	// An in-memory engine's recordings read g's own labels (deltas touch
-	// edges, never labels), so rebinding to them lets replays run at CSR
-	// speed instead of through the file's label store. An upstream's
-	// recordings read the upstream's labels, which g, a skeleton that only
-	// has to match its node count, need not carry: those keep the labels
-	// their file embeds, as store.Detach leaves a fresh recording.
-	if e.cfg.SourceFactory == nil {
-		traj.BindLabels(g)
+	if lr := e.ownLabels(g); lr != nil {
+		traj.BindLabels(lr)
 	}
 	return nil
+}
+
+// ownLabels returns the labels an admitted trajectory is bound to in place
+// of those its file embeds, or nil to keep the file's. An in-memory
+// engine's recordings read g's own labels (deltas touch edges, never
+// labels), so rebinding to them lets replays run at CSR speed instead of
+// through the file's label store, and a reload from the store need not
+// parse the file's label sections at all. An upstream's recordings read the
+// upstream's labels, which g, a skeleton that only has to match its node
+// count, need not carry: those keep the labels their file embeds, as
+// store.Detach leaves a fresh recording.
+func (e *Engine) ownLabels(g *graph.Graph) core.LabelReader {
+	if e.cfg.SourceFactory != nil {
+		return nil
+	}
+	return g
 }
 
 // expired reports whether a trajectory recorded at recorded has outlived
@@ -235,7 +245,7 @@ func (e *Engine) loadTopUpSource(key store.Key) *core.Trajectory {
 	if fi, err := e.cfg.Store.Stat(e.cfg.Name, best); err == nil && e.expired(fi.ModTime()) {
 		return nil
 	}
-	traj, err := e.cfg.Store.Load(e.cfg.Name, best)
+	traj, err := e.cfg.Store.Load(e.cfg.Name, best, nil)
 	if err != nil {
 		e.countStoreError()
 		return nil

@@ -93,7 +93,7 @@ func TestEngineRerecordsOverVersion2File(t *testing.T) {
 	if s := e.Stats(); s.StoreErrors != 1 || s.Recordings != 1 || s.StoreLoads != 0 {
 		t.Errorf("stats %+v, want one store error, one recording and no load", s)
 	}
-	if _, err := st.Load("g", key); err != nil {
+	if _, err := st.Load("g", key, nil); err != nil {
 		t.Errorf("the re-recorded trajectory did not replace the version 2 file: %v", err)
 	}
 }

@@ -22,6 +22,23 @@ import (
 // label reads over every node either references, or else the first
 // difference.
 func sameDecode(a, b *core.Trajectory) string {
+	if d := sameColumns(a, b); d != "" {
+		return d
+	}
+	da := a.Data()
+	for _, col := range [][]graph.Node{da.StartNode, da.Prev, da.Node, da.Arena} {
+		for _, u := range col {
+			if la, lb := a.Labels().Labels(u), b.Labels().Labels(u); !slices.Equal(la, lb) {
+				return fmt.Sprintf("node %d labels %v vs %v", u, la, lb)
+			}
+		}
+	}
+	return ""
+}
+
+// sameColumns returns "" when a and b carry equal header fields and
+// columns, or else the first difference.
+func sameColumns(a, b *core.Trajectory) string {
 	type header struct {
 		Walkers                        int
 		APICalls                       int64
@@ -39,16 +56,8 @@ func sameDecode(a, b *core.Trajectory) string {
 	if ha, hb := hdr(a), hdr(b); !reflect.DeepEqual(ha, hb) {
 		return fmt.Sprintf("header fields %+v vs %+v", ha, hb)
 	}
-	da, db := a.Data(), b.Data()
-	if !reflect.DeepEqual(da, db) {
+	if !reflect.DeepEqual(a.Data(), b.Data()) {
 		return "columns differ"
-	}
-	for _, col := range [][]graph.Node{da.StartNode, da.Prev, da.Node, da.Arena} {
-		for _, u := range col {
-			if la, lb := a.Labels().Labels(u), b.Labels().Labels(u); !slices.Equal(la, lb) {
-				return fmt.Sprintf("node %d labels %v vs %v", u, la, lb)
-			}
-		}
 	}
 	return ""
 }
@@ -107,11 +116,13 @@ func reseal(raw []byte) {
 }
 
 // image locates the sections of a well-formed v3 image: the offset of the
-// start nodes, and of each node record and each step record, in file order.
+// start nodes, of each node record and each step record, in file order,
+// and of the label sections.
 type image struct {
 	raw          []byte
 	starts       int
 	nodes, steps []int
+	labels       int
 }
 
 func parseImage(raw []byte) image {
@@ -128,6 +139,7 @@ func parseImage(raw []byte) image {
 		im.steps = append(im.steps, off)
 		off += 8
 	}
+	im.labels = off
 	return im
 }
 
@@ -176,7 +188,8 @@ func (im image) splice(at, cut int, ins []byte, dm, dn int) []byte {
 // of order, a step that does not leave from where its walker stands, a step
 // to a node that is not a friend of its predecessor, a node listed twice,
 // node records out of order, a start or a step node without a list, and a
-// listed node that no walker stands on.
+// listed node that no walker stands on. Decode with a caller's labels in
+// place of the file's, as an engine reloads, refuses each alike.
 func TestDecodeRefusesImpossibleRecords(t *testing.T) {
 	g := testGraph(t, 3)
 	raw := encode(t, record(t, g, 2, 5))
@@ -280,6 +293,77 @@ func TestDecodeRefusesImpossibleRecords(t *testing.T) {
 			_, err := Decode(bad)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Decode: %v, want a refusal mentioning %q", err, tc.want)
+			}
+			if _, err := decode(bad, g); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode with the graph's labels: %v, want a refusal mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDecodeWithLabelsSkipsLabelSections checks the decode an engine
+// reloads through when it rebinds to its graph's labels: with the graph
+// given, decode yields Decode's columns bound to the graph, at one and at
+// two walkers. It does not parse the file's label sections, so each fault
+// in them that Decode refuses (labeled nodes out of order, label offsets
+// that decrease, a ref past the label table; each CRC-resealed) is
+// accepted there, with the same columns.
+func TestDecodeWithLabelsSkipsLabelSections(t *testing.T) {
+	g := testGraph(t, 3)
+	for _, walkers := range []int{1, 2} {
+		raw := encode(t, record(t, g, walkers, 5))
+		want, err := Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decode(raw, g)
+		if err != nil {
+			t.Fatalf("W=%d: %v", walkers, err)
+		}
+		if d := sameColumns(got, want); d != "" {
+			t.Errorf("W=%d: decode with the graph's labels and Decode disagree: %s", walkers, d)
+		}
+		if got.Labels() != core.LabelReader(g) {
+			t.Errorf("W=%d: bound to a %T, want the graph", walkers, got.Labels())
+		}
+	}
+
+	raw := encode(t, record(t, g, 2, 5))
+	want, err := Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := parseImage(raw)
+	L := int(binary.LittleEndian.Uint64(raw[72:]))
+	T := int(binary.LittleEndian.Uint64(raw[80:]))
+	if L < 3 {
+		t.Fatalf("%d labeled nodes; the mutations need 3", L)
+	}
+	offs := im.labels + 4*L
+	refs := offs + 4*(L+1) + 4*T
+	cases := []struct {
+		name, want string
+		off        int
+		v          uint32
+	}{
+		{"labeled nodes out of order", "not strictly increasing", im.labels, im.u32(im.labels + 4)},
+		{"label offsets decrease", "offsets decrease", offs + 4, im.u32(offs+8) + 1},
+		{"ref past the label table", "out of table range", refs, uint32(T)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(raw)
+			binary.LittleEndian.PutUint32(bad[tc.off:], tc.v)
+			reseal(bad)
+			if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Decode: %v, want a refusal mentioning %q", err, tc.want)
+			}
+			got, err := decode(bad, g)
+			if err != nil {
+				t.Fatalf("decode with the graph's labels: %v", err)
+			}
+			if d := sameColumns(got, want); d != "" {
+				t.Errorf("columns differ from the intact image's: %s", d)
 			}
 		})
 	}

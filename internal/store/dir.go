@@ -128,14 +128,18 @@ func (d *Dir) createPath(graphName string, k Key) (string, error) {
 	return path, nil
 }
 
-// Load reads the (graph, key) trajectory. A missing file returns an error
-// wrapping fs.ErrNotExist, which callers distinguish from corruption.
-func (d *Dir) Load(graphName string, k Key) (*core.Trajectory, error) {
+// Load reads the (graph, key) trajectory. With labels nil it is bound to
+// the label store its file carries, as Load binds it. Otherwise it is bound
+// to labels, and the file's label sections, which that binding would
+// discard, are checked by length and CRC but not parsed. A missing file
+// returns an error wrapping fs.ErrNotExist, which callers distinguish from
+// corruption.
+func (d *Dir) Load(graphName string, k Key, labels core.LabelReader) (*core.Trajectory, error) {
 	path, err := d.Path(graphName, k)
 	if err != nil {
 		return nil, err
 	}
-	return Load(path)
+	return load(path, labels)
 }
 
 // Stat returns the file metadata of the (graph, key) trajectory. By the

@@ -42,7 +42,10 @@ var fuzzPairs = []graph.LabelPair{{T1: 1, T2: 1}, {T1: 1, T2: 2}}
 // columns and label reads; every record must be one a walk could have
 // recorded (walkViolation); and the trajectory must replay every kind
 // through RunTasksFused, where a replay may fail, but only with an error.
-// The seeds are fresh encodings of a few hundred bytes.
+// Decoding with the seed graph's labels in place of the file's, as an
+// engine reloads, must accept whatever Decode accepts with the same
+// columns, and accept no impossible record either. The seeds are fresh
+// encodings of a few hundred bytes.
 func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	g0, err := gen.BarabasiAlbert(30, 2, rng)
@@ -79,9 +82,24 @@ func FuzzDecode(f *testing.F) {
 		if len(raw) >= 4 {
 			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 		}
+		// With a caller's labels in place of the file's, decode parses all
+		// but the label sections: it must accept what Decode accepts, with
+		// the same columns, and refuse every impossible record alike.
+		bound, boundErr := decode(raw, g)
+		if boundErr == nil {
+			if v := walkViolation(bound); v != "" {
+				t.Fatalf("decode with labels accepted an impossible record: %s", v)
+			}
+		}
 		traj, err := Decode(raw)
 		if err != nil {
 			return
+		}
+		if boundErr != nil {
+			t.Fatalf("decode with labels refuses an image Decode accepts: %v", boundErr)
+		}
+		if d := sameColumns(traj, bound); d != "" {
+			t.Fatalf("decode with labels and Decode disagree: %s", d)
 		}
 		ref, err := referenceDecode(raw)
 		if err != nil {

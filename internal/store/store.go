@@ -381,10 +381,17 @@ func (e *Encoding) write(w io.Writer) error {
 // its CRC over the whole image, before any section is parsed; so each
 // section parses as one loop over its bytes, writing the preallocated
 // columns by index, and only a record's own list length needs a bound of its
-// own. A start or a step finds its node's list by binary search over the
+// own. A start or a step finds its node's list through an index over the
 // ascending list nodes. Decode copies everything it keeps and does not
 // retain raw, so the caller may reuse the buffer.
-func Decode(raw []byte) (*core.Trajectory, error) {
+func Decode(raw []byte) (*core.Trajectory, error) { return decode(raw, nil) }
+
+// decode is Decode, except that a non-nil labels is bound in place of the
+// label store the image carries. The label sections are then covered by
+// the length and CRC checks but not parsed: a caller that rebinds a
+// reloaded trajectory to its graph's labels would discard them, and they
+// are over half of the image.
+func decode(raw []byte, labels core.LabelReader) (*core.Trajectory, error) {
 	if len(raw) < headerSize+4 {
 		return nil, fmt.Errorf("store: %d bytes is too short for a .osnt file", len(raw))
 	}
@@ -549,8 +556,36 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	if j := slices.Index(stood, false); j >= 0 {
 		return nil, fmt.Errorf("store: node %d has a friend list, but no walker stands on it (corrupt file?)", data.ListNode[j])
 	}
-	body = body[rr.pos:]
+	if labels == nil {
+		ls, err := decodeLabels(body[rr.pos:], numNodes, labelNodes, labelTable, labelRefs)
+		if err != nil {
+			return nil, err
+		}
+		labels = ls
+	}
 
+	t := &core.Trajectory{
+		Walkers:          W,
+		APICalls:         int64(apiCalls),
+		PerWalkerCalls:   perCalls,
+		NumNodes:         int(numNodes),
+		NumEdges:         int64(numEdges),
+		ThinGap:          int(thinGap),
+		BurnIn:           int(burnIn),
+		BudgetDriven:     flags&flagBudgetDriven != 0,
+		GraphVersion:     graphVersion,
+		GraphFingerprint: graphFP,
+	}
+	if err := t.SetData(data); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	t.BindLabels(labels)
+	return t, nil
+}
+
+// decodeLabels parses the label sections into a label store; body holds
+// exactly those sections, their lengths being the header's counts.
+func decodeLabels(body []byte, numNodes, labelNodes, labelTable, labelRefs uint64) (*labelStore, error) {
 	L := int(labelNodes)
 	ls := &labelStore{
 		nodes: make([]graph.Node, L),
@@ -601,24 +636,7 @@ func Decode(raw []byte) (*core.Trajectory, error) {
 	if rest := len(body) - 4*len(ls.vals); rest != 0 {
 		return nil, fmt.Errorf("store: %d unparsed payload bytes (corrupt file?)", rest)
 	}
-
-	t := &core.Trajectory{
-		Walkers:          W,
-		APICalls:         int64(apiCalls),
-		PerWalkerCalls:   perCalls,
-		NumNodes:         int(numNodes),
-		NumEdges:         int64(numEdges),
-		ThinGap:          int(thinGap),
-		BurnIn:           int(burnIn),
-		BudgetDriven:     flags&flagBudgetDriven != 0,
-		GraphVersion:     graphVersion,
-		GraphFingerprint: graphFP,
-	}
-	if err := t.SetData(data); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	t.BindLabels(ls)
-	return t, nil
+	return ls, nil
 }
 
 // listIndex finds a node among the ascending list nodes of an image. It
@@ -733,7 +751,10 @@ func Save(path string, t *core.Trajectory) error {
 // section sizes against the byte count before parsing, so a truncated or
 // size-inconsistent file fails fast; and since it keeps no reference to the
 // bytes, the buffer goes back to the pool for the next reload.
-func Load(path string) (*core.Trajectory, error) {
+func Load(path string) (*core.Trajectory, error) { return load(path, nil) }
+
+// load is Load, binding a non-nil labels in place of the file's (decode).
+func load(path string, labels core.LabelReader) (*core.Trajectory, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -752,7 +773,7 @@ func Load(path string) (*core.Trajectory, error) {
 	if _, err := io.ReadFull(f, raw); err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", path, err)
 	}
-	t, err := Decode(raw)
+	t, err := decode(raw, labels)
 	if err != nil {
 		return nil, fmt.Errorf("store: loading %s: %w", path, err)
 	}

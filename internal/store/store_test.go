@@ -268,10 +268,10 @@ func TestDirLayout(t *testing.T) {
 	if keys, err := d.Keys("neverloaded"); err != nil || keys != nil {
 		t.Errorf("Keys of absent graph = %v, %v; want nil, nil", keys, err)
 	}
-	if _, err := d.Load("pokec", k1); err != nil {
+	if _, err := d.Load("pokec", k1, nil); err != nil {
 		t.Errorf("Load saved key: %v", err)
 	}
-	if _, err := d.Load("pokec", Key{Budget: 9}); err == nil {
+	if _, err := d.Load("pokec", Key{Budget: 9}, nil); err == nil {
 		t.Error("Load of absent key succeeded")
 	}
 	if err := d.Remove("pokec", k1); err != nil {

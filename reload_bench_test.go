@@ -30,14 +30,17 @@ import (
 //   - read: the file into a reused buffer, as store.Load reads it;
 //   - decode: store.Decode of the image; it also reports the file's bytes
 //     (file-B) and the friend-list entries the file stores (list-entries);
+//   - load-rebound: Dir.Load with the graph's labels, as the engine
+//     reloads: the read, and a decode that skips the file's label
+//     sections;
 //   - first-replay: the batch on a freshly decoded trajectory rebound to
 //     the graph's labels, as the engine admits a reload; it builds the
 //     replay and label columns;
 //   - warm-replay: the batch again on that trajectory.
 //
 // The layout and write stages run on the decoded trajectory rebound to the
-// graph, as a fresh in-memory recording is bound. A full reload costs read +
-// decode + first-replay. Run it with
+// graph, as a fresh in-memory recording is bound. A full reload costs
+// load-rebound + first-replay. Run it with
 //
 //	go test -bench BenchmarkReloadStages -benchmem -run '^$' .
 func BenchmarkReloadStages(b *testing.B) {
@@ -60,7 +63,8 @@ func BenchmarkReloadStages(b *testing.B) {
 	if _, err := e.Estimate(context.Background(), serve.Query{Kind: "size"}); err != nil {
 		b.Fatal(err)
 	}
-	path, err := dir.Path("pokec", store.Key{Budget: 1000, Walkers: 2, Seed: 7, GraphVersion: g.Version()})
+	key := store.Key{Budget: 1000, Walkers: 2, Seed: 7, GraphVersion: g.Version()}
+	path, err := dir.Path("pokec", key)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,6 +140,14 @@ func BenchmarkReloadStages(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(raw)), "file-B")
 		b.ReportMetric(float64(len(fresh.Data().Arena)), "list-entries")
+	})
+	b.Run("load-rebound", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := dir.Load("pokec", key, g); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 	b.Run("first-replay", func(b *testing.B) {
 		b.ReportAllocs()
