@@ -143,7 +143,7 @@ func (d *Dir) Load(graphName string, k Key, labels core.LabelReader) (*core.Traj
 }
 
 // Stat returns the file metadata of the (graph, key) trajectory. By the
-// format's construction its size equals EncodedSize of the loaded
+// format's construction its size equals the Encoding size of the loaded
 // trajectory, so callers can weigh a cache entry without re-scanning it. A
 // missing file returns an error wrapping fs.ErrNotExist.
 func (d *Dir) Stat(graphName string, k Key) (fs.FileInfo, error) {

@@ -114,7 +114,7 @@ const flagBudgetDriven = 1 << 0
 
 // layout is the byte-level shape of one trajectory: the section counts the
 // header carries plus the interned label store, computed once and shared by
-// Write and EncodedSize so the two can never disagree.
+// Encoding.Size and the write so the two can never disagree.
 type layout struct {
 	walkers        int
 	totalSteps     int64
@@ -231,18 +231,15 @@ func Encode(t *core.Trajectory) *Encoding {
 }
 
 // Size returns the exact byte length of the encoded file; 0 for a nil
-// trajectory.
+// trajectory. The serving layer uses it as the trajectory's cache weight, so
+// the byte budget it enforces in memory equals the bytes the store holds on
+// disk.
 func (e *Encoding) Size() int64 {
 	if e.t == nil {
 		return 0
 	}
 	return e.lay.size()
 }
-
-// EncodedSize returns the exact .osnt byte length Write would produce for t.
-// The serving layer uses it as the trajectory's cache weight, so the byte
-// budget it enforces in memory equals the bytes the store holds on disk.
-func EncodedSize(t *core.Trajectory) int64 { return Encode(t).Size() }
 
 // Detach binds t to the label store its .osnt file embeds, read once
 // through t's current binding, and returns t's Encoding. A recording made

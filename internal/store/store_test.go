@@ -106,8 +106,8 @@ func TestRoundTripBitIdentical(t *testing.T) {
 		if err := Write(&buf, traj); err != nil {
 			t.Fatalf("walkers=%d: %v", walkers, err)
 		}
-		if got, want := int64(buf.Len()), EncodedSize(traj); got != want {
-			t.Errorf("walkers=%d: wrote %d bytes, EncodedSize says %d", walkers, got, want)
+		if got, want := int64(buf.Len()), Encode(traj).Size(); got != want {
+			t.Errorf("walkers=%d: wrote %d bytes, Encode says %d", walkers, got, want)
 		}
 		loaded, err := Decode(buf.Bytes())
 		if err != nil {
@@ -323,7 +323,7 @@ func TestKeyNameRoundTrip(t *testing.T) {
 
 // TestNilLabelRoundTrip: a trajectory with no bound label reader (built by
 // hand, never recorded through a session) must still write a file whose
-// size matches EncodedSize and loads back — regression for the layout
+// size matches its Encoding's and loads back — regression for the layout
 // omitting the mandatory leading label offset when labels were nil.
 func TestNilLabelRoundTrip(t *testing.T) {
 	traj := &core.Trajectory{}
@@ -351,8 +351,8 @@ func TestNilLabelRoundTrip(t *testing.T) {
 	if err := Write(&buf, traj); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(buf.Len()), EncodedSize(traj); got != want {
-		t.Fatalf("wrote %d bytes, EncodedSize says %d — the two layouts disagree", got, want)
+	if got, want := int64(buf.Len()), Encode(traj).Size(); got != want {
+		t.Fatalf("wrote %d bytes, Encode says %d — the two layouts disagree", got, want)
 	}
 	loaded, err := Decode(buf.Bytes())
 	if err != nil {

@@ -25,7 +25,8 @@ import (
 // census top 10, unlabeled wedges and degree assortativity. -short uses the
 // scale-1 graph. Sub-benchmarks:
 //
-//   - layout: store.EncodedSize, the cache weight of a fresh recording;
+//   - layout: store.Encode, whose size is the cache weight of a fresh
+//     recording and which the engine's save writes;
 //   - write: store.Write into a reused buffer;
 //   - read: the file into a reused buffer, as store.Load reads it;
 //   - decode: store.Decode of the image; it also reports the file's bytes
@@ -95,8 +96,8 @@ func BenchmarkReloadStages(b *testing.B) {
 	b.Run("layout", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			if n := store.EncodedSize(fresh); n != int64(len(raw)) {
-				b.Fatalf("EncodedSize %d, the file holds %d bytes", n, len(raw))
+			if n := store.Encode(fresh).Size(); n != int64(len(raw)) {
+				b.Fatalf("encoded size %d, the file holds %d bytes", n, len(raw))
 			}
 		}
 	})
